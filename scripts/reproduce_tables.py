@@ -33,7 +33,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--skip-s6", action="store_true",
                     help="skip the S6 tower (the longest single computation)")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     banner("Type-II cycles over S3 (n = 3, r = 3)")
@@ -51,7 +50,7 @@ def main() -> None:
     print(f"total:   {sum(c.length for c in d4.cycles)} representations")
 
     banner("Nontrivial b3 extensions over S4 (n = 4, r = 4)")
-    tower_s4 = compute_tower(s4, 6, decomposition=d4, threads=args.threads)
+    tower_s4 = compute_tower(s4, 6, decomposition=d4)
     print("\n".join(stage4_b3_block(tower_s4)))
 
     banner("Towers (headline counts per stage)")
@@ -66,7 +65,7 @@ def main() -> None:
         if r == 4:
             tower = tower_s4
         else:
-            tower = compute_tower(S, n_max, with_braid=with_braid, threads=args.threads)
+            tower = compute_tower(S, n_max, with_braid=with_braid)
         dt = time.monotonic() - t0
         towers[r] = tower
         print(f"--- S{r} (stages 3..{n_max}, {dt:.2f}s) ---")

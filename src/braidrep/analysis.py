@@ -7,9 +7,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import UsageError, VerificationError
-from .extension import RepClass, TowerResult, compute_tower
-from .groups import (CayleyTableGroup, FiniteGroup, SymmetricGroup,
-                     derived_series, involution_count)
+from .extension import TowerResult, compute_tower
+from .groups import (FiniteGroup, SymmetricGroup, derived_series,
+                     involution_count, perfect_core_group)
 from .shift import Representation, ShiftDecomposition, decompose
 
 __all__ = [
@@ -66,11 +66,6 @@ def is_transitive(rep: Representation) -> bool:
     return len(generator_orbits(_require_symmetric(rep.group), rep.generators())) == 1
 
 
-def _class_orbits(group: SymmetricGroup, cls: RepClass) -> tuple[tuple[int, ...], ...]:
-    gens = sorted(set(cls.cycle.a_seq) | set(cls.b))
-    return generator_orbits(group, gens)
-
-
 @dataclass(eq=False)
 class LevelTransitivity:
     """Per-class orbit data at one stage, with the index-r subgroup count."""
@@ -100,7 +95,7 @@ def transitivity_report(tower: TowerResult) -> TransitivityReport:
     stabiliser = math.factorial(S.r - 1)
     out = []
     for lvl in tower.levels:
-        orbits = [_class_orbits(S, cls) for cls in lvl.classes]
+        orbits = [generator_orbits(S, cls.generators()) for cls in lvl.classes]
         flags = [len(p) == 1 for p in orbits]
         trans_reps = sum(cls.period for cls, f in zip(lvl.classes, flags) if f)
         if trans_reps % stabiliser:
@@ -236,8 +231,8 @@ def nontrivial_implies_transitive(tower: TowerResult, n: int) -> bool:
     S = _require_symmetric(tower.group)
     lvl = tower.level(n)
     return all(
-        len(_class_orbits(S, cls)) == 1
-        for cls in lvl.classes if not cls.is_trivial(S))
+        len(generator_orbits(S, cls.generators())) == 1
+        for cls in lvl.classes if not cls.is_trivial())
 
 
 def classes_all_even(tower: TowerResult, n: int) -> bool:
@@ -246,7 +241,7 @@ def classes_all_even(tower: TowerResult, n: int) -> bool:
     lvl = tower.level(n)
     return all(
         S.parity(g) == 0
-        for cls in lvl.classes for g in set(cls.cycle.a_seq) | set(cls.b))
+        for cls in lvl.classes for g in cls.generators())
 
 
 def perfect_core_census_match(group: FiniteGroup, n: int,
@@ -257,23 +252,12 @@ def perfect_core_census_match(group: FiniteGroup, n: int,
     the two sets of (vertex, images) classes is the restriction statement for
     stages n >= 6.
     """
-    core_elems = sorted(derived_series(group).core)
-    idx = {g: k for k, g in enumerate(core_elems)}
-    table = [[idx[group.mul(x, y)] for y in core_elems] for x in core_elems]
-    core = CayleyTableGroup(table, name=f"core({group.name})",
-                            labels=[group.label(g) for g in core_elems])
+    series = derived_series(group)
+    core = perfect_core_group(group, series)
+    embed = sorted(series.core)          # increasing, so lex-least vertices map to lex-least
     t = tower if tower is not None else compute_tower(group, n, with_braid=False)
     core_t = compute_tower(core, n, with_braid=False)
-
-    def census(t_: TowerResult, mapping=None) -> set:
-        out = set()
-        for cls in t_.level(n).classes:
-            a = cls.cycle.a_seq
-            bb = cls.b
-            if mapping is not None:
-                a = tuple(mapping[x] for x in a)
-                bb = tuple(mapping[x] for x in bb)
-            out.add((min((a[k], a[(k + 1) % len(a)]) for k in range(len(a))), bb))
-        return out
-
-    return census(t) == census(core_t, core_elems)
+    ours = {(cls.cycle.rep_vertex, cls.b) for cls in t.level(n).classes}
+    theirs = {(tuple(embed[v] for v in cls.cycle.rep_vertex), tuple(embed[g] for g in cls.b))
+              for cls in core_t.level(n).classes}
+    return ours == theirs

@@ -34,7 +34,6 @@ class RunConfig:
     type2: bool = False
     count_only: bool = False
     budget: int = 100_000_000
-    threads: int = 1
     max_vertices: int = 10_000_000
     output: str | None = None
 
@@ -56,7 +55,6 @@ class RunConfig:
             type2=getattr(args, "type2", False),
             count_only=getattr(args, "count_only", False),
             budget=getattr(args, "budget", 100_000_000),
-            threads=getattr(args, "threads", 1),
             max_vertices=getattr(args, "max_vertices", 10_000_000),
             output=getattr(args, "output", None),
         )
@@ -70,7 +68,6 @@ def _add_group_args(p: argparse.ArgumentParser, *, with_nmax: bool) -> None:
         p.add_argument("--nmax", dest="nmax_opt", type=int, help="maximal stage n (alternative)")
         p.set_defaults(needs_nmax=True)
     p.add_argument("--budget", type=int, default=100_000_000, help="relation-check budget for brute scans")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for the scans")
     p.add_argument("--max-vertices", type=int, default=10_000_000, help="cap on |G|^2 for the decomposition")
 
 
@@ -137,7 +134,7 @@ def _cmd_shift(cfg: RunConfig) -> int:
 
 def _cmd_tower(cfg: RunConfig) -> int:
     group = parse_group_spec(cfg.group_spec)
-    tower = compute_tower(group, cfg.nmax, threads=cfg.threads, max_vertices=cfg.max_vertices)
+    tower = compute_tower(group, cfg.nmax, max_vertices=cfg.max_vertices)
     if cfg.fmt == "paper":
         lines = report.paper_tower_lines(tower)
         if cfg.count_only:
@@ -154,8 +151,7 @@ def _cmd_subgroups(cfg: RunConfig) -> int:
     group = parse_group_spec(cfg.group_spec)
     if not isinstance(group, SymmetricGroup):
         raise UsageError("subgroup counting runs over a symmetric group S<r>")
-    tower = compute_tower(group, cfg.nmax, with_braid=False,
-                          threads=cfg.threads, max_vertices=cfg.max_vertices)
+    tower = compute_tower(group, cfg.nmax, with_braid=False, max_vertices=cfg.max_vertices)
     rep = transitivity_report(tower)
     rows = [(lvl.n, group.r, lvl.transitive_rep_count, lvl.subgroup_count) for lvl in rep.levels]
     if cfg.fmt == "paper":
@@ -174,7 +170,7 @@ def _cmd_subgroups(cfg: RunConfig) -> int:
 
 def _cmd_braid(cfg: RunConfig) -> int:
     group = parse_group_spec(cfg.group_spec)
-    tower = compute_tower(group, cfg.nmax, threads=cfg.threads, max_vertices=cfg.max_vertices)
+    tower = compute_tower(group, cfg.nmax, max_vertices=cfg.max_vertices)
     if cfg.count_only:
         print(tower.level(cfg.nmax).braid_rep_count)
         return 0
@@ -190,8 +186,7 @@ def _cmd_braid(cfg: RunConfig) -> int:
 
 def _cmd_verify(cfg: RunConfig) -> int:
     group = parse_group_spec(cfg.group_spec)
-    results = run_suites(group, cfg.nmax, budget=cfg.budget,
-                         threads=cfg.threads, max_vertices=cfg.max_vertices)
+    results = run_suites(group, cfg.nmax, budget=cfg.budget, max_vertices=cfg.max_vertices)
     failed = False
     for res in results:
         status = "PASS" if res.ok else "FAIL"

@@ -1,11 +1,12 @@
 """Extending cycle representations up the tower K_3 -> K_4 -> ... and to braid groups.
 
 A class at stage n is a cycle together with images b_3, ..., b_{n-1} of the
-extra generators; it stands for the cycle-length many representations obtained
-by choosing a phase.  Admissible images are found by plain exhaustive scans of
-the group, filtered relation by relation; structural facts that must hold for
-the results (identity membership, forced triviality, order constraints) are
-re-checked on the way and raise VerificationError when broken.
+extra generators, held as its phase-0 Representation; it stands for the
+cycle-length many representations obtained by choosing a phase.  Admissible
+images are found by plain exhaustive scans of the group, filtered relation by
+relation; structural facts that must hold for the results (identity
+membership, forced triviality, order constraints) are re-checked on the way
+and raise VerificationError when broken.
 
 The relations used, with mul(g, h) meaning "h first, then g":
   stage 4:   a_m b3 a_{m+2} = b3 a_{m+1} b3          for all m
@@ -18,7 +19,6 @@ The relations used, with mul(g, h) meaning "h first, then g":
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,6 @@ from .groups import FiniteGroup, element_order
 from .shift import Cycle, Representation, ShiftDecomposition, decompose
 
 __all__ = [
-    "RepClass",
     "TowerLevel",
     "TowerResult",
     "BraidExtension",
@@ -196,40 +195,12 @@ def extend_to_braid(rep: Representation) -> list[int]:
 # tower of levels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RepClass:
-    """A cycle with generator images b (one representation per phase)."""
-
-    cycle: Cycle
-    b: tuple[int, ...] = ()
-
-    @property
-    def n(self) -> int:
-        return 3 + len(self.b)
-
-    @property
-    def period(self) -> int:
-        return self.cycle.length
-
-    def is_trivial(self, group: FiniteGroup) -> bool:
-        e = group.identity
-        return self.cycle.length == 1 and self.cycle.a_seq[0] == e and all(x == e for x in self.b)
-
-    def rep(self, group: FiniteGroup, phase: int = 0) -> Representation:
-        return Representation(group, self.cycle, phase % self.cycle.length, self.b)
-
-    def parent(self) -> "RepClass":
-        if not self.b:
-            raise UsageError("a stage-3 class has no parent")
-        return RepClass(self.cycle, self.b[:-1])
-
-
 @dataclass(eq=False)
 class TowerLevel:
     """All classes at one stage n, with braid-extension sets when computed."""
 
     n: int
-    classes: list[RepClass]
+    classes: list[Representation]
     braid_c: list[tuple[int, ...]] | None = None
 
     @property
@@ -273,14 +244,7 @@ class TowerResult:
 
     def is_trivial_at(self, n: int) -> bool:
         lvl = self.level(n)
-        return lvl.class_count == 1 and lvl.classes[0].is_trivial(self.group)
-
-
-def _map_maybe_parallel(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+        return lvl.class_count == 1 and lvl.classes[0].is_trivial()
 
 
 def compute_tower(
@@ -289,42 +253,35 @@ def compute_tower(
     *,
     decomposition: ShiftDecomposition | None = None,
     with_braid: bool = True,
-    threads: int = 1,
     max_vertices: int = 10_000_000,
 ) -> TowerResult:
     """Compute all classes at stages 3..n_max, and their braid extensions if asked."""
     if n_max < 3:
         raise UsageError("the tower starts at stage 3")
-    if threads < 1:
-        raise UsageError("threads must be >= 1")
     decomp = decomposition if decomposition is not None else decompose(group, max_vertices=max_vertices)
     if decomp.group is not group:
         raise UsageError("decomposition was computed for a different group object")
 
     e = group.identity
     levels: list[TowerLevel] = []
-    current = [RepClass(c) for c in decomp.cycles]
+    current = [Representation(group, c) for c in decomp.cycles]
     levels.append(TowerLevel(3, current))
     for n in range(4, n_max + 1):
         if n == 4:
-            per_class = _map_maybe_parallel(
-                lambda cls: extend_to_K4(group, cls.cycle), current, threads)
-            new = [RepClass(cls.cycle, (b3,)) for cls, bs in zip(current, per_class) for b3 in bs]
+            new = [Representation(group, cls.cycle, 0, (b3,))
+                   for cls in current for b3 in extend_to_K4(group, cls.cycle)]
         else:
-            trivial_chain = RepClass(decomp.trivial_cycle, (e,) * (n - 3))
-            scannable = [cls for cls in current if not cls.is_trivial(group)]
-            per_class = _map_maybe_parallel(
-                lambda cls: extend_step(cls.rep(group)), scannable, threads)
+            trivial_chain = Representation(group, decomp.trivial_cycle, 0, (e,) * (n - 3))
             new = [trivial_chain] + [
-                RepClass(cls.cycle, cls.b + (g,)) for cls, gs in zip(scannable, per_class) for g in gs]
+                Representation(group, cls.cycle, 0, cls.b + (g,))
+                for cls in current if not cls.is_trivial() for g in extend_step(cls)]
         new.sort(key=lambda cls: (cls.cycle.rep_vertex, cls.b))
         levels.append(TowerLevel(n, new))
         current = new
 
     if with_braid:
         for lvl in levels:
-            lvl.braid_c = _map_maybe_parallel(
-                lambda cls: tuple(extend_to_braid(cls.rep(group))), lvl.classes, threads)
+            lvl.braid_c = [tuple(extend_to_braid(cls)) for cls in lvl.classes]
     return TowerResult(group, decomp, levels)
 
 

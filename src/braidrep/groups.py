@@ -1,10 +1,12 @@
 """Finite group backends with a uniform integer-element interface.
 
-Elements of a group of order m are the integers 0..m-1.  Backends fix the
-meaning of an index (for symmetric groups: 1-based position in the
-lexicographic enumeration minus one) and supply mul/inv; everything else is
-generic.  Multiplication follows the convention that the RIGHT factor acts
-first, i.e. for permutations mul(g, h) is the composite "apply h, then g".
+Elements of a group of order m are the integers 0..m-1.  Every backend fixes
+the meaning of an index (for symmetric groups: 1-based position in the
+lexicographic enumeration minus one) and builds the m x m multiplication
+table and the inverse table once, at construction, in its `_build_tables`;
+mul/inv and everything else are lookups into those tables.  Multiplication
+follows the convention that the RIGHT factor acts first, i.e. for
+permutations mul(g, h) is the composite "apply h, then g".
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import numpy as np
 from .errors import ResourceLimitError, UsageError, VerificationError
 
 __all__ = [
+    "MAX_TABLE_ENTRIES",
     "FiniteGroup",
     "SymmetricGroup",
     "SL2",
@@ -38,23 +41,36 @@ __all__ = [
     "load_cayley_table",
 ]
 
+# Largest multiplication table (order squared) a backend will build.
+MAX_TABLE_ENTRIES = 10_000_000
+
+
+def _check_table_size(name: str, order: int) -> None:
+    """Refuse a group before anything is enumerated when its table is over the cap."""
+    if order * order > MAX_TABLE_ENTRIES:
+        raise ResourceLimitError(
+            f"{name} has order {order}; its {order * order}-entry table is over "
+            f"the cap MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
+
 
 # ---------------------------------------------------------------------------
 # base class
 # ---------------------------------------------------------------------------
 
 class FiniteGroup:
-    """Base class: a finite group on element handles 0..order-1."""
+    """Base class: a finite group on element handles 0..order-1, held as tables."""
 
     name: str = "?"
     order: int = 0
     identity: int = 0
+    _mul_table: np.ndarray
+    _inv_table: np.ndarray
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return self._mul_table.item(a, b)
 
     def inv(self, a: int) -> int:
-        raise NotImplementedError
+        return self._inv_table.item(a)
 
     def elements(self) -> range:
         return range(self.order)
@@ -85,31 +101,16 @@ class FiniteGroup:
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
 
     def is_abelian(self) -> bool:
-        mul_t, _ = self.tables()
-        return bool(np.array_equal(mul_t, mul_t.T))
-
-    # -- cached numpy multiplication/inverse tables --------------------------
-
-    _mul_table: np.ndarray | None = None
-    _inv_table: np.ndarray | None = None
+        return bool(np.array_equal(self._mul_table, self._mul_table.T))
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (mul_table, inv_table) as numpy arrays, built on first use."""
-        if self._mul_table is None:
-            self._mul_table, self._inv_table = self._build_tables()
-            self._mul_table.setflags(write=False)
-            self._inv_table.setflags(write=False)
+        """Return (mul_table, inv_table) as read-only numpy arrays."""
         return self._mul_table, self._inv_table
 
-    def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        m = self.order
-        table = np.empty((m, m), dtype=np.int32)
-        for a in range(m):
-            row = table[a]
-            for b in range(m):
-                row[b] = self.mul(a, b)
-        inv = np.fromiter((self.inv(a) for a in range(m)), dtype=np.int32, count=m)
-        return table, inv
+    def _set_tables(self, mul_table: np.ndarray, inv_table: np.ndarray) -> None:
+        mul_table.setflags(write=False)
+        inv_table.setflags(write=False)
+        self._mul_table, self._inv_table = mul_table, inv_table
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} {self.name} order={self.order}>"
@@ -172,10 +173,12 @@ class SymmetricGroup(FiniteGroup):
             raise UsageError("symmetric group degree must be >= 1")
         self.r = r
         self.name = f"S{r}"
+        self.order = math.factorial(r)
+        _check_table_size(self.name, self.order)
         self.perms: list[tuple[int, ...]] = list(itertools.permutations(range(1, r + 1)))
-        self.order = len(self.perms)
         self.identity = 0
         self._index = {p: i for i, p in enumerate(self.perms)}
+        self._set_tables(*self._build_tables())
 
     def image(self, a: int) -> tuple[int, ...]:
         return self.perms[self.check_element(a)]
@@ -185,17 +188,6 @@ class SymmetricGroup(FiniteGroup):
             return self._index[tuple(images)]
         except KeyError:
             raise UsageError(f"not a permutation of 1..{self.r}: {images!r}") from None
-
-    def mul(self, a: int, b: int) -> int:
-        pa, pb = self.perms[a], self.perms[b]
-        return self._index[tuple(pa[x - 1] for x in pb)]
-
-    def inv(self, a: int) -> int:
-        pa = self.perms[a]
-        out = [0] * self.r
-        for i, x in enumerate(pa):
-            out[x - 1] = i + 1
-        return self._index[tuple(out)]
 
     def parity(self, a: int) -> int:
         """0 for even permutations, 1 for odd."""
@@ -246,17 +238,21 @@ def _is_prime(n: int) -> bool:
 _IRREDUCIBLE = {4: (2, (1, 1)), 8: (2, (1, 1, 0)), 9: (3, (1, 0))}
 
 
+def _field_params(q: int) -> tuple[int, int, tuple[int, ...]]:
+    """(p, k, modulus) with GF(q) = GF(p)[x] / (modulus) and q = p^k."""
+    if _is_prime(q):
+        return q, 1, ()
+    if q in _IRREDUCIBLE:
+        p, modulus = _IRREDUCIBLE[q]
+        return p, len(modulus), modulus
+    raise UsageError(f"SL2({q}) not supported: q must be prime or one of 4, 8, 9")
+
+
 class _Field:
     """Arithmetic tables for GF(q), q prime or q in {4, 8, 9}."""
 
     def __init__(self, q: int):
-        if _is_prime(q):
-            p, k, modulus = q, 1, ()
-        elif q in _IRREDUCIBLE:
-            p, modulus = _IRREDUCIBLE[q]
-            k = len(modulus)
-        else:
-            raise UsageError(f"SL2({q}) not supported: q must be prime or one of 4, 8, 9")
+        p, k, modulus = _field_params(q)
         self.q = q
         digits = [self._digits(i, p, k) for i in range(q)]
         self.zero = 0
@@ -304,40 +300,49 @@ class SL2(FiniteGroup):
     """SL(2, F_q): 2x2 matrices of determinant 1, in lex order of (a, b, c, d)."""
 
     def __init__(self, q: int):
-        F = self._field = _Field(q)
+        _field_params(q)                 # an unsupported q is a usage error, whatever its size
         self.q = q
         self.name = f"SL2({q})"
+        self.order = q * (q - 1) * (q + 1)
+        _check_table_size(self.name, self.order)
+        F = self._field = _Field(q)
         mats = []
         for a, b, c, d in itertools.product(range(q), repeat=4):
             det = F.add[F.mul[a][d]][F.neg[F.mul[b][c]]]
             if det == F.one:
                 mats.append((a, b, c, d))
+        if len(mats) != self.order:
+            raise VerificationError(f"SL2({q}) enumeration produced {len(mats)} matrices")
         self.mats = mats
-        self.order = len(mats)
-        if self.order != q * (q - 1) * (q + 1):
-            raise VerificationError(f"SL2({q}) enumeration produced {self.order} matrices")
-        self._index = {mat: i for i, mat in enumerate(mats)}
-        self.identity = self._index[(F.one, 0, 0, F.one)]
-
-    def mul(self, x: int, y: int) -> int:
-        F = self._field
-        a1, b1, c1, d1 = self.mats[x]
-        a2, b2, c2, d2 = self.mats[y]
-        return self._index[(
-            F.add[F.mul[a1][a2]][F.mul[b1][c2]],
-            F.add[F.mul[a1][b2]][F.mul[b1][d2]],
-            F.add[F.mul[c1][a2]][F.mul[d1][c2]],
-            F.add[F.mul[c1][b2]][F.mul[d1][d2]],
-        )]
-
-    def inv(self, x: int) -> int:
-        F = self._field
-        a, b, c, d = self.mats[x]
-        return self._index[(d, F.neg[b], F.neg[c], a)]
+        self.identity = mats.index((F.one, 0, 0, F.one))
+        self._set_tables(*self._build_tables())
 
     def label(self, x: int) -> str:
         a, b, c, d = self.mats[x]
         return f"[[{a},{b}],[{c},{d}]]"
+
+    def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        # Vectorised over the field tables, one row (left factor) at a time so
+        # that no m x m temporary is allocated.  The key ((a q + b) q + c) q + d
+        # is monotone in lex order, so a product's handle is a searchsorted
+        # into the sorted keys of the matrices.
+        F, q = self._field, self.q
+        add = np.array(F.add, dtype=np.int32)
+        mul = np.array(F.mul, dtype=np.int32)
+        neg = np.array(F.neg, dtype=np.int32)
+        a, b, c, d = np.array(self.mats, dtype=np.int32).T
+
+        def key(w, x, y, z):
+            return ((w * q + x) * q + y) * q + z
+
+        keys = key(a, b, c, d)
+        table = np.empty((self.order, self.order), dtype=np.int32)
+        for row, (a1, b1, c1, d1) in enumerate(self.mats):
+            table[row] = np.searchsorted(keys, key(
+                add[mul[a1, a], mul[b1, c]], add[mul[a1, b], mul[b1, d]],
+                add[mul[c1, a], mul[d1, c]], add[mul[c1, b], mul[d1, d]]))
+        inv = np.searchsorted(keys, key(d, neg[b], neg[c], a)).astype(np.int32)
+        return table, inv
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +358,9 @@ class AbelianProduct(FiniteGroup):
         self.moduli = tuple(moduli)
         self.name = "x".join(f"Z{k}" for k in moduli)
         self.order = math.prod(moduli)
+        _check_table_size(self.name, self.order)
         self.identity = 0
+        self._set_tables(*self._build_tables())
 
     def digits(self, a: int) -> tuple[int, ...]:
         out = []
@@ -362,23 +369,16 @@ class AbelianProduct(FiniteGroup):
             a //= k
         return tuple(reversed(out))
 
-    def _enc(self, digits) -> int:
-        val = 0
-        for d, k in zip(digits, self.moduli):
-            val = val * k + d
-        return val
-
-    def mul(self, a: int, b: int) -> int:
-        return self._enc([(x + y) % k for x, y, k in zip(self.digits(a), self.digits(b), self.moduli)])
-
-    def inv(self, a: int) -> int:
-        return self._enc([(-x) % k for x, k in zip(self.digits(a), self.moduli)])
-
-    def is_abelian(self) -> bool:
-        return True
-
     def label(self, a: int) -> str:
         return "(" + ",".join(map(str, self.digits(a))) + ")" if len(self.moduli) > 1 else str(a)
+
+    def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        # digit-wise sums, re-encoded in the same mixed radix
+        digits = np.unravel_index(np.arange(self.order), self.moduli)
+        table = np.ravel_multi_index(
+            tuple((x[:, None] + x[None, :]) % k for x, k in zip(digits, self.moduli)), self.moduli)
+        inv = np.ravel_multi_index(tuple(-x % k for x, k in zip(digits, self.moduli)), self.moduli)
+        return table.astype(np.int32), inv.astype(np.int32)
 
 
 class CayleyTableGroup(FiniteGroup):
@@ -389,6 +389,7 @@ class CayleyTableGroup(FiniteGroup):
 
     def __init__(self, table, name: str = "table", labels: list[str] | None = None):
         m = len(table)
+        _check_table_size(name, m)
         try:
             arr = np.asarray(table, dtype=np.int32)
         except (ValueError, TypeError) as exc:
@@ -406,18 +407,9 @@ class CayleyTableGroup(FiniteGroup):
             raise UsageError("Cayley table has no two-sided identity")
         self.identity = ident[0]
         self._check_associativity(arr, m)
-        inv = np.empty(m, dtype=np.int32)
-        for a in range(m):
-            right = int(np.nonzero(arr[a] == self.identity)[0][0])
-            if arr[right, a] != self.identity:
-                raise UsageError(f"element {a} has no two-sided inverse")
-            inv[a] = right
         self.name = name
         self.order = m
-        self._mul_table = arr
-        self._inv_table = inv
-        self._mul_table.setflags(write=False)
-        self._inv_table.setflags(write=False)
+        self._set_tables(*self._build_tables(arr))
         self._labels = list(labels) if labels is not None else None
         if self._labels is not None and len(self._labels) != m:
             raise UsageError("labels length must match group order")
@@ -433,14 +425,18 @@ class CayleyTableGroup(FiniteGroup):
             if arr[arr[a, b], c] != arr[a, arr[b, c]]:
                 raise UsageError(f"table is not associative at ({a}, {b}, {c})")
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self._mul_table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self._inv_table[a])
-
     def label(self, a: int) -> str:
         return self._labels[a] if self._labels is not None else str(a)
+
+    def _build_tables(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The validated table itself, with the inverses read off it."""
+        inv = np.empty(self.order, dtype=np.int32)
+        for a in range(self.order):
+            right = int(np.nonzero(arr[a] == self.identity)[0][0])
+            if arr[right, a] != self.identity:
+                raise UsageError(f"element {a} has no two-sided inverse")
+            inv[a] = right
+        return arr, inv
 
 
 def load_cayley_table(path: str) -> CayleyTableGroup:

@@ -180,9 +180,7 @@ def brute_hom_Bn(group: FiniteGroup, n: int, budget: int = 100_000_000) -> Oracl
 def engine_census_Kn(tower: TowerResult, n: int) -> tuple:
     out = []
     for cls in tower.level(n).classes:
-        a = cls.cycle.a_seq
-        key = min((a[k], a[(k + 1) % len(a)]) for k in range(len(a)))
-        out.append((key, cls.b, cls.cycle.length))
+        out.append((cls.cycle.rep_vertex, cls.b, cls.cycle.length))
     return tuple(sorted(out))
 
 
@@ -194,8 +192,6 @@ def engine_census_Bn(tower: TowerResult, n: int) -> tuple:
         raise UsageError("tower was computed without braid extensions")
     out = []
     for cls, cs in zip(lvl.classes, lvl.braid_c):
-        a = cls.cycle.a_seq
-        key = min((a[k], a[(k + 1) % len(a)]) for k in range(len(a)))
         for c in cs:
-            out.append((key, cls.b, c, cls.cycle.length))
+            out.append((cls.cycle.rep_vertex, cls.b, c, cls.cycle.length))
     return tuple(sorted(out))

@@ -12,9 +12,9 @@ import io
 import numpy as np
 
 from .errors import UsageError
-from .extension import RepClass, TowerLevel, TowerResult
+from .extension import TowerLevel, TowerResult
 from .groups import parse_group_spec
-from .shift import Cycle, ShiftDecomposition
+from .shift import Cycle, Representation, ShiftDecomposition
 
 __all__ = [
     "bracket_word",
@@ -171,7 +171,7 @@ def tower_from_json(doc: dict) -> TowerResult:
         raise UsageError("group spec and recorded order disagree")
     levels = []
     for item in doc["levels"]:
-        classes = [RepClass(Cycle(tuple(d["a_seq"]), d["type"]), tuple(d["b"]))
+        classes = [Representation(group, Cycle(tuple(d["a_seq"]), d["type"]), 0, tuple(d["b"]))
                    for d in item["classes"]]
         braid = None
         if any("c_set" in d for d in item["classes"]):

@@ -174,11 +174,13 @@ class Representation:
     Phase k of a cycle of length p is the representation with a_m =
     a_seq[(k + m) mod p]; the tuple b holds the extra generator images, so n =
     3 + len(b) is the number of braid strands the representation belongs to.
+    A tower class is the phase-0 representation of its cycle and images; it
+    stands for all p phases, which share every admissible extension.
     """
 
     group: FiniteGroup
     cycle: Cycle
-    phase: int
+    phase: int = 0
     b: tuple[int, ...] = ()
 
     @property
@@ -201,6 +203,12 @@ class Representation:
 
     def generators(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.cycle.a_seq) | set(self.b)))
+
+    def parent(self) -> "Representation":
+        """The same point one stage down (the last image dropped)."""
+        if not self.b:
+            raise UsageError("a stage-3 representation has no parent")
+        return Representation(self.group, self.cycle, self.phase, self.b[:-1])
 
 
 def shift(rep: Representation) -> Representation:

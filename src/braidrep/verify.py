@@ -81,7 +81,7 @@ def _prop3_suite(tower: TowerResult) -> SuiteResult:
     checked = 0
     for n in range(5, tower.n_max + 1):
         for cls in tower.level(n).classes:
-            if cls.is_trivial(G):
+            if cls.is_trivial():
                 continue
             checked += 1
             b = cls.b
@@ -141,11 +141,10 @@ def _oracle_suite(tower: TowerResult, budget: int) -> SuiteResult:
 
 
 def run_suites(group: FiniteGroup, n: int, *, budget: int = 100_000_000,
-               threads: int = 1, max_vertices: int = 10_000_000,
+               max_vertices: int = 10_000_000,
                tower: TowerResult | None = None) -> list[SuiteResult]:
     """Run every named suite against a stage-n tower over the group."""
-    t = tower if tower is not None else compute_tower(
-        group, n, threads=threads, max_vertices=max_vertices)
+    t = tower if tower is not None else compute_tower(group, n, max_vertices=max_vertices)
     results = [
         _census_suite(t),
         _prop1_suite(t),

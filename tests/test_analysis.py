@@ -18,9 +18,8 @@ from braidrep.analysis import (
     type_I_census,
 )
 from braidrep.errors import UsageError
-from braidrep.extension import RepClass
 from braidrep.groups import AbelianProduct, SymmetricGroup
-from braidrep.shift import decompose
+from braidrep.shift import Representation, decompose
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +180,7 @@ def test_pi_representation_images(s5):
 
 def test_pi_representation_class_is_found_by_tower(tower_s5, s5):
     rep = pi_representation(5, 5, tower_s5.decomposition)
-    cls = RepClass(rep.cycle, rep.b)
+    cls = Representation(rep.group, rep.cycle, 0, rep.b)
     assert cls in tower_s5.level(5).classes
 
 

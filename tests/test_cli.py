@@ -120,12 +120,6 @@ def test_tower_csv_format(capsys):
     assert len(lines) == 5  # header + 2 classes at stage 3 + 2 at stage 4
 
 
-def test_tower_threads_flag_deterministic(capsys):
-    _, out1, _ = run_cli(capsys, "tower", "S3", "5")
-    _, out2, _ = run_cli(capsys, "tower", "S3", "5", "--threads", "3")
-    assert out1 == out2
-
-
 def test_tower_nmax_flag_spelling(capsys):
     _, out1, _ = run_cli(capsys, "tower", "S2", "4")
     _, out2, _ = run_cli(capsys, "tower", "-g", "S2", "--nmax", "4")
@@ -257,6 +251,14 @@ def test_vertex_cap_exits_3(capsys):
     code, _, err = run_cli(capsys, "shift", "S4", "--max-vertices", "100")
     assert code == 3
     assert "resource limit" in err
+
+
+@pytest.mark.parametrize("argv", [("shift", "S7"), ("shift", "S12"),
+                                  ("tower", "SL2(101)", "4"), ("shift", "Z5000")])
+def test_group_over_table_cap_exits_3(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "MAX_TABLE_ENTRIES = 10000000" in err
 
 
 def test_unknown_subcommand_is_rejected_by_argparse():

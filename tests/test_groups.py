@@ -31,6 +31,9 @@ BACKENDS = [
     SymmetricGroup(4),
     SL2(2),
     SL2(3),
+    SL2(4),
+    SL2(8),
+    SL2(9),
     AbelianProduct((6,)),
     AbelianProduct((2, 4)),
     alternating_group(4),
@@ -51,14 +54,44 @@ def test_identity_and_inverses(group):
         assert group.mul(group.inv(a), a) == e
 
 
+def _definition(group):
+    """(element objects by handle, their product, the identity object), computed
+    from what each backend's elements are rather than from its tables."""
+    if isinstance(group, SL2):
+        F = group._field
+
+        def matmul(x, y):
+            (a1, b1, c1, d1), (a2, b2, c2, d2) = x, y
+            return (F.add[F.mul[a1][a2]][F.mul[b1][c2]], F.add[F.mul[a1][b2]][F.mul[b1][d2]],
+                    F.add[F.mul[c1][a2]][F.mul[d1][c2]], F.add[F.mul[c1][b2]][F.mul[d1][d2]])
+        return group.mats, matmul, (F.one, 0, 0, F.one)
+
+    def compose(p, q):                   # apply q first, then p
+        return tuple(p[x - 1] for x in q)
+
+    if isinstance(group, SymmetricGroup):
+        return [group.image(a) for a in group.elements()], compose, tuple(range(1, group.r + 1))
+    if isinstance(group, AbelianProduct):
+        def add(x, y):
+            return tuple((u + v) % k for u, v, k in zip(x, y, group.moduli))
+        return [group.digits(a) for a in group.elements()], add, (0,) * len(group.moduli)
+    # alternating_group(r): the even permutations of S_r, in lex order
+    r = int(group.name[1:])
+    S = SymmetricGroup(r)
+    evens = [S.image(g) for g in S.elements() if S.parity(g) == 0]
+    return evens, compose, tuple(range(1, r + 1))
+
+
 @pytest.mark.parametrize("group", BACKENDS, ids=lambda g: g.name)
 def test_tables_match_scalar_mul(group):
+    elems, product, one = _definition(group)
+    handle = {x: k for k, x in enumerate(elems)}
+    assert len(handle) == group.order
     mul_t, inv_t = group.tables()
-    assert mul_t.shape == (group.order, group.order)
-    for a in group.elements():
-        assert inv_t[a] == group.inv(a)
-        for b in group.elements():
-            assert mul_t[a, b] == group.mul(a, b)
+    expected = [[handle[product(x, y)] for y in elems] for x in elems]
+    assert np.array_equal(mul_t, np.array(expected))
+    assert elems[group.identity] == one
+    assert all(mul_t[a, inv_t[a]] == group.identity for a in group.elements())
 
 
 def test_composition_applies_right_factor_first():
@@ -211,7 +244,7 @@ def test_abelian_product_mixed_radix_handles():
     G = AbelianProduct((2, 4))
     assert G.digits(0) == (0, 0)
     assert G.digits(5) == (1, 1)
-    assert G.mul(5, 7) == G._enc(((1 + 1) % 2, (1 + 3) % 4))
+    assert G.digits(G.mul(5, 7)) == ((1 + 1) % 2, (1 + 3) % 4)
 
 
 def test_abelian_product_rejects_bad_moduli():
