@@ -16,7 +16,7 @@ import argparse
 import time
 
 from braidrep.analysis import count_subgroups, transitivity_report
-from braidrep.extension import compute_tower, hom_Bn_count
+from braidrep.extension import compute_tower
 from braidrep.groups import SymmetricGroup
 from braidrep.report import paper_shift_lines, paper_tower_lines, stage4_b3_block
 from braidrep.shift import decompose
@@ -84,7 +84,7 @@ def main() -> None:
     for r in (2, 3, 4):
         tower = towers[r]
         for n in range(3, tower.n_max + 1):
-            print(f"|Hom(B{n}, S{r})| = {hom_Bn_count(tower, n)}")
+            print(f"|Hom(B{n}, S{r})| = {tower.level(n).braid_rep_count}")
 
 
 if __name__ == "__main__":

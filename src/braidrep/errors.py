@@ -10,7 +10,7 @@ class UsageError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured budget (vertex cap, relation-check budget, group-size cap) was exceeded."""
+    """Over a resource bound: the group-table cap, the stage cap or the relation-check budget."""
 
 
 class VerificationError(AssertionError):

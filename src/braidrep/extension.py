@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, VerificationError
+from .errors import ResourceLimitError, UsageError, VerificationError
 from .groups import FiniteGroup, element_order
 from .shift import Cycle, Representation, ShiftDecomposition, decompose
 
 __all__ = [
+    "MAX_STAGE",
     "TowerLevel",
     "TowerResult",
     "BraidExtension",
@@ -35,9 +36,13 @@ __all__ = [
     "extend_step",
     "extend_to_braid",
     "compute_tower",
-    "hom_Bn_count",
     "hom_Bn_when_Kn_trivial",
 ]
+
+
+# Highest stage a tower is computed to: each level holds an identity chain
+# n - 3 long that the braid scan walks, so the cost grows as n^2.
+MAX_STAGE = 100
 
 
 def _a_arr(cycle: Cycle) -> np.ndarray:
@@ -253,12 +258,13 @@ def compute_tower(
     *,
     decomposition: ShiftDecomposition | None = None,
     with_braid: bool = True,
-    max_vertices: int = 10_000_000,
 ) -> TowerResult:
     """Compute all classes at stages 3..n_max, and their braid extensions if asked."""
     if n_max < 3:
         raise UsageError("the tower starts at stage 3")
-    decomp = decomposition if decomposition is not None else decompose(group, max_vertices=max_vertices)
+    if n_max > MAX_STAGE:
+        raise ResourceLimitError(f"stage {n_max} is over the cap MAX_STAGE = {MAX_STAGE}")
+    decomp = decomposition if decomposition is not None else decompose(group)
     if decomp.group is not group:
         raise UsageError("decomposition was computed for a different group object")
 
@@ -283,11 +289,6 @@ def compute_tower(
         for lvl in levels:
             lvl.braid_c = [tuple(extend_to_braid(cls)) for cls in lvl.classes]
     return TowerResult(group, decomp, levels)
-
-
-def hom_Bn_count(tower: TowerResult, n: int) -> int:
-    """Number of braid-group representations at stage n (phases times c choices)."""
-    return tower.level(n).braid_rep_count
 
 
 def hom_Bn_when_Kn_trivial(group: FiniteGroup, n: int, tower: TowerResult | None = None) -> int:

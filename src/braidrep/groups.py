@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 import re
 from dataclasses import dataclass
 
@@ -41,16 +40,29 @@ __all__ = [
     "load_cayley_table",
 ]
 
-# Largest multiplication table (order squared) a backend will build.
+# Largest multiplication table (order squared) a backend will build, and the
+# largest order whose table fits.
 MAX_TABLE_ENTRIES = 10_000_000
+MAX_ORDER = math.isqrt(MAX_TABLE_ENTRIES)
 
 
-def _check_table_size(name: str, order: int) -> None:
-    """Refuse a group before anything is enumerated when its table is over the cap."""
-    if order * order > MAX_TABLE_ENTRIES:
-        raise ResourceLimitError(
-            f"{name} has order {order}; its {order * order}-entry table is over "
-            f"the cap MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
+def _over_cap(name: str) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"{name} has order over {MAX_ORDER}, so its table is over the cap "
+        f"MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
+
+
+def _bounded_order(name: str, factors) -> int:
+    """The product of `factors`, refused as soon as a partial product is over MAX_ORDER.
+
+    Stopping early keeps the cost independent of the parameters' size
+    (S1000000 stops at the seventh factor of its factorial)."""
+    order = 1
+    for k in factors:
+        order *= k
+        if order > MAX_ORDER:
+            raise _over_cap(name)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +185,7 @@ class SymmetricGroup(FiniteGroup):
             raise UsageError("symmetric group degree must be >= 1")
         self.r = r
         self.name = f"S{r}"
-        self.order = math.factorial(r)
-        _check_table_size(self.name, self.order)
+        self.order = _bounded_order(self.name, range(1, r + 1))
         self.perms: list[tuple[int, ...]] = list(itertools.permutations(range(1, r + 1)))
         self.identity = 0
         self._index = {p: i for i, p in enumerate(self.perms)}
@@ -300,11 +311,11 @@ class SL2(FiniteGroup):
     """SL(2, F_q): 2x2 matrices of determinant 1, in lex order of (a, b, c, d)."""
 
     def __init__(self, q: int):
-        _field_params(q)                 # an unsupported q is a usage error, whatever its size
         self.q = q
         self.name = f"SL2({q})"
-        self.order = q * (q - 1) * (q + 1)
-        _check_table_size(self.name, self.order)
+        if q <= MAX_ORDER:               # support first while its trial division is cheap;
+            _field_params(q)             # a larger q is over the cap, supported or not
+        self.order = _bounded_order(self.name, (q, q - 1, q + 1))
         F = self._field = _Field(q)
         mats = []
         for a, b, c, d in itertools.product(range(q), repeat=4):
@@ -357,8 +368,7 @@ class AbelianProduct(FiniteGroup):
             raise UsageError(f"bad cyclic moduli {moduli!r}")
         self.moduli = tuple(moduli)
         self.name = "x".join(f"Z{k}" for k in moduli)
-        self.order = math.prod(moduli)
-        _check_table_size(self.name, self.order)
+        self.order = _bounded_order(self.name, moduli)
         self.identity = 0
         self._set_tables(*self._build_tables())
 
@@ -373,26 +383,53 @@ class AbelianProduct(FiniteGroup):
         return "(" + ",".join(map(str, self.digits(a))) + ")" if len(self.moduli) > 1 else str(a)
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        # digit-wise sums, re-encoded in the same mixed radix
-        digits = np.unravel_index(np.arange(self.order), self.moduli)
-        table = np.ravel_multi_index(
-            tuple((x[:, None] + x[None, :]) % k for x, k in zip(digits, self.moduli)), self.moduli)
-        inv = np.ravel_multi_index(tuple(-x % k for x, k in zip(digits, self.moduli)), self.moduli)
-        return table.astype(np.int32), inv.astype(np.int32)
+        # digit-wise sums, re-encoded in the same mixed radix; a loop, as numpy's
+        # multi-index calls take at most 64 factors (Z1 factors add nothing)
+        x = np.arange(self.order, dtype=np.int32)
+        table, inv, place = np.zeros((self.order, self.order), dtype=np.int32), np.zeros_like(x), 1
+        for k in (k for k in reversed(self.moduli) if k > 1):
+            d = x // place % k
+            table += (d[:, None] + d[None, :]) % k * place
+            inv += -d % k * place
+            place *= k
+        return table, inv
+
+
+def _check_associativity(arr: np.ndarray, identity: int) -> None:
+    """Light's exact test of a Latin square with a two-sided identity: it is
+    associative iff (xg)y = x(gy) for all x, y and every g of a generating set.
+    Each generator is the least element not yet reached from the identity by
+    right multiplication with the earlier ones; in a group each one at least
+    doubles the reached set, so needing more than log2(m) means no group."""
+    m = len(arr)
+    reached = np.zeros(m, dtype=bool)
+    reached[identity] = True
+    gens: list[int] = []
+    while not reached.all():
+        if 2 ** (len(gens) + 1) > m:
+            raise UsageError(f"table is not associative: it needs over log2({m}) generators")
+        g = int(np.argmin(reached))
+        bad = np.argwhere(arr[arr[:, g]] != arr[:, arr[g]])
+        if bad.size:
+            x, y = bad[0]
+            raise UsageError(f"table is not associative at ({x}, {g}, {y})")
+        gens.append(g)
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            products = np.unique(arr[np.ix_(frontier, gens)])
+            frontier = products[~reached[products]]
+            reached[frontier] = True
 
 
 class CayleyTableGroup(FiniteGroup):
     """Group given by an explicit multiplication table (validated on construction)."""
 
-    _ASSOC_EXHAUSTIVE_LIMIT = 24
-    _ASSOC_SAMPLES = 10_000
-
     def __init__(self, table, name: str = "table", labels: list[str] | None = None):
         m = len(table)
-        _check_table_size(name, m)
+        _bounded_order(name, (m,))
         try:
             arr = np.asarray(table, dtype=np.int32)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise UsageError(f"malformed Cayley table: {exc}") from None
         if arr.shape != (m, m) or m == 0:
             raise UsageError(f"Cayley table must be square and nonempty, got shape {arr.shape}")
@@ -406,24 +443,13 @@ class CayleyTableGroup(FiniteGroup):
         if len(ident) != 1:
             raise UsageError("Cayley table has no two-sided identity")
         self.identity = ident[0]
-        self._check_associativity(arr, m)
+        _check_associativity(arr, self.identity)
         self.name = name
         self.order = m
         self._set_tables(*self._build_tables(arr))
         self._labels = list(labels) if labels is not None else None
         if self._labels is not None and len(self._labels) != m:
             raise UsageError("labels length must match group order")
-
-    @classmethod
-    def _check_associativity(cls, arr: np.ndarray, m: int) -> None:
-        if m <= cls._ASSOC_EXHAUSTIVE_LIMIT:
-            triples = itertools.product(range(m), repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = ((rng.randrange(m), rng.randrange(m), rng.randrange(m)) for _ in range(cls._ASSOC_SAMPLES))
-        for a, b, c in triples:
-            if arr[arr[a, b], c] != arr[a, arr[b, c]]:
-                raise UsageError(f"table is not associative at ({a}, {b}, {c})")
 
     def label(self, a: int) -> str:
         return self._labels[a] if self._labels is not None else str(a)
@@ -448,15 +474,16 @@ def load_cayley_table(path: str) -> CayleyTableGroup:
         raise UsageError(f"cannot read Cayley table file {path}: {exc}") from None
     if not tokens:
         raise UsageError(f"empty Cayley table file: {path}")
+    name = f"table:{path}"
     try:
-        values = [int(t) for t in tokens]
+        m = _bounded_order(name, (int(tokens[0]),))     # before any entry is converted
+        rest = [int(t) for t in tokens[1:m * m + 1]]
     except ValueError as exc:
         raise UsageError(f"non-integer token in Cayley table file {path}: {exc}") from None
-    m, rest = values[0], values[1:]
-    if len(rest) != m * m:
-        raise UsageError(f"Cayley table file {path} declares order {m} but has {len(rest)} entries")
+    if len(tokens) != m * m + 1:
+        raise UsageError(f"Cayley table file {path} declares order {m} but has {len(tokens) - 1} entries")
     table = [rest[i * m:(i + 1) * m] for i in range(m)]
-    return CayleyTableGroup(table, name=f"table:{path}")
+    return CayleyTableGroup(table, name=name)
 
 
 def alternating_group(r: int) -> CayleyTableGroup:
@@ -518,10 +545,7 @@ class DerivedSeries:
         return self.terms[-1]
 
 
-def derived_series(group: FiniteGroup, *, max_order: int = 5040) -> DerivedSeries:
-    if group.order > max_order:
-        raise ResourceLimitError(
-            f"derived series capped at order {max_order}, {group.name} has order {group.order}")
+def derived_series(group: FiniteGroup) -> DerivedSeries:
     terms = [frozenset(group.elements())]
     while True:
         nxt = commutator_subgroup(group, terms[-1])
@@ -550,6 +574,15 @@ _AB_RE = re.compile(r"^Z\d+(?:xZ\d+)*$", re.IGNORECASE)
 SPEC_GRAMMAR = "S<r> | SL2(<q>) | Z<k>[xZ<k>...] | table:<path>"
 
 
+def _spec_number(digits: str, spec: str) -> int:
+    """A numeric field of a spec; one with more digits than MAX_ORDER is refused
+    unconverted, since every group's order is at least each of its parameters."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_ORDER)):
+        raise _over_cap(spec if len(spec) <= 40 else spec[:32] + "...")
+    return int(digits)
+
+
 def parse_group_spec(spec: str) -> FiniteGroup:
     """Build a group from a specification string like S4, SL2(3), Z2xZ4 or table:<path>."""
     s = spec.strip()
@@ -557,11 +590,10 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         return load_cayley_table(s[len("table:"):])
     m = _SYM_RE.match(s)
     if m:
-        return SymmetricGroup(int(m.group(1)))
+        return SymmetricGroup(_spec_number(m.group(1), s))
     m = _SL2_RE.match(s)
     if m:
-        return SL2(int(m.group(1)))
+        return SL2(_spec_number(m.group(1), s))
     if _AB_RE.match(s):
-        moduli = tuple(int(part[1:]) for part in s.upper().split("X"))
-        return AbelianProduct(moduli)
+        return AbelianProduct(tuple(_spec_number(part[1:], s) for part in s.upper().split("X")))
     raise UsageError(f"cannot parse group spec {spec!r}; expected {SPEC_GRAMMAR}")

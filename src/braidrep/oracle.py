@@ -16,6 +16,7 @@ from .extension import TowerResult
 from .groups import FiniteGroup
 
 __all__ = [
+    "DEFAULT_BUDGET",
     "OracleResult",
     "brute_hom_K3",
     "brute_hom_Kn",
@@ -23,6 +24,10 @@ __all__ = [
     "engine_census_Kn",
     "engine_census_Bn",
 ]
+
+
+# Relation checks a brute-force scan may spend before it gives up.
+DEFAULT_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ def _search_images(group: FiniteGroup, a_seq: list[int], n: int, i: int,
             _search_images(group, a_seq, n, i + 1, prefix + (g,), sink, key, bud)
 
 
-def brute_hom_Kn(group: FiniteGroup, n: int, budget: int = 100_000_000) -> OracleResult:
+def brute_hom_Kn(group: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Scan all tuples (a0, a1, b3, ..., b_{n-1}) and keep the relation-satisfying ones."""
     if n < 3:
         raise UsageError("the commutator-subgroup tower starts at n = 3")
@@ -117,7 +122,7 @@ def brute_hom_Kn(group: FiniteGroup, n: int, budget: int = 100_000_000) -> Oracl
     return OracleResult(sum(sink.values()), census, bud.used)
 
 
-def brute_hom_K3(group: FiniteGroup, budget: int = 100_000_000) -> OracleResult:
+def brute_hom_K3(group: FiniteGroup, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """The n = 3 scan; every pair is a representation, so the count must be |G|^2."""
     res = brute_hom_Kn(group, 3, budget)
     if res.rep_count != group.order ** 2:
@@ -126,7 +131,7 @@ def brute_hom_K3(group: FiniteGroup, budget: int = 100_000_000) -> OracleResult:
     return res
 
 
-def brute_hom_Bn(group: FiniteGroup, n: int, budget: int = 100_000_000) -> OracleResult:
+def brute_hom_Bn(group: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Scan images (s_1, ..., s_{n-1}) of the braid generators directly.
 
     Accepted tuples are keyed by the class data of their restriction: the

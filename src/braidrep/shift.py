@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError, VerificationError
+from .errors import UsageError, VerificationError
 from .groups import FiniteGroup
 
 __all__ = [
@@ -104,7 +104,7 @@ class ShiftDecomposition:
         return self.cycles[int(self._cycle_id[code])], int(self._phase[code])
 
 
-def decompose(group: FiniteGroup, *, max_vertices: int = 10_000_000) -> ShiftDecomposition:
+def decompose(group: FiniteGroup) -> ShiftDecomposition:
     """Split G x G into successor cycles, seeded in lex order of (a0, a1).
 
     Seeding in lex order makes each cycle's stored sequence start at its
@@ -114,9 +114,6 @@ def decompose(group: FiniteGroup, *, max_vertices: int = 10_000_000) -> ShiftDec
     lengths partition |G|^2.
     """
     m = group.order
-    if m * m > max_vertices:
-        raise ResourceLimitError(
-            f"{group.name} needs {m * m} vertices, over the cap {max_vertices}")
     mul_t, inv_t = group.tables()
     codes = np.arange(m * m, dtype=np.int64)
     a0s, a1s = codes // m, codes % m

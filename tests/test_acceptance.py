@@ -14,7 +14,7 @@ from braidrep.analysis import (
     pi_representation,
     type_I_census,
 )
-from braidrep.extension import compute_tower, extend_to_braid, hom_Bn_count, hom_Bn_when_Kn_trivial
+from braidrep.extension import compute_tower, extend_to_braid, hom_Bn_when_Kn_trivial
 from braidrep.groups import SL2, AbelianProduct, SymmetricGroup, alternating_group
 from braidrep.oracle import brute_hom_Bn, brute_hom_Kn, engine_census_Bn, engine_census_Kn
 from braidrep.report import normalize_tokens, paper_shift_lines, stage4_b3_block
@@ -223,9 +223,9 @@ def test_criterion_09_pi_representation(tower_s5, tower_s6):
 
 def test_criterion_10_braid_counts(s3, s4, tower_s4, tower_z6, z6):
     shortcut = hom_Bn_when_Kn_trivial(s4, 6, tower_s4)
-    engine_b6 = hom_Bn_count(tower_s4, 6)
+    engine_b6 = tower_s4.level(6).braid_rep_count
     oracle_b4 = brute_hom_Bn(z6, 4)
-    engine_b4 = hom_Bn_count(tower_z6, 4)
+    engine_b4 = tower_z6.level(4).braid_rep_count
     triv_ok = True
     for group in (s3, s4, z6):
         d = decompose(group)

@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import braidrep
 import braidrep.cli as cli
 from braidrep.report import normalize_tokens
 from braidrep.verify import SUITE_NAMES, SuiteResult
@@ -247,18 +252,39 @@ def test_nmax_below_tower_start_exits_2(capsys):
     assert code == 2
 
 
-def test_vertex_cap_exits_3(capsys):
-    code, _, err = run_cli(capsys, "shift", "S4", "--max-vertices", "100")
-    assert code == 3
-    assert "resource limit" in err
-
-
 @pytest.mark.parametrize("argv", [("shift", "S7"), ("shift", "S12"),
                                   ("tower", "SL2(101)", "4"), ("shift", "Z5000")])
 def test_group_over_table_cap_exits_3(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 3
     assert "MAX_TABLE_ENTRIES = 10000000" in err
+
+
+@pytest.mark.parametrize("spec", [
+    "S100000",
+    "S1000000",
+    "SL2(1000000000000000000000007)",
+    "S" + "9" * 5000,
+    "Z" + "9" * 5000,
+], ids=["S100000", "S1000000", "SL2-25-digit-prime", "S-5000-digits", "Z-5000-digits"])
+def test_oversized_spec_exits_cleanly(spec):
+    # a fresh interpreter with a timeout, so that a hang fails instead of stalling the suite
+    src = str(pathlib.Path(braidrep.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "braidrep.cli", "shift", spec],
+                          capture_output=True, text=True, timeout=20, env=env)
+    assert proc.returncode in (2, 3)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(("error:", "resource limit:")), proc.stderr
+
+
+def test_stage_cap(capsys):
+    code, _, err = run_cli(capsys, "tower", "S2", "101")
+    assert code == 3
+    assert "MAX_STAGE = 100" in err
+    code, out, _ = run_cli(capsys, "tower", "S2", "100", "--count-only")
+    assert code == 0
+    assert "K100: classes=1 reps=1" in out
 
 
 def test_unknown_subcommand_is_rejected_by_argparse():

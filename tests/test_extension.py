@@ -10,7 +10,6 @@ from braidrep.extension import (
     extend_step,
     extend_to_K4,
     extend_to_braid,
-    hom_Bn_count,
     hom_Bn_when_Kn_trivial,
 )
 from braidrep.groups import SL2, SymmetricGroup, alternating_group, parse_group_spec
@@ -190,17 +189,17 @@ def test_tower_s3_counts(tower_s3):
     assert [tower_s3.level(n).rep_count for n in (3, 4, 5)] == [36, 36, 1]
     assert [tower_s3.level(n).class_count for n in (3, 4, 5)] == [8, 8, 1]
     assert tower_s3.is_trivial_at(5)
-    assert hom_Bn_count(tower_s3, 3) == 12
-    assert hom_Bn_count(tower_s3, 4) == 12
-    assert hom_Bn_count(tower_s3, 5) == 6
+    assert tower_s3.level(3).braid_rep_count == 12
+    assert tower_s3.level(4).braid_rep_count == 12
+    assert tower_s3.level(5).braid_rep_count == 6
 
 
 def test_tower_s4_counts(tower_s4):
     assert [tower_s4.level(n).rep_count for n in (3, 4, 5, 6)] == [576, 672, 1, 1]
     assert [tower_s4.level(n).class_count for n in (3, 4, 5, 6)] == [88, 118, 1, 1]
     assert tower_s4.is_trivial_at(5)
-    assert hom_Bn_count(tower_s4, 5) == 24
-    assert hom_Bn_count(tower_s4, 6) == 24
+    assert tower_s4.level(5).braid_rep_count == 24
+    assert tower_s4.level(6).braid_rep_count == 24
 
 
 def test_tower_s4_level4_split(tower_s4, s4):
@@ -215,8 +214,8 @@ def test_tower_s4_level4_split(tower_s4, s4):
 
 def test_tower_z6_counts(tower_z6):
     assert [tower_z6.level(n).rep_count for n in (3, 4, 5)] == [36, 36, 1]
-    assert hom_Bn_count(tower_z6, 4) == 6
-    assert hom_Bn_count(tower_z6, 5) == 6
+    assert tower_z6.level(4).braid_rep_count == 6
+    assert tower_z6.level(5).braid_rep_count == 6
 
 
 def test_every_class_has_a_parent_below(tower_s4, s4):

@@ -245,6 +245,9 @@ def test_abelian_product_mixed_radix_handles():
     assert G.digits(0) == (0, 0)
     assert G.digits(5) == (1, 1)
     assert G.digits(G.mul(5, 7)) == ((1 + 1) % 2, (1 + 3) % 4)
+    # more factors than numpy's 64 array dimensions; the Z1 factors are digit 0
+    H = AbelianProduct((1,) * 70 + (3,))
+    assert H.order == 3 and H.mul(2, 2) == 1 and H.inv(1) == 2
 
 
 def test_abelian_product_rejects_bad_moduli():
@@ -311,6 +314,16 @@ def test_cayley_table_rejects_nonassociative_loop():
         CayleyTableGroup(table)
 
 
+def test_cayley_table_rejects_large_nonassociative_latin_square():
+    # Z1000 with one intercalate swapped (rows 1/501, columns 2/502): still a
+    # Latin square with a two-sided identity, but not associative
+    x = np.arange(1000)
+    table = (x[:, None] + x[None, :]) % 1000
+    table[np.ix_([1, 501], [2, 502])] = table[np.ix_([1, 501], [502, 2])]
+    with pytest.raises(UsageError, match="associative"):
+        CayleyTableGroup(table)
+
+
 def test_load_cayley_table_roundtrip(tmp_path):
     Z4 = AbelianProduct((4,))
     mul_t, _ = Z4.tables()
@@ -339,6 +352,15 @@ def test_load_cayley_table_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(UsageError):
         load_cayley_table(str(empty))
+    huge_entry = tmp_path / "huge_entry.txt"
+    huge_entry.write_text("2\n0 1 1 99999999999\n")
+    with pytest.raises(UsageError):
+        load_cayley_table(str(huge_entry))
+    # the declared order is refused before the entries are counted or converted
+    over_cap = tmp_path / "over_cap.txt"
+    over_cap.write_text("5000\n0 1\n")
+    with pytest.raises(ResourceLimitError):
+        load_cayley_table(str(over_cap))
 
 
 def test_alternating_group_construction():
@@ -394,10 +416,6 @@ def test_derived_series_perfect_group():
     core = perfect_core_group(A5, ds)
     assert core.order == 60
 
-
-def test_derived_series_resource_cap():
-    with pytest.raises(ResourceLimitError):
-        derived_series(SymmetricGroup(5), max_order=100)
 
 
 def test_perfect_core_of_s5_is_a5():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidrep.errors import ResourceLimitError
 from braidrep.groups import SL2, AbelianProduct, CayleyTableGroup, SymmetricGroup
 from braidrep.shift import (
     Representation,
@@ -152,11 +151,6 @@ def test_phase_of_roundtrip(s3):
         for v1 in s3.elements():
             c, k = d.phase_of((v0, v1))
             assert c.vertex(k) == (v0, v1)
-
-
-def test_decompose_resource_cap(s4):
-    with pytest.raises(ResourceLimitError):
-        decompose(s4, max_vertices=100)
 
 
 # ---------------------------------------------------------------------------
