@@ -3,10 +3,16 @@
 A class at stage n is a cycle together with images b_3, ..., b_{n-1} of the
 extra generators, held as its phase-0 Representation; it stands for the
 cycle-length many representations obtained by choosing a phase.  Admissible
-images are found by plain exhaustive scans of the group, filtered relation by
+images are found by exhaustive scans of the group, filtered relation by
 relation; structural facts that must hold for the results (identity
 membership, forced triviality, order constraints) are re-checked on the way
 and raise VerificationError when broken.
+
+Every relation is a word equation, so simultaneous conjugation by g maps
+admissible (a-sequence, b, c) data to admissible data and commutes with the
+successor map.  A tower therefore scans only the first cycle of each
+conjugation orbit of cycles and carries its classes to every other cycle C of
+the orbit as (C, g b g^-1, sorted g c-set g^-1), where C = g C_0 g^-1.
 
 The relations used, with mul(g, h) meaning "h first, then g":
   stage 4:   a_m b3 a_{m+2} = b3 a_{m+1} b3          for all m
@@ -20,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -197,6 +205,91 @@ def extend_to_braid(rep: Representation) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# conjugation orbits of cycles
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Orbits:
+    """The cycles grouped by conjugation orbit.
+
+    Orbit k is ids[start[k]:start[k + 1]] (decomposition indices); its first
+    entry is the orbit's first cycle C in decomposition order, and cycle ids[j]
+    is t C t^-1 for t = transporters[j].
+    """
+
+    ids: np.ndarray
+    transporters: np.ndarray
+    start: np.ndarray
+
+
+def _conjugate(group: FiniteGroup, t, x) -> np.ndarray:
+    """t x t^-1, elementwise over broadcast arrays of handles."""
+    mul_t, inv_t = group.tables()
+    return mul_t[mul_t[t, x], inv_t[t]]
+
+
+def _ranges(first: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(first[i], first[i] + length[i]) over i."""
+    offset = np.cumsum(length) - length
+    return np.repeat(first - offset, length) + np.arange(int(length.sum()))
+
+
+def _conjugation_orbits(decomp: ShiftDecomposition) -> _Orbits:
+    """The cycles split into orbits under simultaneous conjugation.
+
+    Conjugation commutes with the successor map, so each of the group's
+    generators permutes the cycles.  Every cycle is labelled by the least
+    index in its orbit (the orbit's first cycle in decomposition order), and a
+    breadth-first walk out of the first cycles records a transporter for
+    every member.  Raises VerificationError unless the walk reaches every
+    cycle and each transporter maps its first cycle's rep vertex onto its
+    member.
+    """
+    group = decomp.group
+    cycles = decomp.cycles
+    n = len(cycles)
+    a0, a1 = np.array([c.rep_vertex for c in cycles], dtype=np.int64).reshape(n, 2).T
+
+    def cycle_of(t, cid: np.ndarray) -> np.ndarray:
+        """Cycle ids of t v t^-1 for v the rep vertex of cycle cid[k]."""
+        return decomp.cycle_index(_conjugate(group, t, a0[cid]), _conjugate(group, t, a1[cid]))
+
+    mul_t, _ = group.tables()
+    everything = np.arange(n)
+    steps = [(g, cycle_of(g, everything)) for g in group.generators()]
+    # pull the least label back along each generator's permutation until it
+    # settles; a permutation's inverse is a power of it, so it reaches the
+    # whole orbit
+    root = everything.copy()
+    while True:
+        before = root.copy()
+        for _, step in steps:
+            np.minimum(root, root[step], out=root)
+        if (root == before).all():
+            break
+    t = np.full(n, group.identity, dtype=np.int64)
+    reached = root == everything
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        grown = []
+        for g, step in steps:
+            src = frontier[~reached[step[frontier]]]
+            dst = step[src]
+            t[dst] = mul_t[g, t[src]]
+            reached[dst] = True
+            grown.append(dst)
+        frontier = np.concatenate([frontier[:0], *grown])
+
+    if not reached.all():
+        raise VerificationError("conjugation orbits do not partition the cycles")
+    if (cycle_of(t, root) != everything).any():
+        raise VerificationError("a transporter does not conjugate its orbit's first cycle onto its member")
+    ids = np.argsort(root, kind="stable")
+    start = np.flatnonzero(np.diff(root[ids], prepend=-1, append=n))
+    return _Orbits(ids, t[ids], start)
+
+
+# ---------------------------------------------------------------------------
 # tower of levels
 # ---------------------------------------------------------------------------
 
@@ -269,26 +362,59 @@ def compute_tower(
         raise UsageError("decomposition was computed for a different group object")
 
     e = group.identity
-    levels: list[TowerLevel] = []
-    current = [Representation(group, c) for c in decomp.cycles]
-    levels.append(TowerLevel(3, current))
+    orbits = _conjugation_orbits(decomp)
+    # (orbit, class) over each orbit's first cycle, stage by stage; the
+    # trivial class extends only by the identity, to the trivial chain
+    current = [(k, Representation(group, decomp.cycles[first]))
+               for k, first in enumerate(orbits.ids[orbits.start[:-1]].tolist())]
+    stages = [current]
     for n in range(4, n_max + 1):
         if n == 4:
-            new = [Representation(group, cls.cycle, 0, (b3,))
-                   for cls in current for b3 in extend_to_K4(group, cls.cycle)]
+            current = [(k, Representation(group, cls.cycle, 0, (b3,)))
+                       for k, cls in current for b3 in extend_to_K4(group, cls.cycle)]
         else:
-            trivial_chain = Representation(group, decomp.trivial_cycle, 0, (e,) * (n - 3))
-            new = [trivial_chain] + [
-                Representation(group, cls.cycle, 0, cls.b + (g,))
-                for cls in current if not cls.is_trivial() for g in extend_step(cls)]
-        new.sort(key=lambda cls: (cls.cycle.rep_vertex, cls.b))
-        levels.append(TowerLevel(n, new))
-        current = new
-
-    if with_braid:
-        for lvl in levels:
-            lvl.braid_c = [tuple(extend_to_braid(cls)) for cls in lvl.classes]
+            current = [(k, Representation(group, cls.cycle, 0, cls.b + (g,)))
+                       for k, cls in current for g in ([e] if cls.is_trivial() else extend_step(cls))]
+        stages.append(current)
+    levels = [_transported_level(decomp, orbits, n, reps, with_braid)
+              for n, reps in enumerate(stages, start=3)]
     return TowerResult(group, decomp, levels)
+
+
+def _conjugated_rows(group: FiniteGroup, values: list, row_class: np.ndarray,
+                     t: np.ndarray, *, sort: bool) -> list[tuple[int, ...]]:
+    """Row i is values[row_class[i]] conjugated by t[i], sorted if asked."""
+    lengths = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
+    row_len = lengths[row_class]
+    row = np.repeat(np.arange(len(row_class)), row_len)
+    flat = np.fromiter(chain.from_iterable(values), dtype=np.int64)
+    out = _conjugate(group, t[row], flat[_ranges((np.cumsum(lengths) - lengths)[row_class], row_len)])
+    if sort:
+        out = out[np.lexsort((out, row))]
+    out = out.tolist()
+    ends = np.cumsum(row_len).tolist()
+    return [tuple(out[i:j]) for i, j in zip([0] + ends, ends)]
+
+
+def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, n: int,
+                       reps: list[tuple[int, Representation]], with_braid: bool) -> TowerLevel:
+    """Stage n over every cycle: each (orbit, class) of an orbit's first cycle,
+    with its braid c set when asked, conjugated onto every member of the orbit."""
+    group = decomp.group
+    ks = np.fromiter((k for k, _ in reps), dtype=np.int64, count=len(reps))
+    size = orbits.start[ks + 1] - orbits.start[ks]
+    row_class = np.repeat(np.arange(len(reps)), size)
+    pos = _ranges(orbits.start[ks], size)
+    t = orbits.transporters[pos]
+    bs = _conjugated_rows(group, [cls.b for _, cls in reps], row_class, t, sort=False)
+    cs = repeat(None)
+    if with_braid:
+        cs = _conjugated_rows(group, [extend_to_braid(cls) for _, cls in reps], row_class, t, sort=True)
+    # decompose numbers the cycles in lex order of their rep vertices, so this
+    # is the order by (rep vertex, b)
+    entries = sorted(zip(orbits.ids[pos].tolist(), bs, cs), key=itemgetter(0, 1))
+    classes = [Representation(group, decomp.cycles[cid], 0, b) for cid, b, _ in entries]
+    return TowerLevel(n, classes, [c for *_, c in entries] if with_braid else None)
 
 
 def hom_Bn_when_Kn_trivial(group: FiniteGroup, n: int, tower: TowerResult | None = None) -> int:

@@ -115,6 +115,11 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self._mul_table, self._mul_table.T))
 
+    def generators(self) -> list[int]:
+        """A generating set of at most log2(order) elements: each one the least
+        element outside the subgroup generated by the earlier ones."""
+        return list(_greedy_generators(self._mul_table, self.identity))
+
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (mul_table, inv_table) as read-only numpy arrays."""
         return self._mul_table, self._inv_table
@@ -395,12 +400,13 @@ class AbelianProduct(FiniteGroup):
         return table, inv
 
 
-def _check_associativity(arr: np.ndarray, identity: int) -> None:
-    """Light's exact test of a Latin square with a two-sided identity: it is
-    associative iff (xg)y = x(gy) for all x, y and every g of a generating set.
+def _greedy_generators(arr: np.ndarray, identity: int):
+    """Yield a generating set of a Latin square with a two-sided identity.
+
     Each generator is the least element not yet reached from the identity by
     right multiplication with the earlier ones; in a group each one at least
-    doubles the reached set, so needing more than log2(m) means no group."""
+    doubles the reached set, so needing more than log2(m) means no group.  The
+    next generator is chosen only after the caller has seen this one."""
     m = len(arr)
     reached = np.zeros(m, dtype=bool)
     reached[identity] = True
@@ -409,16 +415,25 @@ def _check_associativity(arr: np.ndarray, identity: int) -> None:
         if 2 ** (len(gens) + 1) > m:
             raise UsageError(f"table is not associative: it needs over log2({m}) generators")
         g = int(np.argmin(reached))
+        yield g
+        gens.append(g)
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            new = np.zeros(m, dtype=bool)
+            new[arr[np.ix_(frontier, gens)]] = True
+            frontier = np.flatnonzero(new & ~reached)
+            reached[frontier] = True
+
+
+def _check_associativity(arr: np.ndarray, identity: int) -> None:
+    """Light's exact test of a Latin square with a two-sided identity: it is
+    associative iff (xg)y = x(gy) for all x, y and every g of a generating set
+    (the greedy one of `_greedy_generators`)."""
+    for g in _greedy_generators(arr, identity):
         bad = np.argwhere(arr[arr[:, g]] != arr[:, arr[g]])
         if bad.size:
             x, y = bad[0]
             raise UsageError(f"table is not associative at ({x}, {g}, {y})")
-        gens.append(g)
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            products = np.unique(arr[np.ix_(frontier, gens)])
-            frontier = products[~reached[products]]
-            reached[frontier] = True
 
 
 class CayleyTableGroup(FiniteGroup):

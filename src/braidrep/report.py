@@ -9,12 +9,10 @@ from __future__ import annotations
 import csv
 import io
 
-import numpy as np
-
 from .errors import UsageError
-from .extension import TowerLevel, TowerResult
-from .groups import parse_group_spec
-from .shift import Cycle, Representation, ShiftDecomposition
+from .extension import TowerResult, compute_tower
+from .groups import FiniteGroup, parse_group_spec
+from .shift import Cycle, ShiftDecomposition, decompose
 
 __all__ = [
     "bracket_word",
@@ -102,10 +100,6 @@ def _cycle_json(cycle: Cycle) -> dict:
     return {"a_seq": list(cycle.a_seq), "type": cycle.cycle_type}
 
 
-def _cycle_from_json(d: dict) -> Cycle:
-    return Cycle(tuple(d["a_seq"]), d["type"])
-
-
 def shift_to_json(decomp: ShiftDecomposition) -> dict:
     return {
         "schema": SHIFT_SCHEMA,
@@ -117,24 +111,24 @@ def shift_to_json(decomp: ShiftDecomposition) -> dict:
     }
 
 
-def shift_from_json(doc: dict) -> ShiftDecomposition:
-    if doc.get("schema") != SHIFT_SCHEMA:
-        raise UsageError(f"not a {SHIFT_SCHEMA} document")
+def _document_group(doc: dict, schema: str) -> FiniteGroup:
+    """The group a document names, after checking its schema and order."""
+    if not isinstance(doc, dict) or doc.get("schema") != schema:
+        raise UsageError(f"not a {schema} document")
+    if not isinstance(doc.get("group"), str):
+        raise UsageError("document names no group spec")
     group = parse_group_spec(doc["group"])
-    if group.order != doc["order"]:
+    if group.order != doc.get("order"):
         raise UsageError("group spec and recorded order disagree")
-    cycles = [_cycle_from_json(d) for d in doc["cycles"]]
-    m = group.order
-    cycle_id = np.full(m * m, -1, dtype=np.int32)
-    phase = np.zeros(m * m, dtype=np.int32)
-    for cid, cycle in enumerate(cycles):
-        for k, (x, y) in enumerate(cycle.vertices()):
-            cycle_id[x * m + y] = cid
-            phase[x * m + y] = k
-    if (cycle_id < 0).any():
-        raise UsageError("cycles in document do not cover the vertex set")
-    census = {int(p): n for p, n in doc["period_census"].items()}
-    return ShiftDecomposition(group, cycles, census, cycle_id, phase)
+    return group
+
+
+def shift_from_json(doc: dict) -> ShiftDecomposition:
+    """The decomposition a shift document records, recomputed and compared in full."""
+    decomp = decompose(_document_group(doc, SHIFT_SCHEMA))
+    if doc != shift_to_json(decomp):
+        raise UsageError(f"document does not match the cycle decomposition of {decomp.group.name}")
+    return decomp
 
 
 def tower_to_json(tower: TowerResult) -> dict:
@@ -164,20 +158,17 @@ def tower_to_json(tower: TowerResult) -> dict:
 
 
 def tower_from_json(doc: dict) -> TowerResult:
-    if doc.get("schema") != TOWER_SCHEMA:
-        raise UsageError(f"not a {TOWER_SCHEMA} document")
-    group = parse_group_spec(doc["group"])
-    if group.order != doc["order"]:
-        raise UsageError("group spec and recorded order disagree")
-    levels = []
-    for item in doc["levels"]:
-        classes = [Representation(group, Cycle(tuple(d["a_seq"]), d["type"]), 0, tuple(d["b"]))
-                   for d in item["classes"]]
-        braid = None
-        if any("c_set" in d for d in item["classes"]):
-            braid = [tuple(d["c_set"]) for d in item["classes"]]
-        levels.append(TowerLevel(item["n"], classes, braid))
-    return TowerResult(group, None, levels)
+    """The tower a tower document records, recomputed (with braid extensions
+    exactly when the document has braid counts) and compared in full."""
+    group = _document_group(doc, TOWER_SCHEMA)
+    n_max, levels = doc.get("n_max"), doc.get("levels")
+    if type(n_max) is not int or not isinstance(levels, list):
+        raise UsageError("tower document needs an integer n_max and a list of levels")
+    with_braid = any(isinstance(item, dict) and "braid_rep_count" in item for item in levels)
+    tower = compute_tower(group, n_max, with_braid=with_braid)
+    if doc != tower_to_json(tower):
+        raise UsageError(f"document does not match the tower over {group.name} to stage {n_max}")
+    return tower
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,10 @@ class ShiftDecomposition:
     def cycle_at(self, v: Vertex) -> Cycle:
         return self.phase_of(v)[0]
 
+    def cycle_index(self, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+        """Index into `cycles` of the cycle through each vertex (a0[k], a1[k])."""
+        return self._cycle_id[a0 * self.group.order + a1]
+
     def phase_of(self, v: Vertex) -> tuple[Cycle, int]:
         a0 = self.group.check_element(v[0])
         a1 = self.group.check_element(v[1])

@@ -1,18 +1,20 @@
 """Stagewise extension: b3 scans, higher generators, braid extensions, towers."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from braidrep.errors import UsageError, VerificationError
 from braidrep.extension import (
     BraidExtension,
+    _conjugation_orbits,
     compute_tower,
     extend_step,
     extend_to_K4,
     extend_to_braid,
     hom_Bn_when_Kn_trivial,
 )
-from braidrep.groups import SL2, SymmetricGroup, alternating_group, parse_group_spec
+from braidrep.groups import SL2, CayleyTableGroup, SymmetricGroup, alternating_group, parse_group_spec
 from braidrep.shift import Cycle, Representation, decompose
 
 
@@ -235,12 +237,23 @@ def test_stage3_class_has_no_parent(tower_s3):
         tower_s3.level(3).classes[0].parent()
 
 
+def _relabelled(group, seed):
+    """The group's Cayley table with its handles permuted at random."""
+    perm = np.random.default_rng(seed).permutation(group.order)
+    mul_t, _ = group.tables()
+    table = np.empty_like(mul_t)
+    table[np.ix_(perm, perm)] = perm[mul_t]
+    return CayleyTableGroup(table, name=f"{group.name} relabelled by seed {seed}")
+
+
 # Isomorphic backends number their elements differently, so agreement of the
 # per-stage counts checks the engine independently of any one table.
 ISOMORPHIC_PAIRS = [
     (lambda: SL2(4), lambda: alternating_group(5)),
     (lambda: SL2(2), lambda: SymmetricGroup(3)),
     (lambda: parse_group_spec("Z6"), lambda: parse_group_spec("Z2xZ3")),
+    *[(lambda seed=seed: _relabelled(SymmetricGroup(4), seed), lambda: SymmetricGroup(4))
+      for seed in (1, 2, 3)],
 ]
 
 
@@ -250,9 +263,71 @@ def _stage_counts(group):
             for lvl in tower.levels]
 
 
-@pytest.mark.parametrize("make_g,make_h", ISOMORPHIC_PAIRS, ids=["SL2(4)-A5", "SL2(2)-S3", "Z6-Z2xZ3"])
+@pytest.mark.parametrize("make_g,make_h", ISOMORPHIC_PAIRS, ids=[
+    "SL2(4)-A5", "SL2(2)-S3", "Z6-Z2xZ3", "S4relabelled1-S4", "S4relabelled2-S4", "S4relabelled3-S4"])
 def test_isomorphic_backends_give_equal_counts(make_g, make_h):
     assert _stage_counts(make_g()) == _stage_counts(make_h())
+
+
+# ---------------------------------------------------------------------------
+# conjugation orbits: the tower against a scan of every cycle and class
+# ---------------------------------------------------------------------------
+
+def _exhaustive_levels(group, n_max):
+    """(cycle, b, c set) of every class at stages 3..n_max, found by the public
+    scans on every cycle and class, with no orbit reduction."""
+    decomp = decompose(group)
+    e = group.identity
+    current = [Representation(group, c) for c in decomp.cycles]
+    levels = [current]
+    for n in range(4, n_max + 1):
+        if n == 4:
+            current = [Representation(group, cls.cycle, 0, (b3,))
+                       for cls in current for b3 in extend_to_K4(group, cls.cycle)]
+        else:
+            current = [Representation(group, decomp.trivial_cycle, 0, (e,) * (n - 3))] + [
+                Representation(group, cls.cycle, 0, cls.b + (g,))
+                for cls in current if not cls.is_trivial() for g in extend_step(cls)]
+        current = sorted(current, key=lambda cls: (cls.cycle.rep_vertex, cls.b))
+        levels.append(current)
+    return [[(cls.cycle, cls.b, tuple(extend_to_braid(cls))) for cls in lvl] for lvl in levels]
+
+
+ORBIT_GROUPS = {
+    "S4": lambda: SymmetricGroup(4),
+    "S5": lambda: SymmetricGroup(5),
+    "SL2(3)": lambda: SL2(3),
+    "SL2(5)": lambda: SL2(5),
+    "Z2xZ4xZ5": lambda: parse_group_spec("Z2xZ4xZ5"),
+    "S1": lambda: SymmetricGroup(1),
+    **{f"S4-relabelled-{seed}": (lambda seed=seed: _relabelled(SymmetricGroup(4), seed))
+       for seed in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", ORBIT_GROUPS)
+def test_tower_equals_exhaustive_scan(name):
+    group = ORBIT_GROUPS[name]()
+    tower = compute_tower(group, 6)
+    ours = [[(cls.cycle, cls.b, cs) for cls, cs in zip(lvl.classes, lvl.braid_c)]
+            for lvl in tower.levels]
+    assert ours == _exhaustive_levels(group, 6)
+
+
+# an abelian group conjugates trivially: its 270 cycles are 270 orbits; the
+# trivial group has no generators at all
+@pytest.mark.parametrize("spec,orbits", [("S1", 1), ("S4", 17), ("S5", 55), ("Z2xZ4xZ5", 270)])
+def test_conjugation_orbit_counts(spec, orbits):
+    decomp = decompose(parse_group_spec(spec))
+    found = _conjugation_orbits(decomp)
+    assert len(found.start) - 1 == orbits
+    assert sorted(found.ids.tolist()) == list(range(len(decomp.cycles)))
+
+
+def test_s6_conjugation_orbits(tower_s6):
+    found = _conjugation_orbits(tower_s6.decomposition)
+    assert len(found.start) - 1 == 261
+    assert len(found.ids) == 33150
 
 
 def test_tower_argument_errors(s3):

@@ -27,6 +27,7 @@ from braidrep.report import (
     tower_to_json,
 )
 from braidrep.shift import decompose
+from braidrep.verify import SUITE_NAMES, run_suites
 
 from conftest import golden_text
 
@@ -102,6 +103,38 @@ def test_shift_json_rejects_bad_documents(s3):
         shift_from_json({**doc, "cycles": doc["cycles"][:-1]})
 
 
+def _with_cycle(doc, k, a_seq):
+    cycles = [dict(c) for c in doc["cycles"]]
+    cycles[k]["a_seq"] = a_seq
+    return {**doc, "cycles": cycles}
+
+
+def test_shift_json_rejects_an_extra_overlapping_cycle(s3):
+    doc = shift_to_json(decompose(s3))
+    with pytest.raises(UsageError):
+        shift_from_json({**doc, "cycles": doc["cycles"] + [doc["cycles"][1]]})
+
+
+def test_shift_json_rejects_a_false_census(s3):
+    doc = shift_to_json(decompose(s3))
+    census = {**doc["period_census"], "1": 2}
+    with pytest.raises(UsageError):
+        shift_from_json({**doc, "period_census": census})
+
+
+def test_shift_json_rejects_a_reversed_sequence(s3):
+    doc = shift_to_json(decompose(s3))
+    assert doc["cycles"][3]["a_seq"] == [0, 3, 3, 0, 4, 4]
+    with pytest.raises(UsageError):
+        shift_from_json(_with_cycle(doc, 3, [4, 4, 0, 3, 3, 0]))
+
+
+def test_shift_json_rejects_an_out_of_range_handle(s3):
+    doc = shift_to_json(decompose(s3))
+    with pytest.raises(UsageError):
+        shift_from_json(_with_cycle(doc, 1, [0, 1, 99]))
+
+
 def test_tower_json_roundtrip(tower_s3):
     doc = tower_to_json(tower_s3)
     assert doc["schema"] == TOWER_SCHEMA
@@ -126,6 +159,33 @@ def test_tower_json_rejects_wrong_schema(tower_s3):
     doc = tower_to_json(tower_s3)
     with pytest.raises(UsageError):
         tower_from_json({**doc, "schema": SHIFT_SCHEMA})
+
+
+def _with_level(doc, n, **fields):
+    levels = [dict(item) for item in doc["levels"]]
+    levels[n - 3].update(fields)
+    return {**doc, "levels": levels}
+
+
+def test_tower_json_rejects_an_inadmissible_image(tower_s3):
+    doc = tower_to_json(tower_s3)
+    classes = [dict(c) for c in doc["levels"][1]["classes"]]
+    classes[0]["b"] = [99]
+    with pytest.raises(UsageError):
+        tower_from_json(_with_level(doc, 4, classes=classes))
+
+
+def test_tower_json_rejects_a_wrong_class_count(tower_s3):
+    doc = tower_to_json(tower_s3)
+    with pytest.raises(UsageError):
+        tower_from_json(_with_level(doc, 4, class_count=doc["levels"][1]["class_count"] + 1))
+
+
+def test_loaded_tower_runs_the_verify_suites(s3, tower_s3):
+    restored = tower_from_json(json.loads(json.dumps(tower_to_json(tower_s3))))
+    results = run_suites(restored.group, restored.n_max, tower=restored)
+    assert [res.name for res in results][:len(SUITE_NAMES)] == SUITE_NAMES
+    assert all(res.ok for res in results)
 
 
 # ---------------------------------------------------------------------------
