@@ -1,12 +1,13 @@
 """Command-line driver.
 
-Subcommands: shift, tower, subgroups, braid, verify, export-graph.
-Exit codes: 0 success, 2 usage error, 3 resource limit, 4 verification failure.
+Subcommands: shift, tower, subgroups, braid, verify.
+Exit codes: 0 success, 1 stdout closed by the reader, 2 usage error,
+3 resource limit, 4 verification failure.
 """
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
 from . import report
@@ -38,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shift", help="cycle decomposition of the pair space")
     _add_group_args(p, with_nmax=False)
-    p.add_argument("--type2", action="store_true", help="list type-II cycles only")
+    p.add_argument("--type2", action="store_true",
+                   help="type-II cycles only (paper format or --count-only)")
     p.add_argument("--count-only", action="store_true", help="print only the cycle count")
     p.add_argument("--format", choices=FORMATS, default="paper")
 
@@ -59,11 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the named verification suites")
     _add_group_args(p, with_nmax=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="relation-check budget for brute scans")
-
-    p = sub.add_parser("export-graph", help="successor graph in DOT format")
-    _add_group_args(p, with_nmax=False)
-    p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.add_argument("--format", choices=("dot",), default="dot")
 
     return ap
 
@@ -86,12 +83,14 @@ def _merge_spellings(args: argparse.Namespace) -> None:
 def _print_tower_document(tower: TowerResult, fmt: str) -> None:
     """The JSON or CSV document of a tower, shared by `tower` and `braid`."""
     if fmt == "json":
-        print(json.dumps(report.tower_to_json(tower), indent=2))
+        report.write_json(report.tower_to_json(tower), sys.stdout)
     else:
         sys.stdout.write(report.tower_to_csv(tower))
 
 
 def _cmd_shift(args: argparse.Namespace, group: FiniteGroup) -> None:
+    if args.type2 and not args.count_only and args.format != "paper":
+        raise UsageError(f"--type2 needs the paper format or --count-only, not --format {args.format}")
     decomp = decompose(group)
     cycles = decomp.type_II() if args.type2 else decomp.cycles
     if args.count_only:
@@ -99,10 +98,7 @@ def _cmd_shift(args: argparse.Namespace, group: FiniteGroup) -> None:
     elif args.format == "paper":
         print("\n".join(report.paper_shift_lines(decomp, type2_only=args.type2)))
     elif args.format == "json":
-        doc = report.shift_to_json(decomp)
-        if args.type2:
-            doc["cycles"] = [c for c in doc["cycles"] if c["type"] == "II"]
-        print(json.dumps(doc, indent=2))
+        report.write_json(report.shift_to_json(decomp), sys.stdout)
     elif args.format == "csv":
         sys.stdout.write(report.shift_to_csv(decomp))
     else:
@@ -130,9 +126,9 @@ def _cmd_subgroups(args: argparse.Namespace, group: FiniteGroup) -> None:
         for n, r, treps, subs in rows:
             print(f"K{n}: transitive reps = {treps}, subgroups of index {r} = {subs}")
     elif args.format == "json":
-        print(json.dumps({"schema": "braidrep.subgroups.v1", "group": group.name,
-                          "levels": [{"n": n, "r": r, "transitive_reps": t, "subgroups": s}
-                                     for n, r, t, s in rows]}, indent=2))
+        report.write_json({"schema": "braidrep.subgroups.v1", "group": group.name,
+                           "levels": [{"n": n, "r": r, "transitive_reps": t, "subgroups": s}
+                                      for n, r, t, s in rows]}, sys.stdout)
     else:
         print("n,r,transitive_reps,subgroups")
         for row in rows:
@@ -161,22 +157,12 @@ def _cmd_verify(args: argparse.Namespace, group: FiniteGroup) -> None:
         raise VerificationError("one or more verification suites failed")
 
 
-def _cmd_export_graph(args: argparse.Namespace, group: FiniteGroup) -> None:
-    dot = report.decomposition_to_dot(decompose(group))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(dot + "\n")
-    else:
-        print(dot)
-
-
 _COMMANDS = {
     "shift": _cmd_shift,
     "tower": _cmd_tower,
     "subgroups": _cmd_subgroups,
     "braid": _cmd_braid,
     "verify": _cmd_verify,
-    "export-graph": _cmd_export_graph,
 }
 
 
@@ -185,6 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _merge_spellings(args)
         _COMMANDS[args.command](args, parse_group_spec(args.group))
+        sys.stdout.flush()
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -195,6 +182,13 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`).  Point its descriptor at the null
+        # device, so that the flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import csv
 import io
+from json.encoder import encode_basestring_ascii
+from typing import TextIO
 
 from .errors import UsageError
 from .extension import TowerResult, compute_tower
@@ -24,6 +26,7 @@ __all__ = [
     "shift_from_json",
     "tower_to_json",
     "tower_from_json",
+    "write_json",
     "shift_to_csv",
     "tower_to_csv",
     "decomposition_to_dot",
@@ -169,6 +172,94 @@ def tower_from_json(doc: dict) -> TowerResult:
     if doc != tower_to_json(tower):
         raise UsageError(f"document does not match the tower over {group.name} to stage {n_max}")
     return tower
+
+
+_CHUNK = 1 << 16   # characters handed to `out.write` at a time
+_INTS = {int}
+
+
+class _IntLines(dict):
+    """`prefix + str(i)` for each int i, made on first use."""
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, i: int) -> str:
+        line = self[i] = self.prefix + str(i)
+        return line
+
+
+def write_json(doc: object, out: TextIO) -> None:
+    """Write `doc` to `out` exactly as `print(json.dumps(doc, indent=2))` would.
+
+    The output is the same bytes, but it reaches `out` in writes of about
+    `_CHUNK` characters, so neither the whole text nor a list of all its
+    pieces is ever held.  A list of plain ints (the element handles of
+    `a_seq`, `b` and `c_set`) is one join over a per-depth table of
+    `"\n" + indent + str(i)` lines.  `doc` may hold dicts with str keys,
+    lists, str, int, bool and None; any other type raises `TypeError`.
+    """
+    pieces: list[str] = []
+    size = 0
+    int_lines: list[_IntLines] = []   # int_lines[d] serves list items at depth d
+
+    def emit(v: object, depth: int) -> None:
+        nonlocal size
+        t = type(v)
+        if t is dict:
+            if not v:
+                s = "{}"
+            else:
+                inner = "\n" + "  " * (depth + 1)
+                sep = "{" + inner
+                for k, item in v.items():
+                    if type(k) is not str:
+                        raise TypeError(f"keys must be str, not {type(k).__name__}")
+                    s = sep + encode_basestring_ascii(k) + ": "
+                    pieces.append(s)
+                    size += len(s)
+                    emit(item, depth + 1)
+                    sep = "," + inner
+                s = "\n" + "  " * depth + "}"
+        elif t is list:
+            if not v:
+                s = "[]"
+            elif set(map(type, v)) == _INTS:
+                while len(int_lines) <= depth + 1:
+                    int_lines.append(_IntLines("\n" + "  " * len(int_lines)))
+                s = "[" + ",".join(map(int_lines[depth + 1].__getitem__, v)) + "\n" + "  " * depth + "]"
+            else:
+                inner = "\n" + "  " * (depth + 1)
+                sep = "[" + inner
+                for item in v:
+                    pieces.append(sep)
+                    size += len(sep)
+                    emit(item, depth + 1)
+                    sep = "," + inner
+                s = "\n" + "  " * depth + "]"
+        elif t is str:
+            s = encode_basestring_ascii(v)
+        elif t is int:
+            s = str(v)
+        elif v is None:
+            s = "null"
+        elif v is True:
+            s = "true"
+        elif v is False:
+            s = "false"
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+        pieces.append(s)
+        size += len(s)
+        if size >= _CHUNK:
+            out.write("".join(pieces))
+            pieces.clear()
+            size = 0
+
+    emit(doc, 0)
+    pieces.append("\n")
+    out.write("".join(pieces))
 
 
 # ---------------------------------------------------------------------------

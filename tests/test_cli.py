@@ -60,8 +60,14 @@ def test_shift_json_format(capsys):
     assert doc["schema"] == "braidrep.shift.v1"
     assert doc["indexing"] == "0-based"
     assert len(doc["cycles"]) == 8
-    code, out, _ = run_cli(capsys, "shift", "S3", "--type2", "--format", "json")
-    assert len(json.loads(out)["cycles"]) == 3
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
+def test_shift_type2_needs_paper_format(capsys, fmt):
+    code, out, err = run_cli(capsys, "shift", "S3", "--type2", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "--type2" in err
 
 
 def test_shift_csv_format(capsys):
@@ -206,23 +212,27 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# export-graph
+# graph export: the successor graph is `shift --format dot`
 # ---------------------------------------------------------------------------
 
-def test_export_graph_to_file(capsys, tmp_path):
+def test_export_graph_to_file(tmp_path):
+    # a file is written by redirecting stdout, as `braidrep shift S2 --format dot > s2.dot`
     target = tmp_path / "s2.dot"
-    code, out, _ = run_cli(capsys, "export-graph", "S2", "-o", str(target))
-    assert code == 0
-    assert out == ""
+    with open(target, "w") as fh:
+        proc = subprocess.run([sys.executable, "-m", "braidrep.cli", "shift", "S2", "--format", "dot"],
+                              stdout=fh, stderr=subprocess.PIPE, text=True, timeout=20, env=_cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     text = target.read_text()
     assert text.startswith("digraph shift {")
     assert text.count("->") == 4
 
 
 def test_export_graph_stdout(capsys):
-    code, out, _ = run_cli(capsys, "export-graph", "S2")
+    code, out, _ = run_cli(capsys, "shift", "S2", "--format", "dot")
     assert code == 0
     assert out.startswith("digraph shift {")
+    assert out.count("->") == 4
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +270,11 @@ def test_group_over_table_cap_exits_3(capsys, argv):
     assert "MAX_TABLE_ENTRIES = 10000000" in err
 
 
+def _cli_env() -> dict:
+    src = str(pathlib.Path(braidrep.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("spec", [
     "S100000",
     "S1000000",
@@ -269,13 +284,29 @@ def test_group_over_table_cap_exits_3(capsys, argv):
 ], ids=["S100000", "S1000000", "SL2-25-digit-prime", "S-5000-digits", "Z-5000-digits"])
 def test_oversized_spec_exits_cleanly(spec):
     # a fresh interpreter with a timeout, so that a hang fails instead of stalling the suite
-    src = str(pathlib.Path(braidrep.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "braidrep.cli", "shift", spec],
-                          capture_output=True, text=True, timeout=20, env=env)
+                          capture_output=True, text=True, timeout=20, env=_cli_env())
     assert proc.returncode in (2, 3)
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(("error:", "resource limit:")), proc.stderr
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the document is far larger than a pipe buffer, so writes continue after the close
+    proc = subprocess.Popen([sys.executable, "-m", "braidrep.cli", "tower", "S5", "6", "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stderr.close()
+    assert head.startswith(b'{\n  "schema": "braidrep.tower.v1"')
+    assert code == 1
+    assert "Traceback" not in err, err
 
 
 def test_stage_cap(capsys):

@@ -23,6 +23,12 @@ PINNED = {
         "00fe2fefe852438b16d1519b890f41cc7469d597f515623f8b13a34eaf356d7c",
     ("braid", "S4", "6", "--format", "json"):
         "bb76413ee405193f1c25636f38611c51f4b6d83096f13ad58b256bfd956dc61f",
+    ("shift", "SL2(7)", "--format", "json"):
+        "22e900c1c8bdfabbea83562a721cdd3141ae9a32cccd9c0e32e0e47421cd5121",
+    ("tower", "S5", "6", "--format", "json"):
+        "d0a67da700fdfae51942259dc13acab63c18269988b798b1436b9b91e9207635",
+    ("subgroups", "S4", "6", "--format", "json"):
+        "ceaedf2257b1cc84caecaccee191af00dde79dd5be2f5db3f762997633436785",
 }
 
 

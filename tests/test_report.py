@@ -5,11 +5,15 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidrep.errors import UsageError
 from braidrep.extension import compute_tower
 from braidrep.report import (
+    _CHUNK,
     SHIFT_SCHEMA,
     TOWER_SCHEMA,
     bracket_word,
@@ -25,6 +29,7 @@ from braidrep.report import (
     tower_from_json,
     tower_to_csv,
     tower_to_json,
+    write_json,
 )
 from braidrep.shift import decompose
 from braidrep.verify import SUITE_NAMES, run_suites
@@ -186,6 +191,58 @@ def test_loaded_tower_runs_the_verify_suites(s3, tower_s3):
     results = run_suites(restored.group, restored.n_max, tower=restored)
     assert [res.name for res in results][:len(SUITE_NAMES)] == SUITE_NAMES
     assert all(res.ok for res in results)
+
+
+# ---------------------------------------------------------------------------
+# the streamed JSON writer
+# ---------------------------------------------------------------------------
+
+class _Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def _written(doc) -> str:
+    out = io.StringIO()
+    write_json(doc, out)
+    return out.getvalue()
+
+
+_tricky_text = st.text() | st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\t\n\r", "\u00e9\u2028\U0001f600", "\ud800"])
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=-10**30, max_value=10**30) | _tricky_text,
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.lists(st.integers(min_value=0, max_value=40), max_size=8)
+                   | st.dictionaries(_tricky_text, inner, max_size=6)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_write_json_matches_json_dumps(doc):
+    assert _written(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_write_json_streams_in_chunks():
+    doc = {"cycles": [{"a_seq": list(range(k, k + 50)), "type": "II", "b": []} for k in range(2000)]}
+    expected = json.dumps(doc, indent=2) + "\n"
+    assert len(expected) > 8 * _CHUNK
+    out = _Recorder()
+    write_json(doc, out)
+    assert len(out.writes) > 1
+    assert max(map(len, out.writes)) < 2 * _CHUNK
+    assert "".join(out.writes) == expected
+
+
+@pytest.mark.parametrize("doc", [1.5, {"x": [0.25]}, np.int64(3), [1, np.int64(2), 3], {"n": np.int32(7)}],
+                         ids=["float", "nested-float", "numpy-int", "numpy-int-in-int-list", "numpy-int-value"])
+def test_write_json_rejects_types_no_document_holds(doc):
+    with pytest.raises(TypeError):
+        write_json(doc, _Recorder())
 
 
 # ---------------------------------------------------------------------------
