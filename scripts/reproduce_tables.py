@@ -60,12 +60,11 @@ def main() -> None:
     for r in degrees:
         S = SymmetricGroup(r)
         n_max = stage_span[r]
-        with_braid = r <= 4
         t0 = time.monotonic()
         if r == 4:
             tower = tower_s4
         else:
-            tower = compute_tower(S, n_max, with_braid=with_braid)
+            tower = compute_tower(S, n_max)
         dt = time.monotonic() - t0
         towers[r] = tower
         print(f"--- S{r} (stages 3..{n_max}, {dt:.2f}s) ---")

@@ -109,7 +109,7 @@ def count_subgroups(n: int, r: int, tower: TowerResult | None = None) -> int:
     """Number of index-r subgroups of the stage-n group, via transitive representations."""
     if r < 2:
         return 1 if r == 1 else 0
-    t = tower if tower is not None else compute_tower(SymmetricGroup(r), n, with_braid=False)
+    t = tower if tower is not None else compute_tower(SymmetricGroup(r), n)
     report = transitivity_report(t)
     return report.level(n).subgroup_count
 
@@ -124,12 +124,12 @@ def count_braid_subgroups(n: int, r: int, tower: TowerResult | None = None) -> i
     if r == 1:
         return 1
     S = SymmetricGroup(r)
-    t = tower if tower is not None else compute_tower(S, n, with_braid=True)
+    t = tower if tower is not None else compute_tower(S, n)
     if not t.is_trivial_at(n):
         raise UsageError(f"stage {n} over {S.name} is not trivial; braid subgroup count needs r <= n-1")
     lvl = t.level(n)
     transitive = 0
-    for cls, cs in zip(lvl.classes, lvl.braid_c or []):
+    for cls, cs in zip(lvl.classes, lvl.braid_c):
         for c in cs:
             if len(generator_orbits(S, [c])) == 1:
                 transitive += cls.period
@@ -255,8 +255,8 @@ def perfect_core_census_match(group: FiniteGroup, n: int,
     series = derived_series(group)
     core = perfect_core_group(group, series)
     embed = sorted(series.core)          # increasing, so lex-least vertices map to lex-least
-    t = tower if tower is not None else compute_tower(group, n, with_braid=False)
-    core_t = compute_tower(core, n, with_braid=False)
+    t = tower if tower is not None else compute_tower(group, n)
+    core_t = compute_tower(core, n)
     ours = {(cls.cycle.rep_vertex, cls.b) for cls in t.level(n).classes}
     theirs = {(tuple(embed[v] for v in cls.cycle.rep_vertex), tuple(embed[g] for g in cls.b))
               for cls in core_t.level(n).classes}

@@ -13,7 +13,7 @@ import sys
 from . import report
 from .analysis import transitivity_report
 from .errors import ResourceLimitError, UsageError, VerificationError
-from .extension import TowerResult, compute_tower
+from .extension import compute_tower
 from .groups import SPEC_GRAMMAR, FiniteGroup, SymmetricGroup, parse_group_spec
 from .oracle import DEFAULT_BUDGET
 from .shift import decompose
@@ -25,11 +25,9 @@ FORMATS = ("paper", "json", "csv", "dot")
 
 
 def _add_group_args(p: argparse.ArgumentParser, *, with_nmax: bool) -> None:
-    p.add_argument("group_pos", nargs="?", metavar="GROUP", help=f"group spec: {SPEC_GRAMMAR}")
-    p.add_argument("-g", "--group", dest="group_opt", help="group spec (alternative to the positional)")
+    p.add_argument("group", metavar="GROUP", help=f"group spec: {SPEC_GRAMMAR}")
     if with_nmax:
-        p.add_argument("nmax_pos", nargs="?", type=int, metavar="NMAX", help="maximal stage n")
-        p.add_argument("--nmax", dest="nmax_opt", type=int, help="maximal stage n (alternative)")
+        p.add_argument("nmax", type=int, metavar="NMAX", help="maximal stage n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,14 +37,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shift", help="cycle decomposition of the pair space")
     _add_group_args(p, with_nmax=False)
-    p.add_argument("--type2", action="store_true",
-                   help="type-II cycles only (paper format or --count-only)")
-    p.add_argument("--count-only", action="store_true", help="print only the cycle count")
+    p.add_argument("--type2", action="store_true", help="type-II cycles only (paper format)")
+    p.add_argument("--count-only", action="store_true", help="print only the cycle count (paper format)")
     p.add_argument("--format", choices=FORMATS, default="paper")
 
     p = sub.add_parser("tower", help="classes at stages 3..n with braid extensions")
     _add_group_args(p, with_nmax=True)
-    p.add_argument("--count-only", action="store_true", help="suppress the per-class listing")
+    p.add_argument("--count-only", action="store_true",
+                   help="suppress the per-class listing (paper format)")
     p.add_argument("--format", choices=("paper", "json", "csv"), default="paper")
 
     p = sub.add_parser("subgroups", help="index-r subgroup counts via transitive classes")
@@ -56,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("braid", help="braid-group representation counts per stage")
     _add_group_args(p, with_nmax=True)
     p.add_argument("--count-only", action="store_true", help="print only the stage-n count")
-    p.add_argument("--format", choices=("paper", "json", "csv"), default="paper")
 
     p = sub.add_parser("verify", help="run the named verification suites")
     _add_group_args(p, with_nmax=True)
@@ -65,32 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _merge_spellings(args: argparse.Namespace) -> None:
-    """Set args.group and (for staged commands) args.nmax from either spelling."""
-    args.group = args.group_opt or args.group_pos
-    if args.group is None:
-        raise UsageError(f"no group given; pass it positionally or with -g ({SPEC_GRAMMAR})")
-    if "nmax_pos" in vars(args):
-        args.nmax = args.nmax_pos if args.nmax_opt is None else args.nmax_opt
-        if args.nmax is None:
-            raise UsageError("this command needs the maximal stage; pass it positionally or with --nmax")
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _print_tower_document(tower: TowerResult, fmt: str) -> None:
-    """The JSON or CSV document of a tower, shared by `tower` and `braid`."""
-    if fmt == "json":
-        report.write_json(report.tower_to_json(tower), sys.stdout)
-    else:
-        sys.stdout.write(report.tower_to_csv(tower))
-
-
 def _cmd_shift(args: argparse.Namespace, group: FiniteGroup) -> None:
-    if args.type2 and not args.count_only and args.format != "paper":
-        raise UsageError(f"--type2 needs the paper format or --count-only, not --format {args.format}")
+    if args.type2 and args.format != "paper":
+        raise UsageError(f"--type2 needs the paper format, not --format {args.format}")
     decomp = decompose(group)
     cycles = decomp.type_II() if args.type2 else decomp.cycles
     if args.count_only:
@@ -112,14 +90,16 @@ def _cmd_tower(args: argparse.Namespace, group: FiniteGroup) -> None:
         if args.count_only:
             lines = [l for l in lines if not l.startswith("[")]
         print("\n".join(lines))
+    elif args.format == "json":
+        report.write_json(report.tower_to_json(tower), sys.stdout)
     else:
-        _print_tower_document(tower, args.format)
+        sys.stdout.write(report.tower_to_csv(tower))
 
 
 def _cmd_subgroups(args: argparse.Namespace, group: FiniteGroup) -> None:
     if not isinstance(group, SymmetricGroup):
         raise UsageError("subgroup counting runs over a symmetric group S<r>")
-    tower = compute_tower(group, args.nmax, with_braid=False)
+    tower = compute_tower(group, args.nmax)
     rep = transitivity_report(tower)
     rows = [(lvl.n, group.r, lvl.transitive_rep_count, lvl.subgroup_count) for lvl in rep.levels]
     if args.format == "paper":
@@ -139,11 +119,9 @@ def _cmd_braid(args: argparse.Namespace, group: FiniteGroup) -> None:
     tower = compute_tower(group, args.nmax)
     if args.count_only:
         print(tower.level(args.nmax).braid_rep_count)
-    elif args.format == "paper":
+    else:
         for lvl in tower.levels:
             print(f"B{lvl.n}: classes={lvl.braid_class_count} reps={lvl.braid_rep_count}")
-    else:
-        _print_tower_document(tower, args.format)
 
 
 def _cmd_verify(args: argparse.Namespace, group: FiniteGroup) -> None:
@@ -169,7 +147,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _merge_spellings(args)
+        # `braid` has no --format: its counts are paper lines
+        if getattr(args, "count_only", False) and getattr(args, "format", "paper") != "paper":
+            raise UsageError(f"--count-only needs the paper format, not --format {args.format}")
         _COMMANDS[args.command](args, parse_group_spec(args.group))
         sys.stdout.flush()
         return 0

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -295,11 +295,11 @@ def _conjugation_orbits(decomp: ShiftDecomposition) -> _Orbits:
 
 @dataclass(eq=False)
 class TowerLevel:
-    """All classes at one stage n, with braid-extension sets when computed."""
+    """All classes at one stage n, each with its sorted set of braid extensions c."""
 
     n: int
     classes: list[Representation]
-    braid_c: list[tuple[int, ...]] | None = None
+    braid_c: list[tuple[int, ...]]
 
     @property
     def class_count(self) -> int:
@@ -309,18 +309,13 @@ class TowerLevel:
     def rep_count(self) -> int:
         return sum(cls.period for cls in self.classes)
 
-    def _require_braid(self) -> list[tuple[int, ...]]:
-        if self.braid_c is None:
-            raise UsageError(f"braid extensions were not computed for stage {self.n}")
-        return self.braid_c
-
     @property
     def braid_class_count(self) -> int:
-        return sum(len(cs) for cs in self._require_braid())
+        return sum(len(cs) for cs in self.braid_c)
 
     @property
     def braid_rep_count(self) -> int:
-        return sum(cls.period * len(cs) for cls, cs in zip(self.classes, self._require_braid()))
+        return sum(cls.period * len(cs) for cls, cs in zip(self.classes, self.braid_c))
 
 
 @dataclass(eq=False)
@@ -350,9 +345,8 @@ def compute_tower(
     n_max: int,
     *,
     decomposition: ShiftDecomposition | None = None,
-    with_braid: bool = True,
 ) -> TowerResult:
-    """Compute all classes at stages 3..n_max, and their braid extensions if asked."""
+    """Compute all classes at stages 3..n_max and their braid extensions."""
     if n_max < 3:
         raise UsageError("the tower starts at stage 3")
     if n_max > MAX_STAGE:
@@ -376,7 +370,7 @@ def compute_tower(
             current = [(k, Representation(group, cls.cycle, 0, cls.b + (g,)))
                        for k, cls in current for g in ([e] if cls.is_trivial() else extend_step(cls))]
         stages.append(current)
-    levels = [_transported_level(decomp, orbits, n, reps, with_braid)
+    levels = [_transported_level(decomp, orbits, n, reps)
               for n, reps in enumerate(stages, start=3)]
     return TowerResult(group, decomp, levels)
 
@@ -397,9 +391,9 @@ def _conjugated_rows(group: FiniteGroup, values: list, row_class: np.ndarray,
 
 
 def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, n: int,
-                       reps: list[tuple[int, Representation]], with_braid: bool) -> TowerLevel:
+                       reps: list[tuple[int, Representation]]) -> TowerLevel:
     """Stage n over every cycle: each (orbit, class) of an orbit's first cycle,
-    with its braid c set when asked, conjugated onto every member of the orbit."""
+    with its braid c set, conjugated onto every member of the orbit."""
     group = decomp.group
     ks = np.fromiter((k for k, _ in reps), dtype=np.int64, count=len(reps))
     size = orbits.start[ks + 1] - orbits.start[ks]
@@ -407,19 +401,17 @@ def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, n: int,
     pos = _ranges(orbits.start[ks], size)
     t = orbits.transporters[pos]
     bs = _conjugated_rows(group, [cls.b for _, cls in reps], row_class, t, sort=False)
-    cs = repeat(None)
-    if with_braid:
-        cs = _conjugated_rows(group, [extend_to_braid(cls) for _, cls in reps], row_class, t, sort=True)
+    cs = _conjugated_rows(group, [extend_to_braid(cls) for _, cls in reps], row_class, t, sort=True)
     # decompose numbers the cycles in lex order of their rep vertices, so this
     # is the order by (rep vertex, b)
     entries = sorted(zip(orbits.ids[pos].tolist(), bs, cs), key=itemgetter(0, 1))
     classes = [Representation(group, decomp.cycles[cid], 0, b) for cid, b, _ in entries]
-    return TowerLevel(n, classes, [c for *_, c in entries] if with_braid else None)
+    return TowerLevel(n, classes, [c for *_, c in entries])
 
 
 def hom_Bn_when_Kn_trivial(group: FiniteGroup, n: int, tower: TowerResult | None = None) -> int:
     """|Hom(B_n, G)| by the abelianization shortcut, valid once stage n is trivial."""
-    t = tower if tower is not None else compute_tower(group, n, with_braid=False)
+    t = tower if tower is not None else compute_tower(group, n)
     if not t.is_trivial_at(n):
         raise UsageError(f"stage {n} over {group.name} is not trivial; the shortcut does not apply")
     return group.order

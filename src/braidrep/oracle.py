@@ -193,8 +193,6 @@ def engine_census_Bn(tower: TowerResult, n: int) -> tuple:
     if n == 2:
         return tuple((None, (), c, 1) for c in tower.group.elements())
     lvl = tower.level(n)
-    if lvl.braid_c is None:
-        raise UsageError("tower was computed without braid extensions")
     out = []
     for cls, cs in zip(lvl.classes, lvl.braid_c):
         for c in cs:

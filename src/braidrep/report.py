@@ -85,8 +85,7 @@ def paper_tower_lines(tower: TowerResult) -> list[str]:
         lines.append(f"K{lvl.n}: classes={lvl.class_count} reps={lvl.rep_count}")
         if lvl.n == 4:
             lines.extend(stage4_b3_block(tower))
-        if lvl.braid_c is not None:
-            lines.append(f"B{lvl.n}: classes={lvl.braid_class_count} reps={lvl.braid_rep_count}")
+        lines.append(f"B{lvl.n}: classes={lvl.braid_class_count} reps={lvl.braid_rep_count}")
     return lines
 
 
@@ -137,19 +136,12 @@ def shift_from_json(doc: dict) -> ShiftDecomposition:
 def tower_to_json(tower: TowerResult) -> dict:
     levels = []
     for lvl in tower.levels:
-        classes = []
-        for k, cls in enumerate(lvl.classes):
-            entry = {"a_seq": list(cls.cycle.a_seq), "type": cls.cycle.cycle_type,
-                     "b": list(cls.b)}
-            if lvl.braid_c is not None:
-                entry["c_set"] = list(lvl.braid_c[k])
-            classes.append(entry)
-        item = {"n": lvl.n, "class_count": lvl.class_count, "rep_count": lvl.rep_count,
-                "classes": classes}
-        if lvl.braid_c is not None:
-            item["braid_class_count"] = lvl.braid_class_count
-            item["braid_rep_count"] = lvl.braid_rep_count
-        levels.append(item)
+        classes = [{"a_seq": list(cls.cycle.a_seq), "type": cls.cycle.cycle_type,
+                    "b": list(cls.b), "c_set": list(cs)}
+                   for cls, cs in zip(lvl.classes, lvl.braid_c)]
+        levels.append({"n": lvl.n, "class_count": lvl.class_count, "rep_count": lvl.rep_count,
+                       "classes": classes, "braid_class_count": lvl.braid_class_count,
+                       "braid_rep_count": lvl.braid_rep_count})
     return {
         "schema": TOWER_SCHEMA,
         "group": tower.group.name,
@@ -161,14 +153,12 @@ def tower_to_json(tower: TowerResult) -> dict:
 
 
 def tower_from_json(doc: dict) -> TowerResult:
-    """The tower a tower document records, recomputed (with braid extensions
-    exactly when the document has braid counts) and compared in full."""
+    """The tower a tower document records, recomputed and compared in full."""
     group = _document_group(doc, TOWER_SCHEMA)
     n_max, levels = doc.get("n_max"), doc.get("levels")
     if type(n_max) is not int or not isinstance(levels, list):
         raise UsageError("tower document needs an integer n_max and a list of levels")
-    with_braid = any(isinstance(item, dict) and "braid_rep_count" in item for item in levels)
-    tower = compute_tower(group, n_max, with_braid=with_braid)
+    tower = compute_tower(group, n_max)
     if doc != tower_to_json(tower):
         raise UsageError(f"document does not match the tower over {group.name} to stage {n_max}")
     return tower
@@ -282,16 +272,10 @@ def tower_to_csv(tower: TowerResult) -> str:
     w = csv.writer(buf)
     w.writerow(["n", "a0", "a1", "length", "type", "b", "c_count", "c_set"])
     for lvl in tower.levels:
-        for k, cls in enumerate(lvl.classes):
+        for cls, cs in zip(lvl.classes, lvl.braid_c):
             i, j = cls.cycle.rep_vertex
-            b_disp = " ".join(str(x + 1) for x in cls.b)
-            if lvl.braid_c is not None:
-                cs = lvl.braid_c[k]
-                c_count, c_set = len(cs), " ".join(str(c + 1) for c in cs)
-            else:
-                c_count, c_set = "", ""
             w.writerow([lvl.n, i + 1, j + 1, cls.cycle.length, cls.cycle.cycle_type,
-                        b_disp, c_count, c_set])
+                        " ".join(str(x + 1) for x in cls.b), len(cs), " ".join(str(c + 1) for c in cs)])
     return buf.getvalue()
 
 

@@ -77,7 +77,6 @@ class ShiftDecomposition:
     cycles: list[Cycle]
     period_census: dict[int, int]
     _cycle_id: np.ndarray = field(repr=False)
-    _phase: np.ndarray = field(repr=False)
 
     @property
     def rep_count(self) -> int:
@@ -95,17 +94,17 @@ class ShiftDecomposition:
         return [c for c in self.cycles if c.cycle_type == "I"]
 
     def cycle_at(self, v: Vertex) -> Cycle:
-        return self.phase_of(v)[0]
+        a0 = self.group.check_element(v[0])
+        a1 = self.group.check_element(v[1])
+        return self.cycles[int(self.cycle_index(a0, a1))]
 
     def cycle_index(self, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
         """Index into `cycles` of the cycle through each vertex (a0[k], a1[k])."""
         return self._cycle_id[a0 * self.group.order + a1]
 
     def phase_of(self, v: Vertex) -> tuple[Cycle, int]:
-        a0 = self.group.check_element(v[0])
-        a1 = self.group.check_element(v[1])
-        code = a0 * self.group.order + a1
-        return self.cycles[int(self._cycle_id[code])], int(self._phase[code])
+        cycle = self.cycle_at(v)
+        return cycle, cycle.vertices().index((int(v[0]), int(v[1])))
 
 
 def decompose(group: FiniteGroup) -> ShiftDecomposition:
@@ -124,7 +123,6 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
     succ = (a1s * m + mul_t[inv_t[a0s], a1s]).tolist()
 
     cycle_id = np.full(m * m, -1, dtype=np.int32)
-    phase = np.zeros(m * m, dtype=np.int32)
     cycles: list[Cycle] = []
     identity = group.identity
     for seed in range(m * m):
@@ -135,7 +133,6 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
         v = seed
         while cycle_id[v] < 0:
             cycle_id[v] = cid
-            phase[v] = len(orbit)
             orbit.append(v)
             v = succ[v]
         if v != seed:
@@ -155,7 +152,7 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
         raise VerificationError("cycle lengths do not partition the vertex set")
     if census.get(1, 0) != 1:
         raise VerificationError("expected exactly one fixed point (the trivial cycle)")
-    return ShiftDecomposition(group, cycles, dict(sorted(census.items())), cycle_id, phase)
+    return ShiftDecomposition(group, cycles, dict(sorted(census.items())), cycle_id)
 
 
 def order2_cycle_shape(group: FiniteGroup, a: int) -> int:

@@ -125,7 +125,7 @@ def _oracle_suite(tower: TowerResult, budget: int) -> SuiteResult:
                            f"K{n} census mismatch: oracle {res.rep_count} reps vs engine "
                            f"{tower.level(n).rep_count}")
     detail = f"K{n}: {res.rep_count} representations match"
-    if tower.level(n).braid_c is not None and G.order ** (n - 1) <= _ORACLE_BN_TUPLE_LIMIT:
+    if G.order ** (n - 1) <= _ORACLE_BN_TUPLE_LIMIT:
         bres = brute_hom_Bn(G, n, budget)
         beng = engine_census_Bn(tower, n)
         if bres.census != beng:

@@ -74,7 +74,7 @@ def tower_s5(s5):
 @pytest.fixture(scope="session")
 def _s6_bundle(s6):
     t0 = time.monotonic()
-    tower = compute_tower(s6, 7, with_braid=False)
+    tower = compute_tower(s6, 7)
     return tower, time.monotonic() - t0
 
 
@@ -100,4 +100,4 @@ def tower_sl23(sl23):
 
 @pytest.fixture(scope="session")
 def tower_a5():
-    return compute_tower(alternating_group(5), 6, with_braid=False)
+    return compute_tower(alternating_group(5), 6)

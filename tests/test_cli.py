@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: output formats and exit codes."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import pathlib
@@ -47,12 +48,6 @@ def test_shift_count_only(capsys):
     assert out.strip() == "8"
 
 
-def test_shift_group_flag_equivalent_to_positional(capsys):
-    _, out_pos, _ = run_cli(capsys, "shift", "S3")
-    _, out_flag, _ = run_cli(capsys, "shift", "-g", "S3")
-    assert out_pos == out_flag
-
-
 def test_shift_json_format(capsys):
     code, out, _ = run_cli(capsys, "shift", "S3", "--format", "json")
     assert code == 0
@@ -68,6 +63,19 @@ def test_shift_type2_needs_paper_format(capsys, fmt):
     assert code == 2
     assert out == ""
     assert "--type2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("shift", "S3", "--count-only", "--format", "json"),
+    ("shift", "S3", "--count-only", "--format", "dot"),
+    ("tower", "S3", "4", "--count-only", "--format", "json"),
+    ("tower", "S3", "4", "--count-only", "--format", "csv"),
+], ids=" ".join)
+def test_count_only_needs_paper_format(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--count-only" in err
 
 
 def test_shift_csv_format(capsys):
@@ -131,12 +139,6 @@ def test_tower_csv_format(capsys):
     assert len(lines) == 5  # header + 2 classes at stage 3 + 2 at stage 4
 
 
-def test_tower_nmax_flag_spelling(capsys):
-    _, out1, _ = run_cli(capsys, "tower", "S2", "4")
-    _, out2, _ = run_cli(capsys, "tower", "-g", "S2", "--nmax", "4")
-    assert out1 == out2
-
-
 # ---------------------------------------------------------------------------
 # subgroups and braid
 # ---------------------------------------------------------------------------
@@ -167,6 +169,14 @@ def test_braid_count_only(capsys):
     code, out, _ = run_cli(capsys, "braid", "S4", "6", "--count-only")
     assert code == 0
     assert out.strip() == "24"
+
+
+def test_braid_has_no_format_option(capsys):
+    # the tower document is `tower --format json|csv`
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["braid", "S3", "4", "--format", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_braid_paper_lines(capsys):
@@ -246,15 +256,26 @@ def test_unknown_group_exits_2(capsys):
 
 
 def test_missing_group_exits_2(capsys):
-    code, _, err = run_cli(capsys, "shift")
-    assert code == 2
-    assert "no group given" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["shift"])
+    assert exc.value.code == 2
+    assert "GROUP" in capsys.readouterr().err
 
 
 def test_missing_nmax_exits_2(capsys):
-    code, _, err = run_cli(capsys, "tower", "S3")
-    assert code == 2
-    assert "maximal stage" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tower", "S3"])
+    assert exc.value.code == 2
+    assert "NMAX" in capsys.readouterr().err
+
+
+def test_settable_values_per_command():
+    # every option, flag and positional a user can set; a new knob edits this on purpose
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    counts = {name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
+              for name, p in sub.choices.items()}
+    assert counts == {"shift": 4, "tower": 4, "subgroups": 3, "braid": 3, "verify": 3}
+    assert sum(counts.values()) == 17
 
 
 def test_nmax_below_tower_start_exits_2(capsys):

@@ -345,12 +345,6 @@ def test_tower_level_lookup_bounds(tower_s3):
         tower_s3.level(tower_s3.n_max + 1)
 
 
-def test_braid_counts_require_braid_pass(s3):
-    t = compute_tower(s3, 4, with_braid=False)
-    with pytest.raises(UsageError):
-        t.level(3).braid_rep_count
-
-
 def test_hom_bn_when_kn_trivial(s4, tower_s4, tower_s5):
     assert hom_Bn_when_Kn_trivial(s4, 6, tower_s4) == 24
     with pytest.raises(UsageError):

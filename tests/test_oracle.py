@@ -4,7 +4,6 @@ from __future__ import annotations
 import pytest
 
 from braidrep.errors import ResourceLimitError, UsageError
-from braidrep.extension import compute_tower
 from braidrep.groups import SL2, AbelianProduct, SymmetricGroup
 from braidrep.oracle import (
     brute_hom_Bn,
@@ -74,12 +73,6 @@ def test_stage_bounds(s3):
         brute_hom_Kn(s3, 2)
     with pytest.raises(UsageError):
         brute_hom_Bn(s3, 1)
-
-
-def test_engine_census_bn_requires_braid_pass(s3):
-    t = compute_tower(s3, 4, with_braid=False)
-    with pytest.raises(UsageError):
-        engine_census_Bn(t, 4)
 
 
 def test_relation_checks_are_counted(s2):

@@ -21,7 +21,7 @@ PINNED = {
         "5398c127b6fee1aeac477e65314ca62b803d7f4e76c29e26ddb6a1dc46eb094f",
     ("verify", "S4", "6"):
         "00fe2fefe852438b16d1519b890f41cc7469d597f515623f8b13a34eaf356d7c",
-    ("braid", "S4", "6", "--format", "json"):
+    ("tower", "S4", "6", "--format", "json"):
         "bb76413ee405193f1c25636f38611c51f4b6d83096f13ad58b256bfd956dc61f",
     ("shift", "SL2(7)", "--format", "json"):
         "22e900c1c8bdfabbea83562a721cdd3141ae9a32cccd9c0e32e0e47421cd5121",

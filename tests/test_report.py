@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidrep.errors import UsageError
-from braidrep.extension import compute_tower
 from braidrep.report import (
     _CHUNK,
     SHIFT_SCHEMA,
@@ -148,16 +147,6 @@ def test_tower_json_roundtrip(tower_s3):
     for n in (3, 4, 5):
         assert restored.level(n).rep_count == tower_s3.level(n).rep_count
         assert restored.level(n).braid_rep_count == tower_s3.level(n).braid_rep_count
-
-
-def test_tower_json_without_braid(s3):
-    t = compute_tower(s3, 4, with_braid=False)
-    doc = tower_to_json(t)
-    assert all("c_set" not in cls for lvl in doc["levels"] for cls in lvl["classes"])
-    assert all("braid_rep_count" not in lvl for lvl in doc["levels"])
-    restored = tower_from_json(doc)
-    with pytest.raises(UsageError):
-        restored.level(3).braid_rep_count
 
 
 def test_tower_json_rejects_wrong_schema(tower_s3):
