@@ -39,10 +39,13 @@ def _require_symmetric(group: FiniteGroup) -> SymmetricGroup:
     return group
 
 
-def generator_orbits(group: SymmetricGroup, gens) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition of {1..r} under the subgroup generated by `gens`."""
-    S = _require_symmetric(group)
-    parent = list(range(S.r))
+def _join(S: SymmetricGroup, labels: tuple[int, ...], g: int) -> tuple[int, ...]:
+    """The partition `labels` joined with the cycles of g.
+
+    A partition of the points 0..r-1 is held as the tuple of each point's
+    least block-mate, so equal partitions are equal tuples.
+    """
+    parent = list(labels)
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -50,16 +53,44 @@ def generator_orbits(group: SymmetricGroup, gens) -> tuple[tuple[int, ...], ...]
             x = parent[x]
         return x
 
+    for k, image in enumerate(S.perms[g]):
+        ra, rb = find(k), find(image - 1)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return tuple(find(k) for k in range(S.r))
+
+
+def _orbit_labels(S: SymmetricGroup, gens, joins: dict) -> tuple[int, ...]:
+    """Orbit partition of the subgroup generated by `gens` (valid handles), as
+    least block-mates.
+
+    The partition is a join of the generators' cycle partitions; `joins`
+    memoises each (partition, generator) step for the caller's later calls.
+    """
+    labels = tuple(range(S.r))
+    whole = (0,) * S.r
     for g in gens:
-        img = S.image(g)
-        for k in range(S.r):
-            ra, rb = find(k), find(img[k] - 1)
-            if ra != rb:
-                parent[rb] = ra
+        if labels == whole:
+            break
+        key = (labels, g)
+        nxt = joins.get(key)
+        if nxt is None:
+            nxt = joins[key] = _join(S, labels, g)
+        labels = nxt
+    return labels
+
+
+def _blocks(labels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     buckets: dict[int, list[int]] = {}
-    for k in range(S.r):
-        buckets.setdefault(find(k), []).append(k + 1)
-    return tuple(tuple(sorted(o)) for o in sorted(buckets.values()))
+    for k, root in enumerate(labels):
+        buckets.setdefault(root, []).append(k + 1)
+    return tuple(map(tuple, buckets.values()))
+
+
+def generator_orbits(group: SymmetricGroup, gens) -> tuple[tuple[int, ...], ...]:
+    """Orbit partition of {1..r} under the subgroup generated by `gens`."""
+    S = _require_symmetric(group)
+    return _blocks(_orbit_labels(S, [S.check_element(g) for g in gens], {}))
 
 
 def is_transitive(rep: Representation) -> bool:
@@ -93,9 +124,16 @@ def transitivity_report(tower: TowerResult) -> TransitivityReport:
     """Orbit partitions, transitivity flags and subgroup counts for every stage."""
     S = _require_symmetric(tower.group)
     stabiliser = math.factorial(S.r - 1)
+    joins: dict = {}
+    blocks: dict = {}
     out = []
     for lvl in tower.levels:
-        orbits = [generator_orbits(S, cls.generators()) for cls in lvl.classes]
+        orbits = []
+        for cls in lvl.classes:
+            labels = _orbit_labels(S, cls.generators(), joins)
+            if labels not in blocks:
+                blocks[labels] = _blocks(labels)
+            orbits.append(blocks[labels])
         flags = [len(p) == 1 for p in orbits]
         trans_reps = sum(cls.period for cls, f in zip(lvl.classes, flags) if f)
         if trans_reps % stabiliser:

@@ -8,7 +8,6 @@ are exactly the vertices on the cycle.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,51 +107,89 @@ class ShiftDecomposition:
 
 
 def decompose(group: FiniteGroup) -> ShiftDecomposition:
-    """Split G x G into successor cycles, seeded in lex order of (a0, a1).
+    """Split G x G into successor cycles, numbered in lex order of their least vertex.
 
-    Seeding in lex order makes each cycle's stored sequence start at its
-    lexicographically least vertex.  Two structural facts are verified on the
-    way and raise VerificationError if broken: the ordered product
-    a_0 a_1 ... a_{p-1} around any cycle is the identity, and the cycle
-    lengths partition |G|^2.
+    Vertex (a0, a1) has the code a0 * m + a1, so code order is lex order.  The
+    successor map is one array of codes, checked to be a bijection before
+    anything walks it, so every walk below runs on cycles and ends.  Two walks
+    over arrays do the rest:
+
+    * A walk starts at every vertex and is dropped as soon as it meets a
+      smaller code.  It closes, after one lap, exactly when its seed is the
+      least vertex of its cycle, which gives each cycle's rep vertex and
+      length.  With the build of the map this is 2.2-3.8 m^2 successor
+      look-ups on the groups from S3 to SL2(11).
+    * All cycles then advance together from their rep vertices, one array
+      step per position up to the longest cycle, writing every a_seq into one
+      flat array, labelling each vertex with its cycle and folding the cycle
+      products.
+
+    Each cycle's stored sequence starts at its lexicographically least vertex.
+    Four facts are verified and raise VerificationError if broken: the
+    successor map is a bijection, the ordered product a_0 a_1 ... a_{p-1}
+    around every cycle is the identity, the cycle lengths partition |G|^2, and
+    there is exactly one fixed point.
     """
     m = group.order
     mul_t, inv_t = group.tables()
-    codes = np.arange(m * m, dtype=np.int64)
-    a0s, a1s = codes // m, codes % m
-    succ = (a1s * m + mul_t[inv_t[a0s], a1s]).tolist()
+    seeds = np.arange(m * m, dtype=np.int64)
+    a0s, a1s = np.divmod(seeds, m)
+    succ = a1s * m + mul_t[inv_t[a0s], a1s]
+    del a0s, a1s  # peak memory: only succ is kept
+    if np.bincount(succ, minlength=m * m).max() != 1:
+        raise VerificationError("successor map is not a bijection of the vertex set")
 
-    cycle_id = np.full(m * m, -1, dtype=np.int32)
-    cycles: list[Cycle] = []
-    identity = group.identity
-    for seed in range(m * m):
-        if cycle_id[seed] >= 0:
-            continue
-        cid = len(cycles)
-        orbit = []
-        v = seed
-        while cycle_id[v] < 0:
-            cycle_id[v] = cid
-            orbit.append(v)
-            v = succ[v]
-        if v != seed:
-            raise VerificationError("successor walk re-entered a cycle away from its seed")
-        a_seq = tuple(code // m for code in orbit)
-        is_type_I = any(code // m == code % m for code in orbit)
-        prod = identity
-        for a in a_seq:
-            prod = int(mul_t[prod, a])
-        if prod != identity:
-            raise VerificationError(
-                f"cycle product is not the identity on the cycle through {divmod(seed, m)}")
-        cycles.append(Cycle(a_seq, "I" if is_type_I else "II"))
+    # drop-when-smaller walk: at step k, cur is the k-th successor of each seed
+    cur = succ
+    rep_parts, length_parts = [], []
+    k = 1
+    while seeds.size:
+        closed = seeds[cur == seeds]
+        rep_parts.append(closed)
+        length_parts.append(np.full(closed.size, k, dtype=np.int64))
+        keep = cur > seeds
+        seeds, cur = seeds[keep], succ[cur[keep]]
+        k += 1
+    reps = np.concatenate(rep_parts)
+    order = np.argsort(reps, kind="stable")
+    reps, lengths = reps[order], np.concatenate(length_parts)[order]
 
-    census = Counter(c.length for c in cycles)
-    if sum(p * n for p, n in census.items()) != m * m:
+    # lockstep walk, longest cycles first so the cycles still walking are a prefix
+    n = reps.size
+    offsets = np.cumsum(lengths) - lengths
+    census = np.bincount(lengths)
+    walking = n - np.cumsum(census)[:-1]
+    walk = np.argsort(-lengths, kind="stable")
+    cur, pos = reps[walk], offsets[walk]
+    prod = np.full(n, group.identity, dtype=mul_t.dtype)
+    a_flat = np.empty(m * m, dtype=np.int64)
+    cycle_id = np.empty(m * m, dtype=np.int32)
+    for k, j in enumerate(walking.tolist()):
+        v = cur[:j]
+        a0 = v // m
+        a_flat[pos[:j] + k] = a0
+        cycle_id[v] = walk[:j]
+        prod[:j] = mul_t[prod[:j], a0]
+        cur[:j] = succ[v]
+    bad = reps[walk[prod != group.identity]]
+    if bad.size:
+        raise VerificationError(
+            f"cycle product is not the identity on the cycle through {divmod(int(bad.min()), m)}")
+    if int(census @ np.arange(census.size)) != m * m:
         raise VerificationError("cycle lengths do not partition the vertex set")
-    if census.get(1, 0) != 1:
+    if census[1] != 1:
         raise VerificationError("expected exactly one fixed point (the trivial cycle)")
-    return ShiftDecomposition(group, cycles, dict(sorted(census.items())), cycle_id)
+
+    del succ  # peak memory: freed before the m^2 object references below
+    # type I cycles are those through a diagonal vertex (a, a), code a * (m + 1)
+    is_type_I = np.zeros(n, dtype=bool)
+    is_type_I[cycle_id[np.arange(m) * (m + 1)]] = True
+    # one shared int object per element, so the sequences hold m ints, not m^2
+    seq = tuple(np.array(range(m), dtype=object)[a_flat].tolist())
+    cycles = [Cycle(seq[i:j], "I" if t else "II")
+              for i, j, t in zip(offsets.tolist(), (offsets + lengths).tolist(), is_type_I.tolist())]
+    period_census = {p: c for p, c in enumerate(census.tolist()) if c}
+    return ShiftDecomposition(group, cycles, period_census, cycle_id)
 
 
 def order2_cycle_shape(group: FiniteGroup, a: int) -> int:

@@ -4,16 +4,26 @@ from __future__ import annotations
 import pathlib
 import time
 
+import numpy as np
 import pytest
 
 from braidrep.extension import compute_tower
-from braidrep.groups import SL2, SymmetricGroup, alternating_group, parse_group_spec
+from braidrep.groups import SL2, CayleyTableGroup, SymmetricGroup, alternating_group, parse_group_spec
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 def golden_text(name: str) -> str:
     return (GOLDEN_DIR / name).read_text()
+
+
+def relabelled(group, seed):
+    """The group's Cayley table with its handles permuted at random."""
+    perm = np.random.default_rng(seed).permutation(group.order)
+    mul_t, _ = group.tables()
+    table = np.empty_like(mul_t)
+    table[np.ix_(perm, perm)] = perm[mul_t]
+    return CayleyTableGroup(table, name=f"{group.name} relabelled by seed {seed}")
 
 
 @pytest.fixture(scope="session")

@@ -57,6 +57,33 @@ def test_transitivity_report_structure(tower_s4):
         report.level(99)
 
 
+def _orbit_closure(S, gens):
+    """Orbits of {1..r} by closing each point under the generators' images."""
+    images = [S.image(g) for g in gens]
+    orbits, seen = [], set()
+    for start in range(1, S.r + 1):
+        if start in seen:
+            continue
+        block, frontier = {start}, [start]
+        while frontier:
+            x = frontier.pop()
+            for img in images:
+                if img[x - 1] not in block:
+                    block.add(img[x - 1])
+                    frontier.append(img[x - 1])
+        seen |= block
+        orbits.append(tuple(sorted(block)))
+    return tuple(orbits)
+
+
+def test_transitivity_report_matches_orbit_closure(tower_s5):
+    S = tower_s5.group
+    report = transitivity_report(tower_s5)
+    for lvl, orbit_lvl in zip(tower_s5.levels, report.levels):
+        assert orbit_lvl.orbits == [_orbit_closure(S, cls.generators()) for cls in lvl.classes]
+        assert orbit_lvl.transitive == [len(o) == 1 for o in orbit_lvl.orbits]
+
+
 # ---------------------------------------------------------------------------
 # subgroup counts
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Stagewise extension: b3 scans, higher generators, braid extensions, towers."""
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from braidrep.errors import UsageError, VerificationError
@@ -14,8 +13,10 @@ from braidrep.extension import (
     extend_to_braid,
     hom_Bn_when_Kn_trivial,
 )
-from braidrep.groups import SL2, CayleyTableGroup, SymmetricGroup, alternating_group, parse_group_spec
+from braidrep.groups import SL2, SymmetricGroup, alternating_group, parse_group_spec
 from braidrep.shift import Cycle, Representation, decompose
+
+from conftest import relabelled
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +238,13 @@ def test_stage3_class_has_no_parent(tower_s3):
         tower_s3.level(3).classes[0].parent()
 
 
-def _relabelled(group, seed):
-    """The group's Cayley table with its handles permuted at random."""
-    perm = np.random.default_rng(seed).permutation(group.order)
-    mul_t, _ = group.tables()
-    table = np.empty_like(mul_t)
-    table[np.ix_(perm, perm)] = perm[mul_t]
-    return CayleyTableGroup(table, name=f"{group.name} relabelled by seed {seed}")
-
-
 # Isomorphic backends number their elements differently, so agreement of the
 # per-stage counts checks the engine independently of any one table.
 ISOMORPHIC_PAIRS = [
     (lambda: SL2(4), lambda: alternating_group(5)),
     (lambda: SL2(2), lambda: SymmetricGroup(3)),
     (lambda: parse_group_spec("Z6"), lambda: parse_group_spec("Z2xZ3")),
-    *[(lambda seed=seed: _relabelled(SymmetricGroup(4), seed), lambda: SymmetricGroup(4))
+    *[(lambda seed=seed: relabelled(SymmetricGroup(4), seed), lambda: SymmetricGroup(4))
       for seed in (1, 2, 3)],
 ]
 
@@ -300,7 +292,7 @@ ORBIT_GROUPS = {
     "SL2(5)": lambda: SL2(5),
     "Z2xZ4xZ5": lambda: parse_group_spec("Z2xZ4xZ5"),
     "S1": lambda: SymmetricGroup(1),
-    **{f"S4-relabelled-{seed}": (lambda seed=seed: _relabelled(SymmetricGroup(4), seed))
+    **{f"S4-relabelled-{seed}": (lambda seed=seed: relabelled(SymmetricGroup(4), seed))
        for seed in (1, 2, 3)},
 }
 

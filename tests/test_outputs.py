@@ -29,6 +29,10 @@ PINNED = {
         "d0a67da700fdfae51942259dc13acab63c18269988b798b1436b9b91e9207635",
     ("subgroups", "S4", "6", "--format", "json"):
         "ceaedf2257b1cc84caecaccee191af00dde79dd5be2f5db3f762997633436785",
+    ("shift", "S5", "--format", "csv"):
+        "7e9fff695734f3fde5f830dfb42f686869ddf4c68dc818111e386164d6c796b9",
+    ("shift", "Z2xZ4xZ5", "--format", "json"):
+        "cdcad8e946931d577781eb82e4e4f815b40b775a06f113517f3c53b4d05b7e52",
 }
 
 

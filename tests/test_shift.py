@@ -1,12 +1,18 @@
 """Successor dynamics on G x G: cycles, censuses, phases."""
 from __future__ import annotations
 
+import signal
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidrep.groups import SL2, AbelianProduct, CayleyTableGroup, SymmetricGroup
+from braidrep.errors import VerificationError
+from braidrep.groups import SL2, AbelianProduct, CayleyTableGroup, SymmetricGroup, parse_group_spec
 from braidrep.shift import (
+    Cycle,
     Representation,
     decompose,
     order2_cycle_shape,
@@ -14,6 +20,8 @@ from braidrep.shift import (
     shift,
     successor,
 )
+
+from conftest import relabelled
 
 
 def test_successor_examples(s3):
@@ -96,6 +104,68 @@ def test_cycles_partition_the_vertex_set(group):
             seen.add(v)
     assert len(seen) == group.order ** 2
     assert sum(p * n for p, n in d.period_census.items()) == group.order ** 2
+
+
+def _per_vertex_walk(group):
+    """Reference decomposition: one walk per unvisited vertex, seeded in lex
+    order, so each cycle is numbered and read from its least vertex."""
+    m = group.order
+    cycle_of: dict = {}
+    cycles = []
+    for seed in ((a0, a1) for a0 in range(m) for a1 in range(m)):
+        if seed in cycle_of:
+            continue
+        orbit, v = [], seed
+        while v not in cycle_of:
+            cycle_of[v] = len(cycles)
+            orbit.append(v)
+            v = successor(group, v)
+        assert v == seed
+        cycles.append(Cycle(tuple(a0 for a0, _ in orbit),
+                            "I" if any(a0 == a1 for a0, a1 in orbit) else "II"))
+    census = dict(sorted(Counter(c.length for c in cycles).items()))
+    return cycles, census, [cycle_of[a0, a1] for a0 in range(m) for a1 in range(m)]
+
+
+REFERENCE_GROUPS = {
+    **{spec: (lambda spec=spec: parse_group_spec(spec)) for spec in (
+        "S1", "S2", "S3", "S4", "S5", "SL2(2)", "SL2(3)", "SL2(5)", "SL2(7)",
+        "Z1", "Z300", "Z2xZ4xZ5")},
+    **{f"S4-relabelled-{seed}": (lambda seed=seed: relabelled(SymmetricGroup(4), seed))
+       for seed in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_decompose_equals_per_vertex_walk(name):
+    group = REFERENCE_GROUPS[name]()
+    if "relabelled" in name:
+        assert group.identity != 0
+    cycles, census, cycle_index = _per_vertex_walk(group)
+    d = decompose(group)
+    assert d.cycles == cycles
+    assert list(d.period_census.items()) == list(census.items())
+    codes = np.arange(group.order ** 2)
+    assert d.cycle_index(codes // group.order, codes % group.order).tolist() == cycle_index
+
+
+def test_decompose_rejects_a_successor_map_that_is_not_a_bijection(monkeypatch):
+    group = SymmetricGroup(3)
+    # with every inverse the identity, (a0, a1) -> (a1, a1): from (0, 1) a walk
+    # would circle the fixed point (1, 1) and never return to its seed
+    monkeypatch.setattr(group, "_inv_table", np.zeros_like(group.tables()[1]))
+
+    def hang(signum, frame):
+        raise TimeoutError("decompose did not stop on a non-bijective successor map")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        with pytest.raises(VerificationError, match="bijection"):
+            decompose(group)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_rep_vertex_is_lex_min(s4):
