@@ -60,14 +60,16 @@ def _join(S: SymmetricGroup, labels: tuple[int, ...], g: int) -> tuple[int, ...]
     return tuple(find(k) for k in range(S.r))
 
 
-def _orbit_labels(S: SymmetricGroup, gens, joins: dict) -> tuple[int, ...]:
+def _orbit_labels(S: SymmetricGroup, gens, joins: dict,
+                  labels: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """Orbit partition of the subgroup generated by `gens` (valid handles), as
-    least block-mates.
+    least block-mates, joined onto `labels` (the discrete partition by default).
 
     The partition is a join of the generators' cycle partitions; `joins`
     memoises each (partition, generator) step for the caller's later calls.
     """
-    labels = tuple(range(S.r))
+    if labels is None:
+        labels = tuple(range(S.r))
     whole = (0,) * S.r
     for g in gens:
         if labels == whole:
@@ -126,11 +128,15 @@ def transitivity_report(tower: TowerResult) -> TransitivityReport:
     stabiliser = math.factorial(S.r - 1)
     joins: dict = {}
     blocks: dict = {}
+    by_cycle: dict = {}   # each cycle's a_seq partition, shared by its classes at every stage
     out = []
     for lvl in tower.levels:
         orbits = []
         for cls in lvl.classes:
-            labels = _orbit_labels(S, cls.generators(), joins)
+            base = by_cycle.get(cls.cycle)
+            if base is None:
+                base = by_cycle[cls.cycle] = _orbit_labels(S, cls.cycle.a_seq, joins)
+            labels = _orbit_labels(S, cls.b, joins, base)
             if labels not in blocks:
                 blocks[labels] = _blocks(labels)
             orbits.append(blocks[labels])

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 stdout closed by the reader, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -15,7 +16,7 @@ from .analysis import transitivity_report
 from .errors import ResourceLimitError, UsageError, VerificationError
 from .extension import compute_tower
 from .groups import SPEC_GRAMMAR, FiniteGroup, SymmetricGroup, parse_group_spec
-from .oracle import DEFAULT_BUDGET
+from .oracle import DEFAULT_BUDGET, check_budget
 from .shift import decompose
 from .verify import run_suites
 
@@ -76,7 +77,7 @@ def _cmd_shift(args: argparse.Namespace, group: FiniteGroup) -> None:
     elif args.format == "paper":
         print("\n".join(report.paper_shift_lines(decomp, type2_only=args.type2)))
     elif args.format == "json":
-        report.write_json(report.shift_to_json(decomp), sys.stdout)
+        report.shift_to_json(decomp, sys.stdout)
     elif args.format == "csv":
         sys.stdout.write(report.shift_to_csv(decomp))
     else:
@@ -91,7 +92,7 @@ def _cmd_tower(args: argparse.Namespace, group: FiniteGroup) -> None:
             lines = [l for l in lines if not l.startswith("[")]
         print("\n".join(lines))
     elif args.format == "json":
-        report.write_json(report.tower_to_json(tower), sys.stdout)
+        report.tower_to_json(tower, sys.stdout)
     else:
         sys.stdout.write(report.tower_to_csv(tower))
 
@@ -106,9 +107,9 @@ def _cmd_subgroups(args: argparse.Namespace, group: FiniteGroup) -> None:
         for n, r, treps, subs in rows:
             print(f"K{n}: transitive reps = {treps}, subgroups of index {r} = {subs}")
     elif args.format == "json":
-        report.write_json({"schema": "braidrep.subgroups.v1", "group": group.name,
-                           "levels": [{"n": n, "r": r, "transitive_reps": t, "subgroups": s}
-                                      for n, r, t, s in rows]}, sys.stdout)
+        print(json.dumps({"schema": "braidrep.subgroups.v1", "group": group.name,
+                          "levels": [{"n": n, "r": r, "transitive_reps": t, "subgroups": s}
+                                     for n, r, t, s in rows]}, indent=2))
     else:
         print("n,r,transitive_reps,subgroups")
         for row in rows:
@@ -150,6 +151,8 @@ def main(argv: list[str] | None = None) -> int:
         # `braid` has no --format: its counts are paper lines
         if getattr(args, "count_only", False) and getattr(args, "format", "paper") != "paper":
             raise UsageError(f"--count-only needs the paper format, not --format {args.format}")
+        if args.command == "verify":
+            check_budget(args.budget)
         _COMMANDS[args.command](args, parse_group_spec(args.group))
         sys.stdout.flush()
         return 0

@@ -18,6 +18,7 @@ from .groups import FiniteGroup
 __all__ = [
     "DEFAULT_BUDGET",
     "OracleResult",
+    "check_budget",
     "brute_hom_K3",
     "brute_hom_Kn",
     "brute_hom_Bn",
@@ -39,10 +40,17 @@ class OracleResult:
     relation_checks: int
 
 
+def check_budget(budget: int) -> None:
+    """Refuse a relation-check budget below 1: no scan can run on it."""
+    if budget < 1:
+        raise UsageError(f"relation-check budget must be at least 1, got {budget}")
+
+
 class _Budget:
     __slots__ = ("used", "limit")
 
     def __init__(self, limit: int):
+        check_budget(limit)
         self.used = 0
         self.limit = limit
 

@@ -3,11 +3,20 @@
 Bracket notation and CSV display element handles 1-based (for symmetric groups
 that is the lexicographic rank of the permutation); JSON carries the internal
 0-based handles and says so in its "indexing" field.
+
+The shift and tower JSON documents are written straight from the engine's
+objects, as exactly the text `print(json.dumps(doc, indent=2))` prints for the
+equivalent dict: keys and indentation are literals, each list of element
+handles is one join over a table of pre-indented lines keyed by handle, and
+the text reaches the stream in writes of about `_CHUNK` characters.  The
+loaders parse that same text to compare, so each document has one definition.
 """
 from __future__ import annotations
 
 import csv
 import io
+import json
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii
 from typing import TextIO
 
@@ -26,7 +35,6 @@ __all__ = [
     "shift_from_json",
     "tower_to_json",
     "tower_from_json",
-    "write_json",
     "shift_to_csv",
     "tower_to_csv",
     "decomposition_to_dot",
@@ -98,19 +106,60 @@ def normalize_tokens(text: str) -> list[str]:
 # JSON
 # ---------------------------------------------------------------------------
 
-def _cycle_json(cycle: Cycle) -> dict:
-    return {"a_seq": list(cycle.a_seq), "type": cycle.cycle_type}
+_CHUNK = 1 << 16   # characters handed to `out.write` at a time
 
 
-def shift_to_json(decomp: ShiftDecomposition) -> dict:
-    return {
-        "schema": SHIFT_SCHEMA,
-        "group": decomp.group.name,
-        "order": decomp.group.order,
-        "indexing": "0-based",
-        "period_census": {str(p): n for p, n in decomp.period_census.items()},
-        "cycles": [_cycle_json(c) for c in decomp.cycles],
-    }
+def _write(out: TextIO, pieces: Iterable[str]) -> None:
+    """Hand `pieces` to `out` joined, in writes of about `_CHUNK` characters."""
+    batch: list[str] = []
+    size = 0
+    for s in pieces:
+        batch.append(s)
+        size += len(s)
+        if size >= _CHUNK:
+            out.write("".join(batch))
+            batch.clear()
+            size = 0
+    out.write("".join(batch))
+
+
+def _int_list(group: FiniteGroup, depth: int) -> Callable[[Sequence[int]], str]:
+    """Renders a sequence of the group's handles as a JSON list whose items sit
+    at `depth`.  Each item is one line of a table keyed by handle, so a handle
+    outside 0..order-1 raises KeyError."""
+    line = {h: "\n" + "  " * depth + str(h) for h in range(group.order)}.__getitem__
+    close = "\n" + "  " * (depth - 1) + "]"
+
+    def render(seq: Sequence[int]) -> str:
+        return "[" + ",".join(map(line, seq)) + close if seq else "[]"
+    return render
+
+
+def _head(schema: str, group: FiniteGroup) -> str:
+    return (f'{{\n  "schema": "{schema}",\n  "group": {encode_basestring_ascii(group.name)},\n'
+            f'  "order": {group.order},\n  "indexing": "0-based",\n')
+
+
+def shift_to_json(decomp: ShiftDecomposition, out: TextIO) -> None:
+    """Write the shift document of `decomp` to `out`: schema, group, order,
+    indexing, period_census (period -> cycle count) and cycles (a_seq, type)."""
+    ints = _int_list(decomp.group, 4)
+
+    def pieces() -> Iterator[str]:
+        census = ",\n".join(f'    "{p}": {n}' for p, n in decomp.period_census.items())
+        yield _head(SHIFT_SCHEMA, decomp.group) + f'  "period_census": {{\n{census}\n  }},\n  "cycles": ['
+        sep = "\n    "
+        for c in decomp.cycles:
+            yield f'{sep}{{\n      "a_seq": {ints(c.a_seq)},\n      "type": "{c.cycle_type}"\n    }}'
+            sep = ",\n    "
+        yield "\n  ]\n}\n"
+    _write(out, pieces())
+
+
+def _text(write: Callable[[object, TextIO], None], obj: object) -> str:
+    buf = io.StringIO()
+    write(obj, buf)
+    return buf.getvalue()
 
 
 def _document_group(doc: dict, schema: str) -> FiniteGroup:
@@ -128,28 +177,34 @@ def _document_group(doc: dict, schema: str) -> FiniteGroup:
 def shift_from_json(doc: dict) -> ShiftDecomposition:
     """The decomposition a shift document records, recomputed and compared in full."""
     decomp = decompose(_document_group(doc, SHIFT_SCHEMA))
-    if doc != shift_to_json(decomp):
+    if doc != json.loads(_text(shift_to_json, decomp)):
         raise UsageError(f"document does not match the cycle decomposition of {decomp.group.name}")
     return decomp
 
 
-def tower_to_json(tower: TowerResult) -> dict:
-    levels = []
-    for lvl in tower.levels:
-        classes = [{"a_seq": list(cls.cycle.a_seq), "type": cls.cycle.cycle_type,
-                    "b": list(cls.b), "c_set": list(cs)}
-                   for cls, cs in zip(lvl.classes, lvl.braid_c)]
-        levels.append({"n": lvl.n, "class_count": lvl.class_count, "rep_count": lvl.rep_count,
-                       "classes": classes, "braid_class_count": lvl.braid_class_count,
-                       "braid_rep_count": lvl.braid_rep_count})
-    return {
-        "schema": TOWER_SCHEMA,
-        "group": tower.group.name,
-        "order": tower.group.order,
-        "indexing": "0-based",
-        "n_max": tower.n_max,
-        "levels": levels,
-    }
+def tower_to_json(tower: TowerResult, out: TextIO) -> None:
+    """Write the tower document of `tower` to `out`: schema, group, order,
+    indexing, n_max and levels (n, class and rep counts, classes with a_seq,
+    type, b and c_set, braid class and rep counts)."""
+    ints = _int_list(tower.group, 6)
+
+    def pieces() -> Iterator[str]:
+        yield _head(TOWER_SCHEMA, tower.group) + f'  "n_max": {tower.n_max},\n  "levels": ['
+        sep = "\n    "
+        for lvl in tower.levels:
+            yield (f'{sep}{{\n      "n": {lvl.n},\n      "class_count": {lvl.class_count},\n'
+                   f'      "rep_count": {lvl.rep_count},\n      "classes": [')
+            item = "\n        "
+            for cls, cs in zip(lvl.classes, lvl.braid_c):
+                yield (f'{item}{{\n          "a_seq": {ints(cls.cycle.a_seq)},\n'
+                       f'          "type": "{cls.cycle.cycle_type}",\n          "b": {ints(cls.b)},\n'
+                       f'          "c_set": {ints(cs)}\n        }}')
+                item = ",\n        "
+            yield (f'\n      ],\n      "braid_class_count": {lvl.braid_class_count},\n'
+                   f'      "braid_rep_count": {lvl.braid_rep_count}\n    }}')
+            sep = ",\n    "
+        yield "\n  ]\n}\n"
+    _write(out, pieces())
 
 
 def tower_from_json(doc: dict) -> TowerResult:
@@ -159,97 +214,9 @@ def tower_from_json(doc: dict) -> TowerResult:
     if type(n_max) is not int or not isinstance(levels, list):
         raise UsageError("tower document needs an integer n_max and a list of levels")
     tower = compute_tower(group, n_max)
-    if doc != tower_to_json(tower):
+    if doc != json.loads(_text(tower_to_json, tower)):
         raise UsageError(f"document does not match the tower over {group.name} to stage {n_max}")
     return tower
-
-
-_CHUNK = 1 << 16   # characters handed to `out.write` at a time
-_INTS = {int}
-
-
-class _IntLines(dict):
-    """`prefix + str(i)` for each int i, made on first use."""
-
-    def __init__(self, prefix: str) -> None:
-        super().__init__()
-        self.prefix = prefix
-
-    def __missing__(self, i: int) -> str:
-        line = self[i] = self.prefix + str(i)
-        return line
-
-
-def write_json(doc: object, out: TextIO) -> None:
-    """Write `doc` to `out` exactly as `print(json.dumps(doc, indent=2))` would.
-
-    The output is the same bytes, but it reaches `out` in writes of about
-    `_CHUNK` characters, so neither the whole text nor a list of all its
-    pieces is ever held.  A list of plain ints (the element handles of
-    `a_seq`, `b` and `c_set`) is one join over a per-depth table of
-    `"\n" + indent + str(i)` lines.  `doc` may hold dicts with str keys,
-    lists, str, int, bool and None; any other type raises `TypeError`.
-    """
-    pieces: list[str] = []
-    size = 0
-    int_lines: list[_IntLines] = []   # int_lines[d] serves list items at depth d
-
-    def emit(v: object, depth: int) -> None:
-        nonlocal size
-        t = type(v)
-        if t is dict:
-            if not v:
-                s = "{}"
-            else:
-                inner = "\n" + "  " * (depth + 1)
-                sep = "{" + inner
-                for k, item in v.items():
-                    if type(k) is not str:
-                        raise TypeError(f"keys must be str, not {type(k).__name__}")
-                    s = sep + encode_basestring_ascii(k) + ": "
-                    pieces.append(s)
-                    size += len(s)
-                    emit(item, depth + 1)
-                    sep = "," + inner
-                s = "\n" + "  " * depth + "}"
-        elif t is list:
-            if not v:
-                s = "[]"
-            elif set(map(type, v)) == _INTS:
-                while len(int_lines) <= depth + 1:
-                    int_lines.append(_IntLines("\n" + "  " * len(int_lines)))
-                s = "[" + ",".join(map(int_lines[depth + 1].__getitem__, v)) + "\n" + "  " * depth + "]"
-            else:
-                inner = "\n" + "  " * (depth + 1)
-                sep = "[" + inner
-                for item in v:
-                    pieces.append(sep)
-                    size += len(sep)
-                    emit(item, depth + 1)
-                    sep = "," + inner
-                s = "\n" + "  " * depth + "]"
-        elif t is str:
-            s = encode_basestring_ascii(v)
-        elif t is int:
-            s = str(v)
-        elif v is None:
-            s = "null"
-        elif v is True:
-            s = "true"
-        elif v is False:
-            s = "false"
-        else:
-            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-        pieces.append(s)
-        size += len(s)
-        if size >= _CHUNK:
-            out.write("".join(pieces))
-            pieces.clear()
-            size = 0
-
-    emit(doc, 0)
-    pieces.append("\n")
-    out.write("".join(pieces))
 
 
 # ---------------------------------------------------------------------------

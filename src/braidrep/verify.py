@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .analysis import perfect_core_census_match
 from .extension import TowerResult, compute_tower
 from .groups import FiniteGroup, element_order
-from .oracle import DEFAULT_BUDGET, brute_hom_Bn, brute_hom_Kn, engine_census_Bn, engine_census_Kn
+from .oracle import DEFAULT_BUDGET, brute_hom_Bn, brute_hom_Kn, check_budget, engine_census_Bn, engine_census_Kn
 
 __all__ = ["SuiteResult", "run_suites", "SUITE_NAMES"]
 
@@ -139,6 +139,7 @@ def _oracle_suite(tower: TowerResult, budget: int) -> SuiteResult:
 def run_suites(group: FiniteGroup, n: int, *, budget: int = DEFAULT_BUDGET,
                tower: TowerResult | None = None) -> list[SuiteResult]:
     """Run every named suite against a stage-n tower over the group."""
+    check_budget(budget)
     t = tower if tower is not None else compute_tower(group, n)
     results = [
         _census_suite(t),

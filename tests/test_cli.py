@@ -212,6 +212,15 @@ def test_verify_budget_exhaustion_exit_code(capsys):
     assert "resource limit" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_verify_budget_below_one_is_a_usage_error(capsys, monkeypatch, budget):
+    monkeypatch.setattr(cli, "parse_group_spec", lambda spec: pytest.fail("group parsed before the budget was checked"))
+    code, out, err = run_cli(capsys, "verify", "S3", "4", "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert f"error: relation-check budget must be at least 1, got {budget}" in err
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_suites",
                         lambda *a, **k: [SuiteResult("census", False, "forced")])

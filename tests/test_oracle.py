@@ -68,6 +68,16 @@ def test_budget_exhaustion(s3):
         brute_hom_Bn(s3, 3, budget=2)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_below_one_is_a_usage_error(s3, budget):
+    with pytest.raises(UsageError, match="at least 1"):
+        brute_hom_Kn(s3, 4, budget=budget)
+    with pytest.raises(UsageError, match="at least 1"):
+        brute_hom_Bn(s3, 3, budget=budget)
+    with pytest.raises(UsageError, match="at least 1"):
+        brute_hom_K3(s3, budget=budget)
+
+
 def test_stage_bounds(s3):
     with pytest.raises(UsageError):
         brute_hom_Kn(s3, 2)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import pathlib
 import subprocess
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 import braidrep.cli as cli
+from braidrep.report import tower_to_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -41,6 +43,16 @@ def test_cli_output_bytes_are_pinned(capsys, argv):
     assert cli.main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[argv]
+
+
+# sha256 of `tower S6 7 --format json`, the paper's headline computation
+S6_TOWER_SHA256 = "f9c69c044e4cbfc1ace67d5e7fef11feedfb52c00a0ec2eb192dcde8b47f2449"
+
+
+def test_headline_tower_document_is_pinned(tower_s6):
+    out = io.StringIO()
+    tower_to_json(tower_s6, out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == S6_TOWER_SHA256
 
 
 # headline counts per stage of S2..S5, as the script prints them

@@ -5,12 +5,11 @@ import csv
 import io
 import json
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from braidrep.errors import UsageError
+from braidrep.extension import compute_tower
+from braidrep.groups import SL2, CayleyTableGroup, SymmetricGroup, parse_group_spec
 from braidrep.report import (
     _CHUNK,
     SHIFT_SCHEMA,
@@ -28,12 +27,11 @@ from braidrep.report import (
     tower_from_json,
     tower_to_csv,
     tower_to_json,
-    write_json,
 )
-from braidrep.shift import decompose
+from braidrep.shift import Cycle, ShiftDecomposition, decompose
 from braidrep.verify import SUITE_NAMES, run_suites
 
-from conftest import golden_text
+from conftest import golden_text, relabelled
 
 
 # ---------------------------------------------------------------------------
@@ -80,16 +78,125 @@ def test_tower_lines_contain_counts(tower_s4):
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trips
+# the JSON documents, against a reference built as dicts
+# ---------------------------------------------------------------------------
+
+def _shift_reference(decomp):
+    return {
+        "schema": SHIFT_SCHEMA,
+        "group": decomp.group.name,
+        "order": decomp.group.order,
+        "indexing": "0-based",
+        "period_census": {str(p): n for p, n in decomp.period_census.items()},
+        "cycles": [{"a_seq": list(c.a_seq), "type": c.cycle_type} for c in decomp.cycles],
+    }
+
+
+def _tower_reference(tower):
+    levels = []
+    for lvl in tower.levels:
+        classes = [{"a_seq": list(cls.cycle.a_seq), "type": cls.cycle.cycle_type,
+                    "b": list(cls.b), "c_set": list(cs)}
+                   for cls, cs in zip(lvl.classes, lvl.braid_c)]
+        levels.append({"n": lvl.n, "class_count": lvl.class_count, "rep_count": lvl.rep_count,
+                       "classes": classes, "braid_class_count": lvl.braid_class_count,
+                       "braid_rep_count": lvl.braid_rep_count})
+    return {
+        "schema": TOWER_SCHEMA,
+        "group": tower.group.name,
+        "order": tower.group.order,
+        "indexing": "0-based",
+        "n_max": tower.n_max,
+        "levels": levels,
+    }
+
+
+def _rendered(write, obj) -> str:
+    out = io.StringIO()
+    write(obj, out)
+    return out.getvalue()
+
+
+def _doc(write, obj) -> dict:
+    return json.loads(_rendered(write, obj))
+
+
+def _odd_name_group():
+    """Z3 under a name that JSON must escape."""
+    table = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    return CayleyTableGroup(table, name='Z3 "odd" \\ caf\u00e9 \u2028')
+
+
+# (label, fixture holding a stage-6 tower or None, group factory)
+_DOCUMENT_GROUPS = [
+    ("S1", None, lambda: SymmetricGroup(1)),
+    ("S2", "tower_s2", None),
+    ("S3", "tower_s3", None),
+    ("S4", "tower_s4", None),
+    ("S5", "tower_s5", None),
+    ("SL2(3)", None, lambda: SL2(3)),
+    ("SL2(5)", None, lambda: SL2(5)),
+    ("Z1", None, lambda: parse_group_spec("Z1")),
+    ("Z2xZ4xZ5", None, lambda: parse_group_spec("Z2xZ4xZ5")),
+    *((f"S4-seed{seed}", None, lambda seed=seed: relabelled(SymmetricGroup(4), seed)) for seed in (1, 2, 3)),
+    ("odd-name", None, _odd_name_group),
+]
+
+
+@pytest.fixture(scope="module", params=_DOCUMENT_GROUPS, ids=[label for label, *_ in _DOCUMENT_GROUPS])
+def document_tower(request):
+    _, fixture, make = request.param
+    return request.getfixturevalue(fixture) if fixture else compute_tower(make(), 6)
+
+
+def test_shift_document_is_json_dumps_of_the_reference(document_tower):
+    d = document_tower.decomposition
+    assert _rendered(shift_to_json, d) == json.dumps(_shift_reference(d), indent=2) + "\n"
+
+
+def test_tower_document_is_json_dumps_of_the_reference(document_tower):
+    assert _rendered(tower_to_json, document_tower) == json.dumps(_tower_reference(document_tower), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("handle", [-1, 6])
+def test_a_handle_outside_the_group_raises(s3, handle):
+    d = decompose(s3)
+    bad = ShiftDecomposition(s3, [*d.cycles[:-1], Cycle((handle,), "I")], d.period_census, d._cycle_id)
+    with pytest.raises(KeyError):
+        shift_to_json(bad, io.StringIO())
+
+
+class _Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_documents_stream_in_chunks(tower_s5):
+    for write, obj, reference in [(shift_to_json, decompose(SL2(7)), _shift_reference),
+                                  (tower_to_json, tower_s5, _tower_reference)]:
+        expected = json.dumps(reference(obj), indent=2) + "\n"
+        assert len(expected) > 8 * _CHUNK
+        out = _Recorder()
+        write(obj, out)
+        assert len(out.writes) > 1
+        assert max(map(len, out.writes)) < 2 * _CHUNK
+        assert "".join(out.writes) == expected
+
+
+# ---------------------------------------------------------------------------
+# loading documents back
 # ---------------------------------------------------------------------------
 
 def test_shift_json_roundtrip(s3):
     d = decompose(s3)
-    doc = shift_to_json(d)
+    doc = _doc(shift_to_json, d)
     assert doc["schema"] == SHIFT_SCHEMA
     assert doc["indexing"] == "0-based"
-    restored = shift_from_json(json.loads(json.dumps(doc)))
-    assert shift_to_json(restored) == doc
+    restored = shift_from_json(doc)
+    assert _rendered(shift_to_json, restored) == _rendered(shift_to_json, d)
     for v0 in s3.elements():
         for v1 in s3.elements():
             c1, k1 = d.phase_of((v0, v1))
@@ -98,7 +205,7 @@ def test_shift_json_roundtrip(s3):
 
 
 def test_shift_json_rejects_bad_documents(s3):
-    doc = shift_to_json(decompose(s3))
+    doc = _doc(shift_to_json, decompose(s3))
     with pytest.raises(UsageError):
         shift_from_json({**doc, "schema": "something.else"})
     with pytest.raises(UsageError):
@@ -114,43 +221,43 @@ def _with_cycle(doc, k, a_seq):
 
 
 def test_shift_json_rejects_an_extra_overlapping_cycle(s3):
-    doc = shift_to_json(decompose(s3))
+    doc = _doc(shift_to_json, decompose(s3))
     with pytest.raises(UsageError):
         shift_from_json({**doc, "cycles": doc["cycles"] + [doc["cycles"][1]]})
 
 
 def test_shift_json_rejects_a_false_census(s3):
-    doc = shift_to_json(decompose(s3))
+    doc = _doc(shift_to_json, decompose(s3))
     census = {**doc["period_census"], "1": 2}
     with pytest.raises(UsageError):
         shift_from_json({**doc, "period_census": census})
 
 
 def test_shift_json_rejects_a_reversed_sequence(s3):
-    doc = shift_to_json(decompose(s3))
+    doc = _doc(shift_to_json, decompose(s3))
     assert doc["cycles"][3]["a_seq"] == [0, 3, 3, 0, 4, 4]
     with pytest.raises(UsageError):
         shift_from_json(_with_cycle(doc, 3, [4, 4, 0, 3, 3, 0]))
 
 
 def test_shift_json_rejects_an_out_of_range_handle(s3):
-    doc = shift_to_json(decompose(s3))
+    doc = _doc(shift_to_json, decompose(s3))
     with pytest.raises(UsageError):
         shift_from_json(_with_cycle(doc, 1, [0, 1, 99]))
 
 
 def test_tower_json_roundtrip(tower_s3):
-    doc = tower_to_json(tower_s3)
+    doc = _doc(tower_to_json, tower_s3)
     assert doc["schema"] == TOWER_SCHEMA
-    restored = tower_from_json(json.loads(json.dumps(doc)))
-    assert tower_to_json(restored) == doc
+    restored = tower_from_json(doc)
+    assert _rendered(tower_to_json, restored) == _rendered(tower_to_json, tower_s3)
     for n in (3, 4, 5):
         assert restored.level(n).rep_count == tower_s3.level(n).rep_count
         assert restored.level(n).braid_rep_count == tower_s3.level(n).braid_rep_count
 
 
 def test_tower_json_rejects_wrong_schema(tower_s3):
-    doc = tower_to_json(tower_s3)
+    doc = _doc(tower_to_json, tower_s3)
     with pytest.raises(UsageError):
         tower_from_json({**doc, "schema": SHIFT_SCHEMA})
 
@@ -162,7 +269,7 @@ def _with_level(doc, n, **fields):
 
 
 def test_tower_json_rejects_an_inadmissible_image(tower_s3):
-    doc = tower_to_json(tower_s3)
+    doc = _doc(tower_to_json, tower_s3)
     classes = [dict(c) for c in doc["levels"][1]["classes"]]
     classes[0]["b"] = [99]
     with pytest.raises(UsageError):
@@ -170,68 +277,16 @@ def test_tower_json_rejects_an_inadmissible_image(tower_s3):
 
 
 def test_tower_json_rejects_a_wrong_class_count(tower_s3):
-    doc = tower_to_json(tower_s3)
+    doc = _doc(tower_to_json, tower_s3)
     with pytest.raises(UsageError):
         tower_from_json(_with_level(doc, 4, class_count=doc["levels"][1]["class_count"] + 1))
 
 
 def test_loaded_tower_runs_the_verify_suites(s3, tower_s3):
-    restored = tower_from_json(json.loads(json.dumps(tower_to_json(tower_s3))))
+    restored = tower_from_json(_doc(tower_to_json, tower_s3))
     results = run_suites(restored.group, restored.n_max, tower=restored)
     assert [res.name for res in results][:len(SUITE_NAMES)] == SUITE_NAMES
     assert all(res.ok for res in results)
-
-
-# ---------------------------------------------------------------------------
-# the streamed JSON writer
-# ---------------------------------------------------------------------------
-
-class _Recorder:
-    def __init__(self):
-        self.writes = []
-
-    def write(self, text):
-        self.writes.append(text)
-
-
-def _written(doc) -> str:
-    out = io.StringIO()
-    write_json(doc, out)
-    return out.getvalue()
-
-
-_tricky_text = st.text() | st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\t\n\r", "\u00e9\u2028\U0001f600", "\ud800"])
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(min_value=-10**30, max_value=10**30) | _tricky_text,
-    lambda inner: (st.lists(inner, max_size=6)
-                   | st.lists(st.integers(min_value=0, max_value=40), max_size=8)
-                   | st.dictionaries(_tricky_text, inner, max_size=6)),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_json_values)
-def test_write_json_matches_json_dumps(doc):
-    assert _written(doc) == json.dumps(doc, indent=2) + "\n"
-
-
-def test_write_json_streams_in_chunks():
-    doc = {"cycles": [{"a_seq": list(range(k, k + 50)), "type": "II", "b": []} for k in range(2000)]}
-    expected = json.dumps(doc, indent=2) + "\n"
-    assert len(expected) > 8 * _CHUNK
-    out = _Recorder()
-    write_json(doc, out)
-    assert len(out.writes) > 1
-    assert max(map(len, out.writes)) < 2 * _CHUNK
-    assert "".join(out.writes) == expected
-
-
-@pytest.mark.parametrize("doc", [1.5, {"x": [0.25]}, np.int64(3), [1, np.int64(2), 3], {"n": np.int32(7)}],
-                         ids=["float", "nested-float", "numpy-int", "numpy-int-in-int-list", "numpy-int-value"])
-def test_write_json_rejects_types_no_document_holds(doc):
-    with pytest.raises(TypeError):
-        write_json(doc, _Recorder())
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import pytest
 
-from braidrep.errors import ResourceLimitError
+import braidrep.verify as verify
+from braidrep.errors import ResourceLimitError, UsageError
 from braidrep.verify import SUITE_NAMES, run_suites
 
 
@@ -49,6 +50,12 @@ def test_large_group_skips_oracle(sl23):
 def test_budget_propagates(s3):
     with pytest.raises(ResourceLimitError):
         run_suites(s3, 4, budget=10)
+
+
+def test_budget_below_one_is_refused_before_the_tower(s3, monkeypatch):
+    monkeypatch.setattr(verify, "compute_tower", lambda *a: pytest.fail("tower computed before the budget was checked"))
+    with pytest.raises(UsageError, match="at least 1"):
+        run_suites(s3, 4, budget=0)
 
 
 def test_suites_on_abelian_group(z6, tower_z6):
