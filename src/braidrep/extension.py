@@ -1,8 +1,8 @@
 """Extending cycle representations up the tower K_3 -> K_4 -> ... and to braid groups.
 
 A class at stage n is a cycle together with images b_3, ..., b_{n-1} of the
-extra generators, held as its phase-0 Representation; it stands for the
-cycle-length many representations obtained by choosing a phase.  Admissible
+extra generators; it stands for the cycle-length many representations obtained
+by choosing a phase.  A TowerLevel holds a stage's classes as arrays.  Admissible
 images are found by exhaustive scans of the group, filtered relation by
 relation; structural facts that must hold for the results (identity
 membership, forced triviality, order constraints) are re-checked on the way
@@ -25,9 +25,9 @@ The relations used, with mul(g, h) meaning "h first, then g":
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -295,27 +295,46 @@ def _conjugation_orbits(decomp: ShiftDecomposition) -> _Orbits:
 
 @dataclass(eq=False)
 class TowerLevel:
-    """All classes at one stage n, each with its sorted set of braid extensions c."""
+    """All classes at one stage n, as arrays, each class with its sorted set of
+    braid extensions c.
+
+    Class i is the phase-0 representation of cycle `cycle_ids[i]` (an index
+    into the decomposition's cycles) with images `b[i]` (a row of n - 3
+    handles); its c set is the i-th run of `c`, `c_count[i]` handles long,
+    sorted.  Classes are ordered by (rep vertex, b).  The four counts are
+    computed once, at build.  `classes` and `braid_c` are the same data as
+    Representation objects and tuples of ints, built on first read.
+    """
 
     n: int
-    classes: list[Representation]
-    braid_c: list[tuple[int, ...]]
+    decomposition: ShiftDecomposition = field(repr=False)
+    cycle_ids: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
+    c: np.ndarray = field(repr=False)
+    c_count: np.ndarray = field(repr=False)
+    class_count: int = field(init=False)
+    rep_count: int = field(init=False)
+    braid_class_count: int = field(init=False)
+    braid_rep_count: int = field(init=False)
 
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
+    def __post_init__(self) -> None:
+        period = self.decomposition.lengths[self.cycle_ids]
+        self.class_count = len(self.cycle_ids)
+        self.rep_count = int(period.sum())
+        self.braid_class_count = int(self.c_count.sum())
+        self.braid_rep_count = int(period @ self.c_count)
 
-    @property
-    def rep_count(self) -> int:
-        return sum(cls.period for cls in self.classes)
+    @cached_property
+    def classes(self) -> tuple[Representation, ...]:
+        group, cycles = self.decomposition.group, self.decomposition.cycles
+        return tuple(Representation(group, cycles[i], 0, tuple(b))
+                     for i, b in zip(self.cycle_ids.tolist(), self.b.tolist()))
 
-    @property
-    def braid_class_count(self) -> int:
-        return sum(len(cs) for cs in self.braid_c)
-
-    @property
-    def braid_rep_count(self) -> int:
-        return sum(cls.period * len(cs) for cls, cs in zip(self.classes, self.braid_c))
+    @cached_property
+    def braid_c(self) -> tuple[tuple[int, ...], ...]:
+        c = self.c.tolist()
+        ends = np.cumsum(self.c_count).tolist()
+        return tuple(tuple(c[i:j]) for i, j in zip([0, *ends], ends))
 
 
 @dataclass(eq=False)
@@ -337,7 +356,9 @@ class TowerResult:
 
     def is_trivial_at(self, n: int) -> bool:
         lvl = self.level(n)
-        return lvl.class_count == 1 and lvl.classes[0].is_trivial()
+        e = self.group.identity
+        return bool(lvl.class_count == 1 and lvl.cycle_ids[0] == self.decomposition.cycle_index(e, e)
+                    and (lvl.b == e).all())
 
 
 def compute_tower(
@@ -375,21 +396,6 @@ def compute_tower(
     return TowerResult(group, decomp, levels)
 
 
-def _conjugated_rows(group: FiniteGroup, values: list, row_class: np.ndarray,
-                     t: np.ndarray, *, sort: bool) -> list[tuple[int, ...]]:
-    """Row i is values[row_class[i]] conjugated by t[i], sorted if asked."""
-    lengths = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
-    row_len = lengths[row_class]
-    row = np.repeat(np.arange(len(row_class)), row_len)
-    flat = np.fromiter(chain.from_iterable(values), dtype=np.int64)
-    out = _conjugate(group, t[row], flat[_ranges((np.cumsum(lengths) - lengths)[row_class], row_len)])
-    if sort:
-        out = out[np.lexsort((out, row))]
-    out = out.tolist()
-    ends = np.cumsum(row_len).tolist()
-    return [tuple(out[i:j]) for i, j in zip([0] + ends, ends)]
-
-
 def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, n: int,
                        reps: list[tuple[int, Representation]]) -> TowerLevel:
     """Stage n over every cycle: each (orbit, class) of an orbit's first cycle,
@@ -400,13 +406,19 @@ def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, n: int,
     row_class = np.repeat(np.arange(len(reps)), size)
     pos = _ranges(orbits.start[ks], size)
     t = orbits.transporters[pos]
-    bs = _conjugated_rows(group, [cls.b for _, cls in reps], row_class, t, sort=False)
-    cs = _conjugated_rows(group, [extend_to_braid(cls) for _, cls in reps], row_class, t, sort=True)
+    base_b = np.array([cls.b for _, cls in reps], dtype=np.int64).reshape(len(reps), n - 3)
+    b = _conjugate(group, t[:, None], base_b[row_class])
     # decompose numbers the cycles in lex order of their rep vertices, so this
     # is the order by (rep vertex, b)
-    entries = sorted(zip(orbits.ids[pos].tolist(), bs, cs), key=itemgetter(0, 1))
-    classes = [Representation(group, decomp.cycles[cid], 0, b) for cid, b, _ in entries]
-    return TowerLevel(n, classes, [c for *_, c in entries])
+    order = np.lexsort((*b.T[::-1], orbits.ids[pos]))
+    row_class, t = row_class[order], t[order]
+    base_c = [extend_to_braid(cls) for _, cls in reps]
+    base_count = np.fromiter(map(len, base_c), dtype=np.int64, count=len(base_c))
+    c_count = base_count[row_class]
+    row = np.repeat(np.arange(row_class.size), c_count)
+    flat = np.fromiter(chain.from_iterable(base_c), dtype=np.int64, count=int(base_count.sum()))
+    c = _conjugate(group, t[row], flat[_ranges((np.cumsum(base_count) - base_count)[row_class], c_count)])
+    return TowerLevel(n, decomp, orbits.ids[pos[order]], b[order], c[np.lexsort((c, row))], c_count)
 
 
 def hom_Bn_when_Kn_trivial(group: FiniteGroup, n: int, tower: TowerResult | None = None) -> int:

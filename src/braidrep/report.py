@@ -4,12 +4,16 @@ Bracket notation and CSV display element handles 1-based (for symmetric groups
 that is the lexicographic rank of the permutation); JSON carries the internal
 0-based handles and says so in its "indexing" field.
 
-The shift and tower JSON documents are written straight from the engine's
-objects, as exactly the text `print(json.dumps(doc, indent=2))` prints for the
-equivalent dict: keys and indentation are literals, each list of element
-handles is one join over a table of pre-indented lines keyed by handle, and
-the text reaches the stream in writes of about `_CHUNK` characters.  The
-loaders parse that same text to compare, so each document has one definition.
+The shift and tower JSON documents are written straight from the cycles and
+the tower's arrays, as exactly the text `print(json.dumps(doc, indent=2))`
+prints for the equivalent dict.  Each document has one table of lines: every
+handle as the first item of a list and as a later, comma-led item,
+pre-indented, plus the document's framing literals.  Each block of up to
+`_BLOCK` cycles or classes becomes one int array of codes into that table,
+which is joined in pieces of at most `_CHUNK` characters; a handle outside the
+group raises KeyError.  Only the per-level headers are formatted one by one.
+The loaders parse that same text to compare, so each document has one
+definition.
 """
 from __future__ import annotations
 
@@ -17,11 +21,14 @@ import csv
 import io
 import json
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import TextIO
 
+import numpy as np
+
 from .errors import UsageError
-from .extension import TowerResult, compute_tower
+from .extension import TowerLevel, TowerResult, _ranges, compute_tower
 from .groups import FiniteGroup, parse_group_spec
 from .shift import Cycle, ShiftDecomposition, decompose
 
@@ -107,6 +114,7 @@ def normalize_tokens(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 16   # characters handed to `out.write` at a time
+_BLOCK = 4096      # cycles or classes turned into one code array
 
 
 def _write(out: TextIO, pieces: Iterable[str]) -> None:
@@ -123,35 +131,81 @@ def _write(out: TextIO, pieces: Iterable[str]) -> None:
     out.write("".join(batch))
 
 
-def _int_list(group: FiniteGroup, depth: int) -> Callable[[Sequence[int]], str]:
-    """Renders a sequence of the group's handles as a JSON list whose items sit
-    at `depth`.  Each item is one line of a table keyed by handle, so a handle
-    outside 0..order-1 raises KeyError."""
-    line = {h: "\n" + "  " * depth + str(h) for h in range(group.order)}.__getitem__
-    close = "\n" + "  " * (depth - 1) + "]"
-
-    def render(seq: Sequence[int]) -> str:
-        return "[" + ",".join(map(line, seq)) + close if seq else "[]"
-    return render
-
-
 def _head(schema: str, group: FiniteGroup) -> str:
     return (f'{{\n  "schema": "{schema}",\n  "group": {encode_basestring_ascii(group.name)},\n'
             f'  "order": {group.order},\n  "indexing": "0-based",\n')
 
 
+class _CodeTable:
+    """The lines of one document, numbered.
+
+    Codes 0..m-1 are the group's handles as the first item of a JSON list whose
+    items sit at `depth`, codes m..2m-1 the same handles as later items (led by
+    a comma), and code 2m + k is the framing literal literals[k].  A run of
+    document text is an int array of codes.
+    """
+
+    def __init__(self, group: FiniteGroup, depth: int, literals: Sequence[str]) -> None:
+        first = ["\n" + "  " * depth + str(h) for h in range(group.order)]
+        self.order = group.order
+        self.lines = np.array([*first, *("," + s for s in first), *literals], dtype=object)
+        # codes per piece, so that one piece holds at most _CHUNK characters
+        self.step = _CHUNK // max(map(len, self.lines))
+
+    def literal(self, k) -> np.ndarray:
+        return 2 * self.order + np.asarray(k, dtype=np.int64)
+
+    def items(self, flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The codes of handle lists laid end to end in `flat`, counts[i] items
+        in list i.  A handle outside 0..m-1 raises KeyError."""
+        bad = (flat < 0) | (flat >= self.order)
+        if bad.any():
+            raise KeyError(int(flat[bad][0]))
+        codes = flat.astype(np.int64) + self.order
+        codes[(np.cumsum(counts) - counts)[counts > 0]] -= self.order
+        return codes
+
+    def text(self, parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
+        """The text of a block of rows, in pieces of at most _CHUNK characters.
+
+        Each part is (codes, counts), its runs laid end to end, one run per
+        row: row i is part 0's run i, then part 1's run i, and so on.
+        """
+        counts = np.stack([n for _, n in parts], axis=1)
+        start = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+        codes = np.empty(int(counts.sum()), dtype=np.int64)
+        for j, (part, n) in enumerate(parts):
+            codes[_ranges(start[:, j], n)] = part
+        for i in range(0, codes.size, self.step):
+            yield "".join(self.lines[codes[i:i + self.step]].tolist())
+
+
+def _cycle_arrays(cycles: Sequence[Cycle], lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cycles' a_seqs laid end to end, and their type-II flags."""
+    flat = np.fromiter(chain.from_iterable(c.a_seq for c in cycles), dtype=np.int32, count=int(lengths.sum()))
+    type_II = np.fromiter((c.cycle_type == "II" for c in cycles), dtype=np.int64, count=len(cycles))
+    return flat, type_II
+
+
 def shift_to_json(decomp: ShiftDecomposition, out: TextIO) -> None:
     """Write the shift document of `decomp` to `out`: schema, group, order,
     indexing, period_census (period -> cycle count) and cycles (a_seq, type)."""
-    ints = _int_list(decomp.group, 4)
+    table = _CodeTable(decomp.group, 4, [
+        *(f'{sep}{{\n      "a_seq": [' for sep in ("\n    ", ",\n    ")),   # 0, 1: open, first or later
+        *(f'\n      ],\n      "type": "{t}"\n    }}' for t in ("I", "II")),  # 2, 3: close, by type
+    ])
 
     def pieces() -> Iterator[str]:
         census = ",\n".join(f'    "{p}": {n}' for p, n in decomp.period_census.items())
         yield _head(SHIFT_SCHEMA, decomp.group) + f'  "period_census": {{\n{census}\n  }},\n  "cycles": ['
-        sep = "\n    "
-        for c in decomp.cycles:
-            yield f'{sep}{{\n      "a_seq": {ints(c.a_seq)},\n      "type": "{c.cycle_type}"\n    }}'
-            sep = ",\n    "
+        for i in range(0, len(decomp.cycles), _BLOCK):
+            lengths = decomp.lengths[i:i + _BLOCK]
+            flat, type_II = _cycle_arrays(decomp.cycles[i:i + _BLOCK], lengths)
+            one = np.ones_like(lengths)
+            opens = one.copy()
+            opens[0] = i > 0
+            yield from table.text([(table.literal(opens), one), (table.items(flat, lengths), lengths),
+                                   (table.literal(2 + type_II), one)])
         yield "\n  ]\n}\n"
     _write(out, pieces())
 
@@ -186,7 +240,43 @@ def tower_to_json(tower: TowerResult, out: TextIO) -> None:
     """Write the tower document of `tower` to `out`: schema, group, order,
     indexing, n_max and levels (n, class and rep counts, classes with a_seq,
     type, b and c_set, braid class and rep counts)."""
-    ints = _int_list(tower.group, 6)
+    end = "\n          ]"
+    table = _CodeTable(tower.group, 6, [
+        # 0, 1: open, first class of its level or later
+        *(f'{sep}{{\n          "a_seq": [' for sep in ("\n        ", ",\n        ")),
+        # 2-5: after a_seq, by type and by whether b has items
+        *(f'{end},\n          "type": "{t}",\n          "b": {lst}' for t in ("I", "II") for lst in ("[]", "[")),
+        # 6-9: after b, by whether b and c_set have items
+        *(f'{b_end},\n          "c_set": {lst}' for b_end in ("", end) for lst in ("[]", "[")),
+        # 10, 11: close, by whether c_set has items
+        *(f'{c_end}\n        }}' for c_end in ("", end)),
+    ])
+    decomp = tower.decomposition
+    a_flat, cycle_type_II = _cycle_arrays(decomp.cycles, decomp.lengths)
+    a_start = np.cumsum(decomp.lengths) - decomp.lengths
+
+    def level_pieces(lvl: TowerLevel) -> Iterator[str]:
+        width = lvl.n - 3
+        c_start = np.concatenate([[0], np.cumsum(lvl.c_count)])
+        for i in range(0, lvl.class_count, _BLOCK):
+            j = min(i + _BLOCK, lvl.class_count)
+            ids = lvl.cycle_ids[i:j]
+            lengths = decomp.lengths[ids]
+            one = np.ones_like(lengths)
+            b_count = np.full_like(lengths, width)
+            c_count = lvl.c_count[i:j]
+            has_b, has_c = int(width > 0), (c_count > 0).astype(np.int64)
+            opens = one.copy()
+            opens[0] = i > 0
+            yield from table.text([
+                (table.literal(opens), one),
+                (table.items(a_flat[_ranges(a_start[ids], lengths)], lengths), lengths),
+                (table.literal(2 + 2 * cycle_type_II[ids] + has_b), one),
+                (table.items(lvl.b[i:j].ravel(), b_count), b_count),
+                (table.literal(6 + 2 * has_b + has_c), one),
+                (table.items(lvl.c[c_start[i]:c_start[j]], c_count), c_count),
+                (table.literal(10 + has_c), one),
+            ])
 
     def pieces() -> Iterator[str]:
         yield _head(TOWER_SCHEMA, tower.group) + f'  "n_max": {tower.n_max},\n  "levels": ['
@@ -194,12 +284,7 @@ def tower_to_json(tower: TowerResult, out: TextIO) -> None:
         for lvl in tower.levels:
             yield (f'{sep}{{\n      "n": {lvl.n},\n      "class_count": {lvl.class_count},\n'
                    f'      "rep_count": {lvl.rep_count},\n      "classes": [')
-            item = "\n        "
-            for cls, cs in zip(lvl.classes, lvl.braid_c):
-                yield (f'{item}{{\n          "a_seq": {ints(cls.cycle.a_seq)},\n'
-                       f'          "type": "{cls.cycle.cycle_type}",\n          "b": {ints(cls.b)},\n'
-                       f'          "c_set": {ints(cs)}\n        }}')
-                item = ",\n        "
+            yield from level_pieces(lvl)
             yield (f'\n      ],\n      "braid_class_count": {lvl.braid_class_count},\n'
                    f'      "braid_rep_count": {lvl.braid_rep_count}\n    }}')
             sep = ",\n    "

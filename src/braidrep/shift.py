@@ -9,6 +9,7 @@ are exactly the vertices on the cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,11 @@ class ShiftDecomposition:
     @property
     def rep_count(self) -> int:
         return self.group.order ** 2
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """The length of every cycle, in the order of `cycles`."""
+        return np.fromiter(map(len, (c.a_seq for c in self.cycles)), dtype=np.int64, count=len(self.cycles))
 
     @property
     def trivial_cycle(self) -> Cycle:

@@ -306,6 +306,22 @@ def test_tower_equals_exhaustive_scan(name):
     assert ours == _exhaustive_levels(group, 6)
 
 
+@pytest.mark.parametrize("make", [lambda: relabelled(SymmetricGroup(5), 4), lambda: SL2(5)],
+                         ids=["S5-relabelled-4", "SL2(5)"])
+def test_classes_are_ordered_by_rep_vertex_then_b(make):
+    tower = compute_tower(make(), 6)
+    ties = long_runs = 0
+    for lvl in tower.levels:
+        keys = [(cls.cycle.rep_vertex, cls.b) for cls in lvl.classes]
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+        ties += sum(x[0] == y[0] for x, y in zip(keys, keys[1:]))
+        for cs in lvl.braid_c:
+            assert all(x < y for x, y in zip(cs, cs[1:]))
+            long_runs += len(cs) > 1
+    # the order was tested on cycles with several classes and on several c
+    assert ties and long_runs
+
+
 # an abelian group conjugates trivially: its 270 cycles are 270 orbits; the
 # trivial group has no generators at all
 @pytest.mark.parametrize("spec,orbits", [("S1", 1), ("S4", 17), ("S5", 55), ("Z2xZ4xZ5", 270)])

@@ -1,6 +1,7 @@
 """Byte-exact CLI documents and the table-reproduction script."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import os
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 import braidrep.cli as cli
+from braidrep.extension import TowerResult
 from braidrep.report import tower_to_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -53,6 +55,21 @@ def test_headline_tower_document_is_pinned(tower_s6):
     out = io.StringIO()
     tower_to_json(tower_s6, out)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == S6_TOWER_SHA256
+
+
+def test_headline_path_builds_no_class_objects(tower_s6):
+    # fresh levels, because other tests read the fixture's class views
+    tower = TowerResult(tower_s6.group, tower_s6.decomposition,
+                        [dataclasses.replace(lvl) for lvl in tower_s6.levels])
+    out = io.StringIO()
+    tower_to_json(tower, out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == S6_TOWER_SHA256
+    assert tower.is_trivial_at(7) and not tower.is_trivial_at(6)
+    assert [(lvl.class_count, lvl.rep_count, lvl.braid_class_count, lvl.braid_rep_count)
+            for lvl in tower.levels] == [(lvl.class_count, lvl.rep_count, lvl.braid_class_count,
+                                          lvl.braid_rep_count) for lvl in tower_s6.levels]
+    for lvl in tower.levels:
+        assert "classes" not in vars(lvl) and "braid_c" not in vars(lvl)
 
 
 # headline counts per stage of S2..S5, as the script prints them

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
 from braidrep.errors import UsageError
-from braidrep.extension import compute_tower
+from braidrep.extension import TowerResult, compute_tower
 from braidrep.groups import SL2, CayleyTableGroup, SymmetricGroup, parse_group_spec
 from braidrep.report import (
     _CHUNK,
@@ -158,12 +159,32 @@ def test_tower_document_is_json_dumps_of_the_reference(document_tower):
     assert _rendered(tower_to_json, document_tower) == json.dumps(_tower_reference(document_tower), indent=2) + "\n"
 
 
+def test_stored_counts_equal_the_sums_over_the_views(document_tower):
+    for lvl in document_tower.levels:
+        assert lvl.class_count == len(lvl.classes) == len(lvl.braid_c)
+        assert lvl.rep_count == sum(cls.period for cls in lvl.classes)
+        assert lvl.braid_class_count == sum(len(cs) for cs in lvl.braid_c)
+        assert lvl.braid_rep_count == sum(cls.period * len(cs) for cls, cs in zip(lvl.classes, lvl.braid_c))
+
+
 @pytest.mark.parametrize("handle", [-1, 6])
 def test_a_handle_outside_the_group_raises(s3, handle):
     d = decompose(s3)
     bad = ShiftDecomposition(s3, [*d.cycles[:-1], Cycle((handle,), "I")], d.period_census, d._cycle_id)
     with pytest.raises(KeyError):
         shift_to_json(bad, io.StringIO())
+
+
+@pytest.mark.parametrize("field", ["b", "c"])
+@pytest.mark.parametrize("handle", [-1, 6])
+def test_a_tower_handle_outside_the_group_raises(tower_s3, field, handle):
+    lvl = tower_s3.level(4)
+    values = getattr(lvl, field).copy()
+    assert values.size
+    values.flat[-1] = handle
+    levels = [dataclasses.replace(lvl, **{field: values}) if lvl.n == 4 else lvl for lvl in tower_s3.levels]
+    with pytest.raises(KeyError):
+        tower_to_json(TowerResult(tower_s3.group, tower_s3.decomposition, levels), io.StringIO())
 
 
 class _Recorder:
