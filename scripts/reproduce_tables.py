@@ -47,7 +47,7 @@ def main() -> None:
     print()
     print(f"type-I:  {len(type1)} cycles, {sum(c.length for c in type1)} representations")
     print(f"type-II: {len(type2)} cycles, {sum(c.length for c in type2)} representations")
-    print(f"total:   {sum(c.length for c in d4.cycles)} representations")
+    print(f"total:   {d4.lengths.sum()} representations")
 
     banner("Nontrivial b3 extensions over S4 (n = 4, r = 4)")
     tower_s4 = compute_tower(s4, 6, decomposition=d4)

@@ -71,9 +71,8 @@ def _cmd_shift(args: argparse.Namespace, group: FiniteGroup) -> None:
     if args.type2 and args.format != "paper":
         raise UsageError(f"--type2 needs the paper format, not --format {args.format}")
     decomp = decompose(group)
-    cycles = decomp.type_II() if args.type2 else decomp.cycles
     if args.count_only:
-        print(len(cycles))
+        print(int((~decomp.is_type_I).sum()) if args.type2 else decomp.lengths.size)
     elif args.format == "paper":
         print("\n".join(report.paper_shift_lines(decomp, type2_only=args.type2)))
     elif args.format == "json":

@@ -246,9 +246,8 @@ def _conjugation_orbits(decomp: ShiftDecomposition) -> _Orbits:
     member.
     """
     group = decomp.group
-    cycles = decomp.cycles
-    n = len(cycles)
-    a0, a1 = np.array([c.rep_vertex for c in cycles], dtype=np.int64).reshape(n, 2).T
+    n = decomp.lengths.size
+    a0, a1 = decomp.rep_vertices(np.arange(n))
 
     def cycle_of(t, cid: np.ndarray) -> np.ndarray:
         """Cycle ids of t v t^-1 for v the rep vertex of cycle cid[k]."""
@@ -380,7 +379,7 @@ def compute_tower(
     orbits = _conjugation_orbits(decomp)
     # (orbit, class) over each orbit's first cycle, stage by stage; the
     # trivial class extends only by the identity, to the trivial chain
-    current = [(k, Representation(group, decomp.cycles[first]))
+    current = [(k, Representation(group, decomp.cycle(first)))
                for k, first in enumerate(orbits.ids[orbits.start[:-1]].tolist())]
     stages = [current]
     for n in range(4, n_max + 1):

@@ -4,16 +4,16 @@ Bracket notation and CSV display element handles 1-based (for symmetric groups
 that is the lexicographic rank of the permutation); JSON carries the internal
 0-based handles and says so in its "indexing" field.
 
-The shift and tower JSON documents are written straight from the cycles and
-the tower's arrays, as exactly the text `print(json.dumps(doc, indent=2))`
-prints for the equivalent dict.  Each document has one table of lines: every
-handle as the first item of a list and as a later, comma-led item,
-pre-indented, plus the document's framing literals.  Each block of up to
-`_BLOCK` cycles or classes becomes one int array of codes into that table,
-which is joined in pieces of at most `_CHUNK` characters; a handle outside the
-group raises KeyError.  Only the per-level headers are formatted one by one.
-The loaders parse that same text to compare, so each document has one
-definition.
+The shift and tower JSON documents are written straight from the
+decomposition's and the tower's arrays, as exactly the text
+`print(json.dumps(doc, indent=2))` prints for the equivalent dict.  Each
+document has one table of lines: every handle as the first item of a list and
+as a later, comma-led item, pre-indented, plus the document's framing
+literals.  Each block of up to `_BLOCK` cycles or classes becomes one int
+array of codes into that table, which is joined in pieces of at most `_CHUNK`
+characters; a handle outside the group raises KeyError.  Only the per-level
+headers are formatted one by one.  The loaders parse that same text to
+compare, so each document has one definition.
 """
 from __future__ import annotations
 
@@ -21,8 +21,9 @@ import csv
 import io
 import json
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import TextIO
 
 import numpy as np
@@ -82,16 +83,15 @@ def paper_shift_lines(decomp: ShiftDecomposition, *, type2_only: bool = False) -
 
 def stage4_b3_block(tower: TowerResult) -> list[str]:
     """Nontrivial b3 values at stage 4, each with the cycles that admit it."""
-    e = tower.group.identity
-    by_b3: dict[int, list[tuple[int, int]]] = {}
-    for cls in tower.level(4).classes:
-        if cls.b[0] != e:
-            by_b3.setdefault(cls.b[0], []).append(cls.cycle.rep_vertex)
-    lines = []
-    for b3 in sorted(by_b3):
-        cells = ", ".join(f"[{i + 1}, {j + 1}]" for i, j in sorted(by_b3[b3]))
-        lines.append(f"[{b3 + 1}, {cells}]")
-    return lines
+    lvl = tower.level(4)
+    nontrivial = lvl.b[:, 0] != tower.group.identity
+    b3 = lvl.b[nontrivial, 0]
+    a0, a1 = tower.decomposition.rep_vertices(lvl.cycle_ids[nontrivial])
+    # classes are ordered by rep vertex, so a stable sort by b3 keeps each b3's cells in order
+    order = np.argsort(b3, kind="stable")
+    rows = zip(b3[order].tolist(), (a0[order] + 1).tolist(), (a1[order] + 1).tolist())
+    return [f"[{value + 1}, " + ", ".join(f"[{i}, {j}]" for _, i, j in cells) + "]"
+            for value, cells in groupby(rows, key=itemgetter(0))]
 
 
 def paper_tower_lines(tower: TowerResult) -> list[str]:
@@ -180,13 +180,6 @@ class _CodeTable:
             yield "".join(self.lines[codes[i:i + self.step]].tolist())
 
 
-def _cycle_arrays(cycles: Sequence[Cycle], lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cycles' a_seqs laid end to end, and their type-II flags."""
-    flat = np.fromiter(chain.from_iterable(c.a_seq for c in cycles), dtype=np.int32, count=int(lengths.sum()))
-    type_II = np.fromiter((c.cycle_type == "II" for c in cycles), dtype=np.int64, count=len(cycles))
-    return flat, type_II
-
-
 def shift_to_json(decomp: ShiftDecomposition, out: TextIO) -> None:
     """Write the shift document of `decomp` to `out`: schema, group, order,
     indexing, period_census (period -> cycle count) and cycles (a_seq, type)."""
@@ -198,14 +191,15 @@ def shift_to_json(decomp: ShiftDecomposition, out: TextIO) -> None:
     def pieces() -> Iterator[str]:
         census = ",\n".join(f'    "{p}": {n}' for p, n in decomp.period_census.items())
         yield _head(SHIFT_SCHEMA, decomp.group) + f'  "period_census": {{\n{census}\n  }},\n  "cycles": ['
-        for i in range(0, len(decomp.cycles), _BLOCK):
+        for i in range(0, decomp.lengths.size, _BLOCK):
             lengths = decomp.lengths[i:i + _BLOCK]
-            flat, type_II = _cycle_arrays(decomp.cycles[i:i + _BLOCK], lengths)
+            start = int(decomp.offsets[i])
+            flat = decomp.a_flat[start:start + int(lengths.sum())]
             one = np.ones_like(lengths)
             opens = one.copy()
             opens[0] = i > 0
             yield from table.text([(table.literal(opens), one), (table.items(flat, lengths), lengths),
-                                   (table.literal(2 + type_II), one)])
+                                   (table.literal(2 + ~decomp.is_type_I[i:i + _BLOCK]), one)])
         yield "\n  ]\n}\n"
     _write(out, pieces())
 
@@ -252,8 +246,6 @@ def tower_to_json(tower: TowerResult, out: TextIO) -> None:
         *(f'{c_end}\n        }}' for c_end in ("", end)),
     ])
     decomp = tower.decomposition
-    a_flat, cycle_type_II = _cycle_arrays(decomp.cycles, decomp.lengths)
-    a_start = np.cumsum(decomp.lengths) - decomp.lengths
 
     def level_pieces(lvl: TowerLevel) -> Iterator[str]:
         width = lvl.n - 3
@@ -270,8 +262,8 @@ def tower_to_json(tower: TowerResult, out: TextIO) -> None:
             opens[0] = i > 0
             yield from table.text([
                 (table.literal(opens), one),
-                (table.items(a_flat[_ranges(a_start[ids], lengths)], lengths), lengths),
-                (table.literal(2 + 2 * cycle_type_II[ids] + has_b), one),
+                (table.items(decomp.a_flat[_ranges(decomp.offsets[ids], lengths)], lengths), lengths),
+                (table.literal(2 + 2 * ~decomp.is_type_I[ids] + has_b), one),
                 (table.items(lvl.b[i:j].ravel(), b_count), b_count),
                 (table.literal(6 + 2 * has_b + has_c), one),
                 (table.items(lvl.c[c_start[i]:c_start[j]], c_count), c_count),

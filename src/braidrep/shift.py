@@ -5,6 +5,10 @@ the successor map (a0, a1) -> (a1, a0^-1 a1) is a bijection of G x G, so the
 pair space splits into disjoint cycles.  A cycle of length p carries one
 sequence (a_0, ..., a_{p-1}) read cyclically; the p phases of that sequence
 are exactly the vertices on the cycle.
+
+`decompose` returns the decomposition as flat arrays: every cycle's sequence
+laid end to end (m^2 handles), each cycle's offset, length and type, and the
+cycle through every vertex.  `Cycle` objects are built from them on request.
 """
 from __future__ import annotations
 
@@ -71,10 +75,21 @@ class Cycle:
 
 @dataclass(eq=False)
 class ShiftDecomposition:
-    """The full cycle decomposition of G x G under the successor map."""
+    """The full cycle decomposition of G x G under the successor map, as arrays.
+
+    Cycle i's sequence is a_flat[offsets[i]:offsets[i] + lengths[i]], read from
+    its lexicographically least vertex; is_type_I[i] says whether it touches
+    the diagonal.  Cycles are numbered in lex order of their least vertex, and
+    _cycle_id holds the number of the cycle through every vertex code
+    a0 * m + a1.  `cycles` is the same data as Cycle objects, built on first
+    read; `cycle(i)` builds just one.
+    """
 
     group: FiniteGroup
-    cycles: list[Cycle]
+    a_flat: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+    lengths: np.ndarray = field(repr=False)
+    is_type_I: np.ndarray = field(repr=False)
     period_census: dict[int, int]
     _cycle_id: np.ndarray = field(repr=False)
 
@@ -82,10 +97,30 @@ class ShiftDecomposition:
     def rep_count(self) -> int:
         return self.group.order ** 2
 
+    def _cycles(self, mask: np.ndarray) -> list[Cycle]:
+        """The cycles that `mask` selects, in order, as Cycle objects."""
+        lengths = self.lengths[mask]
+        ends = np.cumsum(lengths)
+        # one shared int object per element, so the sequences hold m ints, not m^2
+        handles = np.array(range(self.group.order), dtype=object)
+        seq = tuple(handles[self.a_flat[np.repeat(mask, self.lengths)]].tolist())
+        return [Cycle(seq[i:j], "I" if t else "II")
+                for i, j, t in zip((ends - lengths).tolist(), ends.tolist(), self.is_type_I[mask].tolist())]
+
     @cached_property
-    def lengths(self) -> np.ndarray:
-        """The length of every cycle, in the order of `cycles`."""
-        return np.fromiter(map(len, (c.a_seq for c in self.cycles)), dtype=np.int64, count=len(self.cycles))
+    def cycles(self) -> list[Cycle]:
+        return self._cycles(np.ones(self.lengths.size, dtype=bool))
+
+    def rep_vertices(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The least vertex (a0, a1) of each cycle in `ids`, as two arrays."""
+        first = self.offsets[ids]
+        return self.a_flat[first], self.a_flat[first + 1 % self.lengths[ids]]
+
+    def cycle(self, i: int) -> Cycle:
+        """Cycle i, built from the arrays."""
+        start = int(self.offsets[i])
+        a_seq = tuple(self.a_flat[start:start + int(self.lengths[i])].tolist())
+        return Cycle(a_seq, "I" if self.is_type_I[i] else "II")
 
     @property
     def trivial_cycle(self) -> Cycle:
@@ -93,15 +128,15 @@ class ShiftDecomposition:
         return self.cycle_at((e, e))
 
     def type_II(self) -> list[Cycle]:
-        return [c for c in self.cycles if c.cycle_type == "II"]
+        return self._cycles(~self.is_type_I)
 
     def type_I(self) -> list[Cycle]:
-        return [c for c in self.cycles if c.cycle_type == "I"]
+        return self._cycles(self.is_type_I)
 
     def cycle_at(self, v: Vertex) -> Cycle:
         a0 = self.group.check_element(v[0])
         a1 = self.group.check_element(v[1])
-        return self.cycles[int(self.cycle_index(a0, a1))]
+        return self.cycle(int(self.cycle_index(a0, a1)))
 
     def cycle_index(self, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
         """Index into `cycles` of the cycle through each vertex (a0[k], a1[k])."""
@@ -126,9 +161,9 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
       length.  With the build of the map this is 2.2-3.8 m^2 successor
       look-ups on the groups from S3 to SL2(11).
     * All cycles then advance together from their rep vertices, one array
-      step per position up to the longest cycle, writing every a_seq into one
-      flat array, labelling each vertex with its cycle and folding the cycle
-      products.
+      step per position up to the longest cycle, writing every a_seq into the
+      flat array `a_flat`, labelling each vertex with its cycle and folding
+      the cycle products.
 
     Each cycle's stored sequence starts at its lexicographically least vertex.
     Four facts are verified and raise VerificationError if broken: the
@@ -168,7 +203,7 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
     walk = np.argsort(-lengths, kind="stable")
     cur, pos = reps[walk], offsets[walk]
     prod = np.full(n, group.identity, dtype=mul_t.dtype)
-    a_flat = np.empty(m * m, dtype=np.int64)
+    a_flat = np.empty(m * m, dtype=np.int32)
     cycle_id = np.empty(m * m, dtype=np.int32)
     for k, j in enumerate(walking.tolist()):
         v = cur[:j]
@@ -186,16 +221,11 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
     if census[1] != 1:
         raise VerificationError("expected exactly one fixed point (the trivial cycle)")
 
-    del succ  # peak memory: freed before the m^2 object references below
     # type I cycles are those through a diagonal vertex (a, a), code a * (m + 1)
     is_type_I = np.zeros(n, dtype=bool)
     is_type_I[cycle_id[np.arange(m) * (m + 1)]] = True
-    # one shared int object per element, so the sequences hold m ints, not m^2
-    seq = tuple(np.array(range(m), dtype=object)[a_flat].tolist())
-    cycles = [Cycle(seq[i:j], "I" if t else "II")
-              for i, j, t in zip(offsets.tolist(), (offsets + lengths).tolist(), is_type_I.tolist())]
     period_census = {p: c for p, c in enumerate(census.tolist()) if c}
-    return ShiftDecomposition(group, cycles, period_census, cycle_id)
+    return ShiftDecomposition(group, a_flat, offsets, lengths, is_type_I, period_census, cycle_id)
 
 
 def order2_cycle_shape(group: FiniteGroup, a: int) -> int:

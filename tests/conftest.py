@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import pathlib
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from braidrep.extension import compute_tower
 from braidrep.groups import SL2, CayleyTableGroup, SymmetricGroup, alternating_group, parse_group_spec
+from braidrep.shift import Cycle, successor
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -24,6 +26,27 @@ def relabelled(group, seed):
     table = np.empty_like(mul_t)
     table[np.ix_(perm, perm)] = perm[mul_t]
     return CayleyTableGroup(table, name=f"{group.name} relabelled by seed {seed}")
+
+
+def per_vertex_walk(group):
+    """Reference decomposition: one walk per unvisited vertex, seeded in lex
+    order, so each cycle is numbered and read from its least vertex."""
+    m = group.order
+    cycle_of: dict = {}
+    cycles = []
+    for seed in ((a0, a1) for a0 in range(m) for a1 in range(m)):
+        if seed in cycle_of:
+            continue
+        orbit, v = [], seed
+        while v not in cycle_of:
+            cycle_of[v] = len(cycles)
+            orbit.append(v)
+            v = successor(group, v)
+        assert v == seed
+        cycles.append(Cycle(tuple(a0 for a0, _ in orbit),
+                            "I" if any(a0 == a1 for a0, a1 in orbit) else "II"))
+    census = dict(sorted(Counter(c.length for c in cycles).items()))
+    return cycles, census, [cycle_of[a0, a1] for a0 in range(m) for a1 in range(m)]
 
 
 @pytest.fixture(scope="session")

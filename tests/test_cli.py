@@ -13,6 +13,7 @@ import pytest
 import braidrep
 import braidrep.cli as cli
 from braidrep.report import normalize_tokens
+from braidrep.shift import Cycle
 from braidrep.verify import SUITE_NAMES, SuiteResult
 
 from conftest import golden_text
@@ -46,6 +47,21 @@ def test_shift_count_only(capsys):
     assert out.strip() == "71"
     code, out, _ = run_cli(capsys, "shift", "S3", "--count-only")
     assert out.strip() == "8"
+
+
+@pytest.mark.parametrize("argv, count", [(("shift", "S4", "--count-only"), "88"),
+                                         (("shift", "S4", "--type2", "--count-only"), "71"),
+                                         (("shift", "S4", "--format", "json"), None)])
+def test_shift_counts_and_document_build_no_cycle(capsys, monkeypatch, argv, count):
+    def refuse(*args):
+        raise AssertionError("a Cycle object was built")
+    monkeypatch.setattr(Cycle, "__init__", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if count is None:
+        assert len(json.loads(out)["cycles"]) == 88
+    else:
+        assert out.strip() == count
 
 
 def test_shift_json_format(capsys):

@@ -12,8 +12,10 @@ import sys
 import pytest
 
 import braidrep.cli as cli
-from braidrep.extension import TowerResult
-from braidrep.report import tower_to_json
+from braidrep.extension import TowerResult, compute_tower
+from braidrep.groups import SL2
+from braidrep.report import paper_tower_lines, shift_to_json, tower_to_json
+from braidrep.shift import decompose
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -70,6 +72,20 @@ def test_headline_path_builds_no_class_objects(tower_s6):
                                           lvl.braid_rep_count) for lvl in tower_s6.levels]
     for lvl in tower.levels:
         assert "classes" not in vars(lvl) and "braid_c" not in vars(lvl)
+
+
+def test_headline_path_builds_no_cycle_objects(s6):
+    decomp = decompose(SL2(7))
+    out = io.StringIO()
+    shift_to_json(decomp, out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED[("shift", "SL2(7)", "--format", "json")]
+    assert "cycles" not in vars(decomp)
+    tower = compute_tower(s6, 7)
+    out = io.StringIO()
+    tower_to_json(tower, out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == S6_TOWER_SHA256
+    assert len(paper_tower_lines(tower)) == 2 * 5 + 45
+    assert "cycles" not in vars(tower.decomposition)
 
 
 # headline counts per stage of S2..S5, as the script prints them

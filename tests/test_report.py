@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 
 from braidrep.errors import UsageError
@@ -29,10 +30,10 @@ from braidrep.report import (
     tower_to_csv,
     tower_to_json,
 )
-from braidrep.shift import Cycle, ShiftDecomposition, decompose
+from braidrep.shift import decompose
 from braidrep.verify import SUITE_NAMES, run_suites
 
-from conftest import golden_text, relabelled
+from conftest import golden_text, per_vertex_walk, relabelled
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +69,16 @@ def test_type_ii_block_matches_golden_s4(s4):
 def test_stage4_block_matches_golden_s4(tower_s4):
     ours = "\n".join(stage4_b3_block(tower_s4))
     assert normalize_tokens(ours) == normalize_tokens(golden_text("n4_r4.txt"))
+
+
+def test_stage4_block_equals_the_class_listing(document_tower):
+    e = document_tower.group.identity
+    by_b3 = {}
+    for cls in document_tower.level(4).classes:
+        if cls.b[0] != e:
+            by_b3.setdefault(cls.b[0], []).append(cls.cycle.rep_vertex)
+    assert stage4_b3_block(document_tower) == [
+        f"[{b3 + 1}, " + ", ".join(f"[{i + 1}, {j + 1}]" for i, j in sorted(by_b3[b3])) + "]" for b3 in sorted(by_b3)]
 
 
 def test_tower_lines_contain_counts(tower_s4):
@@ -167,10 +178,25 @@ def test_stored_counts_equal_the_sums_over_the_views(document_tower):
         assert lvl.braid_rep_count == sum(cls.period * len(cs) for cls, cs in zip(lvl.classes, lvl.braid_c))
 
 
+def test_cycle_views_equal_the_per_vertex_walk(document_tower):
+    d = document_tower.decomposition
+    m = d.group.order
+    cycles, _, _ = per_vertex_walk(d.group)
+    assert d.cycles == cycles
+    assert [d.cycle(i) for i in range(d.lengths.size)] == cycles
+    assert d.type_I() == [c for c in cycles if c.cycle_type == "I"]
+    assert d.type_II() == [c for c in cycles if c.cycle_type == "II"]
+    assert d.a_flat.dtype == np.int32 and d.a_flat.size == m * m
+    assert (d.offsets == np.cumsum(d.lengths) - d.lengths).all()
+    assert d.lengths.sum() == m * m
+
+
 @pytest.mark.parametrize("handle", [-1, 6])
 def test_a_handle_outside_the_group_raises(s3, handle):
     d = decompose(s3)
-    bad = ShiftDecomposition(s3, [*d.cycles[:-1], Cycle((handle,), "I")], d.period_census, d._cycle_id)
+    a_flat = d.a_flat.copy()
+    a_flat[-1] = handle
+    bad = dataclasses.replace(d, a_flat=a_flat)
     with pytest.raises(KeyError):
         shift_to_json(bad, io.StringIO())
 

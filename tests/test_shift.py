@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import signal
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from braidrep.errors import VerificationError
 from braidrep.groups import SL2, AbelianProduct, CayleyTableGroup, SymmetricGroup, parse_group_spec
 from braidrep.shift import (
-    Cycle,
     Representation,
     decompose,
     order2_cycle_shape,
@@ -21,7 +19,7 @@ from braidrep.shift import (
     successor,
 )
 
-from conftest import relabelled
+from conftest import per_vertex_walk, relabelled
 
 
 def test_successor_examples(s3):
@@ -106,27 +104,6 @@ def test_cycles_partition_the_vertex_set(group):
     assert sum(p * n for p, n in d.period_census.items()) == group.order ** 2
 
 
-def _per_vertex_walk(group):
-    """Reference decomposition: one walk per unvisited vertex, seeded in lex
-    order, so each cycle is numbered and read from its least vertex."""
-    m = group.order
-    cycle_of: dict = {}
-    cycles = []
-    for seed in ((a0, a1) for a0 in range(m) for a1 in range(m)):
-        if seed in cycle_of:
-            continue
-        orbit, v = [], seed
-        while v not in cycle_of:
-            cycle_of[v] = len(cycles)
-            orbit.append(v)
-            v = successor(group, v)
-        assert v == seed
-        cycles.append(Cycle(tuple(a0 for a0, _ in orbit),
-                            "I" if any(a0 == a1 for a0, a1 in orbit) else "II"))
-    census = dict(sorted(Counter(c.length for c in cycles).items()))
-    return cycles, census, [cycle_of[a0, a1] for a0 in range(m) for a1 in range(m)]
-
-
 REFERENCE_GROUPS = {
     **{spec: (lambda spec=spec: parse_group_spec(spec)) for spec in (
         "S1", "S2", "S3", "S4", "S5", "SL2(2)", "SL2(3)", "SL2(5)", "SL2(7)",
@@ -141,7 +118,7 @@ def test_decompose_equals_per_vertex_walk(name):
     group = REFERENCE_GROUPS[name]()
     if "relabelled" in name:
         assert group.identity != 0
-    cycles, census, cycle_index = _per_vertex_walk(group)
+    cycles, census, cycle_index = per_vertex_walk(group)
     d = decompose(group)
     assert d.cycles == cycles
     assert list(d.period_census.items()) == list(census.items())
@@ -258,3 +235,12 @@ def test_is_trivial_and_generators(s3):
     assert not rep.is_trivial()
     assert rep.n == 4
     assert rep.generators() == (0, 3, 4)
+
+
+def test_lookups_and_type_filters_build_no_cycle_list(s4):
+    d = decompose(s4)
+    assert d.cycle_at((3, 4)).length == 2
+    assert d.trivial_cycle.length == 1
+    assert d.phase_of((4, 3))[1] == 1
+    assert (len(d.type_I()), len(d.type_II())) == (17, 71)
+    assert "cycles" not in vars(d)

@@ -1,10 +1,13 @@
 """Named verification suites and their skip/note behaviour."""
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import braidrep.verify as verify
 from braidrep.errors import ResourceLimitError, UsageError
+from braidrep.extension import TowerResult
 from braidrep.verify import SUITE_NAMES, run_suites
 
 
@@ -61,3 +64,14 @@ def test_budget_below_one_is_refused_before_the_tower(s3, monkeypatch):
 def test_suites_on_abelian_group(z6, tower_z6):
     results = run_suites(z6, 5, tower=tower_z6)
     assert all(r.ok for r in results)
+
+
+def test_prop1_fails_on_a_corrupted_a_sequence(s3, tower_s3):
+    d = tower_s3.decomposition
+    a_flat = d.a_flat.copy()
+    a_flat[5] = (a_flat[5] + 1) % s3.order
+    tower = TowerResult(s3, dataclasses.replace(d, a_flat=a_flat), tower_s3.levels)
+    named = {r.name: r for r in run_suites(s3, 6, tower=tower)}
+    assert not named["prop1"].ok
+    assert named["prop1"].detail == "8 cycle products checked, 1 non-identity"
+    assert named["census"].ok
