@@ -9,7 +9,7 @@ from .shift import (Cycle, Representation, ShiftDecomposition, decompose,
                     order2_cycle_shape, predecessor, shift, successor)
 from .extension import (BraidExtension, TowerLevel, TowerResult,
                         compute_tower, extend_step, extend_to_K4,
-                        extend_to_braid, hom_Bn_when_Kn_trivial)
+                        extend_to_braid)
 from .analysis import (abelian_cycle_length, count_braid_subgroups,
                        count_subgroups, is_transitive, pi_representation,
                        transitivity_report, type_I_census)

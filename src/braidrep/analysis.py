@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial, reduce
+
+import numpy as np
 
 from .errors import UsageError, VerificationError
-from .extension import TowerResult, compute_tower
+from .extension import TowerLevel, TowerResult, compute_tower
 from .groups import (FiniteGroup, SymmetricGroup, derived_series,
                      involution_count, perfect_core_group)
 from .shift import Representation, ShiftDecomposition, decompose
@@ -60,26 +63,14 @@ def _join(S: SymmetricGroup, labels: tuple[int, ...], g: int) -> tuple[int, ...]
     return tuple(find(k) for k in range(S.r))
 
 
-def _orbit_labels(S: SymmetricGroup, gens, joins: dict,
-                  labels: tuple[int, ...] | None = None) -> tuple[int, ...]:
+def _orbit_labels(S: SymmetricGroup, gens) -> tuple[int, ...]:
     """Orbit partition of the subgroup generated by `gens` (valid handles), as
-    least block-mates, joined onto `labels` (the discrete partition by default).
+    least block-mates: the join of the generators' cycle partitions."""
+    return reduce(partial(_join, S), gens, tuple(range(S.r)))
 
-    The partition is a join of the generators' cycle partitions; `joins`
-    memoises each (partition, generator) step for the caller's later calls.
-    """
-    if labels is None:
-        labels = tuple(range(S.r))
-    whole = (0,) * S.r
-    for g in gens:
-        if labels == whole:
-            break
-        key = (labels, g)
-        nxt = joins.get(key)
-        if nxt is None:
-            nxt = joins[key] = _join(S, labels, g)
-        labels = nxt
-    return labels
+
+def _transitive(S: SymmetricGroup, gens) -> bool:
+    return not any(_orbit_labels(S, gens))
 
 
 def _blocks(labels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -92,20 +83,44 @@ def _blocks(labels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def generator_orbits(group: SymmetricGroup, gens) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of {1..r} under the subgroup generated by `gens`."""
     S = _require_symmetric(group)
-    return _blocks(_orbit_labels(S, [S.check_element(g) for g in gens], {}))
+    return _blocks(_orbit_labels(S, [S.check_element(g) for g in gens]))
 
 
 def is_transitive(rep: Representation) -> bool:
     return len(generator_orbits(_require_symmetric(rep.group), rep.generators())) == 1
 
 
+def _orbit_classes(lvl: TowerLevel):
+    """(weight, class, c set) for each orbit row of a level.
+
+    Conjugating a class by g relabels the points by g, so orbit counts,
+    transitivity and parity are the same on every class of one conjugation
+    orbit; weight = period x orbit size is the number of representations the
+    orbit holds.
+    """
+    decomp = lvl.decomposition
+    c_start = (np.cumsum(lvl.c_count) - lvl.c_count).tolist()
+    for i, size in zip(lvl.orbit_rows.tolist(), lvl.orbit_size.tolist()):
+        cycle = decomp.cycle(int(lvl.cycle_ids[i]))
+        cls = Representation(decomp.group, cycle, 0, tuple(lvl.b[i].tolist()))
+        cs = lvl.c[c_start[i]:c_start[i] + int(lvl.c_count[i])].tolist()
+        yield cls.period * size, cls, cs
+
+
+def _transitive_multiple(count: int, r: int, what: str) -> int:
+    """count / (r-1)!, the number of index-r subgroups that `count` transitive
+    representations stand for; VerificationError unless it divides."""
+    stabiliser = math.factorial(r - 1)
+    if count % stabiliser:
+        raise VerificationError(f"{what} {count} is not a multiple of (r-1)!={stabiliser}")
+    return count // stabiliser
+
+
 @dataclass(eq=False)
 class LevelTransitivity:
-    """Per-class orbit data at one stage, with the index-r subgroup count."""
+    """Transitive representation and index-r subgroup counts at one stage."""
 
     n: int
-    orbits: list[tuple[tuple[int, ...], ...]]
-    transitive: list[bool]
     transitive_rep_count: int
     subgroup_count: int
 
@@ -123,39 +138,31 @@ class TransitivityReport:
 
 
 def transitivity_report(tower: TowerResult) -> TransitivityReport:
-    """Orbit partitions, transitivity flags and subgroup counts for every stage."""
+    """Transitive representation and subgroup counts for every stage."""
     S = _require_symmetric(tower.group)
-    stabiliser = math.factorial(S.r - 1)
-    joins: dict = {}
-    blocks: dict = {}
-    by_cycle: dict = {}   # each cycle's a_seq partition, shared by its classes at every stage
     out = []
     for lvl in tower.levels:
-        orbits = []
-        for cls in lvl.classes:
-            base = by_cycle.get(cls.cycle)
-            if base is None:
-                base = by_cycle[cls.cycle] = _orbit_labels(S, cls.cycle.a_seq, joins)
-            labels = _orbit_labels(S, cls.b, joins, base)
-            if labels not in blocks:
-                blocks[labels] = _blocks(labels)
-            orbits.append(blocks[labels])
-        flags = [len(p) == 1 for p in orbits]
-        trans_reps = sum(cls.period for cls, f in zip(lvl.classes, flags) if f)
-        if trans_reps % stabiliser:
-            raise VerificationError(
-                f"transitive count {trans_reps} at stage {lvl.n} is not a multiple of (r-1)!={stabiliser}")
-        out.append(LevelTransitivity(lvl.n, orbits, flags, trans_reps, trans_reps // stabiliser))
+        trans_reps = sum(weight for weight, cls, _ in _orbit_classes(lvl)
+                         if _transitive(S, cls.generators()))
+        subgroups = _transitive_multiple(trans_reps, S.r, f"transitive count at stage {lvl.n}")
+        out.append(LevelTransitivity(lvl.n, trans_reps, subgroups))
     return TransitivityReport(S, out)
+
+
+def _tower_over(r: int, n: int, tower: TowerResult | None) -> TowerResult:
+    """`tower`, or a new one to stage n over S_r; UsageError unless it is over S_r."""
+    if tower is None:
+        return compute_tower(SymmetricGroup(r), n)
+    if not (isinstance(tower.group, SymmetricGroup) and tower.group.r == r):
+        raise UsageError(f"the tower is over {tower.group.name}, not over S{r}")
+    return tower
 
 
 def count_subgroups(n: int, r: int, tower: TowerResult | None = None) -> int:
     """Number of index-r subgroups of the stage-n group, via transitive representations."""
     if r < 2:
         return 1 if r == 1 else 0
-    t = tower if tower is not None else compute_tower(SymmetricGroup(r), n)
-    report = transitivity_report(t)
-    return report.level(n).subgroup_count
+    return transitivity_report(_tower_over(r, n, tower)).level(n).subgroup_count
 
 
 def count_braid_subgroups(n: int, r: int, tower: TowerResult | None = None) -> int:
@@ -167,21 +174,13 @@ def count_braid_subgroups(n: int, r: int, tower: TowerResult | None = None) -> i
     """
     if r == 1:
         return 1
-    S = SymmetricGroup(r)
-    t = tower if tower is not None else compute_tower(S, n)
+    t = _tower_over(r, n, tower)
+    S = t.group
     if not t.is_trivial_at(n):
         raise UsageError(f"stage {n} over {S.name} is not trivial; braid subgroup count needs r <= n-1")
-    lvl = t.level(n)
-    transitive = 0
-    for cls, cs in zip(lvl.classes, lvl.braid_c):
-        for c in cs:
-            if len(generator_orbits(S, [c])) == 1:
-                transitive += cls.period
-    stabiliser = math.factorial(r - 1)
-    if transitive % stabiliser:
-        raise VerificationError(
-            f"transitive braid count {transitive} is not a multiple of (r-1)!={stabiliser}")
-    return transitive // stabiliser
+    transitive = sum(weight for weight, _, cs in _orbit_classes(t.level(n))
+                     for c in cs if _transitive(S, [c]))
+    return _transitive_multiple(transitive, r, "transitive braid count")
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +272,15 @@ def pi_representation(n: int, r: int, decomposition: ShiftDecomposition | None =
 def nontrivial_implies_transitive(tower: TowerResult, n: int) -> bool:
     """True when every nontrivial stage-n class over S_r acts transitively."""
     S = _require_symmetric(tower.group)
-    lvl = tower.level(n)
-    return all(
-        len(generator_orbits(S, cls.generators())) == 1
-        for cls in lvl.classes if not cls.is_trivial())
+    return all(_transitive(S, cls.generators())
+               for _, cls, _ in _orbit_classes(tower.level(n)) if not cls.is_trivial())
 
 
 def classes_all_even(tower: TowerResult, n: int) -> bool:
     """True when every stage-n class has all generator images in the alternating group."""
     S = _require_symmetric(tower.group)
-    lvl = tower.level(n)
-    return all(
-        S.parity(g) == 0
-        for cls in lvl.classes for g in cls.generators())
+    return all(S.parity(g) == 0
+               for _, cls, _ in _orbit_classes(tower.level(n)) for g in cls.generators())
 
 
 def perfect_core_census_match(group: FiniteGroup, n: int,

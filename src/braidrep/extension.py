@@ -44,7 +44,6 @@ __all__ = [
     "extend_step",
     "extend_to_braid",
     "compute_tower",
-    "hom_Bn_when_Kn_trivial",
 ]
 
 
@@ -303,6 +302,10 @@ class TowerLevel:
     sorted.  Classes are ordered by (rep vertex, b).  The four counts are
     computed once, at build.  `classes` and `braid_c` are the same data as
     Representation objects and tuples of ints, built on first read.
+
+    `orbit_rows` are the rows over each conjugation orbit's first cycle, the
+    classes the scans found, in row order; row `orbit_rows[k]` stands for the
+    `orbit_size[k]` classes of its orbit, one per cycle.
     """
 
     n: int
@@ -311,6 +314,8 @@ class TowerLevel:
     b: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
     c_count: np.ndarray = field(repr=False)
+    orbit_rows: np.ndarray = field(repr=False)
+    orbit_size: np.ndarray = field(repr=False)
     class_count: int = field(init=False)
     rep_count: int = field(init=False)
     braid_class_count: int = field(init=False)
@@ -410,22 +415,19 @@ def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, n: int,
     # decompose numbers the cycles in lex order of their rep vertices, so this
     # is the order by (rep vertex, b)
     order = np.lexsort((*b.T[::-1], orbits.ids[pos]))
-    row_class, t = row_class[order], t[order]
+    row_class, t, pos = row_class[order], t[order], pos[order]
+    # an orbit's first cycle is its own transporter image, so these rows are
+    # the scanned classes unchanged
+    orbit_rows = np.flatnonzero(pos == orbits.start[ks[row_class]])
+    orbit_size = size[row_class[orbit_rows]]
     base_c = [extend_to_braid(cls) for _, cls in reps]
     base_count = np.fromiter(map(len, base_c), dtype=np.int64, count=len(base_c))
     c_count = base_count[row_class]
     row = np.repeat(np.arange(row_class.size), c_count)
     flat = np.fromiter(chain.from_iterable(base_c), dtype=np.int64, count=int(base_count.sum()))
     c = _conjugate(group, t[row], flat[_ranges((np.cumsum(base_count) - base_count)[row_class], c_count)])
-    return TowerLevel(n, decomp, orbits.ids[pos[order]], b[order], c[np.lexsort((c, row))], c_count)
-
-
-def hom_Bn_when_Kn_trivial(group: FiniteGroup, n: int, tower: TowerResult | None = None) -> int:
-    """|Hom(B_n, G)| by the abelianization shortcut, valid once stage n is trivial."""
-    t = tower if tower is not None else compute_tower(group, n)
-    if not t.is_trivial_at(n):
-        raise UsageError(f"stage {n} over {group.name} is not trivial; the shortcut does not apply")
-    return group.order
+    return TowerLevel(n, decomp, orbits.ids[pos], b[order], c[np.lexsort((c, row))], c_count,
+                      orbit_rows, orbit_size)
 
 
 # ---------------------------------------------------------------------------

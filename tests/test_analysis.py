@@ -18,6 +18,7 @@ from braidrep.analysis import (
     type_I_census,
 )
 from braidrep.errors import UsageError
+from braidrep.extension import compute_tower
 from braidrep.groups import AbelianProduct, SymmetricGroup
 from braidrep.shift import Representation, decompose
 
@@ -51,7 +52,6 @@ def test_is_transitive(s3):
 def test_transitivity_report_structure(tower_s4):
     report = transitivity_report(tower_s4)
     for lvl in report.levels:
-        assert len(lvl.orbits) == len(lvl.transitive)
         assert lvl.transitive_rep_count == lvl.subgroup_count * 6
     with pytest.raises(UsageError):
         report.level(99)
@@ -76,12 +76,29 @@ def _orbit_closure(S, gens):
     return tuple(orbits)
 
 
-def test_transitivity_report_matches_orbit_closure(tower_s5):
-    S = tower_s5.group
-    report = transitivity_report(tower_s5)
-    for lvl, orbit_lvl in zip(tower_s5.levels, report.levels):
-        assert orbit_lvl.orbits == [_orbit_closure(S, cls.generators()) for cls in lvl.classes]
-        assert orbit_lvl.transitive == [len(o) == 1 for o in orbit_lvl.orbits]
+def _is_even(S, g):
+    """Parity by counting the inversions of g's image."""
+    image = S.image(g)
+    return sum(x > y for i, x in enumerate(image) for y in image[i + 1:]) % 2 == 0
+
+
+def test_transitivity_report_matches_orbit_closure(tower_s4, tower_s5):
+    for tower in (tower_s4, tower_s5):
+        S = tower.group
+        report = transitivity_report(tower)
+        for lvl, orbit_lvl in zip(tower.levels, report.levels):
+            assert orbit_lvl.transitive_rep_count == sum(
+                cls.period for cls in lvl.classes if len(_orbit_closure(S, cls.generators())) == 1)
+
+
+def test_structural_claims_match_every_class(tower_s4, tower_s5):
+    for tower in (tower_s4, tower_s5):
+        S = tower.group
+        for lvl in tower.levels:
+            assert nontrivial_implies_transitive(tower, lvl.n) == all(
+                len(_orbit_closure(S, cls.generators())) == 1 for cls in lvl.classes if not cls.is_trivial())
+            assert classes_all_even(tower, lvl.n) == all(
+                _is_even(S, g) for cls in lvl.classes for g in cls.generators())
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +138,32 @@ def test_count_braid_subgroups(tower_s2, tower_s3, tower_s4, tower_s5):
 def test_count_braid_subgroups_needs_trivial_stage(tower_s5):
     with pytest.raises(UsageError):
         count_braid_subgroups(5, 5, tower_s5)
+
+
+def test_count_subgroups_rejects_a_tower_over_another_group(tower_s4, tower_z6):
+    with pytest.raises(UsageError):
+        count_subgroups(4, 3, tower_s4)
+    with pytest.raises(UsageError):
+        count_subgroups(4, 6, tower_z6)
+
+
+def test_count_braid_subgroups_rejects_a_tower_over_another_group(tower_s2, tower_z6):
+    with pytest.raises(UsageError):
+        count_braid_subgroups(5, 4, tower_s2)
+    with pytest.raises(UsageError):
+        count_braid_subgroups(4, 6, tower_z6)
+
+
+def test_subgroups_path_builds_no_class_objects():
+    tower = compute_tower(SymmetricGroup(5), 6)
+    assert [lvl.transitive_rep_count for lvl in transitivity_report(tower).levels] == [
+        11064, 11064, 120, 0]
+    assert count_braid_subgroups(6, 5, tower) == 1
+    assert nontrivial_implies_transitive(tower, 5)
+    assert classes_all_even(tower, 6)
+    for lvl in tower.levels:
+        assert "classes" not in vars(lvl) and "braid_c" not in vars(lvl)
+    assert "cycles" not in vars(tower.decomposition)
 
 
 # ---------------------------------------------------------------------------

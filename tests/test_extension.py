@@ -1,6 +1,7 @@
 """Stagewise extension: b3 scans, higher generators, braid extensions, towers."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from braidrep.errors import UsageError, VerificationError
@@ -11,7 +12,6 @@ from braidrep.extension import (
     extend_step,
     extend_to_K4,
     extend_to_braid,
-    hom_Bn_when_Kn_trivial,
 )
 from braidrep.groups import SL2, SymmetricGroup, alternating_group, parse_group_spec
 from braidrep.shift import Cycle, Representation, decompose
@@ -306,6 +306,34 @@ def test_tower_equals_exhaustive_scan(name):
     assert ours == _exhaustive_levels(group, 6)
 
 
+def _cycle_orbits(decomp):
+    """(least cycle id, number of cycles) of each cycle's conjugation orbit,
+    from the rep vertex conjugated by every element of the group."""
+    group = decomp.group
+    mul_t, inv_t = group.tables()
+    a0, a1 = decomp.rep_vertices(np.arange(decomp.lengths.size))
+    g = np.arange(group.order)[:, None]
+    ids = np.sort(decomp.cycle_index(mul_t[mul_t[g, a0], inv_t[g]], mul_t[mul_t[g, a1], inv_t[g]]), axis=0)
+    return ids[0], 1 + (np.diff(ids, axis=0) != 0).sum(axis=0)
+
+
+@pytest.mark.parametrize("name", ORBIT_GROUPS)
+def test_orbit_rows_stand_for_every_class(name):
+    tower = compute_tower(ORBIT_GROUPS[name](), 6)
+    first, size = _cycle_orbits(tower.decomposition)
+    for lvl in tower.levels:
+        ids = lvl.cycle_ids
+        assert lvl.orbit_rows.tolist() == np.flatnonzero(first[ids] == ids).tolist()
+        assert lvl.orbit_size.tolist() == size[ids[lvl.orbit_rows]].tolist()
+        weight = lvl.orbit_size
+        period = tower.decomposition.lengths[ids[lvl.orbit_rows]]
+        c_count = lvl.c_count[lvl.orbit_rows]
+        assert weight.sum() == lvl.class_count
+        assert weight @ period == lvl.rep_count
+        assert weight @ c_count == lvl.braid_class_count
+        assert weight @ (period * c_count) == lvl.braid_rep_count
+
+
 @pytest.mark.parametrize("make", [lambda: relabelled(SymmetricGroup(5), 4), lambda: SL2(5)],
                          ids=["S5-relabelled-4", "SL2(5)"])
 def test_classes_are_ordered_by_rep_vertex_then_b(make):
@@ -351,12 +379,6 @@ def test_tower_level_lookup_bounds(tower_s3):
         tower_s3.level(2)
     with pytest.raises(UsageError):
         tower_s3.level(tower_s3.n_max + 1)
-
-
-def test_hom_bn_when_kn_trivial(s4, tower_s4, tower_s5):
-    assert hom_Bn_when_Kn_trivial(s4, 6, tower_s4) == 24
-    with pytest.raises(UsageError):
-        hom_Bn_when_Kn_trivial(tower_s5.group, 5, tower_s5)
 
 
 def test_rep_class_accessors(tower_s4, s4):

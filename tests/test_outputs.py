@@ -35,6 +35,8 @@ PINNED = {
         "d0a67da700fdfae51942259dc13acab63c18269988b798b1436b9b91e9207635",
     ("subgroups", "S4", "6", "--format", "json"):
         "ceaedf2257b1cc84caecaccee191af00dde79dd5be2f5db3f762997633436785",
+    ("subgroups", "S6", "7"):
+        "3763c1dbe6e24826f24cdefbb488b7fc59f2908033f4538374db458c314e083a",
     ("shift", "S5", "--format", "csv"):
         "7e9fff695734f3fde5f830dfb42f686869ddf4c68dc818111e386164d6c796b9",
     ("shift", "Z2xZ4xZ5", "--format", "json"):
