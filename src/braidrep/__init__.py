@@ -5,13 +5,12 @@ from .groups import (AbelianProduct, CayleyTableGroup, FiniteGroup, SL2,
                      SymmetricGroup, alternating_group, derived_series,
                      element_order, involution_count, lex_rank, lex_unrank,
                      parse_group_spec)
-from .shift import (Cycle, Representation, ShiftDecomposition, decompose,
-                    order2_cycle_shape, predecessor, shift, successor)
-from .extension import (BraidExtension, TowerLevel, TowerResult,
-                        compute_tower, extend_step, extend_to_K4,
-                        extend_to_braid)
+from .shift import (Cycle, ShiftDecomposition, decompose, order2_cycle_shape,
+                    predecessor, successor)
+from .extension import (TowerLevel, TowerResult, compute_tower, extend_step,
+                        extend_to_K4, extend_to_braid)
 from .analysis import (abelian_cycle_length, count_braid_subgroups,
-                       count_subgroups, is_transitive, pi_representation,
+                       count_subgroups, pi_representation,
                        transitivity_report, type_I_census)
 from .oracle import (OracleResult, brute_hom_Bn, brute_hom_K3, brute_hom_Kn,
                      engine_census_Bn, engine_census_Kn)

@@ -13,11 +13,10 @@ from .errors import UsageError, VerificationError
 from .extension import TowerLevel, TowerResult, compute_tower
 from .groups import (FiniteGroup, SymmetricGroup, derived_series,
                      involution_count, perfect_core_group)
-from .shift import Representation, ShiftDecomposition, decompose
+from .shift import Cycle, ShiftDecomposition, decompose
 
 __all__ = [
     "generator_orbits",
-    "is_transitive",
     "LevelTransitivity",
     "TransitivityReport",
     "transitivity_report",
@@ -86,25 +85,23 @@ def generator_orbits(group: SymmetricGroup, gens) -> tuple[tuple[int, ...], ...]
     return _blocks(_orbit_labels(S, [S.check_element(g) for g in gens]))
 
 
-def is_transitive(rep: Representation) -> bool:
-    return len(generator_orbits(_require_symmetric(rep.group), rep.generators())) == 1
-
-
 def _orbit_classes(lvl: TowerLevel):
-    """(weight, class, c set) for each orbit row of a level.
+    """(weight, generator set, trivial flag, c set) for each orbit row of a level.
 
+    The generators are the a-sequence and b; only the trivial class has {e}.
     Conjugating a class by g relabels the points by g, so orbit counts,
     transitivity and parity are the same on every class of one conjugation
     orbit; weight = period x orbit size is the number of representations the
     orbit holds.
     """
     decomp = lvl.decomposition
+    e = decomp.group.identity
     c_start = (np.cumsum(lvl.c_count) - lvl.c_count).tolist()
     for i, size in zip(lvl.orbit_rows.tolist(), lvl.orbit_size.tolist()):
-        cycle = decomp.cycle(int(lvl.cycle_ids[i]))
-        cls = Representation(decomp.group, cycle, 0, tuple(lvl.b[i].tolist()))
+        a_seq = decomp.cycle(int(lvl.cycle_ids[i])).a_seq
+        gens = set(a_seq).union(lvl.b[i].tolist())
         cs = lvl.c[c_start[i]:c_start[i] + int(lvl.c_count[i])].tolist()
-        yield cls.period * size, cls, cs
+        yield len(a_seq) * size, gens, gens == {e}, cs
 
 
 def _transitive_multiple(count: int, r: int, what: str) -> int:
@@ -142,8 +139,8 @@ def transitivity_report(tower: TowerResult) -> TransitivityReport:
     S = _require_symmetric(tower.group)
     out = []
     for lvl in tower.levels:
-        trans_reps = sum(weight for weight, cls, _ in _orbit_classes(lvl)
-                         if _transitive(S, cls.generators()))
+        trans_reps = sum(weight for weight, gens, _, _ in _orbit_classes(lvl)
+                         if _transitive(S, gens))
         subgroups = _transitive_multiple(trans_reps, S.r, f"transitive count at stage {lvl.n}")
         out.append(LevelTransitivity(lvl.n, trans_reps, subgroups))
     return TransitivityReport(S, out)
@@ -178,7 +175,7 @@ def count_braid_subgroups(n: int, r: int, tower: TowerResult | None = None) -> i
     S = t.group
     if not t.is_trivial_at(n):
         raise UsageError(f"stage {n} over {S.name} is not trivial; braid subgroup count needs r <= n-1")
-    transitive = sum(weight for weight, _, cs in _orbit_classes(t.level(n))
+    transitive = sum(weight for weight, _, _, cs in _orbit_classes(t.level(n))
                      for c in cs if _transitive(S, [c]))
     return _transitive_multiple(transitive, r, "transitive braid count")
 
@@ -219,9 +216,11 @@ def abelian_cycle_length(group: FiniteGroup, v: tuple[int, int]) -> int:
 # the permutation representation z_m -> alternating 3-cycles
 # ---------------------------------------------------------------------------
 
-def pi_representation(n: int, r: int, decomposition: ShiftDecomposition | None = None) -> Representation:
+def pi_representation(n: int, r: int, decomposition: ShiftDecomposition | None = None
+                      ) -> tuple[Cycle, int, tuple[int, ...]]:
     """The standard representation into S_r (r >= n): z_m to (1 3 2) or (1 2 3)
-    by parity of m, and the extra generators to (1 2)(i, i+1)."""
+    by parity of m, and the extra generators to (1 2)(i, i+1); returned as
+    (cycle, phase, b), vertex `phase` of the cycle with images b_3..b_{n-1}."""
     if n < 3:
         raise UsageError("the tower starts at n = 3")
     if r < n:
@@ -262,7 +261,7 @@ def pi_representation(n: int, r: int, decomposition: ShiftDecomposition | None =
 
     decomp = decomposition if decomposition is not None else decompose(S)
     cycle, phase = decomp.phase_of((a0, a1))
-    return Representation(S, cycle, phase, b)
+    return cycle, phase, b
 
 
 # ---------------------------------------------------------------------------
@@ -272,31 +271,33 @@ def pi_representation(n: int, r: int, decomposition: ShiftDecomposition | None =
 def nontrivial_implies_transitive(tower: TowerResult, n: int) -> bool:
     """True when every nontrivial stage-n class over S_r acts transitively."""
     S = _require_symmetric(tower.group)
-    return all(_transitive(S, cls.generators())
-               for _, cls, _ in _orbit_classes(tower.level(n)) if not cls.is_trivial())
+    return all(_transitive(S, gens)
+               for _, gens, trivial, _ in _orbit_classes(tower.level(n)) if not trivial)
 
 
 def classes_all_even(tower: TowerResult, n: int) -> bool:
     """True when every stage-n class has all generator images in the alternating group."""
     S = _require_symmetric(tower.group)
     return all(S.parity(g) == 0
-               for _, cls, _ in _orbit_classes(tower.level(n)) for g in cls.generators())
+               for _, gens, _, _ in _orbit_classes(tower.level(n)) for g in gens)
 
 
-def perfect_core_census_match(group: FiniteGroup, n: int,
-                              tower: TowerResult | None = None) -> bool:
-    """Compare the stage-n census over the group and over its perfect core.
+def _class_rows(lvl: TowerLevel) -> np.ndarray:
+    """Each class of a level as the row (rep vertex a0, a1, then b)."""
+    a0, a1 = lvl.decomposition.rep_vertices(lvl.cycle_ids)
+    return np.column_stack([a0, a1, lvl.b])
 
-    The core census is mapped back through the element embedding; equality of
-    the two sets of (vertex, images) classes is the restriction statement for
+
+def perfect_core_census_match(tower: TowerResult) -> bool:
+    """Compare the top-stage census over the tower's group and over its perfect core.
+
+    The core's classes are mapped back through the element embedding; equality
+    of the two sets of (rep vertex, b) rows is the restriction statement for
     stages n >= 6.
     """
-    series = derived_series(group)
-    core = perfect_core_group(group, series)
-    embed = sorted(series.core)          # increasing, so lex-least vertices map to lex-least
-    t = tower if tower is not None else compute_tower(group, n)
-    core_t = compute_tower(core, n)
-    ours = {(cls.cycle.rep_vertex, cls.b) for cls in t.level(n).classes}
-    theirs = {(tuple(embed[v] for v in cls.cycle.rep_vertex), tuple(embed[g] for g in cls.b))
-              for cls in core_t.level(n).classes}
-    return ours == theirs
+    series = derived_series(tower.group)
+    core = perfect_core_group(tower.group, series)
+    embed = np.array(sorted(series.core))    # increasing, so lex-least vertices map to lex-least
+    ours = _class_rows(tower.level(tower.n_max))
+    theirs = embed[_class_rows(compute_tower(core, tower.n_max).level(tower.n_max))]
+    return set(map(tuple, ours.tolist())) == set(map(tuple, theirs.tolist()))

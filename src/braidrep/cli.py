@@ -125,7 +125,7 @@ def _cmd_braid(args: argparse.Namespace, group: FiniteGroup) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace, group: FiniteGroup) -> None:
-    results = run_suites(group, args.nmax, budget=args.budget)
+    results = run_suites(compute_tower(group, args.nmax), budget=args.budget)
     failed = False
     for res in results:
         status = "PASS" if res.ok else "FAIL"

@@ -1,8 +1,8 @@
 """Extending cycle representations up the tower K_3 -> K_4 -> ... and to braid groups.
 
-A class at stage n is a cycle together with images b_3, ..., b_{n-1} of the
-extra generators; it stands for the cycle-length many representations obtained
-by choosing a phase.  A TowerLevel holds a stage's classes as arrays.  Admissible
+A class at stage n is a cycle with images b = (b_3, ..., b_{n-1}) of the extra
+generators; it stands for the cycle-length many representations obtained by
+choosing a phase.  A TowerLevel holds a stage's classes as arrays.  Admissible
 images are found by exhaustive scans of the group, filtered relation by
 relation; structural facts that must hold for the results (identity
 membership, forced triviality, order constraints) are re-checked on the way
@@ -26,20 +26,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError, VerificationError
 from .groups import FiniteGroup, element_order
-from .shift import Cycle, Representation, ShiftDecomposition, decompose
+from .shift import Cycle, ShiftDecomposition, decompose
 
 __all__ = [
     "MAX_STAGE",
     "TowerLevel",
     "TowerResult",
-    "BraidExtension",
     "extend_to_K4",
     "extend_step",
     "extend_to_braid",
@@ -158,8 +156,7 @@ def _check_next_b_set(group: FiniteGroup, cycle: Cycle, b: tuple[int, ...], new:
 
 def _check_c_set(group: FiniteGroup, cycle: Cycle, b: tuple[int, ...], cs: list[int]) -> None:
     e = group.identity
-    trivial = cycle.length == 1 and cycle.a_seq[0] == e and all(x == e for x in b)
-    if trivial:
+    if cycle.a_seq == (e,) and all(x == e for x in b):     # the trivial class
         if cs != sorted(group.elements()):
             raise VerificationError("the trivial class must extend by every element of the group")
         return
@@ -187,19 +184,19 @@ def extend_to_K4(group: FiniteGroup, cycle: Cycle) -> list[int]:
     return bs
 
 
-def extend_step(rep: Representation) -> list[int]:
-    """All admissible nontrivial images of the next generator above rep (n >= 4)."""
-    if rep.n < 4:
+def extend_step(group: FiniteGroup, cycle: Cycle, b: tuple[int, ...]) -> list[int]:
+    """All admissible nontrivial images of the next generator above the class (cycle, b), n >= 4."""
+    if not b:
         raise UsageError("extend_step starts from stage 4; use extend_to_K4 below that")
-    new = sorted(int(x) for x in _scan_next_b(rep.group, rep.cycle, rep.b))
-    _check_next_b_set(rep.group, rep.cycle, rep.b, new)
+    new = sorted(int(x) for x in _scan_next_b(group, cycle, b))
+    _check_next_b_set(group, cycle, b, new)
     return new
 
 
-def extend_to_braid(rep: Representation) -> list[int]:
-    """All admissible images c of sigma_1 extending rep to the full braid group."""
-    cs = sorted(int(x) for x in _scan_c(rep.group, rep.cycle, rep.b))
-    _check_c_set(rep.group, rep.cycle, rep.b, cs)
+def extend_to_braid(group: FiniteGroup, cycle: Cycle, b: tuple[int, ...]) -> list[int]:
+    """All admissible images c of sigma_1 extending the class (cycle, b) to the braid group."""
+    cs = sorted(int(x) for x in _scan_c(group, cycle, b))
+    _check_c_set(group, cycle, b, cs)
     return cs
 
 
@@ -296,12 +293,10 @@ class TowerLevel:
     """All classes at one stage n, as arrays, each class with its sorted set of
     braid extensions c.
 
-    Class i is the phase-0 representation of cycle `cycle_ids[i]` (an index
-    into the decomposition's cycles) with images `b[i]` (a row of n - 3
-    handles); its c set is the i-th run of `c`, `c_count[i]` handles long,
-    sorted.  Classes are ordered by (rep vertex, b).  The four counts are
-    computed once, at build.  `classes` and `braid_c` are the same data as
-    Representation objects and tuples of ints, built on first read.
+    Class i is cycle `cycle_ids[i]` (an index into the decomposition's
+    cycles) with images `b[i]` (a row of n - 3 handles); its c set is the i-th
+    run of `c`, `c_count[i]` handles long, sorted.  Classes are ordered by
+    (rep vertex, b).  The four counts are computed once, at build.
 
     `orbit_rows` are the rows over each conjugation orbit's first cycle, the
     classes the scans found, in row order; row `orbit_rows[k]` stands for the
@@ -327,18 +322,6 @@ class TowerLevel:
         self.rep_count = int(period.sum())
         self.braid_class_count = int(self.c_count.sum())
         self.braid_rep_count = int(period @ self.c_count)
-
-    @cached_property
-    def classes(self) -> tuple[Representation, ...]:
-        group, cycles = self.decomposition.group, self.decomposition.cycles
-        return tuple(Representation(group, cycles[i], 0, tuple(b))
-                     for i, b in zip(self.cycle_ids.tolist(), self.b.tolist()))
-
-    @cached_property
-    def braid_c(self) -> tuple[tuple[int, ...], ...]:
-        c = self.c.tolist()
-        ends = np.cumsum(self.c_count).tolist()
-        return tuple(tuple(c[i:j]) for i, j in zip([0, *ends], ends))
 
 
 @dataclass(eq=False)
@@ -382,35 +365,34 @@ def compute_tower(
 
     e = group.identity
     orbits = _conjugation_orbits(decomp)
-    # (orbit, class) over each orbit's first cycle, stage by stage; the
+    first = [decomp.cycle(i) for i in orbits.ids[orbits.start[:-1]].tolist()]
+    # (orbit k, b) over each orbit's first cycle first[k], stage by stage; the
     # trivial class extends only by the identity, to the trivial chain
-    current = [(k, Representation(group, decomp.cycle(first)))
-               for k, first in enumerate(orbits.ids[orbits.start[:-1]].tolist())]
+    current = [(k, ()) for k in range(len(first))]
     stages = [current]
     for n in range(4, n_max + 1):
         if n == 4:
-            current = [(k, Representation(group, cls.cycle, 0, (b3,)))
-                       for k, cls in current for b3 in extend_to_K4(group, cls.cycle)]
+            current = [(k, (b3,)) for k, _ in current for b3 in extend_to_K4(group, first[k])]
         else:
-            current = [(k, Representation(group, cls.cycle, 0, cls.b + (g,)))
-                       for k, cls in current for g in ([e] if cls.is_trivial() else extend_step(cls))]
+            current = [(k, b + (g,)) for k, b in current for g in (
+                [e] if first[k].a_seq == (e,) and set(b) == {e} else extend_step(group, first[k], b))]
         stages.append(current)
-    levels = [_transported_level(decomp, orbits, n, reps)
-              for n, reps in enumerate(stages, start=3)]
+    levels = [_transported_level(decomp, orbits, first, n, classes)
+              for n, classes in enumerate(stages, start=3)]
     return TowerResult(group, decomp, levels)
 
 
-def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, n: int,
-                       reps: list[tuple[int, Representation]]) -> TowerLevel:
-    """Stage n over every cycle: each (orbit, class) of an orbit's first cycle,
-    with its braid c set, conjugated onto every member of the orbit."""
+def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, first: list[Cycle], n: int,
+                       classes: list[tuple[int, tuple[int, ...]]]) -> TowerLevel:
+    """Stage n over every cycle: each class (k, b) over orbit k's first cycle
+    first[k], with its braid c set, conjugated onto every member of the orbit."""
     group = decomp.group
-    ks = np.fromiter((k for k, _ in reps), dtype=np.int64, count=len(reps))
+    ks = np.fromiter((k for k, _ in classes), dtype=np.int64, count=len(classes))
     size = orbits.start[ks + 1] - orbits.start[ks]
-    row_class = np.repeat(np.arange(len(reps)), size)
+    row_class = np.repeat(np.arange(len(classes)), size)
     pos = _ranges(orbits.start[ks], size)
     t = orbits.transporters[pos]
-    base_b = np.array([cls.b for _, cls in reps], dtype=np.int64).reshape(len(reps), n - 3)
+    base_b = np.array([b for _, b in classes], dtype=np.int64).reshape(len(classes), n - 3)
     b = _conjugate(group, t[:, None], base_b[row_class])
     # decompose numbers the cycles in lex order of their rep vertices, so this
     # is the order by (rep vertex, b)
@@ -420,7 +402,7 @@ def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, n: int,
     # the scanned classes unchanged
     orbit_rows = np.flatnonzero(pos == orbits.start[ks[row_class]])
     orbit_size = size[row_class[orbit_rows]]
-    base_c = [extend_to_braid(cls) for _, cls in reps]
+    base_c = [extend_to_braid(group, first[k], b) for k, b in classes]
     base_count = np.fromiter(map(len, base_c), dtype=np.int64, count=len(base_c))
     c_count = base_count[row_class]
     row = np.repeat(np.arange(row_class.size), c_count)
@@ -428,43 +410,3 @@ def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, n: int,
     c = _conjugate(group, t[row], flat[_ranges((np.cumsum(base_count) - base_count)[row_class], c_count)])
     return TowerLevel(n, decomp, orbits.ids[pos], b[order], c[np.lexsort((c, row))], c_count,
                       orbit_rows, orbit_size)
-
-
-# ---------------------------------------------------------------------------
-# a braid extension as explicit generator images
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BraidExtension:
-    """A representation together with an admissible image c of sigma_1."""
-
-    rep: Representation
-    c: int
-
-    def strand_images(self) -> tuple[int, ...]:
-        """Images (s_1, ..., s_{n-1}) of the standard braid generators."""
-        G = self.rep.group
-        out = [self.c, G.mul(self.rep.a(0), self.c)]
-        for b in self.rep.b:
-            out.append(G.mul(b, self.c))
-        return tuple(out)
-
-    def validate(self) -> None:
-        """Check the braid and far-commutation relations on the strand images."""
-        G = self.rep.group
-        s = self.strand_images()
-        k = len(s)
-        for i in range(k - 1):
-            lhs = G.mul(G.mul(s[i], s[i + 1]), s[i])
-            rhs = G.mul(G.mul(s[i + 1], s[i]), s[i + 1])
-            if lhs != rhs:
-                raise VerificationError(f"braid relation fails between strands {i + 1} and {i + 2}")
-        for i in range(k):
-            for j in range(i + 2, k):
-                if G.mul(s[i], s[j]) != G.mul(s[j], s[i]):
-                    raise VerificationError(f"strands {i + 1} and {j + 1} fail to commute")
-        if G.mul(s[1], G.inv(s[0])) != self.rep.a(0):
-            raise VerificationError("strand images do not restrict back to the representation")
-        for idx, b in enumerate(self.rep.b):
-            if G.mul(s[2 + idx], G.inv(s[0])) != b:
-                raise VerificationError("strand images do not restrict back to the representation")

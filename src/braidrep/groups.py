@@ -45,6 +45,11 @@ __all__ = [
 MAX_TABLE_ENTRIES = 10_000_000
 MAX_ORDER = math.isqrt(MAX_TABLE_ENTRIES)
 
+# Bytes a Cayley table file may spend on each entry, whitespace included: its
+# order must end within the first TABLE_BYTES_PER_ENTRY bytes, and a file of
+# order m holds at most TABLE_BYTES_PER_ENTRY * (m^2 + 1) bytes in all.
+TABLE_BYTES_PER_ENTRY = 16
+
 
 def _over_cap(name: str) -> ResourceLimitError:
     return ResourceLimitError(
@@ -481,17 +486,28 @@ class CayleyTableGroup(FiniteGroup):
 
 
 def load_cayley_table(path: str) -> CayleyTableGroup:
-    """Read a table file: first line the order m, then m rows of m 0-based indices."""
-    try:
-        with open(path) as fh:
-            tokens = fh.read().split()
-    except OSError as exc:
-        raise UsageError(f"cannot read Cayley table file {path}: {exc}") from None
-    if not tokens:
-        raise UsageError(f"empty Cayley table file: {path}")
+    """Read a table file: first line the order m, then m rows of m 0-based
+    indices; an endless or over-long file is refused unread (TABLE_BYTES_PER_ENTRY)."""
     name = f"table:{path}"
     try:
-        m = _bounded_order(name, (int(tokens[0]),))     # before any entry is converted
+        with open(path, "rb") as fh:
+            head = fh.read(TABLE_BYTES_PER_ENTRY)
+            tokens = head.split()
+            if len(head) == TABLE_BYTES_PER_ENTRY and not head[-1:].isspace():
+                tokens = tokens[:-1]    # the last token may run on past the head
+            if not (tokens and tokens[0].isdigit()):
+                raise UsageError(f"Cayley table file {path} does not give its order "
+                                 f"in its first {TABLE_BYTES_PER_ENTRY} bytes")
+            m = _bounded_order(name, (int(tokens[0]),))     # before any entry is read
+            limit = TABLE_BYTES_PER_ENTRY * (m * m + 1)
+            data = head + fh.read(limit + 1 - len(head))
+    except OSError as exc:
+        raise UsageError(f"cannot read Cayley table file {path}: {exc}") from None
+    if len(data) > limit:
+        raise UsageError(f"Cayley table file {path} is longer than {limit} bytes, "
+                         f"{TABLE_BYTES_PER_ENTRY} per entry for order {m}")
+    tokens = data.split()
+    try:
         rest = [int(t) for t in tokens[1:m * m + 1]]
     except ValueError as exc:
         raise UsageError(f"non-integer token in Cayley table file {path}: {exc}") from None

@@ -11,8 +11,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ResourceLimitError, UsageError, VerificationError
-from .extension import TowerResult
+from .extension import TowerLevel, TowerResult
 from .groups import FiniteGroup
 
 __all__ = [
@@ -190,19 +192,23 @@ def brute_hom_Bn(group: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> Or
 # engine-side censuses in the same key format
 # ---------------------------------------------------------------------------
 
+def _engine_keys(lvl: TowerLevel, rows: np.ndarray):
+    """(rep vertex, b, period) of the level's classes at `rows`."""
+    ids = lvl.cycle_ids[rows]
+    a0, a1 = lvl.decomposition.rep_vertices(ids)
+    return zip(zip(a0.tolist(), a1.tolist()), map(tuple, lvl.b[rows].tolist()),
+               lvl.decomposition.lengths[ids].tolist())
+
+
 def engine_census_Kn(tower: TowerResult, n: int) -> tuple:
-    out = []
-    for cls in tower.level(n).classes:
-        out.append((cls.cycle.rep_vertex, cls.b, cls.cycle.length))
-    return tuple(sorted(out))
+    lvl = tower.level(n)
+    return tuple(sorted(_engine_keys(lvl, np.arange(lvl.class_count))))
 
 
 def engine_census_Bn(tower: TowerResult, n: int) -> tuple:
     if n == 2:
         return tuple((None, (), c, 1) for c in tower.group.elements())
     lvl = tower.level(n)
-    out = []
-    for cls, cs in zip(lvl.classes, lvl.braid_c):
-        for c in cs:
-            out.append((cls.cycle.rep_vertex, cls.b, c, cls.cycle.length))
-    return tuple(sorted(out))
+    rows = np.repeat(np.arange(lvl.class_count), lvl.c_count)
+    return tuple(sorted((vertex, b, c, p)
+                        for (vertex, b, p), c in zip(_engine_keys(lvl, rows), lvl.c.tolist())))

@@ -315,11 +315,17 @@ def tower_to_csv(tower: TowerResult) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["n", "a0", "a1", "length", "type", "b", "c_count", "c_set"])
+    decomp = tower.decomposition
     for lvl in tower.levels:
-        for cls, cs in zip(lvl.classes, lvl.braid_c):
-            i, j = cls.cycle.rep_vertex
-            w.writerow([lvl.n, i + 1, j + 1, cls.cycle.length, cls.cycle.cycle_type,
-                        " ".join(str(x + 1) for x in cls.b), len(cs), " ".join(str(c + 1) for c in cs)])
+        ids = lvl.cycle_ids
+        a0, a1 = decomp.rep_vertices(ids)
+        c = [str(x) for x in (lvl.c + 1).tolist()]
+        ends = np.cumsum(lvl.c_count).tolist()
+        for i, j, p, type_I, b, start, end in zip(
+                (a0 + 1).tolist(), (a1 + 1).tolist(), decomp.lengths[ids].tolist(),
+                decomp.is_type_I[ids].tolist(), (lvl.b + 1).tolist(), [0, *ends], ends):
+            w.writerow([lvl.n, i, j, p, "I" if type_I else "II", " ".join(map(str, b)),
+                        end - start, " ".join(c[start:end])])
     return buf.getvalue()
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import UsageError, VerificationError
+from .errors import VerificationError
 from .groups import FiniteGroup
 
 __all__ = [
@@ -28,8 +28,6 @@ __all__ = [
     "ShiftDecomposition",
     "decompose",
     "order2_cycle_shape",
-    "Representation",
-    "shift",
 ]
 
 Vertex = tuple[int, int]
@@ -236,52 +234,3 @@ def order2_cycle_shape(group: FiniteGroup, a: int) -> int:
     if group.mul(a, a) == group.identity:
         return 3
     return 6
-
-
-@dataclass(frozen=True)
-class Representation:
-    """A point of a successor cycle, optionally extended by images b_3..b_{n-1}.
-
-    Phase k of a cycle of length p is the representation with a_m =
-    a_seq[(k + m) mod p]; the tuple b holds the extra generator images, so n =
-    3 + len(b) is the number of braid strands the representation belongs to.
-    A tower class is the phase-0 representation of its cycle and images; it
-    stands for all p phases, which share every admissible extension.
-    """
-
-    group: FiniteGroup
-    cycle: Cycle
-    phase: int = 0
-    b: tuple[int, ...] = ()
-
-    @property
-    def n(self) -> int:
-        return 3 + len(self.b)
-
-    @property
-    def period(self) -> int:
-        return self.cycle.length
-
-    def a(self, m: int) -> int:
-        return self.cycle.a_seq[(self.phase + m) % self.cycle.length]
-
-    def vertex(self) -> Vertex:
-        return (self.a(0), self.a(1))
-
-    def is_trivial(self) -> bool:
-        e = self.group.identity
-        return self.cycle.length == 1 and self.cycle.a_seq[0] == e and all(x == e for x in self.b)
-
-    def generators(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.cycle.a_seq) | set(self.b)))
-
-    def parent(self) -> "Representation":
-        """The same point one stage down (the last image dropped)."""
-        if not self.b:
-            raise UsageError("a stage-3 representation has no parent")
-        return Representation(self.group, self.cycle, self.phase, self.b[:-1])
-
-
-def shift(rep: Representation) -> Representation:
-    """Advance the phase: the shifted representation sends z_m to the old a_{m+1}."""
-    return Representation(rep.group, rep.cycle, (rep.phase + 1) % rep.period, rep.b)

@@ -1,8 +1,8 @@
-"""Re-checkable structural facts bundled into named suites.
-
-Each suite re-derives a property from a freshly computed tower (or a brute
-scan) rather than trusting the engine's internal assertions; `verify` in the
-command-line driver prints one PASS/FAIL line per suite.
+"""Re-checkable structural facts bundled into named suites, run on a tower at its
+group and top stage.  census and prop1-prop4 re-check the engine's own tower on
+the same group backend; oracle-eq, the independent check, compares it with a
+brute-force scan for |G| <= 40.  `verify` in the command-line driver prints one
+PASS/FAIL line per suite.
 """
 from __future__ import annotations
 
@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import perfect_core_census_match
+# bound here for perfbench/selfcheck.py, which checks that the tracer patches it
 from .extension import TowerResult, compute_tower
-from .groups import FiniteGroup, element_order
+from .groups import element_order
 from .oracle import DEFAULT_BUDGET, brute_hom_Bn, brute_hom_Kn, check_budget, engine_census_Bn, engine_census_Kn
 
 __all__ = ["SuiteResult", "run_suites", "SUITE_NAMES"]
@@ -61,18 +62,19 @@ def _prop2_suite(tower: TowerResult) -> SuiteResult:
     e = G.identity
     if tower.n_max < 4:
         return SuiteResult("prop2", True, "skipped (tower stops before stage 4)")
+    lvl = tower.level(4)
     bad = []
-    for cls in tower.level(4).classes:
-        p = cls.period
-        b3 = cls.b[0]
+    for i, b3 in zip(lvl.cycle_ids.tolist(), lvl.b[:, 0].tolist()):
+        cycle = tower.decomposition.cycle(i)
+        p = cycle.length
         if G.power(b3, p) != e:
-            bad.append(f"b3^p != e at {cls.cycle.rep_vertex}")
+            bad.append(f"b3^p != e at {cycle.rep_vertex}")
         if math.gcd(p, G.order) == 1 and b3 != e:
-            bad.append(f"gcd(p,|G|)=1 but b3 nontrivial at {cls.cycle.rep_vertex}")
-        if cls.cycle.cycle_type == "I" and b3 != e:
-            bad.append(f"type-I cycle with nontrivial b3 at {cls.cycle.rep_vertex}")
+            bad.append(f"gcd(p,|G|)=1 but b3 nontrivial at {cycle.rep_vertex}")
+        if cycle.cycle_type == "I" and b3 != e:
+            bad.append(f"type-I cycle with nontrivial b3 at {cycle.rep_vertex}")
     return SuiteResult("prop2", not bad,
-                       bad[0] if bad else f"{tower.level(4).class_count} stage-4 classes checked")
+                       bad[0] if bad else f"{lvl.class_count} stage-4 classes checked")
 
 
 def _prop3_suite(tower: TowerResult) -> SuiteResult:
@@ -83,12 +85,13 @@ def _prop3_suite(tower: TowerResult) -> SuiteResult:
     bad = []
     checked = 0
     for n in range(5, tower.n_max + 1):
-        for cls in tower.level(n).classes:
-            if cls.is_trivial():
+        lvl = tower.level(n)
+        for i, b in zip(lvl.cycle_ids.tolist(), lvl.b.tolist()):
+            a_seq = tower.decomposition.cycle(i).a_seq
+            if set(a_seq).union(b) == {e}:     # the trivial class
                 continue
             checked += 1
-            b = cls.b
-            p = cls.period
+            p = len(a_seq)
             for i in range(len(b) - 1):
                 x, y = b[i], b[i + 1]
                 if G.mul(G.mul(x, y), x) != G.mul(G.mul(y, x), y):
@@ -103,7 +106,7 @@ def _prop3_suite(tower: TowerResult) -> SuiteResult:
                 if i > 0 and element_order(G, x) % p != 0:
                     bad.append(f"p does not divide ord(b_{i + 3}) at stage {n}")
                 xp = G.power(x, p)
-                if any(G.mul(xp, am) != G.mul(am, xp) for am in cls.cycle.a_seq):
+                if any(G.mul(xp, am) != G.mul(am, xp) for am in a_seq):
                     bad.append(f"b^p fails to centralise the a-sequence at stage {n}")
     return SuiteResult("prop3", not bad,
                        bad[0] if bad else f"{checked} nontrivial classes at stages >= 5 checked")
@@ -113,7 +116,7 @@ def _prop4_suite(tower: TowerResult) -> SuiteResult:
     n = tower.n_max
     if n < 6:
         return SuiteResult("prop4", True, f"skipped (needs stage >= 6, tower stops at {n})")
-    ok = perfect_core_census_match(tower.group, n, tower)
+    ok = perfect_core_census_match(tower)
     return SuiteResult("prop4", ok, f"stage-{n} census vs perfect core census")
 
 
@@ -140,19 +143,17 @@ def _oracle_suite(tower: TowerResult, budget: int) -> SuiteResult:
     return SuiteResult("oracle-eq", True, detail)
 
 
-def run_suites(group: FiniteGroup, n: int, *, budget: int = DEFAULT_BUDGET,
-               tower: TowerResult | None = None) -> list[SuiteResult]:
-    """Run every named suite against a stage-n tower over the group."""
+def run_suites(tower: TowerResult, *, budget: int = DEFAULT_BUDGET) -> list[SuiteResult]:
+    """Run every named suite against the tower, at its group and top stage."""
     check_budget(budget)
-    t = tower if tower is not None else compute_tower(group, n)
     results = [
-        _census_suite(t),
-        _prop1_suite(t),
-        _prop2_suite(t),
-        _prop3_suite(t),
-        _prop4_suite(t),
-        _oracle_suite(t, budget),
+        _census_suite(tower),
+        _prop1_suite(tower),
+        _prop2_suite(tower),
+        _prop3_suite(tower),
+        _prop4_suite(tower),
+        _oracle_suite(tower, budget),
     ]
-    if t.n_max >= 5 and t.is_trivial_at(t.n_max):
-        results.append(SuiteResult("note", True, f"stage {t.n_max} is trivial over {group.name}"))
+    if tower.n_max >= 5 and tower.is_trivial_at(tower.n_max):
+        results.append(SuiteResult("note", True, f"stage {tower.n_max} is trivial over {tower.group.name}"))
     return results

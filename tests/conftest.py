@@ -49,6 +49,15 @@ def per_vertex_walk(group):
     return cycles, census, [cycle_of[a0, a1] for a0 in range(m) for a1 in range(m)]
 
 
+def level_rows(lvl):
+    """Each class of a tower level as (Cycle, b tuple, c tuple), read from its arrays."""
+    decomp = lvl.decomposition
+    c = lvl.c.tolist()
+    ends = np.cumsum(lvl.c_count).tolist()
+    return [(decomp.cycle(i), tuple(b), tuple(c[start:end]))
+            for i, b, start, end in zip(lvl.cycle_ids.tolist(), lvl.b.tolist(), [0, *ends], ends)]
+
+
 @pytest.fixture(scope="session")
 def s2():
     return SymmetricGroup(2)

@@ -18,10 +18,10 @@ from braidrep.extension import compute_tower, extend_to_braid
 from braidrep.groups import SL2, AbelianProduct, SymmetricGroup, alternating_group
 from braidrep.oracle import brute_hom_Bn, brute_hom_Kn, engine_census_Bn, engine_census_Kn
 from braidrep.report import normalize_tokens, paper_shift_lines, stage4_b3_block
-from braidrep.shift import Representation, decompose, successor
+from braidrep.shift import decompose, successor
 from braidrep.verify import run_suites
 
-from conftest import golden_text
+from conftest import golden_text, level_rows
 
 Check = tuple[bool, str]
 
@@ -81,13 +81,13 @@ def test_criterion_03_s4_stage3(tower_s4):
 
 def test_criterion_04_s4_stage4(tower_s4, s4):
     lvl = tower_s4.level(4)
-    extra = [cls for cls in lvl.classes if cls.b != (s4.identity,)]
-    special = {cls.cycle.rep_vertex for cls in extra}
+    extra = [(cycle, b) for cycle, b, _ in level_rows(lvl) if b != (s4.identity,)]
+    special = {cycle.rep_vertex for cycle, _ in extra}
     expected_vertices = {
         (3, 4), (3, 8), (3, 15), (3, 19), (4, 11),
         (4, 12), (4, 20), (8, 12), (11, 19), (15, 20),
     }
-    b3_values = {cls.b[0] for cls in extra}
+    b3_values = {b[0] for _, b in extra}
     ours = "\n".join(stage4_b3_block(tower_s4))
     golden = golden_text("n4_r4.txt")
     checks = [
@@ -154,7 +154,7 @@ def test_criterion_07_oracle_equivalence(tower_s2, tower_s3, tower_s4, tower_z6,
     _report(7, "oracle equivalence (6 groups x K3..K5, 2 groups x B2..B4)", checks)
 
 
-def test_criterion_08_structural_properties(s3, s4, s5, tower_s4, tower_s5, tower_a5):
+def test_criterion_08_structural_properties(s3, s4, tower_s4, tower_s5, tower_a5):
     checks: list[Check] = []
 
     # census identity and unique fixed point on every backend flavour
@@ -166,7 +166,7 @@ def test_criterion_08_structural_properties(s3, s4, s5, tower_s4, tower_s5, towe
                        f"census identity fails over {group.name}"))
 
     # the named suites re-derive the cycle-product, b3 and higher-stage claims
-    for res in run_suites(s4, 6, tower=tower_s4):
+    for res in run_suites(tower_s4):
         checks.append((res.ok, f"suite {res.name} failed over S4: {res.detail}"))
 
     # order-3 elements walk the six-vertex pattern
@@ -197,8 +197,8 @@ def test_criterion_08_structural_properties(s3, s4, s5, tower_s4, tower_s5, towe
     # stage-6 classes over S5 are all even, and the census agrees with the
     # perfect core (A5); same comparison over S4 and its core
     checks.append((classes_all_even(tower_s5, 6), "stage-6 classes over S5 not all even"))
-    checks.append((perfect_core_census_match(s4, 6, tower_s4), "S4 vs core census mismatch"))
-    checks.append((perfect_core_census_match(s5, 6, tower_s5), "S5 vs A5 census mismatch"))
+    checks.append((perfect_core_census_match(tower_s4), "S4 vs core census mismatch"))
+    checks.append((perfect_core_census_match(tower_s5), "S5 vs A5 census mismatch"))
     checks.append((tower_a5.is_trivial_at(6), "stage 6 over A5 is not trivial"))
 
     _report(8, "structural properties", checks)
@@ -208,12 +208,12 @@ def test_criterion_09_pi_representation(tower_s5, tower_s6):
     checks: list[Check] = []
     for n in range(3, 7):
         for r in range(n, 7):
-            rep = pi_representation(n, r)
-            checks.append((rep.n == n and rep.period == 2,
+            cycle, _, b = pi_representation(n, r)
+            checks.append((3 + len(b) == n and cycle.length == 2,
                            f"standard representation broken at (n={n}, r={r})"))
-    rep33 = pi_representation(3, 3)
-    checks.append((rep33.cycle.rep_vertex == (3, 4) and rep33.phase == 1,
-                   f"(3,3) lands at {rep33.cycle.rep_vertex} phase {rep33.phase}"))
+    cycle33, phase33, _ = pi_representation(3, 3)
+    checks.append((cycle33.rep_vertex == (3, 4) and phase33 == 1,
+                   f"(3,3) lands at {cycle33.rep_vertex} phase {phase33}"))
     checks.append((nontrivial_implies_transitive(tower_s5, 5),
                    "a nontrivial stage-5 class over S5 is intransitive"))
     checks.append((nontrivial_implies_transitive(tower_s6, 6),
@@ -228,8 +228,7 @@ def test_criterion_10_braid_counts(s3, s4, tower_s4, tower_z6, z6):
     triv_ok = True
     for group in (s3, s4, z6):
         d = decompose(group)
-        rep = Representation(group, d.trivial_cycle, 0)
-        triv_ok = triv_ok and extend_to_braid(rep) == sorted(group.elements())
+        triv_ok = triv_ok and extend_to_braid(group, d.trivial_cycle, ()) == sorted(group.elements())
     checks = [
         (engine_b6 == 24, f"engine |Hom(B6, S4)| = {engine_b6} != 24"),
         (tower_s4.is_trivial_at(6) and engine_b6 == s4.order,

@@ -10,7 +10,6 @@ from braidrep.analysis import (
     count_braid_subgroups,
     count_subgroups,
     generator_orbits,
-    is_transitive,
     nontrivial_implies_transitive,
     perfect_core_census_match,
     pi_representation,
@@ -20,7 +19,9 @@ from braidrep.analysis import (
 from braidrep.errors import UsageError
 from braidrep.extension import compute_tower
 from braidrep.groups import AbelianProduct, SymmetricGroup
-from braidrep.shift import Representation, decompose
+from braidrep.shift import decompose
+
+from conftest import level_rows
 
 
 # ---------------------------------------------------------------------------
@@ -42,11 +43,13 @@ def test_orbits_need_symmetric_backend(z6):
 
 def test_is_transitive(s3):
     d = decompose(s3)
-    from braidrep.shift import Representation
 
-    assert is_transitive(Representation(s3, d.cycle_at((3, 4)), 0))
-    assert not is_transitive(Representation(s3, d.cycle_at((0, 1)), 0))
-    assert not is_transitive(Representation(s3, d.trivial_cycle, 0))
+    def transitive(cycle):
+        return len(generator_orbits(s3, set(cycle.a_seq))) == 1
+
+    assert transitive(d.cycle_at((3, 4)))
+    assert not transitive(d.cycle_at((0, 1)))
+    assert not transitive(d.trivial_cycle)
 
 
 def test_transitivity_report_structure(tower_s4):
@@ -76,6 +79,10 @@ def _orbit_closure(S, gens):
     return tuple(orbits)
 
 
+def _generators(cycle, b):
+    return tuple(sorted(set(cycle.a_seq) | set(b)))
+
+
 def _is_even(S, g):
     """Parity by counting the inversions of g's image."""
     image = S.image(g)
@@ -88,17 +95,20 @@ def test_transitivity_report_matches_orbit_closure(tower_s4, tower_s5):
         report = transitivity_report(tower)
         for lvl, orbit_lvl in zip(tower.levels, report.levels):
             assert orbit_lvl.transitive_rep_count == sum(
-                cls.period for cls in lvl.classes if len(_orbit_closure(S, cls.generators())) == 1)
+                cycle.length for cycle, b, _ in level_rows(lvl) if len(_orbit_closure(S, _generators(cycle, b))) == 1)
 
 
 def test_structural_claims_match_every_class(tower_s4, tower_s5):
     for tower in (tower_s4, tower_s5):
         S = tower.group
+        e = S.identity
         for lvl in tower.levels:
+            rows = level_rows(lvl)
             assert nontrivial_implies_transitive(tower, lvl.n) == all(
-                len(_orbit_closure(S, cls.generators())) == 1 for cls in lvl.classes if not cls.is_trivial())
+                len(_orbit_closure(S, _generators(cycle, b))) == 1
+                for cycle, b, _ in rows if not (cycle.length == 1 and cycle.a_seq[0] == e and set(b) <= {e}))
             assert classes_all_even(tower, lvl.n) == all(
-                _is_even(S, g) for cls in lvl.classes for g in cls.generators())
+                _is_even(S, g) for cycle, b, _ in rows for g in _generators(cycle, b))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +171,6 @@ def test_subgroups_path_builds_no_class_objects():
     assert count_braid_subgroups(6, 5, tower) == 1
     assert nontrivial_implies_transitive(tower, 5)
     assert classes_all_even(tower, 6)
-    for lvl in tower.levels:
-        assert "classes" not in vars(lvl) and "braid_c" not in vars(lvl)
     assert "cycles" not in vars(tower.decomposition)
 
 
@@ -226,32 +234,32 @@ def test_abelian_cycle_length_rejects_nonabelian(s3):
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(3, 7) for r in range(n, 7)])
 def test_pi_representation_exists(n, r):
-    rep = pi_representation(n, r)
-    assert rep.n == n
-    assert rep.period == 2
-    assert is_transitive(rep) == (r == n)
+    cycle, phase, b = pi_representation(n, r)
+    assert 3 + len(b) == n
+    assert cycle.length == 2
+    assert 0 <= phase < 2
+    assert (len(generator_orbits(SymmetricGroup(r), _generators(cycle, b))) == 1) == (r == n)
 
 
 def test_pi_representation_location(s3):
-    rep = pi_representation(3, 3, decompose(s3))
-    assert rep.cycle.rep_vertex == (3, 4)
-    assert rep.phase == 1
-    assert rep.vertex() == (4, 3)
+    cycle, phase, b = pi_representation(3, 3, decompose(s3))
+    assert cycle.rep_vertex == (3, 4)
+    assert phase == 1
+    assert cycle.vertex(phase) == (4, 3)
+    assert b == ()
 
 
 def test_pi_representation_images(s5):
-    rep = pi_representation(5, 5)
-    assert rep.vertex() == (48, 30)
-    assert rep.b == (26, 25)
-    S = rep.group
-    assert S.image(rep.b[0]) == (2, 1, 4, 3, 5)
-    assert S.image(rep.b[1]) == (2, 1, 3, 5, 4)
+    cycle, phase, b = pi_representation(5, 5)
+    assert cycle.vertex(phase) == (48, 30)
+    assert b == (26, 25)
+    assert s5.image(b[0]) == (2, 1, 4, 3, 5)
+    assert s5.image(b[1]) == (2, 1, 3, 5, 4)
 
 
-def test_pi_representation_class_is_found_by_tower(tower_s5, s5):
-    rep = pi_representation(5, 5, tower_s5.decomposition)
-    cls = Representation(rep.group, rep.cycle, 0, rep.b)
-    assert cls in tower_s5.level(5).classes
+def test_pi_representation_class_is_found_by_tower(tower_s5):
+    cycle, _, b = pi_representation(5, 5, tower_s5.decomposition)
+    assert (cycle, b) in [(c, bb) for c, bb, _ in level_rows(tower_s5.level(5))]
 
 
 def test_pi_representation_argument_errors():
@@ -282,6 +290,11 @@ def test_classes_all_even(tower_s4, tower_s5, tower_s6):
     assert classes_all_even(tower_s6, 6)
 
 
-def test_perfect_core_census_match(s4, s5, tower_s4, tower_s5):
-    assert perfect_core_census_match(s4, 6, tower_s4)
-    assert perfect_core_census_match(s5, 6, tower_s5)
+def test_perfect_core_census_match(tower_s4, tower_s5, s6):
+    assert perfect_core_census_match(tower_s4)
+    assert perfect_core_census_match(tower_s5)
+    # stage 6 over S6 has 721 classes, not only the trivial one, all inside A6,
+    # whose handles differ from S6's
+    tower = compute_tower(s6, 6)
+    assert tower.level(6).class_count == 721
+    assert perfect_core_census_match(tower)

@@ -5,6 +5,7 @@ import argparse
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -335,6 +336,43 @@ def test_oversized_spec_exits_cleanly(spec):
     assert proc.returncode in (2, 3)
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(("error:", "resource limit:")), proc.stderr
+
+
+def _limit_address_space():
+    # 1.5 GB: the interpreter and numpy fit, an unbounded read of /dev/zero does not
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+def _run_limited(*argv):
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=20,
+                          env=_cli_env(), preexec_fn=_limit_address_space)
+
+
+@pytest.mark.parametrize("endless,message", [(True, "does not give its order in its first 16 bytes"),
+                                             (False, "is longer than 160 bytes")], ids=["dev-zero", "over-long"])
+def test_endless_or_over_long_table_file_exits_cleanly(tmp_path, endless, message):
+    path = "/dev/zero"
+    if not endless:
+        # a valid table of Z3 (20 bytes), then zero bytes far past its bound of
+        # 16 * (3^2 + 1) = 160 bytes: 2 GB, more than the address space, in a sparse file
+        path = tmp_path / "z3.txt"
+        with open(path, "wb") as fh:
+            fh.write(b"3\n0 1 2\n1 2 0\n2 0 1\n")
+            fh.truncate(2 << 30)
+    proc = _run_limited("-m", "braidrep.cli", "shift", f"table:{path}")
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: Cayley table file {path} {message}"), proc.stderr
+
+
+def test_document_naming_an_endless_table_file_is_a_usage_error():
+    code = ("from braidrep.report import shift_from_json\n"
+            "doc = {'schema': 'braidrep.shift.v1', 'group': 'table:/dev/zero', 'order': 3}\n"
+            "try:\n    shift_from_json(doc)\n"
+            "except ValueError as exc:\n    print(type(exc).__name__, exc)\n")
+    proc = _run_limited("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("UsageError Cayley table file /dev/zero ")
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -4,9 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from braidrep.errors import UsageError, VerificationError
+from braidrep.errors import UsageError
 from braidrep.extension import (
-    BraidExtension,
     _conjugation_orbits,
     compute_tower,
     extend_step,
@@ -14,9 +13,9 @@ from braidrep.extension import (
     extend_to_braid,
 )
 from braidrep.groups import SL2, SymmetricGroup, alternating_group, parse_group_spec
-from braidrep.shift import Cycle, Representation, decompose
+from braidrep.shift import Cycle, decompose
 
-from conftest import relabelled
+from conftest import level_rows, relabelled
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +85,15 @@ def test_type_I_cycles_admit_only_trivial_b3(s4):
 
 def test_extend_step_rejects_stage_3(s3):
     d = decompose(s3)
-    rep = Representation(s3, d.cycle_at((1, 2)), 0)
     with pytest.raises(UsageError):
-        extend_step(rep)
+        extend_step(s3, d.cycle_at((1, 2)), ())
 
 
 def test_extend_step_empty_over_s4(tower_s4, s4):
-    for cls in tower_s4.level(4).classes:
-        if not cls.is_trivial():
-            assert extend_step(cls) == []
+    trivial = tower_s4.decomposition.trivial_cycle
+    for cycle, b, _ in level_rows(tower_s4.level(4)):
+        if cycle != trivial:
+            assert extend_step(s4, cycle, b) == []
 
 
 def test_extend_step_agrees_with_direct_relation_check(s5):
@@ -107,20 +106,20 @@ def test_extend_step_agrees_with_direct_relation_check(s5):
     cyc, phase = d.phase_of(v)
     b3 = s5.index_of((2, 1, 4, 3, 5))
     assert b3 == 26
-    rep = Representation(s5, cyc, phase, (b3,))
 
     p = cyc.length
+    a = [cyc.a_seq[(phase + m) % p] for m in range(p + 1)]   # read from the vertex v
     brute = []
     for g in s5.elements():
         if g == s5.identity:
             continue
         inter = all(
-            s5.mul(rep.a(m), g) == s5.mul(g, rep.a(m + 1)) for m in range(p)
+            s5.mul(a[m], g) == s5.mul(g, a[m + 1]) for m in range(p)
         )
         braid = s5.mul(s5.mul(g, b3), g) == s5.mul(s5.mul(b3, g), b3)
         if inter and braid:
             brute.append(g)
-    found = extend_step(rep)
+    found = extend_step(s5, cyc, (b3,))
     assert found == brute
     assert s5.index_of((2, 1, 3, 5, 4)) in found  # (1 2)(4 5) at handle 25
 
@@ -132,49 +131,29 @@ def test_extend_step_agrees_with_direct_relation_check(s5):
 def test_trivial_class_extends_by_every_element(s3, z6):
     for group in (s3, z6):
         d = decompose(group)
-        rep = Representation(group, d.trivial_cycle, 0)
-        assert extend_to_braid(rep) == sorted(group.elements())
+        assert extend_to_braid(group, d.trivial_cycle, ()) == sorted(group.elements())
 
 
 def test_braid_extension_of_period_two_cycle_over_s3(s3):
     d = decompose(s3)
-    rep = Representation(s3, d.cycle_at((3, 4)), 0)
     # exactly the three transpositions
-    assert extend_to_braid(rep) == [1, 2, 5]
+    assert extend_to_braid(s3, d.cycle_at((3, 4)), ()) == [1, 2, 5]
 
 
 def test_braid_extension_empty_when_period_does_not_divide_order(s3):
     d = decompose(s3)
-    nine = Representation(s3, d.cycle_at((1, 2)), 0)
-    assert nine.period == 9
-    assert extend_to_braid(nine) == []
+    nine = d.cycle_at((1, 2))
+    assert nine.length == 9
+    assert extend_to_braid(s3, nine, ()) == []
 
 
 def test_braid_extension_c_satisfies_defining_relation(s3):
     d = decompose(s3)
-    rep = Representation(s3, d.cycle_at((3, 4)), 0)
-    for c in extend_to_braid(rep):
-        for m in range(rep.period):
-            assert s3.mul(c, rep.a(m)) == s3.mul(rep.a(m + 1), c)
-
-
-def test_braid_extension_strand_images_validate(tower_s3, s3):
-    lvl = tower_s3.level(3)
-    checked = 0
-    for cls, cs in zip(lvl.classes, lvl.braid_c):
-        for c in cs:
-            ext = BraidExtension(cls, c)
-            ext.validate()
-            assert len(ext.strand_images()) == 2
-            checked += 1
-    assert checked == lvl.braid_class_count
-
-
-def test_braid_extension_validate_rejects_bad_c(s3):
-    d = decompose(s3)
-    rep = Representation(s3, d.cycle_at((3, 4)), 0)
-    with pytest.raises(VerificationError):
-        BraidExtension(rep, s3.identity).validate()
+    cycle = d.cycle_at((3, 4))
+    a, p = cycle.a_seq, cycle.length
+    for c in extend_to_braid(s3, cycle, ()):
+        for m in range(p):
+            assert s3.mul(c, a[m]) == s3.mul(a[(m + 1) % p], c)
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +185,13 @@ def test_tower_s4_counts(tower_s4):
 
 
 def test_tower_s4_level4_split(tower_s4, s4):
-    lvl = tower_s4.level(4)
-    with_trivial_b3 = [cls for cls in lvl.classes if cls.b == (s4.identity,)]
-    extra = [cls for cls in lvl.classes if cls.b != (s4.identity,)]
+    rows = level_rows(tower_s4.level(4))
+    with_trivial_b3 = [cycle for cycle, b, _ in rows if b == (s4.identity,)]
+    extra = [cycle for cycle, b, _ in rows if b != (s4.identity,)]
     assert len(with_trivial_b3) == 88
     assert len(extra) == 30
-    assert {cls.cycle.rep_vertex for cls in extra} == S4_SPECIAL_VERTICES
-    assert sum(cls.period for cls in extra) == 96
+    assert {cycle.rep_vertex for cycle in extra} == S4_SPECIAL_VERTICES
+    assert sum(cycle.length for cycle in extra) == 96
 
 
 def test_tower_z6_counts(tower_z6):
@@ -223,19 +202,15 @@ def test_tower_z6_counts(tower_z6):
 
 def test_every_class_has_a_parent_below(tower_s4, s4):
     for n in (4, 5, 6):
-        parents = set(tower_s4.level(n - 1).classes)
-        for cls in tower_s4.level(n).classes:
-            assert cls.parent() in parents
+        below, lvl = tower_s4.level(n - 1), tower_s4.level(n)
+        parents = set(zip(below.cycle_ids.tolist(), map(tuple, below.b.tolist())))
+        assert set(zip(lvl.cycle_ids.tolist(), map(tuple, lvl.b[:, :-1].tolist()))) <= parents
 
 
 def test_trivial_chain_present_at_every_level(tower_s4, s4):
+    e = s4.identity
     for lvl in tower_s4.levels:
-        assert any(cls.is_trivial() for cls in lvl.classes)
-
-
-def test_stage3_class_has_no_parent(tower_s3):
-    with pytest.raises(UsageError):
-        tower_s3.level(3).classes[0].parent()
+        assert any(cycle.a_seq == (e,) and set(b) <= {e} for cycle, b, _ in level_rows(lvl))
 
 
 # Isomorphic backends number their elements differently, so agreement of the
@@ -270,19 +245,19 @@ def _exhaustive_levels(group, n_max):
     scans on every cycle and class, with no orbit reduction."""
     decomp = decompose(group)
     e = group.identity
-    current = [Representation(group, c) for c in decomp.cycles]
+    trivial = decomp.trivial_cycle
+    current = [(cycle, ()) for cycle in decomp.cycles]
     levels = [current]
     for n in range(4, n_max + 1):
         if n == 4:
-            current = [Representation(group, cls.cycle, 0, (b3,))
-                       for cls in current for b3 in extend_to_K4(group, cls.cycle)]
+            current = [(cycle, (b3,)) for cycle, _ in current for b3 in extend_to_K4(group, cycle)]
         else:
-            current = [Representation(group, decomp.trivial_cycle, 0, (e,) * (n - 3))] + [
-                Representation(group, cls.cycle, 0, cls.b + (g,))
-                for cls in current if not cls.is_trivial() for g in extend_step(cls)]
-        current = sorted(current, key=lambda cls: (cls.cycle.rep_vertex, cls.b))
+            current = [(trivial, (e,) * (n - 3))] + [
+                (cycle, b + (g,)) for cycle, b in current if (cycle, b) != (trivial, (e,) * (n - 4))
+                for g in extend_step(group, cycle, b)]
+        current = sorted(current, key=lambda cls: (cls[0].rep_vertex, cls[1]))
         levels.append(current)
-    return [[(cls.cycle, cls.b, tuple(extend_to_braid(cls))) for cls in lvl] for lvl in levels]
+    return [[(cycle, b, tuple(extend_to_braid(group, cycle, b))) for cycle, b in lvl] for lvl in levels]
 
 
 ORBIT_GROUPS = {
@@ -301,9 +276,7 @@ ORBIT_GROUPS = {
 def test_tower_equals_exhaustive_scan(name):
     group = ORBIT_GROUPS[name]()
     tower = compute_tower(group, 6)
-    ours = [[(cls.cycle, cls.b, cs) for cls, cs in zip(lvl.classes, lvl.braid_c)]
-            for lvl in tower.levels]
-    assert ours == _exhaustive_levels(group, 6)
+    assert [level_rows(lvl) for lvl in tower.levels] == _exhaustive_levels(group, 6)
 
 
 def _cycle_orbits(decomp):
@@ -340,10 +313,11 @@ def test_classes_are_ordered_by_rep_vertex_then_b(make):
     tower = compute_tower(make(), 6)
     ties = long_runs = 0
     for lvl in tower.levels:
-        keys = [(cls.cycle.rep_vertex, cls.b) for cls in lvl.classes]
+        rows = level_rows(lvl)
+        keys = [(cycle.rep_vertex, b) for cycle, b, _ in rows]
         assert all(x < y for x, y in zip(keys, keys[1:]))
         ties += sum(x[0] == y[0] for x, y in zip(keys, keys[1:]))
-        for cs in lvl.braid_c:
+        for _, _, cs in rows:
             assert all(x < y for x, y in zip(cs, cs[1:]))
             long_runs += len(cs) > 1
     # the order was tested on cycles with several classes and on several c
@@ -380,12 +354,3 @@ def test_tower_level_lookup_bounds(tower_s3):
     with pytest.raises(UsageError):
         tower_s3.level(tower_s3.n_max + 1)
 
-
-def test_rep_class_accessors(tower_s4, s4):
-    cls = next(c for c in tower_s4.level(4).classes if c.b != (s4.identity,))
-    assert cls.n == 4
-    assert cls.phase == 0
-    rep = Representation(s4, cls.cycle, 1, cls.b)
-    assert rep.b == cls.b
-    assert rep.vertex() == cls.cycle.vertex(1)
-    assert Representation(s4, cls.cycle).n == 3

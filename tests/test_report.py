@@ -33,7 +33,7 @@ from braidrep.report import (
 from braidrep.shift import decompose
 from braidrep.verify import SUITE_NAMES, run_suites
 
-from conftest import golden_text, per_vertex_walk, relabelled
+from conftest import golden_text, level_rows, per_vertex_walk, relabelled
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +74,9 @@ def test_stage4_block_matches_golden_s4(tower_s4):
 def test_stage4_block_equals_the_class_listing(document_tower):
     e = document_tower.group.identity
     by_b3 = {}
-    for cls in document_tower.level(4).classes:
-        if cls.b[0] != e:
-            by_b3.setdefault(cls.b[0], []).append(cls.cycle.rep_vertex)
+    for cycle, b, _ in level_rows(document_tower.level(4)):
+        if b[0] != e:
+            by_b3.setdefault(b[0], []).append(cycle.rep_vertex)
     assert stage4_b3_block(document_tower) == [
         f"[{b3 + 1}, " + ", ".join(f"[{i + 1}, {j + 1}]" for i, j in sorted(by_b3[b3])) + "]" for b3 in sorted(by_b3)]
 
@@ -107,9 +107,8 @@ def _shift_reference(decomp):
 def _tower_reference(tower):
     levels = []
     for lvl in tower.levels:
-        classes = [{"a_seq": list(cls.cycle.a_seq), "type": cls.cycle.cycle_type,
-                    "b": list(cls.b), "c_set": list(cs)}
-                   for cls, cs in zip(lvl.classes, lvl.braid_c)]
+        classes = [{"a_seq": list(cycle.a_seq), "type": cycle.cycle_type, "b": list(b), "c_set": list(cs)}
+                   for cycle, b, cs in level_rows(lvl)]
         levels.append({"n": lvl.n, "class_count": lvl.class_count, "rep_count": lvl.rep_count,
                        "classes": classes, "braid_class_count": lvl.braid_class_count,
                        "braid_rep_count": lvl.braid_rep_count})
@@ -172,10 +171,11 @@ def test_tower_document_is_json_dumps_of_the_reference(document_tower):
 
 def test_stored_counts_equal_the_sums_over_the_views(document_tower):
     for lvl in document_tower.levels:
-        assert lvl.class_count == len(lvl.classes) == len(lvl.braid_c)
-        assert lvl.rep_count == sum(cls.period for cls in lvl.classes)
-        assert lvl.braid_class_count == sum(len(cs) for cs in lvl.braid_c)
-        assert lvl.braid_rep_count == sum(cls.period * len(cs) for cls, cs in zip(lvl.classes, lvl.braid_c))
+        rows = level_rows(lvl)
+        assert lvl.class_count == len(rows) == lvl.c_count.size
+        assert lvl.rep_count == sum(cycle.length for cycle, _, _ in rows)
+        assert lvl.braid_class_count == sum(len(cs) for _, _, cs in rows)
+        assert lvl.braid_rep_count == sum(cycle.length * len(cs) for cycle, _, cs in rows)
 
 
 def test_cycle_views_equal_the_per_vertex_walk(document_tower):
@@ -331,7 +331,7 @@ def test_tower_json_rejects_a_wrong_class_count(tower_s3):
 
 def test_loaded_tower_runs_the_verify_suites(s3, tower_s3):
     restored = tower_from_json(_doc(tower_to_json, tower_s3))
-    results = run_suites(restored.group, restored.n_max, tower=restored)
+    results = run_suites(restored)
     assert [res.name for res in results][:len(SUITE_NAMES)] == SUITE_NAMES
     assert all(res.ok for res in results)
 

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from braidrep.errors import VerificationError
 from braidrep.groups import SL2, AbelianProduct, CayleyTableGroup, SymmetricGroup, parse_group_spec
 from braidrep.shift import (
-    Representation,
     decompose,
     order2_cycle_shape,
     predecessor,
-    shift,
     successor,
 )
 
@@ -201,40 +199,17 @@ def test_phase_of_roundtrip(s3):
 
 
 # ---------------------------------------------------------------------------
-# representations as cycle points
+# the recurrence along a cycle
 # ---------------------------------------------------------------------------
 
 def test_representation_accessors(s3):
     d = decompose(s3)
     c = d.cycle_at((1, 2))
-    rep = Representation(s3, c, phase=0)
-    assert rep.n == 3
-    assert rep.period == 9
-    assert rep.vertex() == c.rep_vertex
-    for m in range(2 * rep.period):
-        assert rep.a(m + 2) == s3.mul(s3.inv(rep.a(m)), rep.a(m + 1))
-
-
-def test_shift_advances_one_step(s3):
-    d = decompose(s3)
-    c = d.cycle_at((3, 4))
-    rep = Representation(s3, c, phase=0)
-    assert shift(rep).vertex() == successor(s3, rep.vertex())
-    r = rep
-    for _ in range(rep.period):
-        r = shift(r)
-    assert r == rep
-
-
-def test_is_trivial_and_generators(s3):
-    d = decompose(s3)
-    triv = Representation(s3, d.trivial_cycle, 0)
-    assert triv.is_trivial()
-    assert triv.generators() == (s3.identity,)
-    rep = Representation(s3, d.cycle_at((3, 4)), 0, b=(0,))
-    assert not rep.is_trivial()
-    assert rep.n == 4
-    assert rep.generators() == (0, 3, 4)
+    a, p = c.a_seq, c.length
+    assert p == 9
+    assert c.vertex(0) == c.rep_vertex == (1, 2)
+    for m in range(2 * p):
+        assert a[(m + 2) % p] == s3.mul(s3.inv(a[m % p]), a[(m + 1) % p])
 
 
 def test_lookups_and_type_filters_build_no_cycle_list(s4):

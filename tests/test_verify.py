@@ -7,21 +7,23 @@ import pytest
 
 import braidrep.verify as verify
 from braidrep.errors import ResourceLimitError, UsageError
-from braidrep.extension import TowerResult
+from braidrep.extension import TowerResult, compute_tower
+from braidrep.groups import SymmetricGroup
 from braidrep.verify import SUITE_NAMES, run_suites
 
 
-def test_all_suites_pass_s3(s3, tower_s3):
-    results = run_suites(s3, 5, tower=tower_s3)
+def test_all_suites_pass_s3(s3):
+    results = run_suites(compute_tower(s3, 5))
     named = {r.name: r for r in results}
     for name in SUITE_NAMES:
         assert named[name].ok, named[name].detail
-    assert "note" in named  # stage 5 over S3 is trivial
-    assert "trivial" in named["note"].detail
+    # the suites run at the tower's own group and top stage
+    assert named["note"].detail == "stage 5 is trivial over S3"
+    assert named["oracle-eq"].detail.startswith("K5:")
 
 
-def test_suites_pass_s4_at_6(s4, tower_s4):
-    results = run_suites(s4, 6, tower=tower_s4)
+def test_suites_pass_s4_at_6(tower_s4):
+    results = run_suites(tower_s4)
     named = {r.name: r for r in results}
     assert all(r.ok for r in results), [r.detail for r in results if not r.ok]
     # the perfect-core comparison actually ran at stage 6
@@ -31,7 +33,7 @@ def test_suites_pass_s4_at_6(s4, tower_s4):
 
 
 def test_low_stage_suites_skip_cleanly(s3):
-    results = run_suites(s3, 3)
+    results = run_suites(compute_tower(s3, 3))
     named = {r.name: r for r in results}
     assert named["prop2"].ok and "skipped" in named["prop2"].detail
     assert named["prop3"].ok and "skipped" in named["prop3"].detail
@@ -40,11 +42,8 @@ def test_low_stage_suites_skip_cleanly(s3):
     assert "note" not in named
 
 
-def test_large_group_skips_oracle(sl23):
-    # |SL2(3)| = 24 runs the oracle; fake a larger bound by an S5 run instead
-    from braidrep.groups import SymmetricGroup
-
-    results = run_suites(SymmetricGroup(5), 4)
+def test_large_group_skips_oracle():
+    results = run_suites(compute_tower(SymmetricGroup(5), 4))
     named = {r.name: r for r in results}
     assert named["oracle-eq"].ok
     assert "skipped" in named["oracle-eq"].detail
@@ -52,17 +51,19 @@ def test_large_group_skips_oracle(sl23):
 
 def test_budget_propagates(s3):
     with pytest.raises(ResourceLimitError):
-        run_suites(s3, 4, budget=10)
+        run_suites(compute_tower(s3, 4), budget=10)
 
 
-def test_budget_below_one_is_refused_before_the_tower(s3, monkeypatch):
-    monkeypatch.setattr(verify, "compute_tower", lambda *a: pytest.fail("tower computed before the budget was checked"))
+def test_budget_below_one_is_refused_before_the_tower(tower_s3, monkeypatch):
+    # refused before any suite runs, that is before the tower is read
+    for name in [name for name in vars(verify) if name.endswith("_suite")]:
+        monkeypatch.setattr(verify, name, lambda *a: pytest.fail("a suite ran before the budget was checked"))
     with pytest.raises(UsageError, match="at least 1"):
-        run_suites(s3, 4, budget=0)
+        run_suites(tower_s3, budget=0)
 
 
-def test_suites_on_abelian_group(z6, tower_z6):
-    results = run_suites(z6, 5, tower=tower_z6)
+def test_suites_on_abelian_group(tower_z6):
+    results = run_suites(tower_z6)
     assert all(r.ok for r in results)
 
 
@@ -71,7 +72,38 @@ def test_prop1_fails_on_a_corrupted_a_sequence(s3, tower_s3):
     a_flat = d.a_flat.copy()
     a_flat[5] = (a_flat[5] + 1) % s3.order
     tower = TowerResult(s3, dataclasses.replace(d, a_flat=a_flat), tower_s3.levels)
-    named = {r.name: r for r in run_suites(s3, 6, tower=tower)}
+    named = {r.name: r for r in run_suites(tower)}
     assert not named["prop1"].ok
     assert named["prop1"].detail == "8 cycle products checked, 1 non-identity"
     assert named["census"].ok
+
+
+def _with_image(tower, n, row, col, value):
+    """The tower with b[row, col] of stage n set to value."""
+    b = tower.level(n).b.copy()
+    b[row, col] = value
+    return TowerResult(tower.group, tower.decomposition,
+                       [dataclasses.replace(lvl, b=b) if lvl.n == n else lvl for lvl in tower.levels])
+
+
+# (suite, tower fixture, stage, row, column, new handle, the detail line the suite prints)
+CORRUPTIONS = [
+    # b3 = (3 4) on the period-3 cycle through (1, 7): (3 4)^3 is not e
+    ("prop2", "tower_s4", 4, 20, 0, 1, "b3^p != e at (1, 7)"),
+    # b4 = e after b3 = (2 3)(4 5): b3 e b3 = e is not e b3 e = b3
+    ("prop3", "tower_s5", 5, 1, 1, 0, "adjacent braid relation fails at stage 5"),
+    # the trivial stage-6 class over S4 gets b5 = (3 4), so its rows differ
+    # from those of the perfect core (the trivial group)
+    ("prop4", "tower_s4", 6, 0, 2, 1, "stage-6 census vs perfect core census"),
+    # the trivial stage-6 class over S3 gets b5 = (2 3), a class the oracle does not find
+    ("oracle-eq", "tower_s3", 6, 0, 2, 1, "K6 census mismatch: oracle 1 reps vs engine 1"),
+]
+
+
+@pytest.mark.parametrize("suite,fixture,n,row,col,value,detail", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS])
+def test_suite_fails_on_a_corrupted_image(request, suite, fixture, n, row, col, value, detail):
+    tower = request.getfixturevalue(fixture)
+    named = {r.name: r for r in run_suites(_with_image(tower, n, row, col, value))}
+    assert not named[suite].ok
+    assert named[suite].detail == detail
+    assert named["census"].ok and named["prop1"].ok
