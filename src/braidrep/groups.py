@@ -7,6 +7,11 @@ table and the inverse table once, at construction, in its `_build_tables`;
 mul/inv and everything else are lookups into those tables.  Multiplication
 follows the convention that the RIGHT factor acts first, i.e. for
 permutations mul(g, h) is the composite "apply h, then g".
+
+S_r and SL(2, q) list their elements as digit rows in lex order and share one
+builder, `_lex_tables`: a key -> handle array, the table filled row by row, and
+a product that is no element a VerificationError.  A_r and the perfect core
+restrict a parent's table (`_restricted`) and are validated as Cayley tables.
 """
 from __future__ import annotations
 
@@ -49,6 +54,10 @@ MAX_ORDER = math.isqrt(MAX_TABLE_ENTRIES)
 # order must end within the first TABLE_BYTES_PER_ENTRY bytes, and a file of
 # order m holds at most TABLE_BYTES_PER_ENTRY * (m^2 + 1) bytes in all.
 TABLE_BYTES_PER_ENTRY = 16
+
+# Bytes of a table file parsed at a time: only one chunk's tokens are ever Python objects.
+_TABLE_CHUNK_BYTES = 1 << 16
+_SPACE = re.compile(rb"\s")
 
 
 def _over_cap(name: str) -> ResourceLimitError:
@@ -94,7 +103,7 @@ class FiniteGroup:
 
     def label(self, a: int) -> str:
         """Human-readable name for one element (backends may override)."""
-        return str(a)
+        return str(self.check_element(a))
 
     def check_element(self, a: int) -> int:
         if not (isinstance(a, (int, np.integer)) and 0 <= a < self.order):
@@ -136,6 +145,24 @@ class FiniteGroup:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} {self.name} order={self.order}>"
+
+
+def _lex_tables(digits: np.ndarray, radix: int, row_product, inverse_digits: np.ndarray):
+    """(mul_table, inv_table) of the group on the rows of `digits` (m x k, digits
+    below `radix`; handle a is row a).  One array maps each row's base-`radix` key
+    to its handle; row a of the table is the handles of row_product(digits[a]),
+    the rows of a*b for every b.  A product or inverse that is no row is an error."""
+    m, k = digits.shape
+    weights = radix ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    handle = np.full(radix ** k, -1, dtype=np.int32)
+    handle[digits @ weights] = np.arange(m, dtype=np.int32)
+    table = np.empty((m, m), dtype=np.int32)
+    for a in range(m):
+        table[a] = handle[row_product(digits[a]) @ weights]
+    inv = handle[inverse_digits @ weights]
+    if table.min() < 0 or inv.min() < 0:
+        raise VerificationError("a product or inverse of enumerated elements is no element")
+    return table, inv
 
 
 # ---------------------------------------------------------------------------
@@ -228,21 +255,12 @@ class SymmetricGroup(FiniteGroup):
         return par
 
     def label(self, a: int) -> str:
-        return _cycle_notation(self.perms[a])
+        return _cycle_notation(self.perms[self.check_element(a)])
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        # Vectorised: encode image tuples as base-r integers (monotone in lex
-        # order, so index recovery is a searchsorted into the sorted key list).
-        m, r = self.order, self.r
+        # 0-based image rows; for x = P[a], x[P][b] is "apply b, then a"
         P = np.array(self.perms, dtype=np.int64) - 1
-        weights = np.array([r ** (r - 1 - k) for k in range(r)], dtype=np.int64)
-        keys = P @ weights
-        comp = P[:, P]                       # comp[a, b, k] = P[a, P[b, k]]
-        comp_keys = comp.reshape(m * m, r) @ weights
-        table = np.searchsorted(keys, comp_keys).astype(np.int32).reshape(m, m)
-        inv_keys = np.argsort(P, axis=1) @ weights
-        inv = np.searchsorted(keys, inv_keys).astype(np.int32)
-        return table, inv
+        return _lex_tables(P, self.r, lambda x: x[P], np.argsort(P, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -269,52 +287,20 @@ def _field_params(q: int) -> tuple[int, int, tuple[int, ...]]:
     raise UsageError(f"SL2({q}) not supported: q must be prime or one of 4, 8, 9")
 
 
-class _Field:
-    """Arithmetic tables for GF(q), q prime or q in {4, 8, 9}."""
-
-    def __init__(self, q: int):
-        p, k, modulus = _field_params(q)
-        self.q = q
-        digits = [self._digits(i, p, k) for i in range(q)]
-        self.zero = 0
-        self.one = 1 if q > 1 else 0
-        self.add = [[self._enc([(x + y) % p for x, y in zip(digits[a], digits[b])], p) for b in range(q)] for a in range(q)]
-        self.neg = [self._enc([(-x) % p for x in digits[a]], p) for a in range(q)]
-        self.mul = [[self._poly_mul(digits[a], digits[b], p, modulus) for b in range(q)] for a in range(q)]
-        self.inverse = [0] * q
-        for a in range(1, q):
-            self.inverse[a] = next(b for b in range(1, q) if self.mul[a][b] == self.one)
-
-    @staticmethod
-    def _digits(i: int, p: int, k: int) -> list[int]:
-        out = []
-        for _ in range(k):
-            out.append(i % p)
-            i //= p
-        return out
-
-    @staticmethod
-    def _enc(digits: list[int], p: int) -> int:
-        val = 0
-        for d in reversed(digits):
-            val = val * p + d
-        return val
-
-    @classmethod
-    def _poly_mul(cls, da: list[int], db: list[int], p: int, modulus: tuple[int, ...]) -> int:
-        k = len(da)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(da):
-            for j, y in enumerate(db):
-                prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce with x^k = -(c_{k-1} x^{k-1} + ... + c_0)
-        for deg in range(2 * k - 2, k - 1, -1):
-            top = prod[deg]
-            if top:
-                prod[deg] = 0
-                for j, c in enumerate(modulus):
-                    prod[deg - k + j] = (prod[deg - k + j] - top * c) % p
-        return cls._enc(prod[:k], p)
+def _field_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(add, mul, neg) tables of GF(q): element i is the polynomial whose
+    coefficients are the base-p digits of i, constant term least significant."""
+    p, k, modulus = _field_params(q)
+    places = p ** np.arange(k)
+    d = np.arange(q)[:, None] // places % p           # d[i, j]: coefficient of x^j in i
+    prod = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            prod[:, :, i + j] += np.multiply.outer(d[:, i], d[:, j])
+    # reduce with x^k = -(c_{k-1} x^{k-1} + ... + c_0), highest degree first
+    for deg in range(2 * k - 2, k - 1, -1):
+        prod[:, :, deg - k:deg] -= prod[:, :, deg, None] * np.array(modulus)
+    return (d[:, None] + d[None, :]) % p @ places, prod[:, :, :k] % p @ places, -d % p @ places
 
 
 class SL2(FiniteGroup):
@@ -326,44 +312,28 @@ class SL2(FiniteGroup):
         if q <= MAX_ORDER:               # support first while its trial division is cheap;
             _field_params(q)             # a larger q is over the cap, supported or not
         self.order = _bounded_order(self.name, (q, q - 1, q + 1))
-        F = self._field = _Field(q)
-        mats = []
-        for a, b, c, d in itertools.product(range(q), repeat=4):
-            det = F.add[F.mul[a][d]][F.neg[F.mul[b][c]]]
-            if det == F.one:
-                mats.append((a, b, c, d))
-        if len(mats) != self.order:
-            raise VerificationError(f"SL2({q}) enumeration produced {len(mats)} matrices")
-        self.mats = mats
-        self.identity = mats.index((F.one, 0, 0, F.one))
+        add, mul, neg = self._field = _field_tables(q)
+        a, b, c, d = x = np.indices((q,) * 4).reshape(4, -1)
+        self.mats = x.T[add[mul[a, d], neg[mul[b, c]]] == 1]
+        if len(self.mats) != self.order:
+            raise VerificationError(f"SL2({q}) enumeration produced {len(self.mats)} matrices")
+        self.identity = int(np.flatnonzero((self.mats == (1, 0, 0, 1)).all(axis=1))[0])
         self._set_tables(*self._build_tables())
 
     def label(self, x: int) -> str:
-        a, b, c, d = self.mats[x]
+        a, b, c, d = self.mats[self.check_element(x)].tolist()
         return f"[[{a},{b}],[{c},{d}]]"
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        # Vectorised over the field tables, one row (left factor) at a time so
-        # that no m x m temporary is allocated.  The key ((a q + b) q + c) q + d
-        # is monotone in lex order, so a product's handle is a searchsorted
-        # into the sorted keys of the matrices.
-        F, q = self._field, self.q
-        add = np.array(F.add, dtype=np.int32)
-        mul = np.array(F.mul, dtype=np.int32)
-        neg = np.array(F.neg, dtype=np.int32)
-        a, b, c, d = np.array(self.mats, dtype=np.int32).T
+        add, mul, neg = self._field
+        a, b, c, d = self.mats.T
+        ma, mb, mc, md = mul[:, a], mul[:, b], mul[:, c], mul[:, d]     # mx[s] = s * x, per matrix
 
-        def key(w, x, y, z):
-            return ((w * q + x) * q + y) * q + z
-
-        keys = key(a, b, c, d)
-        table = np.empty((self.order, self.order), dtype=np.int32)
-        for row, (a1, b1, c1, d1) in enumerate(self.mats):
-            table[row] = np.searchsorted(keys, key(
-                add[mul[a1, a], mul[b1, c]], add[mul[a1, b], mul[b1, d]],
-                add[mul[c1, a], mul[d1, c]], add[mul[c1, b], mul[d1, d]]))
-        inv = np.searchsorted(keys, key(d, neg[b], neg[c], a)).astype(np.int32)
-        return table, inv
+        def row_product(row):
+            a1, b1, c1, d1 = row
+            return np.stack([add[ma[a1], mc[b1]], add[mb[a1], md[b1]],
+                             add[ma[c1], mc[d1]], add[mb[c1], md[d1]]], axis=1)
+        return _lex_tables(self.mats, self.q, row_product, np.stack([d, neg[b], neg[c], a], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +360,7 @@ class AbelianProduct(FiniteGroup):
         return tuple(reversed(out))
 
     def label(self, a: int) -> str:
+        a = self.check_element(a)
         return "(" + ",".join(map(str, self.digits(a))) + ")" if len(self.moduli) > 1 else str(a)
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -472,7 +443,7 @@ class CayleyTableGroup(FiniteGroup):
             raise UsageError("labels length must match group order")
 
     def label(self, a: int) -> str:
-        return self._labels[a] if self._labels is not None else str(a)
+        return super().label(a) if self._labels is None else self._labels[self.check_element(a)]
 
     def _build_tables(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The validated table itself, with the inverses read off it."""
@@ -506,24 +477,40 @@ def load_cayley_table(path: str) -> CayleyTableGroup:
     if len(data) > limit:
         raise UsageError(f"Cayley table file {path} is longer than {limit} bytes, "
                          f"{TABLE_BYTES_PER_ENTRY} per entry for order {m}")
-    tokens = data.split()
-    try:
-        rest = [int(t) for t in tokens[1:m * m + 1]]
-    except ValueError as exc:
-        raise UsageError(f"non-integer token in Cayley table file {path}: {exc}") from None
-    if len(tokens) != m * m + 1:
-        raise UsageError(f"Cayley table file {path} declares order {m} but has {len(tokens) - 1} entries")
-    table = [rest[i * m:(i + 1) * m] for i in range(m)]
-    return CayleyTableGroup(table, name=name)
+    values = np.empty(m * m + 1, dtype=np.int32)         # the order, then the entries
+    count = start = 0
+    while start < len(data):
+        cut = _SPACE.search(data, start + _TABLE_CHUNK_BYTES)
+        end = cut.start() if cut else len(data)
+        chunk = data[start:end].split()
+        fits = chunk[:max(values.size - count, 0)]      # tokens past the declared size are only counted
+        try:
+            values[count:count + len(fits)] = np.fromiter(map(int, fits), np.int32, len(fits))
+        except ValueError as exc:
+            raise UsageError(f"non-integer token in Cayley table file {path}: {exc}") from None
+        except OverflowError as exc:
+            raise UsageError(f"malformed Cayley table: {exc}") from None
+        count += len(chunk)
+        start = end
+    if count != m * m + 1:
+        raise UsageError(f"Cayley table file {path} declares order {m} but has {count - 1} entries")
+    return CayleyTableGroup(values[1:].reshape(m, m), name=name)
+
+
+def _restricted(group: FiniteGroup, elems: list[int], name: str) -> CayleyTableGroup:
+    """The subgroup on the sorted handles `elems`, reindexed 0..k-1 in that
+    order, as a validated table group that keeps the parent's labels."""
+    mul_t, _ = group.tables()
+    handle = np.full(group.order, -1, dtype=np.int32)     # a product outside `elems` fails validation
+    handle[elems] = np.arange(len(elems), dtype=np.int32)
+    return CayleyTableGroup(handle[mul_t[np.ix_(elems, elems)]], name=name,
+                            labels=[group.label(g) for g in elems])
 
 
 def alternating_group(r: int) -> CayleyTableGroup:
     """A_r as an explicit-table group (element labels keep the cycle notation)."""
     S = SymmetricGroup(r)
-    evens = [g for g in S.elements() if S.parity(g) == 0]
-    idx = {g: k for k, g in enumerate(evens)}
-    table = [[idx[S.mul(a, b)] for b in evens] for a in evens]
-    return CayleyTableGroup(table, name=f"A{r}", labels=[S.label(g) for g in evens])
+    return _restricted(S, [g for g in S.elements() if S.parity(g) == 0], f"A{r}")
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +576,7 @@ def derived_series(group: FiniteGroup) -> DerivedSeries:
 def perfect_core_group(group: FiniteGroup, series: DerivedSeries | None = None) -> CayleyTableGroup:
     """The perfect core as a standalone group (elements reindexed 0..k-1)."""
     core = sorted((series or derived_series(group)).core)
-    idx = {g: k for k, g in enumerate(core)}
-    table = [[idx[group.mul(a, b)] for b in core] for a in core]
-    return CayleyTableGroup(table, name=f"core({group.name})", labels=[group.label(g) for g in core])
+    return _restricted(group, core, f"core({group.name})")
 
 
 # ---------------------------------------------------------------------------

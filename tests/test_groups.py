@@ -1,14 +1,20 @@
 """Group backends: handles, multiplication convention, ranking, derived series."""
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidrep.errors import ResourceLimitError, UsageError
+import braidrep
+from braidrep.errors import ResourceLimitError, UsageError, VerificationError
 from braidrep.groups import (
     SL2,
     AbelianProduct,
@@ -25,18 +31,24 @@ from braidrep.groups import (
     perfect_core_group,
     subgroup_closure,
 )
+from braidrep.groups import _field_tables, _lex_tables
 
 BACKENDS = [
     SymmetricGroup(3),
     SymmetricGroup(4),
+    SymmetricGroup(5),
     SL2(2),
     SL2(3),
     SL2(4),
+    SL2(5),
+    SL2(7),
     SL2(8),
     SL2(9),
     AbelianProduct((6,)),
     AbelianProduct((2, 4)),
+    AbelianProduct((2, 2, 2, 5)),
     alternating_group(4),
+    alternating_group(5),
 ]
 
 
@@ -58,13 +70,13 @@ def _definition(group):
     """(element objects by handle, their product, the identity object), computed
     from what each backend's elements are rather than from its tables."""
     if isinstance(group, SL2):
-        F = group._field
+        add, mul, _ = (t.tolist() for t in _field_tables(group.q))
 
         def matmul(x, y):
             (a1, b1, c1, d1), (a2, b2, c2, d2) = x, y
-            return (F.add[F.mul[a1][a2]][F.mul[b1][c2]], F.add[F.mul[a1][b2]][F.mul[b1][d2]],
-                    F.add[F.mul[c1][a2]][F.mul[d1][c2]], F.add[F.mul[c1][b2]][F.mul[d1][d2]])
-        return group.mats, matmul, (F.one, 0, 0, F.one)
+            return (add[mul[a1][a2]][mul[b1][c2]], add[mul[a1][b2]][mul[b1][d2]],
+                    add[mul[c1][a2]][mul[d1][c2]], add[mul[c1][b2]][mul[d1][d2]])
+        return [tuple(row) for row in group.mats.tolist()], matmul, (1, 0, 0, 1)
 
     def compose(p, q):                   # apply q first, then p
         return tuple(p[x - 1] for x in q)
@@ -92,6 +104,53 @@ def test_tables_match_scalar_mul(group):
     assert np.array_equal(mul_t, np.array(expected))
     assert elems[group.identity] == one
     assert all(mul_t[a, inv_t[a]] == group.identity for a in group.elements())
+
+
+# sha256 of mul_t.tobytes() and inv_t.tobytes(), and the identity, as the
+# whole-table searchsorted builders made them
+PINNED_TABLES = {
+    "S6": ("9a5043d70bf02b9fa8f2fbf31246b273b5d4a3703fc625cf8cf6b94536a8b9c6",
+           "1a360fd8f8c25dc167603af6aafa77d723136ff5dff851597917d86d85cc9a5f", 0),
+    "SL2(11)": ("6c2f6b19fc77b67bcd292f4687ef8b53ecc22ebb936d3f87dbad23f9113925d5",
+                "54e7fb57ced05055832c6819ae21c7eaaa47670e14405a9dccbd453130c16ea0", 110),
+    "SL2(13)": ("65a9f3410d3e84053e05b5b35a042fc9ff917663df22eaef789918cd4877281f",
+                "9e80c0e322dee2dd36bb744197efd9be71fede1fc5cfa789d7df7904ad5e0c4d", 156),
+}
+
+
+@pytest.mark.parametrize("spec", PINNED_TABLES)
+def test_pinned_tables(spec):
+    group = parse_group_spec(spec)
+    mul_t, inv_t = group.tables()
+    assert (hashlib.sha256(mul_t.tobytes()).hexdigest(), hashlib.sha256(inv_t.tobytes()).hexdigest(),
+            group.identity) == PINNED_TABLES[spec]
+
+
+def test_lex_tables_refuses_a_product_that_is_no_element():
+    P = np.array(SymmetricGroup(3).perms) - 1
+    rows = P[:-1]                        # S3 without (3 2 1): not closed
+    with pytest.raises(VerificationError):
+        _lex_tables(rows, 3, lambda x: x[rows], np.argsort(rows, axis=1))
+
+
+def _peak_rss_growth_mb(statement: str) -> float:
+    """How far `statement` raises the peak resident set of a fresh interpreter
+    that has already imported braidrep.groups.  The child reads its own VmHWM:
+    Linux folds the starting process's peak into a child's ru_maxrss."""
+    script = ("import re\nfrom braidrep.groups import *\n"
+              "def peak():\n"
+              "    return int(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read()).group(1))\n"
+              f"before = peak()\n{statement}\nprint(peak() - before)")
+    src = str(pathlib.Path(braidrep.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) / 1024     # kB
+
+
+def test_symmetric_group_build_allocates_no_cube():
+    # S6's table is 2 MB; a whole-table gather P[:, P] and its keys take ~50 MB
+    assert _peak_rss_growth_mb("SymmetricGroup(6)") < 16
 
 
 def test_composition_applies_right_factor_first():
@@ -122,6 +181,15 @@ def test_power_and_conjugate_and_commutator():
     a, b = 5, 9
     lhs = S.mul(S.mul(S.inv(a), S.inv(b)), S.mul(a, b))
     assert S.commutator(a, b) == lhs
+
+
+@pytest.mark.parametrize("group", [*BACKENDS, CayleyTableGroup(BACKENDS[0].tables()[0], name="S3 table")],
+                         ids=lambda g: g.name)
+def test_label_checks_its_handle(group):
+    assert group.label(group.order - 1)
+    for bad in (-1, group.order, 2.0):
+        with pytest.raises(UsageError):
+            group.label(bad)
 
 
 def test_check_element_range():
@@ -218,6 +286,22 @@ def test_sl2_order(q):
 def test_sl2_unsupported_field_size(q):
     with pytest.raises(UsageError):
         SL2(q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+def test_field_tables_form_a_field(q):
+    add, mul, neg = _field_tables(q)
+    x = np.arange(q)
+    for op in (add, mul):                # commutative and associative
+        assert np.array_equal(op, op.T)
+        assert np.array_equal(op[op], op[x[:, None, None], op[None]])
+    assert np.array_equal(add[0], x) and np.array_equal(add[x, neg], np.zeros(q))
+    assert np.array_equal(mul[0], np.zeros(q))
+    nonzero = mul[1:, 1:]
+    assert np.array_equal(mul[1], x)
+    assert (np.sort(nonzero, axis=0) == x[1:, None]).all() and (np.sort(nonzero, axis=1) == x[1:]).all()
+    # a (b + c) = a b + a c
+    assert np.array_equal(mul[x[:, None, None], add[None]], add[mul[:, :, None], mul[:, None, :]])
 
 
 def test_sl2_inverse_closed_form():
@@ -361,6 +445,25 @@ def test_load_cayley_table_errors(tmp_path):
     over_cap.write_text("5000\n0 1\n")
     with pytest.raises(ResourceLimitError):
         load_cayley_table(str(over_cap))
+
+
+def test_load_cayley_table_holds_no_token_objects(tmp_path):
+    # a 3.9 MB table of Z1000; as Python lists its entries took ~107 MB
+    x = np.arange(1000)
+    path = tmp_path / "z1000.txt"
+    path.write_text("1000\n" + "\n".join(" ".join(map(str, row)) for row in ((x[:, None] + x) % 1000).tolist()))
+    assert _peak_rss_growth_mb(f"load_cayley_table({str(path)!r})") < 60
+
+
+def test_load_cayley_table_parses_tokens_as_int_does(tmp_path):
+    path = tmp_path / "z2.txt"
+    path.write_text("2\n+0 0_1\n01 -0\n")
+    G = load_cayley_table(str(path))
+    assert G.tables()[0].tolist() == [[0, 1], [1, 0]]
+    for token in ("0x1", "1.0", "1e3", "1\0", "4294967296"):    # 2**32 would wrap to 0 as int32
+        path.write_text(f"2\n0 1\n1 {token}\n")
+        with pytest.raises(UsageError):
+            load_cayley_table(str(path))
 
 
 def test_alternating_group_construction():
