@@ -419,13 +419,17 @@ class CayleyTableGroup(FiniteGroup):
         m = len(table)
         _bounded_order(name, (m,))
         try:
-            arr = np.asarray(table, dtype=np.int32)
+            arr = np.asarray(table)
+            if arr.dtype.kind not in "biuf":    # not numbers: int32 or a clean error
+                arr = arr.astype(np.int32)
         except (ValueError, TypeError, OverflowError) as exc:
             raise UsageError(f"malformed Cayley table: {exc}") from None
         if arr.shape != (m, m) or m == 0:
             raise UsageError(f"Cayley table must be square and nonempty, got shape {arr.shape}")
+        # range-checked before the int32 cast, which would wrap wider integers
         if arr.min() < 0 or arr.max() >= m:
             raise UsageError("Cayley table entries must be element indices 0..m-1")
+        arr = arr.astype(np.int32)
         full = np.arange(m, dtype=np.int32)
         for a in range(m):
             if not np.array_equal(np.sort(arr[a]), full) or not np.array_equal(np.sort(arr[:, a]), full):

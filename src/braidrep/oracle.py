@@ -1,10 +1,14 @@
 """Brute-force enumeration of representations, independent of the scan engine.
 
-Everything here recomputes orbits with its own recurrence walk and checks
-every defining relation over one full period with scalar group operations;
-the only shared ingredient is the group backend itself.  Results come back as
-censuses keyed the same way the engine keys its classes, so equality of the
-two censuses is a meaningful end-to-end check.
+The oracle walks every pair's recurrence orbit itself and tests every candidate
+image of every generator against every defining relation, over one full period
+where the relation runs along the orbit.  It shares no code with the engine's
+cycle decomposition, class representatives, conjugation orbits or scans, only
+the group backend: the multiplication and inverse tables.  The search runs
+breadth first as array steps over blocks of (prefix, candidate) cells, and a
+cell is charged one relation check per test up to and including its first
+failure, as a depth-first scan counts.  Censuses are keyed the way the engine
+keys its classes, so equality of the two is a meaningful end-to-end check.
 """
 from __future__ import annotations
 
@@ -32,6 +36,9 @@ __all__ = [
 # Relation checks a brute-force scan may spend before it gives up.
 DEFAULT_BUDGET = 100_000_000
 
+# (prefix, candidate) cells tested at once; bounds the scan's working memory.
+_BLOCK_CELLS = 1 << 12
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -53,67 +60,76 @@ class _Budget:
 
     def __init__(self, limit: int):
         check_budget(limit)
-        self.used = 0
-        self.limit = limit
+        self.used, self.limit = 0, limit
 
-    def spend(self) -> None:
-        self.used += 1
+    def spend(self, checks: int) -> None:
+        self.used += checks
         if self.used > self.limit:
             raise ResourceLimitError(f"relation-check budget {self.limit} exhausted")
 
 
-def _pair_orbit(group: FiniteGroup, a0: int, a1: int) -> list[int]:
-    """First components along the recurrence orbit of (a0, a1), walked directly."""
-    seq = [a0]
-    x, y = a1, group.mul(group.inv(a0), a1)
-    while (x, y) != (a0, a1):
-        seq.append(x)
-        x, y = y, group.mul(group.inv(x), y)
-    return seq
+def _orbits(mul_t: np.ndarray, inv_t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk the orbit of every pair (a0, a1), row a0 * m + a1, all in step: each
+    row's a-sequence from the pair itself, run two places past the longest
+    period, its period, and the code a_k * m + a_{k+1} of its least vertex."""
+    m = len(mul_t)
+    start = np.arange(m * m, dtype=np.int32)
+    a0, a1 = np.divmod(start, m)
+    succ = a1 * m + mul_t[inv_t[a0], a1]
+    cur, seqs = start, [a0]
+    period, canon = np.zeros(m * m, dtype=np.int64), start.copy()
+    while not period.all():
+        cur = succ[cur]
+        seqs.append(cur // m)
+        period[(period == 0) & (cur == start)] = len(seqs) - 1
+        np.minimum(canon, cur, out=canon)
+    seqs.append(succ[cur] // m)
+    return np.stack(seqs, axis=1), period, canon
 
 
-def _canonical_vertex(a_seq: list[int]) -> tuple[int, int]:
-    p = len(a_seq)
-    return min((a_seq[k], a_seq[(k + 1) % p]) for k in range(p))
+def _family(alive: np.ndarray, ok: np.ndarray) -> int:
+    """One relation test on every live cell: count them, then keep those that pass."""
+    live = int(np.count_nonzero(alive))
+    alive &= ok
+    return live
 
 
-def _search_images(group: FiniteGroup, a_seq: list[int], n: int, i: int,
-                   prefix: tuple[int, ...], sink: Counter, key, bud: _Budget) -> None:
-    """Extend prefix by one image of x_i at a time; a prefix that already
-    breaks its relation family prunes the whole subtree (no tuple it leads to
-    can be accepted, so the scan is equivalent to checking all full tuples)."""
-    if i > n - 1:
-        sink[(key, prefix)] += 1
-        return
-    mul = group.mul
-    p = len(a_seq)
-    for g in range(group.order):
-        ok = True
-        if i == 3:
-            for m in range(p):
-                bud.spend()
-                if mul(mul(a_seq[m], g), a_seq[(m + 2) % p]) != mul(mul(g, a_seq[(m + 1) % p]), g):
-                    ok = False
-                    break
-        else:
-            for m in range(p):
-                bud.spend()
-                if mul(a_seq[m], g) != mul(g, a_seq[(m + 1) % p]):
-                    ok = False
-                    break
-            if ok:
-                prev = prefix[-1]
-                bud.spend()
-                if mul(mul(prev, g), prev) != mul(mul(g, prev), g):
-                    ok = False
-            if ok:
-                for bj in prefix[:-1]:
-                    bud.spend()
-                    if mul(bj, g) != mul(g, bj):
-                        ok = False
-                        break
-        if ok:
-            _search_images(group, a_seq, n, i + 1, prefix + (g,), sink, key, bud)
+def _grow(mul_t: np.ndarray, imgs: np.ndarray, bud: _Budget, orbits=None) -> tuple[np.ndarray, np.ndarray]:
+    """Extend every prefix (a row of images) by every candidate g; return the
+    surviving (prefix row, g) cells in prefix order.  With `orbits` (a-sequences,
+    periods, pair rows sorted longest period first) the period family runs
+    first: the stage-4 word while imgs is empty, else a_k g = g a_{k+1}.  Then g
+    must braid with the last image and commute with every earlier one."""
+    m = len(mul_t)
+    g = np.arange(m)
+    flat, right = mul_t.ravel(), np.ascontiguousarray(mul_t.T)  # mul_t[x] is x g, right[y] is g y
+    step = max(1, _BLOCK_CELLS // m)
+    rows, cands = [], []
+    for lo in range(0, len(imgs), step):
+        b = imgs[lo:lo + step]
+        alive = np.ones((len(b), m), dtype=bool)
+        checks = 0
+        if orbits is not None:
+            seqs, period, pairs = orbits
+            a, p = seqs[pairs[lo:lo + step]], period[pairs[lo:lo + step]]
+            for k in range(p[0]):
+                j = np.count_nonzero(p > k)     # the rows still inside their period
+                x, y = a[:j, k], a[:j, k + 1]
+                if b.shape[1]:
+                    ok = mul_t[x] == right[y]
+                else:   # a_k b3 a_{k+2} = b3 a_{k+1} b3
+                    ok = flat[mul_t[x] * m + a[:j, k + 2, None]] == flat[right[y] * m + g]
+                checks += _family(alive[:j], ok)
+        if b.shape[1]:
+            prev = b[:, -1]
+            checks += _family(alive, flat[mul_t[prev] * m + prev[:, None]] == flat[right[prev] * m + g])
+            for far in b[:, :-1].T:
+                checks += _family(alive, mul_t[far] == right[far])
+        bud.spend(checks)
+        r, c = np.nonzero(alive)
+        rows.append(r + lo)
+        cands.append(c)
+    return np.concatenate(rows), np.concatenate(cands)
 
 
 def brute_hom_Kn(group: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> OracleResult:
@@ -121,15 +137,17 @@ def brute_hom_Kn(group: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> Or
     if n < 3:
         raise UsageError("the commutator-subgroup tower starts at n = 3")
     bud = _Budget(budget)
-    sink: Counter = Counter()
+    mul_t, inv_t = group.tables()
     m = group.order
-    for a0 in range(m):
-        for a1 in range(m):
-            a_seq = _pair_orbit(group, a0, a1)
-            key = _canonical_vertex(a_seq)
-            _search_images(group, a_seq, n, 3, (), sink, key, bud)
-    census = tuple(sorted((key, imgs, cnt) for (key, imgs), cnt in sink.items()))
-    return OracleResult(sum(sink.values()), census, bud.used)
+    seqs, period, canon = _orbits(mul_t, inv_t)
+    pairs = np.argsort(-period, kind="stable")
+    imgs = np.empty((m * m, 0), dtype=np.int64)
+    for _ in range(3, n):
+        r, g = _grow(mul_t, imgs, bud, (seqs, period, pairs))
+        pairs, imgs = pairs[r], np.column_stack([imgs[r], g])
+    sink = Counter(zip(canon[pairs].tolist(), map(tuple, imgs.tolist())))
+    census = tuple(sorted((divmod(key, m), b, cnt) for (key, b), cnt in sink.items()))
+    return OracleResult(len(pairs), census, bud.used)
 
 
 def brute_hom_K3(group: FiniteGroup, budget: int = DEFAULT_BUDGET) -> OracleResult:
@@ -151,41 +169,23 @@ def brute_hom_Bn(group: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> Or
     if n < 2:
         raise UsageError("braid groups need at least two strands")
     bud = _Budget(budget)
-    mul, inv = group.mul, group.inv
+    mul_t, inv_t = group.tables()
     m = group.order
-    sink: Counter = Counter()
-
-    def place(k: int, s: tuple[int, ...]) -> None:
-        if k == n - 1:
-            c = s[0]
-            if n == 2:
-                sink[(None, (), c)] += 1
-                return
-            a0 = mul(s[1], inv(c))
-            a1 = mul(mul(c, a0), inv(c))
-            a_seq = _pair_orbit(group, a0, a1)
-            b = tuple(mul(s[j], inv(c)) for j in range(2, n - 1))
-            sink[(_canonical_vertex(a_seq), b, c)] += 1
-            return
-        for g in range(m):
-            ok = True
-            if k >= 1:
-                prev = s[-1]
-                bud.spend()
-                if mul(mul(prev, g), prev) != mul(mul(g, prev), g):
-                    ok = False
-            if ok:
-                for far in s[:-1]:
-                    bud.spend()
-                    if mul(far, g) != mul(g, far):
-                        ok = False
-                        break
-            if ok:
-                place(k + 1, s + (g,))
-
-    place(0, ())
+    s = np.empty((1, 0), dtype=np.int64)    # the empty prefix; s_1 meets no relation
+    for _ in range(1, n):
+        r, g = _grow(mul_t, s, bud)
+        s = np.column_stack([s[r], g])
+    c, c_inv = s[:, 0], inv_t[s[:, 0]]
+    if n == 2:
+        keys = [None] * len(s)
+    else:
+        a0 = mul_t[s[:, 1], c_inv]
+        a1 = mul_t[mul_t[c, a0], c_inv]
+        keys = [divmod(key, m) for key in _orbits(mul_t, inv_t)[2][a0 * m + a1].tolist()]
+    b = mul_t[s[:, 2:], c_inv[:, None]]
+    sink = Counter(zip(keys, map(tuple, b.tolist()), c.tolist()))
     census = tuple((key, imgs, c, cnt) for (key, imgs, c), cnt in sorted(sink.items()))
-    return OracleResult(sum(sink.values()), census, bud.used)
+    return OracleResult(len(s), census, bud.used)
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,15 @@ def test_cayley_table_rejects_malformed_input():
         CayleyTableGroup([])
 
 
+@pytest.mark.parametrize("entry", [2 ** 32, -2 ** 32])
+def test_cayley_table_refuses_entries_an_int32_cast_would_wrap(entry):
+    # 2**32 wraps to 0 in int32, which would make this the table of Z2
+    with pytest.raises(UsageError, match="element indices"):
+        CayleyTableGroup(np.array([[0, 1], [1, entry]]))
+    with pytest.raises(UsageError):
+        CayleyTableGroup([[0, 1], [1, entry]])
+
+
 def test_cayley_table_rejects_missing_identity():
     # subtraction mod 5 is a latin square with only a one-sided identity
     table = [[(a - b) % 5 for b in range(5)] for a in range(5)]

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 import braidrep.verify as verify
@@ -107,3 +109,33 @@ def test_suite_fails_on_a_corrupted_image(request, suite, fixture, n, row, col, 
     assert not named[suite].ok
     assert named[suite].detail == detail
     assert named["census"].ok and named["prop1"].ok
+
+
+def _reference_prop2(tower):
+    """The per-row prop2: one Cycle and one scalar power per stage-4 class;
+    the first failure's detail, or None."""
+    G, e = tower.group, tower.group.identity
+    lvl = tower.level(4)
+    for i, b3 in zip(lvl.cycle_ids.tolist(), lvl.b[:, 0].tolist()):
+        cycle = tower.decomposition.cycle(i)
+        p = cycle.length
+        if G.power(b3, p) != e:
+            return f"b3^p != e at {cycle.rep_vertex}"
+        if math.gcd(p, G.order) == 1 and b3 != e:
+            return f"gcd(p,|G|)=1 but b3 nontrivial at {cycle.rep_vertex}"
+        if cycle.cycle_type == "I" and b3 != e:
+            return f"type-I cycle with nontrivial b3 at {cycle.rep_vertex}"
+    return None
+
+
+@pytest.mark.parametrize("fixture", ["tower_s3", "tower_s4", "tower_z6", "tower_sl23"])
+def test_prop2_equals_the_per_row_check(request, fixture):
+    tower = request.getfixturevalue(fixture)
+    count = tower.level(4).class_count
+    rng = np.random.default_rng(0)
+    for trial in range(40):
+        rows = rng.choice(count, size=min(count, trial % 4), replace=False)
+        corrupted = _with_image(tower, 4, rows, 0, rng.integers(tower.group.order, size=rows.size))
+        got = verify._prop2_suite(corrupted)
+        want = _reference_prop2(corrupted)
+        assert (got.ok, got.detail) == (want is None, want or f"{count} stage-4 classes checked")
