@@ -140,12 +140,12 @@ def _check_next_b_set(group: FiniteGroup, cycle: Cycle, b: tuple[int, ...], new:
         return
     mul_t, inv_t = group.tables()
     last = b[-1]
-    full = np.arange(group.order, dtype=np.int64)
-    conj_class = np.unique(mul_t[mul_t[full, last], inv_t[full]])
+    conjugate = np.zeros(group.order, dtype=bool)
+    conjugate[mul_t[mul_t[:, last], inv_t]] = True         # g last g^-1 for every g
     for g in new:
         if group.mul(g, last) == group.mul(last, g):
             raise VerificationError(f"admissible image {g} commutes with its predecessor {last}")
-        if g not in conj_class:
+        if not conjugate[g]:
             raise VerificationError(f"admissible image {g} is not conjugate to its predecessor {last}")
         if element_order(group, g) % cycle.length != 0:
             raise VerificationError(

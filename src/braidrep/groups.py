@@ -291,15 +291,15 @@ def _field_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(add, mul, neg) tables of GF(q): element i is the polynomial whose
     coefficients are the base-p digits of i, constant term least significant."""
     p, k, modulus = _field_params(q)
-    places = p ** np.arange(k)
-    d = np.arange(q)[:, None] // places % p           # d[i, j]: coefficient of x^j in i
-    prod = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
+    places = p ** np.arange(k, dtype=np.int32)
+    d = np.arange(q, dtype=np.int32)[:, None] // places % p     # d[i, j]: coefficient of x^j in i
+    prod = np.zeros((q, q, 2 * k - 1), dtype=np.int32)
     for i in range(k):
         for j in range(k):
             prod[:, :, i + j] += np.multiply.outer(d[:, i], d[:, j])
     # reduce with x^k = -(c_{k-1} x^{k-1} + ... + c_0), highest degree first
     for deg in range(2 * k - 2, k - 1, -1):
-        prod[:, :, deg - k:deg] -= prod[:, :, deg, None] * np.array(modulus)
+        prod[:, :, deg - k:deg] -= prod[:, :, deg, None] * np.array(modulus, dtype=np.int32)
     return (d[:, None] + d[None, :]) % p @ places, prod[:, :, :k] % p @ places, -d % p @ places
 
 
@@ -313,7 +313,7 @@ class SL2(FiniteGroup):
             _field_params(q)             # a larger q is over the cap, supported or not
         self.order = _bounded_order(self.name, (q, q - 1, q + 1))
         add, mul, neg = self._field = _field_tables(q)
-        a, b, c, d = x = np.indices((q,) * 4).reshape(4, -1)
+        a, b, c, d = x = np.indices((q,) * 4, dtype=np.int32).reshape(4, -1)
         self.mats = x.T[add[mul[a, d], neg[mul[b, c]]] == 1]
         if len(self.mats) != self.order:
             raise VerificationError(f"SL2({q}) enumeration produced {len(self.mats)} matrices")
@@ -326,13 +326,15 @@ class SL2(FiniteGroup):
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
         add, mul, neg = self._field
+        q, plus = self.q, add.ravel()                                   # plus[x * q + y] = x + y
         a, b, c, d = self.mats.T
-        ma, mb, mc, md = mul[:, a], mul[:, b], mul[:, c], mul[:, d]     # mx[s] = s * x, per matrix
+        # per matrix, mx[s] = s * x; ma and mb are times q, as row indices of `plus`
+        ma, mb, mc, md = mul[:, a] * q, mul[:, b] * q, mul[:, c], mul[:, d]
 
         def row_product(row):
             a1, b1, c1, d1 = row
-            return np.stack([add[ma[a1], mc[b1]], add[mb[a1], md[b1]],
-                             add[ma[c1], mc[d1]], add[mb[c1], md[d1]]], axis=1)
+            return np.stack([plus.take(ma[a1] + mc[b1]), plus.take(mb[a1] + md[b1]),
+                             plus.take(ma[c1] + mc[d1]), plus.take(mb[c1] + md[d1])], axis=1)
         return _lex_tables(self.mats, self.q, row_product, np.stack([d, neg[b], neg[c], a], axis=1))
 
 
@@ -536,14 +538,21 @@ def involution_count(group: FiniteGroup) -> int:
     return sum(1 for a in group.elements() if a != e and group.mul(a, a) == e)
 
 
+def _distinct(group: FiniteGroup, handles: np.ndarray) -> np.ndarray:
+    """The distinct values of `handles`, sorted, found with a mask over the group."""
+    seen = np.zeros(group.order, dtype=bool)
+    seen[handles] = True
+    return np.flatnonzero(seen)
+
+
 def subgroup_closure(group: FiniteGroup, gens) -> frozenset[int]:
     """Subgroup generated by `gens`, by iterated multiplication closure."""
     mul_t, _ = group.tables()
-    current = np.unique(np.fromiter(list(gens) + [group.identity], dtype=np.int32))
+    current = _distinct(group, np.fromiter(list(gens) + [group.identity], dtype=np.int32))
     while True:
-        products = np.unique(mul_t[np.ix_(current, current)])
+        products = _distinct(group, mul_t[np.ix_(current, current)])
         if products.size == current.size:
-            return frozenset(int(x) for x in current)
+            return frozenset(current.tolist())
         current = products
 
 
@@ -552,7 +561,7 @@ def commutator_subgroup(group: FiniteGroup, elems) -> frozenset[int]:
     mul_t, inv_t = group.tables()
     E = np.fromiter(sorted(elems), dtype=np.int32)
     comms = mul_t[mul_t[inv_t[E][:, None], inv_t[E][None, :]], mul_t[E[:, None], E[None, :]]]
-    return subgroup_closure(group, np.unique(comms))
+    return subgroup_closure(group, _distinct(group, comms))
 
 
 @dataclass

@@ -77,7 +77,7 @@ def _orbits(mul_t: np.ndarray, inv_t: np.ndarray) -> tuple[np.ndarray, np.ndarra
     a0, a1 = np.divmod(start, m)
     succ = a1 * m + mul_t[inv_t[a0], a1]
     cur, seqs = start, [a0]
-    period, canon = np.zeros(m * m, dtype=np.int64), start.copy()
+    period, canon = np.zeros(m * m, dtype=np.int32), start.copy()
     while not period.all():
         cur = succ[cur]
         seqs.append(cur // m)

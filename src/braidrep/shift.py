@@ -7,8 +7,10 @@ sequence (a_0, ..., a_{p-1}) read cyclically; the p phases of that sequence
 are exactly the vertices on the cycle.
 
 `decompose` returns the decomposition as flat arrays: every cycle's sequence
-laid end to end (m^2 handles), each cycle's offset, length and type, and the
-cycle through every vertex.  `Cycle` objects are built from them on request.
+laid end to end (m^2 int32 handles), each cycle's offset, length and type, and
+the cycle through every vertex (m^2 int32 numbers).  It walks int32 vertex
+codes, which cannot wrap since m^2 <= MAX_TABLE_ENTRIES < 2^31.  `Cycle`
+objects are built from the arrays on request.
 """
 from __future__ import annotations
 
@@ -148,10 +150,11 @@ class ShiftDecomposition:
 def decompose(group: FiniteGroup) -> ShiftDecomposition:
     """Split G x G into successor cycles, numbered in lex order of their least vertex.
 
-    Vertex (a0, a1) has the code a0 * m + a1, so code order is lex order.  The
-    successor map is one array of codes, checked to be a bijection before
-    anything walks it, so every walk below runs on cycles and ends.  Two walks
-    over arrays do the rest:
+    Vertex (a0, a1) has the int32 code a0 * m + a1, so code order is lex
+    order.  The successor map is one array of codes, built one row of fixed a0
+    at a time and checked to be a bijection (every code is hit) before anything
+    walks it, so every walk below runs on cycles and ends.  Two walks over
+    arrays do the rest:
 
     * A walk starts at every vertex and is dropped as soon as it meets a
       smaller code.  It closes, after one lap, exactly when its seed is the
@@ -159,65 +162,80 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
       length.  With the build of the map this is 2.2-3.8 m^2 successor
       look-ups on the groups from S3 to SL2(11).
     * All cycles then advance together from their rep vertices, one array
-      step per position up to the longest cycle, writing every a_seq into the
-      flat array `a_flat`, labelling each vertex with its cycle and folding
-      the cycle products.
+      step per position up to the longest cycle.  A step writes the cycles'
+      current vertex codes into one flat array and folds the cycle products
+      through the flattened multiplication table; that is all it does.
 
-    Each cycle's stored sequence starts at its lexicographically least vertex.
-    Four facts are verified and raise VerificationError if broken: the
-    successor map is a bijection, the ordered product a_0 a_1 ... a_{p-1}
-    around every cycle is the identity, the cycle lengths partition |G|^2, and
-    there is exactly one fixed point.
+    After the walk the flat array holds every cycle's vertex codes end to end.
+    The cycle through every vertex is read off it with one scatter, and it is
+    then divided by m in place, which leaves each code's a0: the a-sequences,
+    `a_flat`.  Each cycle's stored sequence starts at its lexicographically
+    least vertex.  Four facts are verified and raise VerificationError if
+    broken: the successor map is a bijection, the cycle lengths partition
+    |G|^2, there is exactly one fixed point, and the ordered product
+    a_0 a_1 ... a_{p-1} around every cycle is the identity.
     """
     m = group.order
     mul_t, inv_t = group.tables()
-    seeds = np.arange(m * m, dtype=np.int64)
-    a0s, a1s = np.divmod(seeds, m)
-    succ = a1s * m + mul_t[inv_t[a0s], a1s]
-    del a0s, a1s  # peak memory: only succ is kept
-    if np.bincount(succ, minlength=m * m).max() != 1:
+    # successor codes a1 * m + (a0^-1 a1), one row of fixed a0 at a time
+    succ = np.empty((m, m), dtype=np.int32)
+    a1_times_m = np.arange(0, m * m, m, dtype=np.int32)
+    for a0 in range(m):
+        np.add(a1_times_m, mul_t[inv_t[a0]], out=succ[a0])
+    succ = succ.ravel()
+    hit = np.zeros(m * m, dtype=bool)
+    hit[succ] = True
+    if not hit.all():       # a map of a finite set to itself is one-to-one iff onto
         raise VerificationError("successor map is not a bijection of the vertex set")
+    del hit
 
     # drop-when-smaller walk: at step k, cur is the k-th successor of each seed
+    seeds = np.arange(m * m, dtype=np.int32)
     cur = succ
     rep_parts, length_parts = [], []
     k = 1
     while seeds.size:
-        closed = seeds[cur == seeds]
+        closed = seeds.compress(cur == seeds)
         rep_parts.append(closed)
         length_parts.append(np.full(closed.size, k, dtype=np.int64))
         keep = cur > seeds
-        seeds, cur = seeds[keep], succ[cur[keep]]
+        seeds, cur = seeds.compress(keep), succ.take(cur.compress(keep))
         k += 1
     reps = np.concatenate(rep_parts)
     order = np.argsort(reps, kind="stable")
     reps, lengths = reps[order], np.concatenate(length_parts)[order]
-
-    # lockstep walk, longest cycles first so the cycles still walking are a prefix
-    n = reps.size
-    offsets = np.cumsum(lengths) - lengths
     census = np.bincount(lengths)
-    walking = n - np.cumsum(census)[:-1]
-    walk = np.argsort(-lengths, kind="stable")
-    cur, pos = reps[walk], offsets[walk]
-    prod = np.full(n, group.identity, dtype=mul_t.dtype)
-    a_flat = np.empty(m * m, dtype=np.int32)
-    cycle_id = np.empty(m * m, dtype=np.int32)
-    for k, j in enumerate(walking.tolist()):
-        v = cur[:j]
-        a0 = v // m
-        a_flat[pos[:j] + k] = a0
-        cycle_id[v] = walk[:j]
-        prod[:j] = mul_t[prod[:j], a0]
-        cur[:j] = succ[v]
-    bad = reps[walk[prod != group.identity]]
-    if bad.size:
-        raise VerificationError(
-            f"cycle product is not the identity on the cycle through {divmod(int(bad.min()), m)}")
+    # a true bijection partitions; this catches a code below 0, which the mask read from the end
     if int(census @ np.arange(census.size)) != m * m:
         raise VerificationError("cycle lengths do not partition the vertex set")
     if census[1] != 1:
         raise VerificationError("expected exactly one fixed point (the trivial cycle)")
+
+    # lockstep walk, longest cycles first so the cycles still walking are a prefix;
+    # a step stores the vertex codes and folds the cycle products, nothing more
+    n = reps.size
+    offsets = np.cumsum(lengths) - lengths
+    walking = n - np.cumsum(census)[:-1]
+    walk = np.argsort(-lengths, kind="stable")
+    cur, pos = reps[walk], offsets[walk]
+    prod = np.full(n, group.identity, dtype=np.int32)
+    products = mul_t.ravel()                    # products[x * m + y] = x y
+    vflat = np.empty(m * m, dtype=np.int32)
+    for k, j in enumerate(walking.tolist()):
+        v = cur[:j]
+        vflat[pos[:j] + k] = v
+        prod[:j] = products.take(prod[:j] * m + v // m)
+        cur[:j] = succ.take(v)
+    del succ
+    bad = reps[walk[prod != group.identity]]
+    if bad.size:
+        raise VerificationError(
+            f"cycle product is not the identity on the cycle through {divmod(int(bad.min()), m)}")
+
+    # the codes are laid out cycle by cycle, so cycle i owns vflat[offsets[i]:][:lengths[i]]
+    cycle_id = np.empty(m * m, dtype=np.int32)
+    cycle_id[vflat] = np.repeat(np.arange(n, dtype=np.int32), lengths)
+    a_flat = np.floor_divide(vflat, m, out=vflat)
 
     # type I cycles are those through a diagonal vertex (a, a), code a * (m + 1)
     is_type_I = np.zeros(n, dtype=bool)

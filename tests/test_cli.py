@@ -338,6 +338,21 @@ def test_oversized_spec_exits_cleanly(spec):
     assert len(lines) == 1 and lines[0].startswith(("error:", "resource limit:")), proc.stderr
 
 
+def test_tower_verify_and_shift_leave_numpy_ma_unimported():
+    # numpy imports numpy.ma on the first np.unique call, about 13 ms of every
+    # fresh process; the commands find distinct handles with masks instead
+    code = ("import contextlib, io, sys\n"
+            "from braidrep.cli import main\n"
+            "for argv in (['tower', 'S4', '6', '--format', 'json'], ['verify', 'S4', '6'],\n"
+            "             ['shift', 'SL2(3)', '--format', 'json']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=_cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def _limit_address_space():
     # 1.5 GB: the interpreter and numpy fit, an unbounded read of /dev/zero does not
     resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))

@@ -4,8 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from braidrep.errors import UsageError
+from braidrep.errors import UsageError, VerificationError
 from braidrep.extension import (
+    _check_next_b_set,
     _conjugation_orbits,
     compute_tower,
     extend_step,
@@ -122,6 +123,17 @@ def test_extend_step_agrees_with_direct_relation_check(s5):
     found = extend_step(s5, cyc, (b3,))
     assert found == brute
     assert s5.index_of((2, 1, 3, 5, 4)) in found  # (1 2)(4 5) at handle 25
+
+
+def test_next_b_post_check_refuses_an_image_outside_the_conjugacy_class(s4):
+    # after b = (1 2) over the trivial cycle: (2 3) does not commute with it and
+    # is conjugate to it, so it passes; (1 2 3) does not commute but is no transposition
+    last, other, three_cycle = (s4.index_of(p) for p in ((2, 1, 3, 4), (1, 3, 2, 4), (2, 3, 1, 4)))
+    trivial = decompose(s4).trivial_cycle
+    _check_next_b_set(s4, trivial, (last,), [other])
+    with pytest.raises(VerificationError,
+                       match=f"^admissible image {three_cycle} is not conjugate to its predecessor {last}$"):
+        _check_next_b_set(s4, trivial, (last,), [other, three_cycle])
 
 
 # ---------------------------------------------------------------------------

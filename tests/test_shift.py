@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from braidrep import groups
 from braidrep.errors import VerificationError
 from braidrep.groups import SL2, AbelianProduct, CayleyTableGroup, SymmetricGroup, parse_group_spec
 from braidrep.shift import (
@@ -141,6 +143,62 @@ def test_decompose_rejects_a_successor_map_that_is_not_a_bijection(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_decompose_rejects_a_successor_code_outside_the_vertex_set(monkeypatch):
+    group = SymmetricGroup(3)
+    mul_t, inv_t = group.tables()
+    # (1, 2) now steps to its true successor's code minus 36: an index below zero,
+    # so the map still looks onto, but the cycle through (1, 2) never closes
+    table = mul_t.copy()
+    table[inv_t[1], 2] -= 36
+    monkeypatch.setattr(group, "_mul_table", table)
+    with pytest.raises(VerificationError, match="^cycle lengths do not partition the vertex set$"):
+        decompose(group)
+
+
+def test_decompose_rejects_more_than_one_fixed_point(monkeypatch):
+    group = AbelianProduct((5,))
+    # x * y = x - y and a^-1 = 2a give the bijection (a0, a1) -> (a1, 2 a0 - a1),
+    # which fixes every diagonal vertex
+    x = np.arange(5, dtype=np.int32)
+    monkeypatch.setattr(group, "_mul_table", (x[:, None] - x[None, :]) % 5)
+    monkeypatch.setattr(group, "_inv_table", 2 * x % 5)
+    with pytest.raises(VerificationError, match=r"^expected exactly one fixed point \(the trivial cycle\)$"):
+        decompose(group)
+
+
+# a loop of order 6 with two-sided inverses that is not associative: its
+# successor map is a bijection with one fixed point, but some cycle products are not e
+NON_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+                        [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]]
+
+
+def test_decompose_rejects_a_cycle_product_that_is_not_the_identity(monkeypatch):
+    group = AbelianProduct((6,))
+    table = np.array(NON_ASSOCIATIVE_LOOP, dtype=np.int32)
+    inv = np.argmin(table, axis=1).astype(np.int32)       # the column of each row's 0
+    assert (table[inv, np.arange(6)] == 0).all()
+    monkeypatch.setattr(group, "_mul_table", table)
+    monkeypatch.setattr(group, "_inv_table", inv)
+    with pytest.raises(VerificationError, match=r"^cycle product is not the identity on the cycle through \(0, 2\)$"):
+        decompose(group)
+
+
+@pytest.mark.parametrize("spec", ["SL2(7)", "S6"])
+def test_decompose_memory_is_int32_sized(spec):
+    group = parse_group_spec(spec)
+    tracemalloc.start()
+    try:
+        d = decompose(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two int32 results take 8 bytes a vertex; the walks' working arrays stay under 16
+    assert peak <= 24 * group.order ** 2
+    assert d.a_flat.dtype == d._cycle_id.dtype == np.int32
+    # int32 vertex codes and the fold index prod * m + a stay below m^2
+    assert groups.MAX_TABLE_ENTRIES < 2 ** 31
 
 
 def test_rep_vertex_is_lex_min(s4):
