@@ -97,11 +97,12 @@ def _orbit_classes(lvl: TowerLevel):
     decomp = lvl.decomposition
     e = decomp.group.identity
     c_start = (np.cumsum(lvl.c_count) - lvl.c_count).tolist()
-    for i, size in zip(lvl.orbit_rows.tolist(), lvl.orbit_size.tolist()):
-        a_seq = decomp.cycle(int(lvl.cycle_ids[i])).a_seq
-        gens = set(a_seq).union(lvl.b[i].tolist())
+    ids = lvl.cycle_ids[lvl.orbit_rows]
+    for i, start, length, size in zip(lvl.orbit_rows.tolist(), decomp.offsets[ids].tolist(),
+                                      decomp.lengths[ids].tolist(), lvl.orbit_size.tolist()):
+        gens = set(decomp.a_flat[start:start + length].tolist()).union(lvl.b[i].tolist())
         cs = lvl.c[c_start[i]:c_start[i] + int(lvl.c_count[i])].tolist()
-        yield len(a_seq) * size, gens, gens == {e}, cs
+        yield length * size, gens, gens == {e}, cs
 
 
 def _transitive_multiple(count: int, r: int, what: str) -> int:

@@ -2,11 +2,15 @@
 
 A class at stage n is a cycle with images b = (b_3, ..., b_{n-1}) of the extra
 generators; it stands for the cycle-length many representations obtained by
-choosing a phase.  A TowerLevel holds a stage's classes as arrays.  Admissible
-images are found by exhaustive scans of the group, filtered relation by
-relation; structural facts that must hold for the results (identity
-membership, forced triviality, order constraints) are re-checked on the way
-and raise VerificationError when broken.
+choosing a phase.  A TowerLevel holds a stage's classes as arrays.
+
+The scans `extend_to_K4(decomp, i)`, `extend_step(decomp, i, b)` and
+`extend_to_braid(decomp, i, b)` test every element against the relations of
+one class, reading cycle i's a-sequence from `decomp.a_flat`; they validate
+their input and check nothing else.  The structural facts are array tests
+over all rows of a stage.  `compute_tower` runs `stage4_failure`,
+`stage_failure` and its own c-set checks once per stage on the classes it
+scanned, raising VerificationError, and `verify` runs the first two on every row.
 
 Every relation is a word equation, so simultaneous conjugation by g maps
 admissible (a-sequence, b, c) data to admissible data and commutes with the
@@ -24,15 +28,14 @@ The relations used, with mul(g, h) meaning "h first, then g":
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError, VerificationError
-from .groups import FiniteGroup, element_order
-from .shift import Cycle, ShiftDecomposition, decompose
+from .groups import FiniteGroup
+from .shift import ShiftDecomposition, decompose
 
 __all__ = [
     "MAX_STAGE",
@@ -50,154 +53,187 @@ __all__ = [
 MAX_STAGE = 100
 
 
-def _a_arr(cycle: Cycle) -> np.ndarray:
-    return np.fromiter(cycle.a_seq, dtype=np.int64, count=cycle.length)
-
-
 # ---------------------------------------------------------------------------
 # admissible-image scans (class level: independent of phase)
 # ---------------------------------------------------------------------------
 
-def _scan_b3(group: FiniteGroup, cycle: Cycle) -> np.ndarray:
-    mul_t, _ = group.tables()
-    a = _a_arr(cycle)
-    p = cycle.length
-    cand = np.arange(group.order, dtype=np.int64)
+def _scan_input(decomp: ShiftDecomposition, i: int, b: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
+    """The multiplication table and cycle i's a-sequence; UsageError unless i
+    is a cycle index of `decomp` and every handle in b is an element."""
+    if not (isinstance(i, (int, np.integer)) and 0 <= i < decomp.lengths.size):
+        raise UsageError(f"cycle index {i!r} out of range ({decomp.lengths.size} cycles)")
+    for x in b:
+        decomp.group.check_element(x)
+    start = int(decomp.offsets[i])
+    return decomp.group.tables()[0], decomp.a_flat[start:start + int(decomp.lengths[i])].tolist()
+
+
+def extend_to_K4(decomp: ShiftDecomposition, i: int) -> list[int]:
+    """All admissible b3 over cycle i of `decomp`, sorted, the identity included."""
+    mul_t, a = _scan_input(decomp, i, ())
+    p, cand = len(a), np.arange(decomp.group.order)
     for m in range(p):
-        am, am1, am2 = a[m], a[(m + 1) % p], a[(m + 2) % p]
-        lhs = mul_t[mul_t[am, cand], am2]
-        rhs = mul_t[mul_t[cand, am1], cand]
-        cand = cand[lhs == rhs]
+        cand = cand[mul_t[mul_t[a[m], cand], a[(m + 2) % p]] == mul_t[mul_t[cand, a[(m + 1) % p]], cand]]
         if cand.size <= 1:
             break
-    return cand
+    return cand.tolist()
 
 
-def _scan_next_b(group: FiniteGroup, cycle: Cycle, b: tuple[int, ...]) -> np.ndarray:
-    mul_t, _ = group.tables()
-    a = _a_arr(cycle)
-    p = cycle.length
-    last = b[-1]
-    cand = np.arange(group.order, dtype=np.int64)
+def extend_step(decomp: ShiftDecomposition, i: int, b: tuple[int, ...]) -> list[int]:
+    """All admissible nontrivial images of the next generator above the class
+    (cycle i, b), sorted; b = (b3, ..., b_{n-1}) with n >= 4."""
+    if not b:
+        raise UsageError("extend_step starts from stage 4; use extend_to_K4 below that")
+    mul_t, a = _scan_input(decomp, i, b)
+    p, last, cand = len(a), b[-1], np.arange(decomp.group.order)
     # braid with the previous image first: it alone kills everything when last = e
-    lhs = mul_t[mul_t[cand, last], cand]
-    rhs = mul_t[mul_t[last, cand], last]
-    cand = cand[lhs == rhs]
+    cand = cand[mul_t[mul_t[cand, last], cand] == mul_t[mul_t[last, cand], last]]
     for m in range(p):
         if cand.size == 0:
             break
-        am, am1 = a[m], a[(m + 1) % p]
-        cand = cand[mul_t[am, cand] == mul_t[cand, am1]]
+        cand = cand[mul_t[a[m], cand] == mul_t[cand, a[(m + 1) % p]]]
     for bj in b[:-1]:
-        if cand.size == 0:
-            break
         cand = cand[mul_t[bj, cand] == mul_t[cand, bj]]
-    return cand[cand != group.identity]
+    return cand[cand != decomp.group.identity].tolist()
 
 
-def _scan_c(group: FiniteGroup, cycle: Cycle, b: tuple[int, ...]) -> np.ndarray:
-    mul_t, _ = group.tables()
-    a = _a_arr(cycle)
-    p = cycle.length
-    cand = np.arange(group.order, dtype=np.int64)
+def extend_to_braid(decomp: ShiftDecomposition, i: int, b: tuple[int, ...]) -> list[int]:
+    """All admissible images c of sigma_1 extending the class (cycle i, b), sorted."""
+    mul_t, a = _scan_input(decomp, i, b)
+    p, cand = len(a), np.arange(decomp.group.order)
     for m in range(p):
-        am, am1 = a[m], a[(m + 1) % p]
-        cand = cand[mul_t[cand, am] == mul_t[am1, cand]]
+        cand = cand[mul_t[cand, a[m]] == mul_t[a[(m + 1) % p], cand]]
         if cand.size == 0:
             break
     for bj in b:
-        if cand.size == 0:
-            break
         cand = cand[mul_t[bj, cand] == mul_t[cand, bj]]
-    return cand
+    return cand.tolist()
 
 
 # ---------------------------------------------------------------------------
-# structural post-checks
+# structural facts, checked on all rows of a stage at once
 # ---------------------------------------------------------------------------
 
-def _power_commutes_with_all_a(group: FiniteGroup, x: int, cycle: Cycle) -> bool:
-    xp = group.power(x, cycle.length)
-    return all(group.mul(xp, am) == group.mul(am, xp) for am in cycle.a_seq)
+def is_trivial_class(decomp: ShiftDecomposition, ids: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each class (cycle ids[k], b[k]) is the fixed point (e, e) with every image e."""
+    e = decomp.group.identity
+    return (ids == decomp.cycle_index(e, e)) & (b == e).all(axis=1)
 
 
-def _check_b3_set(group: FiniteGroup, cycle: Cycle, bs: list[int]) -> None:
-    e = group.identity
-    if e not in bs:
-        raise VerificationError("identity is always an admissible b3 but was not found")
-    if cycle.cycle_type == "I" and bs != [e]:
-        raise VerificationError(f"type-I cycle admits b3 set {bs}, expected only the identity")
-    if math.gcd(cycle.length, group.order) == 1 and bs != [e]:
-        raise VerificationError(
-            f"cycle length {cycle.length} is prime to |G|={group.order} yet b3 set is {bs}")
-    for b3 in bs:
-        if group.power(b3, cycle.length) != e:
-            raise VerificationError(f"admissible b3={b3} does not satisfy b3^p = e (p={cycle.length})")
+def _element_orders(group: FiniteGroup) -> np.ndarray:
+    """The order of every element, by powering all elements in step."""
+    mul_t, _ = group.tables()
+    x = np.arange(group.order)
+    order, power, k = np.zeros_like(x), x, 1
+    while not order.all():
+        order[(power == group.identity) & (order == 0)] = k
+        power, k = mul_t[power, x], k + 1
+    return order
 
 
-def _check_next_b_set(group: FiniteGroup, cycle: Cycle, b: tuple[int, ...], new: list[int]) -> None:
-    if not new:
-        return
-    mul_t, inv_t = group.tables()
-    last = b[-1]
-    conjugate = np.zeros(group.order, dtype=bool)
-    conjugate[mul_t[mul_t[:, last], inv_t]] = True         # g last g^-1 for every g
-    for g in new:
-        if group.mul(g, last) == group.mul(last, g):
-            raise VerificationError(f"admissible image {g} commutes with its predecessor {last}")
-        if not conjugate[g]:
-            raise VerificationError(f"admissible image {g} is not conjugate to its predecessor {last}")
-        if element_order(group, g) % cycle.length != 0:
-            raise VerificationError(
-                f"cycle length {cycle.length} does not divide ord({g})={element_order(group, g)}")
-        if not _power_commutes_with_all_a(group, g, cycle):
-            raise VerificationError(f"b^p fails to commute with the a-sequence for b={g}")
+def _powers(group: FiniteGroup, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x[k]^p[k] for every k, by repeated squaring over the table."""
+    mul_t, _ = group.tables()
+    acc = np.full(x.size, group.identity, dtype=mul_t.dtype)
+    for bit in range(int(p.max(initial=0)).bit_length()):
+        acc = np.where((p >> bit) & 1 == 1, mul_t[acc, x], acc)
+        x = mul_t[x, x]
+    return acc
 
 
-def _check_c_set(group: FiniteGroup, cycle: Cycle, b: tuple[int, ...], cs: list[int]) -> None:
-    e = group.identity
-    if cycle.a_seq == (e,) and all(x == e for x in b):     # the trivial class
-        if cs != sorted(group.elements()):
-            raise VerificationError("the trivial class must extend by every element of the group")
-        return
-    if group.order % cycle.length != 0 and cs:
-        raise VerificationError(
-            f"cycle length {cycle.length} does not divide |G|={group.order} yet c set is nonempty")
-    for c in cs:
-        if c == e:
-            raise VerificationError("identity extends only the trivial class")
-        if element_order(group, c) % cycle.length != 0:
-            raise VerificationError(
-                f"cycle length {cycle.length} does not divide ord(c)={element_order(group, c)}")
-        if not _power_commutes_with_all_a(group, c, cycle):
-            raise VerificationError(f"c^p fails to commute with the a-sequence for c={c}")
+def _power_centralises(decomp: ShiftDecomposition, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """For each k, whether x[k]^p commutes with every entry of the a-sequence of
+    cycle ids[k], p its period."""
+    mul_t, _ = decomp.group.tables()
+    length = decomp.lengths[ids]
+    xp = np.repeat(_powers(decomp.group, x, length), length)
+    a = decomp.a_flat[_ranges(decomp.offsets[ids], length)]
+    return np.bincount(np.repeat(np.arange(ids.size), length), weights=mul_t[xp, a] != mul_t[a, xp],
+                       minlength=ids.size) == 0
 
 
-# ---------------------------------------------------------------------------
-# public single-step interface
-# ---------------------------------------------------------------------------
-
-def extend_to_K4(group: FiniteGroup, cycle: Cycle) -> list[int]:
-    """All admissible b3 (the identity included) for the given cycle."""
-    bs = sorted(int(x) for x in _scan_b3(group, cycle))
-    _check_b3_set(group, cycle, bs)
-    return bs
+def _first_broken(fails: list[np.ndarray]) -> tuple[int, int] | None:
+    """(row, fact) of the first fact broken on the first row that breaks one,
+    given one boolean per row for each fact; None when none is broken."""
+    table = np.column_stack(fails)
+    bad = np.flatnonzero(table.any(axis=1))
+    return (int(bad[0]), int(table[bad[0]].argmax())) if bad.size else None
 
 
-def extend_step(group: FiniteGroup, cycle: Cycle, b: tuple[int, ...]) -> list[int]:
-    """All admissible nontrivial images of the next generator above the class (cycle, b), n >= 4."""
-    if not b:
-        raise UsageError("extend_step starts from stage 4; use extend_to_K4 below that")
-    new = sorted(int(x) for x in _scan_next_b(group, cycle, b))
-    _check_next_b_set(group, cycle, b, new)
-    return new
+_STAGE4_FACTS = ("b3^p != e", "gcd(p,|G|)=1 but b3 nontrivial", "type-I cycle with nontrivial b3")
 
 
-def extend_to_braid(group: FiniteGroup, cycle: Cycle, b: tuple[int, ...]) -> list[int]:
-    """All admissible images c of sigma_1 extending the class (cycle, b) to the braid group."""
-    cs = sorted(int(x) for x in _scan_c(group, cycle, b))
-    _check_c_set(group, cycle, b, cs)
-    return cs
+def stage4_failure(decomp: ShiftDecomposition, ids: np.ndarray, b3: np.ndarray) -> str | None:
+    """The first fact broken by the first class (cycle ids[k], b3[k]) that breaks
+    one, with its rep vertex, or None: b3^p = e for p the period, and b3 = e
+    when gcd(p, |G|) = 1 or the cycle is type I."""
+    group = decomp.group
+    p = decomp.lengths[ids]
+    nontrivial = b3 != group.identity
+    broken = _first_broken([_powers(group, b3, p) != group.identity,
+                            (np.gcd(p, group.order) == 1) & nontrivial,
+                            decomp.is_type_I[ids] & nontrivial])
+    if broken is None:
+        return None
+    row, fact = broken
+    a0, a1 = decomp.rep_vertices(ids[row:row + 1])
+    return f"{_STAGE4_FACTS[fact]} at {(int(a0[0]), int(a1[0]))}"
+
+
+def stage_failure(decomp: ShiftDecomposition, ids: np.ndarray, b: np.ndarray) -> str | None:
+    """The first fact broken by the first nontrivial class (cycle ids[k], b[k])
+    at stage n = 3 + b.shape[1] >= 5 that breaks one, or None.  In order:
+    adjacent images braid, so they are conjugate, and do not commute; images
+    further apart commute; p | ord(b_i) for i > 3; b_i^p centralises the
+    a-sequence, p the period."""
+    group = decomp.group
+    mul_t, _ = group.tables()
+    keep = ~is_trivial_class(decomp, ids, b)
+    ids, b = ids[keep], b[keep]
+    n, width = b.shape[1] + 3, b.shape[1]
+    p = decomp.lengths[ids]
+    order = _element_orders(group)
+    facts: list[tuple[np.ndarray, str]] = []
+    for j in range(width - 1):
+        xy, yx = mul_t[b[:, j], b[:, j + 1]], mul_t[b[:, j + 1], b[:, j]]
+        facts.append((mul_t[xy, b[:, j]] != mul_t[yx, b[:, j + 1]], "adjacent braid relation fails"))
+        facts.append((xy == yx, "adjacent images commute"))
+    for j in range(width):
+        for k in range(j + 2, width):
+            facts.append((mul_t[b[:, j], b[:, k]] != mul_t[b[:, k], b[:, j]], "far commutation fails"))
+    for j in range(width):
+        if j:
+            facts.append((order[b[:, j]] % p != 0, f"p does not divide ord(b_{j + 3})"))
+        facts.append((~_power_centralises(decomp, ids, b[:, j]), "b^p fails to centralise the a-sequence"))
+    broken = _first_broken([fails for fails, _ in facts])
+    return None if broken is None else f"{facts[broken[1]][1]} at stage {n}"
+
+
+_C_FACTS = ("cycle length {p} does not divide |G|={m} yet c set is nonempty",
+            "identity extends only the trivial class", "cycle length {p} does not divide ord(c)={order}",
+            "c^p fails to commute with the a-sequence for c={c}")
+
+
+def _c_set_failure(decomp: ShiftDecomposition, ids: np.ndarray, b: np.ndarray,
+                   c: np.ndarray, c_count: np.ndarray) -> str | None:
+    """The first fact broken by the c sets of the classes (cycle ids[k], b[k]),
+    the k-th one `c_count[k]` handles of `c`, sorted; or None.  The trivial
+    class extends by every element; any other, of period p, only by c != e
+    with p | |G|, p | ord(c) and c^p centralising the a-sequence."""
+    group = decomp.group
+    trivial = is_trivial_class(decomp, ids, b)
+    row = np.repeat(np.arange(ids.size), c_count)
+    rank = np.arange(c.size) - np.repeat(np.cumsum(c_count) - c_count, c_count)
+    if (c_count[trivial] != group.order).any() or (c != rank)[trivial[row]].any():
+        return "the trivial class must extend by every element of the group"
+    row, c = row[~trivial[row]], c[~trivial[row]]
+    p, order = decomp.lengths[ids[row]], _element_orders(group)[c]
+    broken = _first_broken([group.order % p != 0, c == group.identity, order % p != 0,
+                            ~_power_centralises(decomp, ids[row], c)])
+    if broken is None:
+        return None
+    k, fact = broken
+    return _C_FACTS[fact].format(p=p[k], m=group.order, order=order[k], c=c[k])
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +379,7 @@ class TowerResult:
 
     def is_trivial_at(self, n: int) -> bool:
         lvl = self.level(n)
-        e = self.group.identity
-        return bool(lvl.class_count == 1 and lvl.cycle_ids[0] == self.decomposition.cycle_index(e, e)
-                    and (lvl.b == e).all())
+        return bool(lvl.class_count == 1 and is_trivial_class(self.decomposition, lvl.cycle_ids, lvl.b).all())
 
 
 def compute_tower(
@@ -365,34 +399,40 @@ def compute_tower(
 
     e = group.identity
     orbits = _conjugation_orbits(decomp)
-    first = [decomp.cycle(i) for i in orbits.ids[orbits.start[:-1]].tolist()]
-    # (orbit k, b) over each orbit's first cycle first[k], stage by stage; the
-    # trivial class extends only by the identity, to the trivial chain
-    current = [(k, ()) for k in range(len(first))]
-    stages = [current]
+    first = orbits.ids[orbits.start[:-1]]
+    # the classes (orbit ks[j], b[j]) over each orbit's first cycle, checked
+    # stage by stage; the trivial class extends only to the trivial chain
+    ks, b = np.arange(first.size), np.empty((first.size, 0), dtype=np.int64)
+    stages = [(ks, b)]
     for n in range(4, n_max + 1):
+        ids = first[ks]
         if n == 4:
-            current = [(k, (b3,)) for k, _ in current for b3 in extend_to_K4(group, first[k])]
+            found = [extend_to_K4(decomp, i) for i in ids.tolist()]
         else:
-            current = [(k, b + (g,)) for k, b in current for g in (
-                [e] if first[k].a_seq == (e,) and set(b) == {e} else extend_step(group, first[k], b))]
-        stages.append(current)
-    levels = [_transported_level(decomp, orbits, first, n, classes)
-              for n, classes in enumerate(stages, start=3)]
+            found = [[e] if trivial else extend_step(decomp, i, tuple(row)) for i, row, trivial in
+                     zip(ids.tolist(), b.tolist(), is_trivial_class(decomp, ids, b).tolist())]
+        count = list(map(len, found))
+        ks, b = np.repeat(ks, count), np.column_stack([np.repeat(b, count, axis=0),
+                                                       np.fromiter(chain.from_iterable(found), dtype=np.int64)])
+        if n == 4 and not np.bincount(ks[b[:, 0] == e], minlength=first.size).all():
+            raise VerificationError("identity is always an admissible b3 but was not found")
+        failure = stage4_failure(decomp, first[ks], b[:, 0]) if n == 4 else stage_failure(decomp, first[ks], b)
+        if failure:
+            raise VerificationError(failure)
+        stages.append((ks, b))
+    levels = [_transported_level(decomp, orbits, n, ks, b) for n, (ks, b) in enumerate(stages, start=3)]
     return TowerResult(group, decomp, levels)
 
 
-def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, first: list[Cycle], n: int,
-                       classes: list[tuple[int, tuple[int, ...]]]) -> TowerLevel:
-    """Stage n over every cycle: each class (k, b) over orbit k's first cycle
-    first[k], with its braid c set, conjugated onto every member of the orbit."""
+def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, n: int,
+                       ks: np.ndarray, base_b: np.ndarray) -> TowerLevel:
+    """Stage n over every cycle: each class (ks[j], base_b[j]) over orbit ks[j]'s
+    first cycle, with its checked braid c set, conjugated onto the orbit."""
     group = decomp.group
-    ks = np.fromiter((k for k, _ in classes), dtype=np.int64, count=len(classes))
     size = orbits.start[ks + 1] - orbits.start[ks]
-    row_class = np.repeat(np.arange(len(classes)), size)
+    row_class = np.repeat(np.arange(ks.size), size)
     pos = _ranges(orbits.start[ks], size)
     t = orbits.transporters[pos]
-    base_b = np.array([b for _, b in classes], dtype=np.int64).reshape(len(classes), n - 3)
     b = _conjugate(group, t[:, None], base_b[row_class])
     # decompose numbers the cycles in lex order of their rep vertices, so this
     # is the order by (rep vertex, b)
@@ -402,11 +442,15 @@ def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, first: list[
     # the scanned classes unchanged
     orbit_rows = np.flatnonzero(pos == orbits.start[ks[row_class]])
     orbit_size = size[row_class[orbit_rows]]
-    base_c = [extend_to_braid(group, first[k], b) for k, b in classes]
+    ids = orbits.ids[orbits.start[ks]]
+    base_c = [extend_to_braid(decomp, i, tuple(row)) for i, row in zip(ids.tolist(), base_b.tolist())]
     base_count = np.fromiter(map(len, base_c), dtype=np.int64, count=len(base_c))
+    flat = np.fromiter(chain.from_iterable(base_c), dtype=np.int64, count=int(base_count.sum()))
+    failure = _c_set_failure(decomp, ids, base_b, flat, base_count)
+    if failure:
+        raise VerificationError(failure)
     c_count = base_count[row_class]
     row = np.repeat(np.arange(row_class.size), c_count)
-    flat = np.fromiter(chain.from_iterable(base_c), dtype=np.int64, count=int(base_count.sum()))
     c = _conjugate(group, t[row], flat[_ranges((np.cumsum(base_count) - base_count)[row_class], c_count)])
     return TowerLevel(n, decomp, orbits.ids[pos], b[order], c[np.lexsort((c, row))], c_count,
                       orbit_rows, orbit_size)

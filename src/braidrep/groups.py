@@ -118,14 +118,6 @@ class FiniteGroup:
             acc = self.mul(acc, a)
         return acc
 
-    def conjugate(self, g: int, a: int) -> int:
-        """g a g^-1."""
-        return self.mul(self.mul(g, a), self.inv(g))
-
-    def commutator(self, a: int, b: int) -> int:
-        """a^-1 b^-1 a b."""
-        return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
-
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self._mul_table, self._mul_table.T))
 

@@ -3,6 +3,11 @@ group and top stage.  census and prop1-prop4 re-check the engine's own tower on
 the same group backend; oracle-eq, the independent check, compares it with a
 brute-force scan for |G| <= 40.  `verify` in the command-line driver prints one
 PASS/FAIL line per suite.
+
+prop2 and prop3 have no checks of their own: they run `extension`'s
+stage-level routines, `stage4_failure` and `stage_failure`, which
+`compute_tower` runs on the classes it scans, on every row of the tower, and
+print the first broken fact they return.
 """
 from __future__ import annotations
 
@@ -12,8 +17,7 @@ import numpy as np
 
 from .analysis import perfect_core_census_match
 # bound here for perfbench/selfcheck.py, which checks that the tracer patches it
-from .extension import TowerResult, compute_tower
-from .groups import element_order
+from .extension import TowerResult, compute_tower, is_trivial_class, stage4_failure, stage_failure
 from .oracle import DEFAULT_BUDGET, brute_hom_Bn, brute_hom_Kn, check_budget, engine_census_Bn, engine_census_Kn
 
 __all__ = ["SuiteResult", "run_suites", "SUITE_NAMES"]
@@ -56,69 +60,27 @@ def _prop1_suite(tower: TowerResult) -> SuiteResult:
                        f"{decomp.lengths.size} cycle products checked, {bad} non-identity")
 
 
-_PROP2_FAILURES = ("b3^p != e", "gcd(p,|G|)=1 but b3 nontrivial", "type-I cycle with nontrivial b3")
-
-
 def _prop2_suite(tower: TowerResult) -> SuiteResult:
-    """Raise every stage-4 b3 to its cycle's period, all rows in step, one table
-    look-up per position, and test the three stage-4 facts on every row."""
-    G = tower.group
-    e = G.identity
+    """The stage-4 facts on every stage-4 row, by the check the engine runs."""
     if tower.n_max < 4:
         return SuiteResult("prop2", True, "skipped (tower stops before stage 4)")
     lvl = tower.level(4)
-    decomp = tower.decomposition
-    mul_t, _ = G.tables()
-    ids, b3 = lvl.cycle_ids, lvl.b[:, 0]
-    p = decomp.lengths[ids]
-    power = np.full(b3.size, e, dtype=mul_t.dtype)
-    for k in range(int(p.max())):
-        live = np.flatnonzero(p > k)
-        power[live] = mul_t[power[live], b3[live]]
-    nontrivial = b3 != e
-    fails = np.column_stack([power != e, (np.gcd(p, G.order) == 1) & nontrivial,
-                             decomp.is_type_I[ids] & nontrivial])
-    bad = np.flatnonzero(fails.any(axis=1))
-    if bad.size:
-        a0, a1 = decomp.rep_vertices(ids[bad[:1]])
-        return SuiteResult("prop2", False,
-                           f"{_PROP2_FAILURES[int(fails[bad[0]].argmax())]} at {(int(a0[0]), int(a1[0]))}")
-    return SuiteResult("prop2", True, f"{lvl.class_count} stage-4 classes checked")
+    failure = stage4_failure(tower.decomposition, lvl.cycle_ids, lvl.b[:, 0])
+    return SuiteResult("prop2", failure is None, failure or f"{lvl.class_count} stage-4 classes checked")
 
 
 def _prop3_suite(tower: TowerResult) -> SuiteResult:
-    G = tower.group
-    e = G.identity
+    """The facts of stages >= 5 on every nontrivial row, by the check the engine runs."""
     if tower.n_max < 5:
         return SuiteResult("prop3", True, "skipped (tower stops before stage 5)")
-    bad = []
+    decomp = tower.decomposition
     checked = 0
-    for n in range(5, tower.n_max + 1):
-        lvl = tower.level(n)
-        for i, b in zip(lvl.cycle_ids.tolist(), lvl.b.tolist()):
-            a_seq = tower.decomposition.cycle(i).a_seq
-            if set(a_seq).union(b) == {e}:     # the trivial class
-                continue
-            checked += 1
-            p = len(a_seq)
-            for i in range(len(b) - 1):
-                x, y = b[i], b[i + 1]
-                if G.mul(G.mul(x, y), x) != G.mul(G.mul(y, x), y):
-                    bad.append(f"adjacent braid relation fails at stage {n}")
-                if G.mul(x, y) == G.mul(y, x):
-                    bad.append(f"adjacent images commute at stage {n}")
-            for i in range(len(b)):
-                for j in range(i + 2, len(b)):
-                    if G.mul(b[i], b[j]) != G.mul(b[j], b[i]):
-                        bad.append(f"far commutation fails at stage {n}")
-            for i, x in enumerate(b):
-                if i > 0 and element_order(G, x) % p != 0:
-                    bad.append(f"p does not divide ord(b_{i + 3}) at stage {n}")
-                xp = G.power(x, p)
-                if any(G.mul(xp, am) != G.mul(am, xp) for am in a_seq):
-                    bad.append(f"b^p fails to centralise the a-sequence at stage {n}")
-    return SuiteResult("prop3", not bad,
-                       bad[0] if bad else f"{checked} nontrivial classes at stages >= 5 checked")
+    for lvl in tower.levels[2:]:
+        failure = stage_failure(decomp, lvl.cycle_ids, lvl.b)
+        if failure:
+            return SuiteResult("prop3", False, failure)
+        checked += lvl.class_count - int(is_trivial_class(decomp, lvl.cycle_ids, lvl.b).sum())
+    return SuiteResult("prop3", True, f"{checked} nontrivial classes at stages >= 5 checked")
 
 
 def _prop4_suite(tower: TowerResult) -> SuiteResult:

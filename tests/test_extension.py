@@ -1,20 +1,24 @@
 """Stagewise extension: b3 scans, higher generators, braid extensions, towers."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+import braidrep.cli as cli
+import braidrep.extension as extension
 from braidrep.errors import UsageError, VerificationError
 from braidrep.extension import (
-    _check_next_b_set,
     _conjugation_orbits,
     compute_tower,
     extend_step,
     extend_to_K4,
     extend_to_braid,
+    stage_failure,
 )
 from braidrep.groups import SL2, SymmetricGroup, alternating_group, parse_group_spec
-from braidrep.shift import Cycle, decompose
+from braidrep.shift import decompose
 
 from conftest import level_rows, relabelled
 
@@ -23,10 +27,15 @@ from conftest import level_rows, relabelled
 # stage 4: images of b3
 # ---------------------------------------------------------------------------
 
+def _index(d, v):
+    """The index of the cycle through the vertex v."""
+    return int(d.cycle_index(*v))
+
+
 def test_b3_trivial_for_s3(s3):
     d = decompose(s3)
-    for c in d.cycles:
-        assert extend_to_K4(s3, c) == [s3.identity]
+    for i in range(d.lengths.size):
+        assert extend_to_K4(d, i) == [s3.identity]
 
 
 # rep vertices (0-based handles) of the ten cycles over S4 that admit
@@ -40,8 +49,8 @@ S4_SPECIAL_VERTICES = {
 def test_b3_sets_over_s4(s4):
     d = decompose(s4)
     special = {}
-    for c in d.cycles:
-        bs = extend_to_K4(s4, c)
+    for i, c in enumerate(d.cycles):
+        bs = extend_to_K4(d, i)
         assert bs[0] == s4.identity
         if len(bs) > 1:
             special[c.rep_vertex] = bs
@@ -50,34 +59,34 @@ def test_b3_sets_over_s4(s4):
     assert all(bs == [0, 7, 16, 23] for bs in special.values())
 
 
+def _brute_b3(group, a):
+    """Every g with a_m g a_{m+2} = g a_{m+1} g for all m, a read cyclically."""
+    p = len(a)
+    return [g for g in group.elements()
+            if all(group.mul(group.mul(a[m], g), a[(m + 2) % p])
+                   == group.mul(group.mul(g, a[(m + 1) % p]), g) for m in range(p))]
+
+
 def test_b3_scan_agrees_with_direct_relation_check(s4):
     d = decompose(s4)
-    for c in [d.cycle_at((3, 4)), d.cycle_at((1, 2)), d.trivial_cycle]:
-        a = c.a_seq
-        p = c.length
-        brute = []
-        for g in s4.elements():
-            ok = all(
-                s4.mul(s4.mul(a[m % p], g), a[(m + 2) % p])
-                == s4.mul(s4.mul(g, a[(m + 1) % p]), g)
-                for m in range(p)
-            )
-            if ok:
-                brute.append(g)
-        assert extend_to_K4(s4, c) == brute
+    for v in [(3, 4), (1, 2), (0, 0)]:
+        i = _index(d, v)
+        assert extend_to_K4(d, i) == _brute_b3(s4, d.cycle(i).a_seq)
 
 
 def test_b3_set_is_phase_independent(s4):
+    # the scan reads the cycle from its least vertex; the relation check reads
+    # it from the next one
     d = decompose(s4)
-    c = d.cycle_at((3, 4))
-    rotated = Cycle(c.a_seq[1:] + c.a_seq[:1], c.cycle_type)
-    assert extend_to_K4(s4, rotated) == extend_to_K4(s4, c)
+    i = _index(d, (3, 4))
+    a = d.cycle(i).a_seq
+    assert extend_to_K4(d, i) == _brute_b3(s4, a[1:] + a[:1]) == [0, 7, 16, 23]
 
 
 def test_type_I_cycles_admit_only_trivial_b3(s4):
     d = decompose(s4)
-    for c in d.type_I():
-        assert extend_to_K4(s4, c) == [s4.identity]
+    for i in np.flatnonzero(d.is_type_I).tolist():
+        assert extend_to_K4(d, i) == [s4.identity]
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +96,38 @@ def test_type_I_cycles_admit_only_trivial_b3(s4):
 def test_extend_step_rejects_stage_3(s3):
     d = decompose(s3)
     with pytest.raises(UsageError):
-        extend_step(s3, d.cycle_at((1, 2)), ())
+        extend_step(d, _index(d, (1, 2)), ())
+
+
+# (scan, cycle index, b): a cycle index out of range or not an integer, or a
+# handle in b that is not an element of S4 (order 24)
+BAD_SCAN_INPUTS = [
+    ("extend_to_K4", -1, None),
+    ("extend_to_K4", 88, None),
+    ("extend_to_K4", 1.0, None),
+    ("extend_step", 47, (99,)),
+    ("extend_step", 47, (7, -1)),
+    ("extend_to_braid", 47, (-1,)),
+    ("extend_to_braid", 47, (24,)),
+    ("extend_to_braid", 88, ()),
+]
+
+
+@pytest.mark.parametrize("scan,i,b", BAD_SCAN_INPUTS)
+def test_scans_refuse_a_bad_class(s4, scan, i, b):
+    d = decompose(s4)
+    args = (d, i) if b is None else (d, i, b)
+    with pytest.raises(UsageError, match="out of range"):
+        getattr(extension, scan)(*args)
 
 
 def test_extend_step_empty_over_s4(tower_s4, s4):
-    trivial = tower_s4.decomposition.trivial_cycle
-    for cycle, b, _ in level_rows(tower_s4.level(4)):
-        if cycle != trivial:
-            assert extend_step(s4, cycle, b) == []
+    d = tower_s4.decomposition
+    trivial = _index(d, (0, 0))
+    lvl = tower_s4.level(4)
+    for i, b in zip(lvl.cycle_ids.tolist(), lvl.b.tolist()):
+        if i != trivial:
+            assert extend_step(d, i, tuple(b)) == []
 
 
 def test_extend_step_agrees_with_direct_relation_check(s5):
@@ -120,20 +153,22 @@ def test_extend_step_agrees_with_direct_relation_check(s5):
         braid = s5.mul(s5.mul(g, b3), g) == s5.mul(s5.mul(b3, g), b3)
         if inter and braid:
             brute.append(g)
-    found = extend_step(s5, cyc, (b3,))
+    found = extend_step(d, _index(d, v), (b3,))
     assert found == brute
     assert s5.index_of((2, 1, 3, 5, 4)) in found  # (1 2)(4 5) at handle 25
 
 
 def test_next_b_post_check_refuses_an_image_outside_the_conjugacy_class(s4):
-    # after b = (1 2) over the trivial cycle: (2 3) does not commute with it and
-    # is conjugate to it, so it passes; (1 2 3) does not commute but is no transposition
+    # after b3 = (1 2) over the trivial cycle: (2 3) braids with it and does not
+    # commute, so it passes; (1 2 3) is no transposition, and an image that
+    # braids with its predecessor is conjugate to it, since xyx = yxy gives
+    # (xy) x (xy)^-1 = y, so the braid family refuses it
     last, other, three_cycle = (s4.index_of(p) for p in ((2, 1, 3, 4), (1, 3, 2, 4), (2, 3, 1, 4)))
-    trivial = decompose(s4).trivial_cycle
-    _check_next_b_set(s4, trivial, (last,), [other])
-    with pytest.raises(VerificationError,
-                       match=f"^admissible image {three_cycle} is not conjugate to its predecessor {last}$"):
-        _check_next_b_set(s4, trivial, (last,), [other, three_cycle])
+    d = decompose(s4)
+    ids = np.full(2, _index(d, (0, 0)))
+    assert stage_failure(d, ids, np.array([[last, other], [last, other]])) is None
+    assert (stage_failure(d, ids, np.array([[last, other], [last, three_cycle]]))
+            == "adjacent braid relation fails at stage 5")
 
 
 # ---------------------------------------------------------------------------
@@ -143,27 +178,28 @@ def test_next_b_post_check_refuses_an_image_outside_the_conjugacy_class(s4):
 def test_trivial_class_extends_by_every_element(s3, z6):
     for group in (s3, z6):
         d = decompose(group)
-        assert extend_to_braid(group, d.trivial_cycle, ()) == sorted(group.elements())
+        assert extend_to_braid(d, _index(d, (group.identity,) * 2), ()) == sorted(group.elements())
 
 
 def test_braid_extension_of_period_two_cycle_over_s3(s3):
     d = decompose(s3)
     # exactly the three transpositions
-    assert extend_to_braid(s3, d.cycle_at((3, 4)), ()) == [1, 2, 5]
+    assert extend_to_braid(d, _index(d, (3, 4)), ()) == [1, 2, 5]
 
 
 def test_braid_extension_empty_when_period_does_not_divide_order(s3):
     d = decompose(s3)
-    nine = d.cycle_at((1, 2))
-    assert nine.length == 9
-    assert extend_to_braid(s3, nine, ()) == []
+    nine = _index(d, (1, 2))
+    assert d.lengths[nine] == 9
+    assert extend_to_braid(d, nine, ()) == []
 
 
 def test_braid_extension_c_satisfies_defining_relation(s3):
     d = decompose(s3)
-    cycle = d.cycle_at((3, 4))
-    a, p = cycle.a_seq, cycle.length
-    for c in extend_to_braid(s3, cycle, ()):
+    i = _index(d, (3, 4))
+    a = d.cycle(i).a_seq
+    p = len(a)
+    for c in extend_to_braid(d, i, ()):
         for m in range(p):
             assert s3.mul(c, a[m]) == s3.mul(a[(m + 1) % p], c)
 
@@ -249,6 +285,56 @@ def test_isomorphic_backends_give_equal_counts(make_g, make_h):
 
 
 # ---------------------------------------------------------------------------
+# the facts compute_tower checks on the classes it scanned
+# ---------------------------------------------------------------------------
+
+def _doctored(scan, cls, change):
+    """The scan, with the list it returns for the class cls = (cycle index, b)
+    passed through `change`."""
+    def doctored(decomp, i, *b):
+        found = scan(decomp, i, *b)
+        return change(found) if (i, *b) == cls else found
+    return doctored
+
+
+# (id, group, stage, scan, class over an orbit's first cycle, change, message).
+# S4: cycle 47 has period 2 and b3 in {7, 16, 23}, the double transpositions;
+# cycle 19 is type II with period 3 through (1, 6); cycle 3 is type I with
+# period 6 through (0, 3); cycle 17 has period 9; handle 1 is (3 4), of order 2.
+# gcd(p, |G|) = 1 forces b3^p != e on a nontrivial b3, and in a class that
+# passes every other fact b_i has order p, so b_i^p = e: neither of those two
+# facts can break first.
+ENGINE_FACTS = [
+    ("b3-identity", "S4", 4, "extend_to_K4", (47,), lambda f: f[1:],
+     "identity is always an admissible b3 but was not found"),
+    ("b3-power", "S4", 4, "extend_to_K4", (19,), lambda f: f + [1], "b3^p != e at (1, 6)"),
+    ("b3-type-I", "S4", 4, "extend_to_K4", (3,), lambda f: f + [1], "type-I cycle with nontrivial b3 at (0, 3)"),
+    ("b-braid", "S4", 5, "extend_step", (47, (7,)), lambda f: f + [0], "adjacent braid relation fails at stage 5"),
+    ("b-commute", "S4", 5, "extend_step", (47, (7,)), lambda f: f + [7], "adjacent images commute at stage 5"),
+    ("b-far", "S5", 6, "extend_step", (227, (7, 25)), lambda f: f + [26], "far commutation fails at stage 6"),
+    ("b-order", "S5", 5, "extend_step", (229, (7,)), lambda f: f + [25], "p does not divide ord(b_4) at stage 5"),
+    ("c-trivial", "S4", 3, "extend_to_braid", (0, ()), lambda f: f[1:],
+     "the trivial class must extend by every element of the group"),
+    ("c-period", "S4", 3, "extend_to_braid", (17, ()), lambda f: f + [1],
+     "cycle length 9 does not divide |G|=24 yet c set is nonempty"),
+    ("c-identity", "S4", 3, "extend_to_braid", (47, ()), lambda f: [0] + f, "identity extends only the trivial class"),
+    ("c-order", "S4", 3, "extend_to_braid", (19, ()), lambda f: f + [1], "cycle length 3 does not divide ord(c)=2"),
+    ("c-power", "S4", 3, "extend_to_braid", (47, ()), lambda f: f + [9],
+     "c^p fails to commute with the a-sequence for c=9"),
+]
+
+
+@pytest.mark.parametrize("spec,n,scan,cls,change,message", [case[1:] for case in ENGINE_FACTS],
+                         ids=[case[0] for case in ENGINE_FACTS])
+def test_tower_refuses_a_doctored_scan(monkeypatch, capsys, spec, n, scan, cls, change, message):
+    monkeypatch.setattr(extension, scan, _doctored(getattr(extension, scan), cls, change))
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        compute_tower(parse_group_spec(spec), n)
+    assert cli.main(["tower", spec, str(n)]) == 4
+    assert capsys.readouterr().err == f"verification failure: {message}\n"
+
+
+# ---------------------------------------------------------------------------
 # conjugation orbits: the tower against a scan of every cycle and class
 # ---------------------------------------------------------------------------
 
@@ -258,18 +344,19 @@ def _exhaustive_levels(group, n_max):
     decomp = decompose(group)
     e = group.identity
     trivial = decomp.trivial_cycle
+    index = {cycle: i for i, cycle in enumerate(decomp.cycles)}
     current = [(cycle, ()) for cycle in decomp.cycles]
     levels = [current]
     for n in range(4, n_max + 1):
         if n == 4:
-            current = [(cycle, (b3,)) for cycle, _ in current for b3 in extend_to_K4(group, cycle)]
+            current = [(cycle, (b3,)) for cycle, _ in current for b3 in extend_to_K4(decomp, index[cycle])]
         else:
             current = [(trivial, (e,) * (n - 3))] + [
                 (cycle, b + (g,)) for cycle, b in current if (cycle, b) != (trivial, (e,) * (n - 4))
-                for g in extend_step(group, cycle, b)]
+                for g in extend_step(decomp, index[cycle], b)]
         current = sorted(current, key=lambda cls: (cls[0].rep_vertex, cls[1]))
         levels.append(current)
-    return [[(cycle, b, tuple(extend_to_braid(group, cycle, b))) for cycle, b in lvl] for lvl in levels]
+    return [[(cycle, b, tuple(extend_to_braid(decomp, index[cycle], b))) for cycle, b in lvl] for lvl in levels]
 
 
 ORBIT_GROUPS = {

@@ -11,10 +11,13 @@ import sys
 import pytest
 
 import braidrep.cli as cli
+from braidrep.analysis import (classes_all_even, count_braid_subgroups, nontrivial_implies_transitive,
+                               transitivity_report)
 from braidrep.extension import compute_tower
 from braidrep.groups import SL2
 from braidrep.report import paper_tower_lines, shift_to_json, tower_to_csv, tower_to_json
 from braidrep.shift import Cycle, decompose
+from braidrep.verify import run_suites
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -76,6 +79,14 @@ def test_headline_path_builds_no_class_objects(tower_s6, tower_s5, monkeypatch):
     assert len(paper_tower_lines(tower_s6)) == 2 * 5 + 45
     csv_sha = hashlib.sha256(tower_to_csv(tower_s5).encode()).hexdigest()
     assert csv_sha == PINNED[("tower", "S5", "6", "--format", "csv")]
+    # the engine, the suites and the orbit-weighted analysis read the arrays
+    # too; S5 has 60 nontrivial classes at stage 5, which prop3 checks
+    tower = compute_tower(tower_s5.group, 6)
+    assert [r.detail for r in run_suites(tower)][2:4] == [
+        "1418 stage-4 classes checked", "60 nontrivial classes at stages >= 5 checked"]
+    assert [lvl.subgroup_count for lvl in transitivity_report(tower).levels] == [461, 461, 5, 0]
+    assert count_braid_subgroups(6, 5, tower) == 1
+    assert nontrivial_implies_transitive(tower, 5) and classes_all_even(tower, 5)
 
 
 def test_headline_path_builds_no_cycle_objects(s6):

@@ -10,7 +10,7 @@ import pytest
 import braidrep.verify as verify
 from braidrep.errors import ResourceLimitError, UsageError
 from braidrep.extension import TowerResult, compute_tower
-from braidrep.groups import SymmetricGroup
+from braidrep.groups import SymmetricGroup, element_order
 from braidrep.verify import SUITE_NAMES, run_suites
 
 
@@ -139,3 +139,77 @@ def test_prop2_equals_the_per_row_check(request, fixture):
         got = verify._prop2_suite(corrupted)
         want = _reference_prop2(corrupted)
         assert (got.ok, got.detail) == (want is None, want or f"{count} stage-4 classes checked")
+
+
+def _reference_prop3(tower):
+    """The per-class prop3: one Cycle and scalar products, powers and element
+    orders per class at stages >= 5; the first failure's detail, or None."""
+    G, e = tower.group, tower.group.identity
+    for n in range(5, tower.n_max + 1):
+        lvl = tower.level(n)
+        for i, b in zip(lvl.cycle_ids.tolist(), lvl.b.tolist()):
+            a_seq = tower.decomposition.cycle(i).a_seq
+            if set(a_seq).union(b) == {e}:     # the trivial class
+                continue
+            p = len(a_seq)
+            for j in range(len(b) - 1):
+                x, y = b[j], b[j + 1]
+                if G.mul(G.mul(x, y), x) != G.mul(G.mul(y, x), y):
+                    return f"adjacent braid relation fails at stage {n}"
+                if G.mul(x, y) == G.mul(y, x):
+                    return f"adjacent images commute at stage {n}"
+            for j in range(len(b)):
+                for k in range(j + 2, len(b)):
+                    if G.mul(b[j], b[k]) != G.mul(b[k], b[j]):
+                        return f"far commutation fails at stage {n}"
+            for j, x in enumerate(b):
+                if j > 0 and element_order(G, x) % p != 0:
+                    return f"p does not divide ord(b_{j + 3}) at stage {n}"
+                xp = G.power(x, p)
+                if any(G.mul(xp, am) != G.mul(am, xp) for am in a_seq):
+                    return f"b^p fails to centralise the a-sequence at stage {n}"
+    return None
+
+
+def _on_cycles(tower, n, rows, ids):
+    """The tower with the classes `rows` of stage n moved onto the cycles `ids`."""
+    cycle_ids = tower.level(n).cycle_ids.copy()
+    cycle_ids[rows] = ids
+    return TowerResult(tower.group, tower.decomposition,
+                       [dataclasses.replace(lvl, cycle_ids=cycle_ids) if lvl.n == n else lvl
+                        for lvl in tower.levels])
+
+
+@pytest.mark.parametrize("fixture", ["tower_s4", "tower_s5", "tower_sl23"])
+def test_prop3_equals_the_per_class_check(request, fixture):
+    # half the trials set images at random, half move classes onto random
+    # cycles, which keeps the braid facts and tests the period facts
+    tower = request.getfixturevalue(fixture)
+    decomp = tower.decomposition
+    rng = np.random.default_rng(0)
+    for trial in range(60):
+        n = int(rng.integers(5, tower.n_max + 1))
+        count = tower.level(n).class_count
+        rows = rng.choice(count, size=min(count, trial % 3), replace=False)
+        if trial % 2:
+            corrupted = _with_image(tower, n, rows, int(rng.integers(n - 3)),
+                                    rng.integers(tower.group.order, size=rows.size))
+        else:
+            corrupted = _on_cycles(tower, n, rows, rng.integers(decomp.lengths.size, size=rows.size))
+        got = verify._prop3_suite(corrupted)
+        want = _reference_prop3(corrupted)
+        nontrivial = sum(set(decomp.cycle(i).a_seq).union(b) != {tower.group.identity}
+                         for lvl in corrupted.levels[2:]
+                         for i, b in zip(lvl.cycle_ids.tolist(), lvl.b.tolist()))
+        assert (got.ok, got.detail) == (want is None, want or f"{nontrivial} nontrivial classes at stages >= 5 checked")
+
+
+def test_prop3_and_its_reference_find_a_far_commutation_failure(tower_s4, s4):
+    # the trivial stage-6 class given the images (1 2), (2 3), (1 3): adjacent
+    # images braid and do not commute, but (1 2) and (1 3) do not commute
+    corrupted = tower_s4
+    for col, image in enumerate([(2, 1, 3, 4), (1, 3, 2, 4), (3, 2, 1, 4)]):
+        corrupted = _with_image(corrupted, 6, 0, col, s4.index_of(image))
+    got = verify._prop3_suite(corrupted)
+    assert not got.ok
+    assert got.detail == _reference_prop3(corrupted) == "far commutation fails at stage 6"
