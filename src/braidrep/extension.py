@@ -4,11 +4,16 @@ A class at stage n is a cycle with images b = (b_3, ..., b_{n-1}) of the extra
 generators; it stands for the cycle-length many representations obtained by
 choosing a phase.  A TowerLevel holds a stage's classes as arrays.
 
-The scans `extend_to_K4(decomp, i)`, `extend_step(decomp, i, b)` and
-`extend_to_braid(decomp, i, b)` test every element against the relations of
-one class, reading cycle i's a-sequence from `decomp.a_flat`; they validate
-their input and check nothing else.  The structural facts are array tests
-over all rows of a stage.  `compute_tower` runs `stage4_failure`,
+The scans `extend_to_K4(decomp, ids)`, `extend_step(decomp, ids, b)` and
+`extend_to_braid(decomp, ids, b)` take a whole stage at once: an int array of
+cycle ids and a (k, n - 3) array of image rows, one class per row.  They test
+every element against the relations of every class and return (rows, images),
+two int arrays sorted by (row, image), one entry per admissible image.  Rows
+are sorted by period and scanned in blocks of at most _BLOCK_CELLS
+(row, candidate) cells: the first relation runs on the block's full grid, and
+only the surviving cells go on to the next.  The scans validate their input
+and check nothing else.  The structural facts are array tests over all rows
+of a stage.  `compute_tower` runs `stage4_failure`,
 `stage_failure` and its own c-set checks once per stage on the classes it
 scanned, raising VerificationError, and `verify` runs the first two on every row.
 
@@ -29,7 +34,6 @@ The relations used, with mul(g, h) meaning "h first, then g":
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -54,60 +58,148 @@ MAX_STAGE = 100
 
 
 # ---------------------------------------------------------------------------
-# admissible-image scans (class level: independent of phase)
+# admissible-image scans (class level: independent of phase), one call per stage
 # ---------------------------------------------------------------------------
 
-def _scan_input(decomp: ShiftDecomposition, i: int, b: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
-    """The multiplication table and cycle i's a-sequence; UsageError unless i
-    is a cycle index of `decomp` and every handle in b is an element."""
-    if not (isinstance(i, (int, np.integer)) and 0 <= i < decomp.lengths.size):
-        raise UsageError(f"cycle index {i!r} out of range ({decomp.lengths.size} cycles)")
-    for x in b:
-        decomp.group.check_element(x)
-    start = int(decomp.offsets[i])
-    return decomp.group.tables()[0], decomp.a_flat[start:start + int(decomp.lengths[i])].tolist()
+# (row, candidate) cells a scan tests at once; bounds its working memory.
+_BLOCK_CELLS = 1 << 16
 
 
-def extend_to_K4(decomp: ShiftDecomposition, i: int) -> list[int]:
-    """All admissible b3 over cycle i of `decomp`, sorted, the identity included."""
-    mul_t, a = _scan_input(decomp, i, ())
-    p, cand = len(a), np.arange(decomp.group.order)
-    for m in range(p):
-        cand = cand[mul_t[mul_t[a[m], cand], a[(m + 2) % p]] == mul_t[mul_t[cand, a[(m + 1) % p]], cand]]
-        if cand.size <= 1:
-            break
-    return cand.tolist()
+def _scan_input(decomp: ShiftDecomposition, ids, b=None) -> tuple[np.ndarray, np.ndarray]:
+    """ids and b as arrays; UsageError unless ids is a 1-d integer array of
+    cycle indices of `decomp` and b a (len(ids), w) integer array of elements.
+    An empty array may have any dtype."""
+    n, group = decomp.lengths.size, decomp.group
+    try:
+        ids, b = np.asarray(ids), None if b is None else np.asarray(b)
+    except ValueError:      # ragged rows
+        raise UsageError("cycle ids and images must be rectangular integer arrays") from None
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise UsageError(f"cycle ids must be a 1-d integer array, got {ids.dtype} of shape {ids.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        bad = ids[(ids < 0) | (ids >= n)]
+        raise UsageError(f"cycle index {int(bad[0])} out of range ({n} cycles)")
+    b = np.empty((ids.size, 0), dtype=np.intp) if b is None else b
+    if b.ndim != 2 or b.shape[0] != ids.size or (b.size and b.dtype.kind not in "iu"):
+        raise UsageError(f"images must be a ({ids.size}, w) integer array, got {b.dtype} of shape {b.shape}")
+    if b.size and (b.min() < 0 or b.max() >= group.order):
+        bad = b[(b < 0) | (b >= group.order)]
+        raise UsageError(f"element index {int(bad[0])} out of range for {group.name} (order {group.order})")
+    return ids.astype(np.intp, copy=False), b.astype(np.intp, copy=False)
 
 
-def extend_step(decomp: ShiftDecomposition, i: int, b: tuple[int, ...]) -> list[int]:
-    """All admissible nontrivial images of the next generator above the class
-    (cycle i, b), sorted; b = (b3, ..., b_{n-1}) with n >= 4."""
-    if not b:
+def _blocks(decomp: ShiftDecomposition, ids: np.ndarray):
+    """The rows of `ids` in blocks of one period p and at most _BLOCK_CELLS / |G|
+    rows (one at least), each with its rows' a-sequences read cyclically from
+    their least vertex as a (p + 2, rows) matrix, a_k of row j at [k, j]."""
+    period = decomp.lengths[ids]
+    order = np.argsort(period, kind="stable")
+    period = period[order]
+    starts = [*np.flatnonzero(np.diff(period, prepend=-1)).tolist(), ids.size]
+    step = max(1, _BLOCK_CELLS // decomp.group.order)
+    for lo, hi in zip(starts, starts[1:]):
+        p = int(period[lo])
+        cols = np.arange(p + 2) % p
+        for s in range(lo, hi, step):
+            rows = order[s:min(s + step, hi)]
+            yield rows, decomp.a_flat[cols[:, None] + decomp.offsets[ids[rows]]]
+
+
+def _cells(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, candidate) cells where the (rows, |G|) grid `keep` holds, row by
+    row, candidates ascending."""
+    return np.divmod(np.flatnonzero(keep), keep.shape[1])
+
+
+def _commuting(flat: np.ndarray, m: int, images: np.ndarray, r: np.ndarray,
+               c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells (r, c) whose candidate commutes with every image of its row r
+    of `images`."""
+    for col in images.T:
+        x = col[r]
+        keep = flat[x * m + c] == flat[c * m + x]
+        r, c = r[keep], c[keep]
+    return r, c
+
+
+def _by_row(found: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, images) of every block, as two arrays in row order; images
+    stay ascending within a row."""
+    if not found:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    rows, images = np.concatenate([r for r, _ in found]), np.concatenate([g for _, g in found])
+    order = np.argsort(rows, kind="stable")
+    return rows[order], images[order]
+
+
+def extend_to_K4(decomp: ShiftDecomposition, ids) -> tuple[np.ndarray, np.ndarray]:
+    """Every admissible b3 over each cycle ids[k] of `decomp`, the identity
+    included, as (rows, images): b3 = images[j] over cycle ids[rows[j]],
+    sorted by (row, image)."""
+    ids, _ = _scan_input(decomp, ids)
+    m, flat = decomp.group.order, decomp.group.tables()[0].ravel()
+    g = np.arange(m)
+    found = []
+    for rows, a in _blocks(decomp, ids):
+        # a_k g a_{k+2} = g a_{k+1} g, at k = 0 on the full grid of cells
+        x, y, z = a[0][:, None], a[1][:, None], a[2][:, None]
+        r, c = _cells(flat[flat[x * m + g] * m + z] == flat[flat[g * m + y] * m + g])
+        for k in range(1, a.shape[0] - 2):
+            if r.size <= rows.size:     # only the identity, which always passes, is left in each row
+                break
+            x, y, z = a[k][r], a[k + 1][r], a[k + 2][r]
+            keep = flat[flat[x * m + c] * m + z] == flat[flat[c * m + y] * m + c]
+            r, c = r[keep], c[keep]
+        found.append((rows[r], c))
+    return _by_row(found)
+
+
+def extend_step(decomp: ShiftDecomposition, ids, b) -> tuple[np.ndarray, np.ndarray]:
+    """Every admissible nontrivial image of the next generator above each class
+    (cycle ids[k], b[k]), b a (len(ids), n - 3) array of images with n >= 4, as
+    (rows, images) sorted by (row, image)."""
+    ids, b = _scan_input(decomp, ids, b)
+    if not b.shape[1]:
         raise UsageError("extend_step starts from stage 4; use extend_to_K4 below that")
-    mul_t, a = _scan_input(decomp, i, b)
-    p, last, cand = len(a), b[-1], np.arange(decomp.group.order)
-    # braid with the previous image first: it alone kills everything when last = e
-    cand = cand[mul_t[mul_t[cand, last], cand] == mul_t[mul_t[last, cand], last]]
-    for m in range(p):
-        if cand.size == 0:
-            break
-        cand = cand[mul_t[a[m], cand] == mul_t[cand, a[(m + 1) % p]]]
-    for bj in b[:-1]:
-        cand = cand[mul_t[bj, cand] == mul_t[cand, bj]]
-    return cand[cand != decomp.group.identity].tolist()
+    mul_t, _ = decomp.group.tables()
+    m, flat = decomp.group.order, mul_t.ravel()
+    found = []
+    for rows, a in _blocks(decomp, ids):
+        # a_k g = g a_{k+1}, at k = 0 on the full grid of cells, by table rows
+        r, c = _cells(mul_t[a[0]] == mul_t[:, a[1]].T)
+        # then the braid with the previous image: it alone kills everything when that is e
+        last = b[rows, -1][r]
+        keep = flat[flat[c * m + last] * m + c] == flat[flat[last * m + c] * m + last]
+        r, c = r[keep], c[keep]
+        for k in range(1, a.shape[0] - 2):
+            if not r.size:
+                break
+            keep = flat[a[k][r] * m + c] == flat[c * m + a[k + 1][r]]
+            r, c = r[keep], c[keep]
+        r, c = _commuting(flat, m, b[rows, :-1], r, c)
+        keep = c != decomp.group.identity
+        found.append((rows[r[keep]], c[keep]))
+    return _by_row(found)
 
 
-def extend_to_braid(decomp: ShiftDecomposition, i: int, b: tuple[int, ...]) -> list[int]:
-    """All admissible images c of sigma_1 extending the class (cycle i, b), sorted."""
-    mul_t, a = _scan_input(decomp, i, b)
-    p, cand = len(a), np.arange(decomp.group.order)
-    for m in range(p):
-        cand = cand[mul_t[cand, a[m]] == mul_t[a[(m + 1) % p], cand]]
-        if cand.size == 0:
-            break
-    for bj in b:
-        cand = cand[mul_t[bj, cand] == mul_t[cand, bj]]
-    return cand.tolist()
+def extend_to_braid(decomp: ShiftDecomposition, ids, b) -> tuple[np.ndarray, np.ndarray]:
+    """Every admissible image c of sigma_1 extending each class (cycle ids[k],
+    b[k]), as (rows, images) sorted by (row, image)."""
+    ids, b = _scan_input(decomp, ids, b)
+    mul_t, _ = decomp.group.tables()
+    m, flat = decomp.group.order, mul_t.ravel()
+    found = []
+    for rows, a in _blocks(decomp, ids):
+        # c a_k = a_{k+1} c, at k = 0 on the full grid of cells, by table rows
+        r, c = _cells(mul_t[:, a[0]].T == mul_t[a[1]])
+        for k in range(1, a.shape[0] - 2):
+            if not r.size:
+                break
+            keep = flat[c * m + a[k][r]] == flat[a[k + 1][r] * m + c]
+            r, c = r[keep], c[keep]
+        r, c = _commuting(flat, m, b[rows], r, c)
+        found.append((rows[r], c))
+    return _by_row(found)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +212,9 @@ def is_trivial_class(decomp: ShiftDecomposition, ids: np.ndarray, b: np.ndarray)
     return (ids == decomp.cycle_index(e, e)) & (b == e).all(axis=1)
 
 
-def _element_orders(group: FiniteGroup) -> np.ndarray:
-    """The order of every element, by powering all elements in step."""
+def element_orders(group: FiniteGroup) -> np.ndarray:
+    """The order of every element, by powering all elements in step.  A tower
+    and a verify run each build it once and hand it to the stage checks."""
     mul_t, _ = group.tables()
     x = np.arange(group.order)
     order, power, k = np.zeros_like(x), x, 1
@@ -180,19 +273,23 @@ def stage4_failure(decomp: ShiftDecomposition, ids: np.ndarray, b3: np.ndarray) 
     return f"{_STAGE4_FACTS[fact]} at {(int(a0[0]), int(a1[0]))}"
 
 
-def stage_failure(decomp: ShiftDecomposition, ids: np.ndarray, b: np.ndarray) -> str | None:
+def stage_failure(decomp: ShiftDecomposition, ids: np.ndarray, b: np.ndarray,
+                  orders: np.ndarray | None = None) -> str | None:
     """The first fact broken by the first nontrivial class (cycle ids[k], b[k])
     at stage n = 3 + b.shape[1] >= 5 that breaks one, or None.  In order:
     adjacent images braid, so they are conjugate, and do not commute; images
     further apart commute; p | ord(b_i) for i > 3; b_i^p centralises the
-    a-sequence, p the period."""
+    a-sequence, p the period.  `orders` is the group's element-order table,
+    built here when not given and some class is nontrivial."""
     group = decomp.group
     mul_t, _ = group.tables()
     keep = ~is_trivial_class(decomp, ids, b)
+    if not keep.any():
+        return None
     ids, b = ids[keep], b[keep]
     n, width = b.shape[1] + 3, b.shape[1]
     p = decomp.lengths[ids]
-    order = _element_orders(group)
+    order = element_orders(group) if orders is None else orders
     facts: list[tuple[np.ndarray, str]] = []
     for j in range(width - 1):
         xy, yx = mul_t[b[:, j], b[:, j + 1]], mul_t[b[:, j + 1], b[:, j]]
@@ -215,11 +312,12 @@ _C_FACTS = ("cycle length {p} does not divide |G|={m} yet c set is nonempty",
 
 
 def _c_set_failure(decomp: ShiftDecomposition, ids: np.ndarray, b: np.ndarray,
-                   c: np.ndarray, c_count: np.ndarray) -> str | None:
+                   c: np.ndarray, c_count: np.ndarray, orders: np.ndarray) -> str | None:
     """The first fact broken by the c sets of the classes (cycle ids[k], b[k]),
     the k-th one `c_count[k]` handles of `c`, sorted; or None.  The trivial
     class extends by every element; any other, of period p, only by c != e
-    with p | |G|, p | ord(c) and c^p centralising the a-sequence."""
+    with p | |G|, p | ord(c) and c^p centralising the a-sequence; `orders` is
+    the group's element-order table."""
     group = decomp.group
     trivial = is_trivial_class(decomp, ids, b)
     row = np.repeat(np.arange(ids.size), c_count)
@@ -227,7 +325,9 @@ def _c_set_failure(decomp: ShiftDecomposition, ids: np.ndarray, b: np.ndarray,
     if (c_count[trivial] != group.order).any() or (c != rank)[trivial[row]].any():
         return "the trivial class must extend by every element of the group"
     row, c = row[~trivial[row]], c[~trivial[row]]
-    p, order = decomp.lengths[ids[row]], _element_orders(group)[c]
+    if not c.size:
+        return None
+    p, order = decomp.lengths[ids[row]], orders[c]
     broken = _first_broken([group.order % p != 0, c == group.identity, order % p != 0,
                             ~_power_centralises(decomp, ids[row], c)])
     if broken is None:
@@ -399,6 +499,7 @@ def compute_tower(
 
     e = group.identity
     orbits = _conjugation_orbits(decomp)
+    orders = element_orders(group)
     first = orbits.ids[orbits.start[:-1]]
     # the classes (orbit ks[j], b[j]) over each orbit's first cycle, checked
     # stage by stage; the trivial class extends only to the trivial chain
@@ -407,27 +508,30 @@ def compute_tower(
     for n in range(4, n_max + 1):
         ids = first[ks]
         if n == 4:
-            found = [extend_to_K4(decomp, i) for i in ids.tolist()]
+            rows, found = extend_to_K4(decomp, ids)
         else:
-            found = [[e] if trivial else extend_step(decomp, i, tuple(row)) for i, row, trivial in
-                     zip(ids.tolist(), b.tolist(), is_trivial_class(decomp, ids, b).tolist())]
-        count = list(map(len, found))
-        ks, b = np.repeat(ks, count), np.column_stack([np.repeat(b, count, axis=0),
-                                                       np.fromiter(chain.from_iterable(found), dtype=np.int64)])
+            rows, found = extend_step(decomp, ids, b)
+            # the trivial class extends only by the identity, which the scan leaves out
+            trivial = np.flatnonzero(is_trivial_class(decomp, ids, b))
+            at = np.searchsorted(rows, trivial)
+            rows, found = np.insert(rows, at, trivial), np.insert(found, at, e)
+        ks, b = ks[rows], np.column_stack([b[rows], found])
         if n == 4 and not np.bincount(ks[b[:, 0] == e], minlength=first.size).all():
             raise VerificationError("identity is always an admissible b3 but was not found")
-        failure = stage4_failure(decomp, first[ks], b[:, 0]) if n == 4 else stage_failure(decomp, first[ks], b)
+        failure = (stage4_failure(decomp, first[ks], b[:, 0]) if n == 4
+                   else stage_failure(decomp, first[ks], b, orders))
         if failure:
             raise VerificationError(failure)
         stages.append((ks, b))
-    levels = [_transported_level(decomp, orbits, n, ks, b) for n, (ks, b) in enumerate(stages, start=3)]
+    levels = [_transported_level(decomp, orbits, n, ks, b, orders) for n, (ks, b) in enumerate(stages, start=3)]
     return TowerResult(group, decomp, levels)
 
 
 def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, n: int,
-                       ks: np.ndarray, base_b: np.ndarray) -> TowerLevel:
+                       ks: np.ndarray, base_b: np.ndarray, orders: np.ndarray) -> TowerLevel:
     """Stage n over every cycle: each class (ks[j], base_b[j]) over orbit ks[j]'s
-    first cycle, with its checked braid c set, conjugated onto the orbit."""
+    first cycle, with its checked braid c set, conjugated onto the orbit;
+    `orders` is the group's element-order table."""
     group = decomp.group
     size = orbits.start[ks + 1] - orbits.start[ks]
     row_class = np.repeat(np.arange(ks.size), size)
@@ -443,10 +547,9 @@ def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, n: int,
     orbit_rows = np.flatnonzero(pos == orbits.start[ks[row_class]])
     orbit_size = size[row_class[orbit_rows]]
     ids = orbits.ids[orbits.start[ks]]
-    base_c = [extend_to_braid(decomp, i, tuple(row)) for i, row in zip(ids.tolist(), base_b.tolist())]
-    base_count = np.fromiter(map(len, base_c), dtype=np.int64, count=len(base_c))
-    flat = np.fromiter(chain.from_iterable(base_c), dtype=np.int64, count=int(base_count.sum()))
-    failure = _c_set_failure(decomp, ids, base_b, flat, base_count)
+    rows, flat = extend_to_braid(decomp, ids, base_b)
+    base_count = np.bincount(rows, minlength=ids.size)
+    failure = _c_set_failure(decomp, ids, base_b, flat, base_count, orders)
     if failure:
         raise VerificationError(failure)
     c_count = base_count[row_class]

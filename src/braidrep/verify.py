@@ -17,7 +17,8 @@ import numpy as np
 
 from .analysis import perfect_core_census_match
 # bound here for perfbench/selfcheck.py, which checks that the tracer patches it
-from .extension import TowerResult, compute_tower, is_trivial_class, stage4_failure, stage_failure
+from .extension import (TowerResult, compute_tower, element_orders, is_trivial_class, stage4_failure,
+                        stage_failure)
 from .oracle import DEFAULT_BUDGET, brute_hom_Bn, brute_hom_Kn, check_budget, engine_census_Bn, engine_census_Kn
 
 __all__ = ["SuiteResult", "run_suites", "SUITE_NAMES"]
@@ -74,9 +75,10 @@ def _prop3_suite(tower: TowerResult) -> SuiteResult:
     if tower.n_max < 5:
         return SuiteResult("prop3", True, "skipped (tower stops before stage 5)")
     decomp = tower.decomposition
+    orders = element_orders(tower.group)
     checked = 0
     for lvl in tower.levels[2:]:
-        failure = stage_failure(decomp, lvl.cycle_ids, lvl.b)
+        failure = stage_failure(decomp, lvl.cycle_ids, lvl.b, orders)
         if failure:
             return SuiteResult("prop3", False, failure)
         checked += lvl.class_count - int(is_trivial_class(decomp, lvl.cycle_ids, lvl.b).sum())

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from braidrep.extension import compute_tower
-from braidrep.groups import SL2, CayleyTableGroup, SymmetricGroup, alternating_group, parse_group_spec
+from braidrep.groups import SL2, AbelianProduct, CayleyTableGroup, SymmetricGroup, alternating_group, parse_group_spec
 from braidrep.shift import Cycle, successor
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -26,6 +26,12 @@ def relabelled(group, seed):
     table = np.empty_like(mul_t)
     table[np.ix_(perm, perm)] = perm[mul_t]
     return CayleyTableGroup(table, name=f"{group.name} relabelled by seed {seed}")
+
+
+def s3_x_z6():
+    """S3 x Z6 as a Cayley table; element (s, i) is s * 6 + i."""
+    s3, z6 = SymmetricGroup(3).tables()[0], AbelianProduct((6,)).tables()[0]
+    return CayleyTableGroup((s3[:, None, :, None] * 6 + z6[None, :, None, :]).reshape(36, 36), name="S3xZ6")
 
 
 def per_vertex_walk(group):

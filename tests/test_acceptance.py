@@ -229,7 +229,8 @@ def test_criterion_10_braid_counts(s3, s4, tower_s4, tower_z6, z6):
     for group in (s3, s4, z6):
         d = decompose(group)
         trivial = int(d.cycle_index(group.identity, group.identity))
-        triv_ok = triv_ok and extend_to_braid(d, trivial, ()) == sorted(group.elements())
+        rows, c = extend_to_braid(d, [trivial], [()])
+        triv_ok = triv_ok and rows.tolist() == [0] * group.order and c.tolist() == sorted(group.elements())
     checks = [
         (engine_b6 == 24, f"engine |Hom(B6, S4)| = {engine_b6} != 24"),
         (tower_s4.is_trivial_at(6) and engine_b6 == s4.order,

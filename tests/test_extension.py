@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import braidrep.cli as cli
 import braidrep.extension as extension
+import braidrep.verify as verify
 from braidrep.errors import UsageError, VerificationError
 from braidrep.extension import (
     _conjugation_orbits,
@@ -19,8 +21,132 @@ from braidrep.extension import (
 )
 from braidrep.groups import SL2, SymmetricGroup, alternating_group, parse_group_spec
 from braidrep.shift import decompose
+from braidrep.verify import run_suites
 
-from conftest import level_rows, relabelled
+from conftest import level_rows, relabelled, s3_x_z6
+
+
+# ---------------------------------------------------------------------------
+# reference scans: one class at a time, as the engine ran them before it
+# scanned a stage at once
+# ---------------------------------------------------------------------------
+
+def _a_seq(d, i):
+    start = int(d.offsets[i])
+    return d.a_flat[start:start + int(d.lengths[i])].tolist()
+
+
+def _reference_b3(d, i):
+    """All admissible b3 over cycle i, sorted, the identity included."""
+    mul_t, a = d.group.tables()[0], _a_seq(d, i)
+    p, cand = len(a), np.arange(d.group.order)
+    for m in range(p):
+        cand = cand[mul_t[mul_t[a[m], cand], a[(m + 2) % p]] == mul_t[mul_t[cand, a[(m + 1) % p]], cand]]
+        if cand.size <= 1:
+            break
+    return cand.tolist()
+
+
+def _reference_step(d, i, b):
+    """All admissible nontrivial images of the next generator above (cycle i, b), sorted."""
+    mul_t, a = d.group.tables()[0], _a_seq(d, i)
+    p, last, cand = len(a), b[-1], np.arange(d.group.order)
+    cand = cand[mul_t[mul_t[cand, last], cand] == mul_t[mul_t[last, cand], last]]
+    for m in range(p):
+        if cand.size == 0:
+            break
+        cand = cand[mul_t[a[m], cand] == mul_t[cand, a[(m + 1) % p]]]
+    for bj in b[:-1]:
+        cand = cand[mul_t[bj, cand] == mul_t[cand, bj]]
+    return cand[cand != d.group.identity].tolist()
+
+
+def _reference_c(d, i, b):
+    """All admissible images c of sigma_1 extending (cycle i, b), sorted."""
+    mul_t, a = d.group.tables()[0], _a_seq(d, i)
+    p, cand = len(a), np.arange(d.group.order)
+    for m in range(p):
+        cand = cand[mul_t[cand, a[m]] == mul_t[a[(m + 1) % p], cand]]
+        if cand.size == 0:
+            break
+    for bj in b:
+        cand = cand[mul_t[bj, cand] == mul_t[cand, bj]]
+    return cand.tolist()
+
+
+def _per_row(found, k):
+    """A stage scan's (rows, images) over k rows as one list of images per row,
+    after checking that it is a tuple of two int arrays sorted by (row, image)."""
+    assert type(found) is tuple and len(found) == 2
+    rows, images = found
+    assert rows.dtype.kind == images.dtype.kind == "i" and rows.shape == images.shape
+    pairs = list(zip(rows.tolist(), images.tolist()))
+    assert pairs == sorted(set(pairs))
+    out = [[] for _ in range(k)]
+    for r, g in pairs:
+        out[r].append(g)
+    return out
+
+
+def _one(scan, d, i, b=None):
+    """The stage scan run on the single class (cycle i, b), as a list of images."""
+    args = (d, [i]) if b is None else (d, [i], np.array([b], dtype=np.int64).reshape(1, len(b)))
+    return _per_row(getattr(extension, scan)(*args), 1)[0]
+
+
+# the groups the stage scans are compared with their references on
+REFERENCE_GROUPS = {
+    "S4": lambda: SymmetricGroup(4),
+    "S5": lambda: SymmetricGroup(5),
+    "SL2(5)": lambda: SL2(5),
+    "Z2xZ4xZ5": lambda: parse_group_spec("Z2xZ4xZ5"),
+    "S3xZ6-relabelled-1": lambda: relabelled(s3_x_z6(), 1),
+}
+
+
+@pytest.fixture(scope="module", params=list(REFERENCE_GROUPS))
+def reference_tower(request):
+    return compute_tower(REFERENCE_GROUPS[request.param](), 6)
+
+
+def _random_classes(tower, rng, count):
+    """Random rows of the tower's stage-4 and stage-5 levels, half of them with
+    their last image replaced by a random element, so that many are no class
+    of the tower."""
+    for n in (4, 5):
+        lvl = tower.level(n)
+        pick = rng.integers(0, lvl.class_count, count)
+        ids, b = lvl.cycle_ids[pick], lvl.b[pick].copy()
+        noisy = rng.random(count) < 0.5
+        b[noisy, -1] = rng.integers(0, tower.group.order, int(noisy.sum()))
+        yield ids, b
+
+
+@pytest.mark.parametrize("cells", [None, "below-one-row", "three-rows"])
+def test_stage_scans_equal_the_per_class_scans(reference_tower, monkeypatch, cells):
+    d = reference_tower.decomposition
+    m = d.group.order
+    if cells is not None:
+        monkeypatch.setattr(extension, "_BLOCK_CELLS", m - 1 if cells == "below-one-row" else 3 * m)
+    rng = np.random.default_rng(m)
+    ids = rng.choice(d.lengths.size, min(40, d.lengths.size), replace=False)
+    assert np.unique(d.lengths[ids]).size > 1
+    assert _per_row(extend_to_K4(d, ids), ids.size) == [_reference_b3(d, i) for i in ids.tolist()]
+    width0 = np.empty((ids.size, 0), dtype=np.int64)
+    assert _per_row(extend_to_braid(d, ids, width0), ids.size) == [_reference_c(d, i, ()) for i in ids.tolist()]
+    for ids, b in _random_classes(reference_tower, rng, 30):
+        assert b.shape[1] > 1 or np.unique(d.lengths[ids]).size > 1
+        classes = list(zip(ids.tolist(), map(tuple, b.tolist())))
+        assert _per_row(extend_step(d, ids, b), ids.size) == [_reference_step(d, i, row) for i, row in classes]
+        assert _per_row(extend_to_braid(d, ids, b), ids.size) == [_reference_c(d, i, row) for i, row in classes]
+
+
+def test_stage_scans_of_no_rows_are_empty(s4):
+    d = decompose(s4)
+    none = np.empty(0, dtype=np.int64)
+    for found in (extend_to_K4(d, none), extend_step(d, none, np.empty((0, 1), dtype=np.int64)),
+                  extend_to_braid(d, [], np.empty((0, 2), dtype=np.int64))):
+        assert _per_row(found, 0) == []
 
 
 # ---------------------------------------------------------------------------
@@ -34,8 +160,8 @@ def _index(d, v):
 
 def test_b3_trivial_for_s3(s3):
     d = decompose(s3)
-    for i in range(d.lengths.size):
-        assert extend_to_K4(d, i) == [s3.identity]
+    n = d.lengths.size
+    assert _per_row(extend_to_K4(d, np.arange(n)), n) == [[s3.identity]] * n
 
 
 # rep vertices (0-based handles) of the ten cycles over S4 that admit
@@ -49,8 +175,7 @@ S4_SPECIAL_VERTICES = {
 def test_b3_sets_over_s4(s4):
     d = decompose(s4)
     special = {}
-    for i, c in enumerate(d.cycles):
-        bs = extend_to_K4(d, i)
+    for c, bs in zip(d.cycles, _per_row(extend_to_K4(d, np.arange(len(d.cycles))), len(d.cycles))):
         assert bs[0] == s4.identity
         if len(bs) > 1:
             special[c.rep_vertex] = bs
@@ -69,9 +194,8 @@ def _brute_b3(group, a):
 
 def test_b3_scan_agrees_with_direct_relation_check(s4):
     d = decompose(s4)
-    for v in [(3, 4), (1, 2), (0, 0)]:
-        i = _index(d, v)
-        assert extend_to_K4(d, i) == _brute_b3(s4, d.cycle(i).a_seq)
+    ids = [_index(d, v) for v in [(3, 4), (1, 2), (0, 0)]]
+    assert _per_row(extend_to_K4(d, ids), 3) == [_brute_b3(s4, d.cycle(i).a_seq) for i in ids]
 
 
 def test_b3_set_is_phase_independent(s4):
@@ -80,13 +204,13 @@ def test_b3_set_is_phase_independent(s4):
     d = decompose(s4)
     i = _index(d, (3, 4))
     a = d.cycle(i).a_seq
-    assert extend_to_K4(d, i) == _brute_b3(s4, a[1:] + a[:1]) == [0, 7, 16, 23]
+    assert _one("extend_to_K4", d, i) == _brute_b3(s4, a[1:] + a[:1]) == [0, 7, 16, 23]
 
 
 def test_type_I_cycles_admit_only_trivial_b3(s4):
     d = decompose(s4)
-    for i in np.flatnonzero(d.is_type_I).tolist():
-        assert extend_to_K4(d, i) == [s4.identity]
+    ids = np.flatnonzero(d.is_type_I)
+    assert _per_row(extend_to_K4(d, ids), ids.size) == [[s4.identity]] * ids.size
 
 
 # ---------------------------------------------------------------------------
@@ -95,39 +219,52 @@ def test_type_I_cycles_admit_only_trivial_b3(s4):
 
 def test_extend_step_rejects_stage_3(s3):
     d = decompose(s3)
-    with pytest.raises(UsageError):
-        extend_step(d, _index(d, (1, 2)), ())
+    with pytest.raises(UsageError, match="starts from stage 4"):
+        extend_step(d, [_index(d, (1, 2))], np.empty((1, 0), dtype=np.int64))
 
 
-# (scan, cycle index, b): a cycle index out of range or not an integer, or a
-# handle in b that is not an element of S4 (order 24)
+# (id, scan, cycle ids, b, message): a cycle index out of range or not an
+# integer, a handle that is not an element of S4 (order 24), or a b whose shape
+# does not fit the ids.  The first eight ids name the one-class cases they had
+# when the scans took one class per call.
 BAD_SCAN_INPUTS = [
-    ("extend_to_K4", -1, None),
-    ("extend_to_K4", 88, None),
-    ("extend_to_K4", 1.0, None),
-    ("extend_step", 47, (99,)),
-    ("extend_step", 47, (7, -1)),
-    ("extend_to_braid", 47, (-1,)),
-    ("extend_to_braid", 47, (24,)),
-    ("extend_to_braid", 88, ()),
+    ("extend_to_K4--1-None", "extend_to_K4", [-1], None, "cycle index -1 out of range"),
+    ("extend_to_K4-88-None", "extend_to_K4", [3, 88], None, "cycle index 88 out of range"),
+    ("extend_to_K4-1.0-None", "extend_to_K4", [1.0], None, "integer array"),
+    ("extend_step-47-b3", "extend_step", [47], [[99]], "element index 99 out of range"),
+    ("extend_step-47-b4", "extend_step", [47], [[7, -1]], "element index -1 out of range"),
+    ("extend_to_braid-47-b5", "extend_to_braid", [47], [[-1]], "element index -1 out of range"),
+    ("extend_to_braid-47-b6", "extend_to_braid", [47], [[24]], "element index 24 out of range"),
+    ("extend_to_braid-88-b7", "extend_to_braid", [88], [()], "cycle index 88 out of range"),
+    ("float-ids", "extend_to_K4", np.array([0.0, 1.0]), None, "integer array"),
+    ("bool-ids", "extend_to_K4", [True], None, "integer array"),
+    ("scalar-id", "extend_to_K4", 3, None, "1-d integer array"),
+    ("2d-ids", "extend_to_K4", [[3]], None, "1-d integer array"),
+    ("float-b", "extend_step", [47], [[7.0]], "integer array"),
+    ("bool-b", "extend_to_braid", [47], [[True]], "integer array"),
+    ("step-width-0", "extend_step", [47], np.empty((1, 0), dtype=np.int64), "starts from stage 4"),
+    ("1d-b", "extend_step", [47], [7], "(1, w) integer array"),
+    ("b-short", "extend_step", [47, 47], [[7]], "(2, w) integer array"),
+    ("b-long", "extend_to_braid", [47], [[7], [16]], "(1, w) integer array"),
+    ("b-ragged", "extend_step", [47, 47], [[7], [7, 16]], "rectangular"),
 ]
 
 
-@pytest.mark.parametrize("scan,i,b", BAD_SCAN_INPUTS)
-def test_scans_refuse_a_bad_class(s4, scan, i, b):
+@pytest.mark.parametrize("scan,ids,b,message", [case[1:] for case in BAD_SCAN_INPUTS],
+                         ids=[case[0] for case in BAD_SCAN_INPUTS])
+def test_scans_refuse_a_bad_class(s4, scan, ids, b, message):
     d = decompose(s4)
-    args = (d, i) if b is None else (d, i, b)
-    with pytest.raises(UsageError, match="out of range"):
+    args = (d, ids) if b is None else (d, ids, b)
+    with pytest.raises(UsageError, match=re.escape(message)):
         getattr(extension, scan)(*args)
 
 
 def test_extend_step_empty_over_s4(tower_s4, s4):
     d = tower_s4.decomposition
-    trivial = _index(d, (0, 0))
     lvl = tower_s4.level(4)
-    for i, b in zip(lvl.cycle_ids.tolist(), lvl.b.tolist()):
-        if i != trivial:
-            assert extend_step(d, i, tuple(b)) == []
+    keep = lvl.cycle_ids != _index(d, (0, 0))
+    rows, images = extend_step(d, lvl.cycle_ids[keep], lvl.b[keep])
+    assert rows.size == images.size == 0
 
 
 def test_extend_step_agrees_with_direct_relation_check(s5):
@@ -153,7 +290,7 @@ def test_extend_step_agrees_with_direct_relation_check(s5):
         braid = s5.mul(s5.mul(g, b3), g) == s5.mul(s5.mul(b3, g), b3)
         if inter and braid:
             brute.append(g)
-    found = extend_step(d, _index(d, v), (b3,))
+    found = _one("extend_step", d, _index(d, v), (b3,))
     assert found == brute
     assert s5.index_of((2, 1, 3, 5, 4)) in found  # (1 2)(4 5) at handle 25
 
@@ -178,20 +315,20 @@ def test_next_b_post_check_refuses_an_image_outside_the_conjugacy_class(s4):
 def test_trivial_class_extends_by_every_element(s3, z6):
     for group in (s3, z6):
         d = decompose(group)
-        assert extend_to_braid(d, _index(d, (group.identity,) * 2), ()) == sorted(group.elements())
+        assert _one("extend_to_braid", d, _index(d, (group.identity,) * 2), ()) == sorted(group.elements())
 
 
 def test_braid_extension_of_period_two_cycle_over_s3(s3):
     d = decompose(s3)
     # exactly the three transpositions
-    assert extend_to_braid(d, _index(d, (3, 4)), ()) == [1, 2, 5]
+    assert _one("extend_to_braid", d, _index(d, (3, 4)), ()) == [1, 2, 5]
 
 
 def test_braid_extension_empty_when_period_does_not_divide_order(s3):
     d = decompose(s3)
     nine = _index(d, (1, 2))
     assert d.lengths[nine] == 9
-    assert extend_to_braid(d, nine, ()) == []
+    assert _one("extend_to_braid", d, nine, ()) == []
 
 
 def test_braid_extension_c_satisfies_defining_relation(s3):
@@ -199,7 +336,7 @@ def test_braid_extension_c_satisfies_defining_relation(s3):
     i = _index(d, (3, 4))
     a = d.cycle(i).a_seq
     p = len(a)
-    for c in extend_to_braid(d, i, ()):
+    for c in _one("extend_to_braid", d, i, ()):
         for m in range(p):
             assert s3.mul(c, a[m]) == s3.mul(a[(m + 1) % p], c)
 
@@ -289,11 +426,14 @@ def test_isomorphic_backends_give_equal_counts(make_g, make_h):
 # ---------------------------------------------------------------------------
 
 def _doctored(scan, cls, change):
-    """The scan, with the list it returns for the class cls = (cycle index, b)
-    passed through `change`."""
-    def doctored(decomp, i, *b):
-        found = scan(decomp, i, *b)
-        return change(found) if (i, *b) == cls else found
+    """The stage scan, with the images it returns for the class cls = (cycle
+    index, b) passed through `change`, a function of the sorted list."""
+    def doctored(decomp, ids, *b):
+        sets = _per_row(scan(decomp, ids, *b), len(ids))
+        keys = zip(ids.tolist(), *([map(tuple, b[0].tolist())] if b else []))
+        sets = [change(found) if key == cls else found for key, found in zip(keys, sets)]
+        return (np.repeat(np.arange(len(sets)), list(map(len, sets))),
+                np.array([g for found in sets for g in found], dtype=np.int64))
     return doctored
 
 
@@ -334,6 +474,41 @@ def test_tower_refuses_a_doctored_scan(monkeypatch, capsys, spec, n, scan, cls, 
     assert capsys.readouterr().err == f"verification failure: {message}\n"
 
 
+# The benchmark's tracer wraps the three scans by module-level name, counts
+# their calls, and reads len() and bool() of what extend_to_K4 and
+# extend_to_braid return.
+def test_tower_scans_each_stage_once(monkeypatch, s4):
+    calls = Counter()
+    for scan in ("extend_to_K4", "extend_step", "extend_to_braid"):
+        def counted(*args, scan=scan, fn=getattr(extension, scan)):
+            found = fn(*args)
+            calls[scan, type(found)] += 1
+            return found
+        monkeypatch.setattr(extension, scan, counted)
+    compute_tower(s4, 6)
+    assert calls == {("extend_to_K4", tuple): 1, ("extend_step", tuple): 2, ("extend_to_braid", tuple): 4}
+
+
+# S4's stages 5 and 6 hold only the trivial class, S5's also others; the
+# perfect core of S4 is the trivial group, that of S5 is A5
+@pytest.mark.parametrize("spec,core", [("S4", 1), ("S5", 60)])
+def test_element_orders_are_built_once_per_tower_and_per_verify_run(monkeypatch, spec, core):
+    built = []
+
+    def counted(group, fn=extension.element_orders):
+        built.append(group.order)
+        return fn(group)
+    for module in (extension, verify):
+        monkeypatch.setattr(module, "element_orders", counted)
+    group = parse_group_spec(spec)
+    tower = compute_tower(group, 6)
+    assert built == [group.order]
+    built.clear()
+    assert all(result.ok for result in run_suites(tower))
+    # once for prop3, and once by the tower over the perfect core
+    assert sorted(built) == [core, group.order]
+
+
 # ---------------------------------------------------------------------------
 # conjugation orbits: the tower against a scan of every cycle and class
 # ---------------------------------------------------------------------------
@@ -349,14 +524,15 @@ def _exhaustive_levels(group, n_max):
     levels = [current]
     for n in range(4, n_max + 1):
         if n == 4:
-            current = [(cycle, (b3,)) for cycle, _ in current for b3 in extend_to_K4(decomp, index[cycle])]
+            current = [(cycle, (b3,)) for cycle, _ in current for b3 in _one("extend_to_K4", decomp, index[cycle])]
         else:
             current = [(trivial, (e,) * (n - 3))] + [
                 (cycle, b + (g,)) for cycle, b in current if (cycle, b) != (trivial, (e,) * (n - 4))
-                for g in extend_step(decomp, index[cycle], b)]
+                for g in _one("extend_step", decomp, index[cycle], b)]
         current = sorted(current, key=lambda cls: (cls[0].rep_vertex, cls[1]))
         levels.append(current)
-    return [[(cycle, b, tuple(extend_to_braid(decomp, index[cycle], b))) for cycle, b in lvl] for lvl in levels]
+    return [[(cycle, b, tuple(_one("extend_to_braid", decomp, index[cycle], b))) for cycle, b in lvl]
+            for lvl in levels]
 
 
 ORBIT_GROUPS = {

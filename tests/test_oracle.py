@@ -12,7 +12,7 @@ import pytest
 import braidrep.extension as extension
 import braidrep.shift as shift
 from braidrep.errors import ResourceLimitError, UsageError
-from braidrep.groups import SL2, AbelianProduct, CayleyTableGroup, SymmetricGroup, parse_group_spec
+from braidrep.groups import SL2, AbelianProduct, SymmetricGroup, parse_group_spec
 from braidrep.oracle import (
     brute_hom_Bn,
     brute_hom_K3,
@@ -20,7 +20,7 @@ from braidrep.oracle import (
     engine_census_Bn,
     engine_census_Kn,
 )
-from conftest import relabelled
+from conftest import relabelled, s3_x_z6
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +129,6 @@ def reference_Bn(group, n):
 
 def _fields(res):
     return res.rep_count, res.census, res.relation_checks
-
-
-def s3_x_z6():
-    """S3 x Z6 as a Cayley table; element (s, i) is s * 6 + i."""
-    s3, z6 = SymmetricGroup(3).tables()[0], AbelianProduct((6,)).tables()[0]
-    return CayleyTableGroup((s3[:, None, :, None] * 6 + z6[None, :, None, :]).reshape(36, 36), name="S3xZ6")
 
 
 @pytest.mark.parametrize("n", range(3, 8))
