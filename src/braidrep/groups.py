@@ -9,9 +9,10 @@ follows the convention that the RIGHT factor acts first, i.e. for
 permutations mul(g, h) is the composite "apply h, then g".
 
 S_r and SL(2, q) list their elements as digit rows in lex order and share one
-builder, `_lex_tables`: a key -> handle array, the table filled row by row, and
-a product that is no element a VerificationError.  A_r and the perfect core
-restrict a parent's table (`_restricted`) and are validated as Cayley tables.
+builder, `_lex_tables`: a key -> handle array, the table filled a block of
+rows at a time, and a product that is no element a VerificationError.  A_r and
+the perfect core restrict a parent's table (`_restricted`) and are validated as
+Cayley tables.
 """
 from __future__ import annotations
 
@@ -58,6 +59,10 @@ TABLE_BYTES_PER_ENTRY = 16
 # Bytes of a table file parsed at a time: only one chunk's tokens are ever Python objects.
 _TABLE_CHUNK_BYTES = 1 << 16
 _SPACE = re.compile(rb"\s")
+
+# (row, element) cells of a multiplication table `_lex_tables` fills at once;
+# bounds its working memory.
+_TABLE_BLOCK_CELLS = 1 << 16
 
 
 def _over_cap(name: str) -> ResourceLimitError:
@@ -142,16 +147,28 @@ class FiniteGroup:
 def _lex_tables(digits: np.ndarray, radix: int, row_product, inverse_digits: np.ndarray):
     """(mul_table, inv_table) of the group on the rows of `digits` (m x k, digits
     below `radix`; handle a is row a).  One array maps each row's base-`radix` key
-    to its handle; row a of the table is the handles of row_product(digits[a]),
-    the rows of a*b for every b.  A product or inverse that is no row is an error."""
+    to its handle.  The table is filled a block of _TABLE_BLOCK_CELLS / m rows at
+    a time: row_product(block) yields the k digit arrays (rows x m) of the
+    products in turn, digit j of a*b at [j][a - first row of the block, b].  A
+    product or inverse that is no row is an error."""
     m, k = digits.shape
-    weights = radix ** np.arange(k - 1, -1, -1, dtype=np.int64)
     handle = np.full(radix ** k, -1, dtype=np.int32)
-    handle[digits @ weights] = np.arange(m, dtype=np.int32)
+    key_type = np.int32 if radix ** k <= 1 << 31 else np.int64     # keys are below radix**k
+
+    def keys(columns):
+        columns = iter(columns)
+        key = next(columns).astype(key_type)
+        for d in columns:           # Horner, most significant digit first
+            key *= radix
+            key += d
+        return key
+
+    handle[keys(digits.T)] = np.arange(m, dtype=np.int32)
     table = np.empty((m, m), dtype=np.int32)
-    for a in range(m):
-        table[a] = handle[row_product(digits[a]) @ weights]
-    inv = handle[inverse_digits @ weights]
+    step = max(1, _TABLE_BLOCK_CELLS // m)
+    for lo in range(0, m, step):
+        table[lo:lo + step] = handle[keys(row_product(digits[lo:lo + step]))]
+    inv = handle[keys(inverse_digits.T)]
     if table.min() < 0 or inv.min() < 0:
         raise VerificationError("a product or inverse of enumerated elements is no element")
     return table, inv
@@ -250,9 +267,9 @@ class SymmetricGroup(FiniteGroup):
         return _cycle_notation(self.perms[self.check_element(a)])
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        # 0-based image rows; for x = P[a], x[P][b] is "apply b, then a"
-        P = np.array(self.perms, dtype=np.int64) - 1
-        return _lex_tables(P, self.r, lambda x: x[P], np.argsort(P, axis=1))
+        # 0-based image rows; for x = P[a], x[P[b]] is "apply b, then a"
+        P = np.array(self.perms, dtype=np.int32) - 1
+        return _lex_tables(P, self.r, lambda X: (X[:, col] for col in P.T), np.argsort(P, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +340,12 @@ class SL2(FiniteGroup):
         # per matrix, mx[s] = s * x; ma and mb are times q, as row indices of `plus`
         ma, mb, mc, md = mul[:, a] * q, mul[:, b] * q, mul[:, c], mul[:, d]
 
-        def row_product(row):
-            a1, b1, c1, d1 = row
-            return np.stack([plus.take(ma[a1] + mc[b1]), plus.take(mb[a1] + md[b1]),
-                             plus.take(ma[c1] + mc[d1]), plus.take(mb[c1] + md[d1])], axis=1)
+        def row_product(rows):
+            a1, b1, c1, d1 = rows.T
+            yield plus.take(ma[a1] + mc[b1])
+            yield plus.take(mb[a1] + md[b1])
+            yield plus.take(ma[c1] + mc[d1])
+            yield plus.take(mb[c1] + md[d1])
         return _lex_tables(self.mats, self.q, row_product, np.stack([d, neg[b], neg[c], a], axis=1))
 
 

@@ -151,8 +151,8 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
     """Split G x G into successor cycles, numbered in lex order of their least vertex.
 
     Vertex (a0, a1) has the int32 code a0 * m + a1, so code order is lex
-    order.  The successor map is one array of codes, built one row of fixed a0
-    at a time and checked to be a bijection (every code is hit) before anything
+    order.  The successor map is one array of codes, built with one gather
+    and checked to be a bijection (every code is hit) before anything
     walks it, so every walk below runs on cycles and ends.  Two walks over
     arrays do the rest:
 
@@ -177,11 +177,9 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
     """
     m = group.order
     mul_t, inv_t = group.tables()
-    # successor codes a1 * m + (a0^-1 a1), one row of fixed a0 at a time
-    succ = np.empty((m, m), dtype=np.int32)
-    a1_times_m = np.arange(0, m * m, m, dtype=np.int32)
-    for a0 in range(m):
-        np.add(a1_times_m, mul_t[inv_t[a0]], out=succ[a0])
+    # successor codes a1 * m + (a0^-1 a1): row a0 of mul_t[inv_t] is a0^-1 times every a1
+    succ = mul_t[inv_t]
+    succ += np.arange(0, m * m, m, dtype=np.int32)
     succ = succ.ravel()
     hit = np.zeros(m * m, dtype=bool)
     hit[succ] = True

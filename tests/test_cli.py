@@ -353,6 +353,37 @@ def test_tower_verify_and_shift_leave_numpy_ma_unimported():
     assert proc.stdout == "False\n"
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("case", ["unset", "preset", "numpy-first"])
+def test_a_run_keeps_one_thread_and_the_environment(case):
+    # importing braidrep loads numpy with OPENBLAS_NUM_THREADS=1 and removes it
+    # again, unless the host imported numpy first or set a thread count itself
+    env = {k: v for k, v in _cli_env().items() if k not in _THREAD_VARS}
+    if case == "preset":
+        env["OPENBLAS_NUM_THREADS"] = "2"
+    code = ("import contextlib, io, json, os\n"
+            + ("import numpy\n" if case == "numpy-first" else "")
+            + "before = dict(os.environ)\n"
+            "from braidrep.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['tower', 'S4', '6', '--count-only']) == 0\n"
+            "print(json.dumps([len(os.listdir('/proc/self/task')),\n"
+            "                  os.environ.get('OPENBLAS_NUM_THREADS'), dict(os.environ) == before]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    threads, variable, unchanged = json.loads(proc.stdout)
+    assert unchanged
+    if case == "unset":
+        assert threads == 1 and variable is None
+    elif case == "preset":
+        assert variable == "2"
+    else:
+        assert variable is None
+
+
 def _limit_address_space():
     # 1.5 GB: the interpreter and numpy fit, an unbounded read of /dev/zero does not
     resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))

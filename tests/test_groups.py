@@ -31,6 +31,7 @@ from braidrep.groups import (
     perfect_core_group,
     subgroup_closure,
 )
+import braidrep.groups as groups
 from braidrep.groups import _field_tables, _lex_tables
 
 BACKENDS = [
@@ -130,7 +131,50 @@ def test_lex_tables_refuses_a_product_that_is_no_element():
     P = np.array(SymmetricGroup(3).perms) - 1
     rows = P[:-1]                        # S3 without (3 2 1): not closed
     with pytest.raises(VerificationError):
-        _lex_tables(rows, 3, lambda x: x[rows], np.argsort(rows, axis=1))
+        _lex_tables(rows, 3, lambda X: [X[:, col] for col in rows.T], np.argsort(rows, axis=1))
+
+
+def _reference_lex_tables(digits, radix, row_product, inverse_digits):
+    """The former builder: one int64 key per row, the table filled row by row,
+    row_product(row) the (m x k) digits of row times every element."""
+    m, k = digits.shape
+    weights = radix ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    handle = np.full(radix ** k, -1, dtype=np.int32)
+    handle[digits @ weights] = np.arange(m, dtype=np.int32)
+    table = np.empty((m, m), dtype=np.int32)
+    for a in range(m):
+        table[a] = handle[row_product(digits[a]) @ weights]
+    inv = handle[inverse_digits @ weights]
+    if table.min() < 0 or inv.min() < 0:
+        raise VerificationError("a product or inverse of enumerated elements is no element")
+    return table, inv
+
+
+def _reference_tables(group):
+    if isinstance(group, SymmetricGroup):
+        P = np.array(group.perms, dtype=np.int64) - 1
+        return _reference_lex_tables(P, group.r, lambda x: x[P], np.argsort(P, axis=1))
+    add, mul, neg = _field_tables(group.q)
+    a, b, c, d = group.mats.T
+
+    def row_product(row):           # the matrix product row * (a, b; c, d), entry by entry
+        a1, b1, c1, d1 = row
+        return np.stack([add[mul[a1, a], mul[b1, c]], add[mul[a1, b], mul[b1, d]],
+                         add[mul[c1, a], mul[d1, c]], add[mul[c1, b], mul[d1, d]]], axis=1)
+    return _reference_lex_tables(group.mats, group.q, row_product, np.stack([d, neg[b], neg[c], a], axis=1))
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3], ids=["default-block", "one-row", "three-rows"])
+@pytest.mark.parametrize("spec", ["S1", "S2", "S3", "S4", "S5",
+                                  "SL2(2)", "SL2(3)", "SL2(4)", "SL2(5)", "SL2(8)", "SL2(9)"])
+def test_block_table_build_matches_the_row_by_row_builder(monkeypatch, spec, rows):
+    group = parse_group_spec(spec)
+    if rows is not None:
+        monkeypatch.setattr(groups, "_TABLE_BLOCK_CELLS", rows * group.order)
+    mul_t, inv_t = group._build_tables()
+    ref_mul, ref_inv = _reference_tables(group)
+    assert mul_t.dtype == inv_t.dtype == np.int32
+    assert np.array_equal(mul_t, ref_mul) and np.array_equal(inv_t, ref_inv)
 
 
 def _peak_rss_growth_mb(statement: str) -> float:
