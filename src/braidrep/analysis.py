@@ -11,8 +11,7 @@ import numpy as np
 
 from .errors import UsageError, VerificationError
 from .extension import TowerLevel, TowerResult, compute_tower
-from .groups import (FiniteGroup, SymmetricGroup, derived_series,
-                     involution_count, perfect_core_group)
+from .groups import FiniteGroup, SymmetricGroup, involution_count, perfect_core_group
 from .shift import Cycle, ShiftDecomposition, decompose
 
 __all__ = [
@@ -296,9 +295,7 @@ def perfect_core_census_match(tower: TowerResult) -> bool:
     of the two sets of (rep vertex, b) rows is the restriction statement for
     stages n >= 6.
     """
-    series = derived_series(tower.group)
-    core = perfect_core_group(tower.group, series)
-    embed = np.array(sorted(series.core))    # increasing, so lex-least vertices map to lex-least
+    core, embed = perfect_core_group(tower.group)    # embed increases, so lex-least vertices map to lex-least
     ours = _class_rows(tower.level(tower.n_max))
     theirs = embed[_class_rows(compute_tower(core, tower.n_max).level(tower.n_max))]
     return set(map(tuple, ours.tolist())) == set(map(tuple, theirs.tolist()))

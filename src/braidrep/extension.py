@@ -214,14 +214,17 @@ def is_trivial_class(decomp: ShiftDecomposition, ids: np.ndarray, b: np.ndarray)
 
 def element_orders(group: FiniteGroup) -> np.ndarray:
     """The order of every element, by powering all elements in step.  A tower
-    and a verify run each build it once and hand it to the stage checks."""
+    and a verify run each build it once and hand it to the stage checks.
+    VerificationError if an element has no power up to |G| that is the identity."""
     mul_t, _ = group.tables()
     x = np.arange(group.order)
-    order, power, k = np.zeros_like(x), x, 1
-    while not order.all():
+    order, power = np.zeros_like(x), x
+    for k in range(1, group.order + 1):
         order[(power == group.identity) & (order == 0)] = k
-        power, k = mul_t[power, x], k + 1
-    return order
+        if order.all():
+            return order
+        power = mul_t[power, x]
+    raise VerificationError(f"an element of {group.name} has no power up to {group.order} that is the identity")
 
 
 def _powers(group: FiniteGroup, x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -370,12 +373,13 @@ def _conjugation_orbits(decomp: ShiftDecomposition) -> _Orbits:
     """The cycles split into orbits under simultaneous conjugation.
 
     Conjugation commutes with the successor map, so each of the group's
-    generators permutes the cycles.  Every cycle is labelled by the least
-    index in its orbit (the orbit's first cycle in decomposition order), and a
-    breadth-first walk out of the first cycles records a transporter for
-    every member.  Raises VerificationError unless the walk reaches every
-    cycle and each transporter maps its first cycle's rep vertex onto its
-    member.
+    generators g permutes the cycles.  Each cycle carries a root, the least
+    index known in its orbit, and a transporter t with cycle = t C_root t^-1.
+    Every (root, transporter) pair is pushed along every generator's
+    permutation, to (root, g t), onto each cycle whose root is larger, until no
+    root falls; a permutation's inverse is a power of it, so each root ends as
+    its orbit's first cycle in decomposition order.  Raises VerificationError
+    unless each transporter maps its first cycle's rep vertex onto its member.
     """
     group = decomp.group
     n = decomp.lengths.size
@@ -388,31 +392,16 @@ def _conjugation_orbits(decomp: ShiftDecomposition) -> _Orbits:
     mul_t, _ = group.tables()
     everything = np.arange(n)
     steps = [(g, cycle_of(g, everything)) for g in group.generators()]
-    # pull the least label back along each generator's permutation until it
-    # settles; a permutation's inverse is a power of it, so it reaches the
-    # whole orbit
-    root = everything.copy()
-    while True:
-        before = root.copy()
-        for _, step in steps:
-            np.minimum(root, root[step], out=root)
-        if (root == before).all():
-            break
-    t = np.full(n, group.identity, dtype=np.int64)
-    reached = root == everything
-    frontier = np.flatnonzero(reached)
-    while frontier.size:
-        grown = []
+    root, t = everything.copy(), np.full(n, group.identity, dtype=np.int64)
+    fell = True
+    while fell:
+        fell = False
         for g, step in steps:
-            src = frontier[~reached[step[frontier]]]
+            # a permutation: no two sources write the same cycle
+            src = np.flatnonzero(root < root[step])
             dst = step[src]
-            t[dst] = mul_t[g, t[src]]
-            reached[dst] = True
-            grown.append(dst)
-        frontier = np.concatenate([frontier[:0], *grown])
-
-    if not reached.all():
-        raise VerificationError("conjugation orbits do not partition the cycles")
+            root[dst], t[dst] = root[src], mul_t[g, t[src]]
+            fell |= src.size > 0
     if (cycle_of(t, root) != everything).any():
         raise VerificationError("a transporter does not conjugate its orbit's first cycle onto its member")
     ids = np.argsort(root, kind="stable")

@@ -10,16 +10,21 @@ permutations mul(g, h) is the composite "apply h, then g".
 
 S_r and SL(2, q) list their elements as digit rows in lex order and share one
 builder, `_lex_tables`: a key -> handle array, the table filled a block of
-rows at a time, and a product that is no element a VerificationError.  A_r and
-the perfect core restrict a parent's table (`_restricted`) and are validated as
-Cayley tables.
+rows at a time, and two rows with one key or a product that is no element a
+VerificationError.  A_r and the perfect core restrict a parent's table
+(`_restricted`) and are validated as Cayley tables.
+
+Subgroups are closed one way only, by `_greedy_generators`: it walks out of the
+identity along the rows of the table at each new generator, the least
+candidate not yet reached.  `generators()`, `subgroup_closure`, the derived
+series and Light's associativity test all use it, so no step of them builds an
+array of |H|^2 products.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +42,7 @@ __all__ = [
     "lex_unrank",
     "element_order",
     "involution_count",
-    "DerivedSeries",
     "subgroup_closure",
-    "commutator_subgroup",
     "derived_series",
     "perfect_core_group",
     "parse_group_spec",
@@ -129,7 +132,7 @@ class FiniteGroup:
     def generators(self) -> list[int]:
         """A generating set of at most log2(order) elements: each one the least
         element outside the subgroup generated by the earlier ones."""
-        return list(_greedy_generators(self._mul_table, self.identity))
+        return _closure(self, np.ones(self.order, dtype=bool))[0]
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (mul_table, inv_table) as read-only numpy arrays."""
@@ -149,8 +152,8 @@ def _lex_tables(digits: np.ndarray, radix: int, row_product, inverse_digits: np.
     below `radix`; handle a is row a).  One array maps each row's base-`radix` key
     to its handle.  The table is filled a block of _TABLE_BLOCK_CELLS / m rows at
     a time: row_product(block) yields the k digit arrays (rows x m) of the
-    products in turn, digit j of a*b at [j][a - first row of the block, b].  A
-    product or inverse that is no row is an error."""
+    products in turn, digit j of a*b at [j][a - first row of the block, b].  Two
+    rows with one key, or a product or inverse that is no row, is an error."""
     m, k = digits.shape
     handle = np.full(radix ** k, -1, dtype=np.int32)
     key_type = np.int32 if radix ** k <= 1 << 31 else np.int64     # keys are below radix**k
@@ -164,6 +167,8 @@ def _lex_tables(digits: np.ndarray, radix: int, row_product, inverse_digits: np.
         return key
 
     handle[keys(digits.T)] = np.arange(m, dtype=np.int32)
+    if np.count_nonzero(handle >= 0) != m:
+        raise VerificationError("two enumerated elements have the same key")
     table = np.empty((m, m), dtype=np.int32)
     step = max(1, _TABLE_BLOCK_CELLS // m)
     for lo in range(0, m, step):
@@ -389,21 +394,23 @@ class AbelianProduct(FiniteGroup):
         return table, inv
 
 
-def _greedy_generators(arr: np.ndarray, identity: int):
-    """Yield a generating set of a Latin square with a two-sided identity.
+def _greedy_generators(arr: np.ndarray, identity: int, candidates: np.ndarray, reached: np.ndarray):
+    """Yield generators, drawn from the boolean mask `candidates`, of the
+    subgroup they generate in a Latin square with a two-sided identity.
 
-    Each generator is the least element not yet reached from the identity by
+    Each generator is the least candidate not yet reached from the identity by
     right multiplication with the earlier ones; in a group each one at least
     doubles the reached set, so needing more than log2(m) means no group.  The
-    next generator is chosen only after the caller has seen this one."""
+    next generator is chosen only after the caller has seen this one.
+    `reached`, an all-False mask the caller passes in, is left as the
+    subgroup."""
     m = len(arr)
-    reached = np.zeros(m, dtype=bool)
     reached[identity] = True
     gens: list[int] = []
-    while not reached.all():
+    while (left := candidates & ~reached).any():
         if 2 ** (len(gens) + 1) > m:
             raise UsageError(f"table is not associative: it needs over log2({m}) generators")
-        g = int(np.argmin(reached))
+        g = int(np.argmax(left))
         yield g
         gens.append(g)
         frontier = np.flatnonzero(reached)
@@ -418,7 +425,8 @@ def _check_associativity(arr: np.ndarray, identity: int) -> None:
     """Light's exact test of a Latin square with a two-sided identity: it is
     associative iff (xg)y = x(gy) for all x, y and every g of a generating set
     (the greedy one of `_greedy_generators`)."""
-    for g in _greedy_generators(arr, identity):
+    m = len(arr)
+    for g in _greedy_generators(arr, identity, np.ones(m, dtype=bool), np.zeros(m, dtype=bool)):
         bad = np.argwhere(arr[arr[:, g]] != arr[:, arr[g]])
         if bad.size:
             x, y = bad[0]
@@ -535,12 +543,14 @@ def alternating_group(r: int) -> CayleyTableGroup:
 # ---------------------------------------------------------------------------
 
 def element_order(group: FiniteGroup, a: int) -> int:
+    """The order of `a`; VerificationError if no power up to |G| is the identity."""
     group.check_element(a)
-    k, x = 1, a
-    while x != group.identity:
+    x = a
+    for k in range(1, group.order + 1):
+        if x == group.identity:
+            return k
         x = group.mul(x, a)
-        k += 1
-    return k
+    raise VerificationError(f"element {a} of {group.name} has no power up to {group.order} that is the identity")
 
 
 def involution_count(group: FiniteGroup) -> int:
@@ -549,58 +559,47 @@ def involution_count(group: FiniteGroup) -> int:
     return sum(1 for a in group.elements() if a != e and group.mul(a, a) == e)
 
 
-def _distinct(group: FiniteGroup, handles: np.ndarray) -> np.ndarray:
-    """The distinct values of `handles`, sorted, found with a mask over the group."""
-    seen = np.zeros(group.order, dtype=bool)
-    seen[handles] = True
-    return np.flatnonzero(seen)
+def _closure(group: FiniteGroup, candidates: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The greedy generators drawn from the boolean mask `candidates` and the
+    subgroup they generate, as a mask."""
+    reached = np.zeros(group.order, dtype=bool)
+    gens = list(_greedy_generators(group.tables()[0], group.identity, candidates, reached))
+    return gens, reached
 
 
 def subgroup_closure(group: FiniteGroup, gens) -> frozenset[int]:
-    """Subgroup generated by `gens`, by iterated multiplication closure."""
-    mul_t, _ = group.tables()
-    current = _distinct(group, np.fromiter(list(gens) + [group.identity], dtype=np.int32))
-    while True:
-        products = _distinct(group, mul_t[np.ix_(current, current)])
-        if products.size == current.size:
-            return frozenset(current.tolist())
-        current = products
+    """Subgroup generated by `gens`."""
+    candidates = np.zeros(group.order, dtype=bool)
+    candidates[list(gens)] = True
+    return frozenset(np.flatnonzero(_closure(group, candidates)[1]).tolist())
 
 
-def commutator_subgroup(group: FiniteGroup, elems) -> frozenset[int]:
-    """Subgroup generated by all commutators of pairs drawn from `elems`."""
+def derived_series(group: FiniteGroup) -> tuple[frozenset[int], ...]:
+    """Successive commutator subgroups G, [G, G], ..., ending at the perfect core;
+    the group is solvable when the last term has one element.
+
+    [H, H] is the closure N of the |H| log|H| commutators
+    [x, s] = x^-1 s^-1 x s, x in H and s a greedy generator of H.  N is normal
+    in H, since [xh, s] = [x, s]^h [h, s] (a^h = h^-1 a h) puts every [x, s]^h
+    in N, and in H / N every s is central, so H / N is abelian and N holds all
+    of [H, H]."""
     mul_t, inv_t = group.tables()
-    E = np.fromiter(sorted(elems), dtype=np.int32)
-    comms = mul_t[mul_t[inv_t[E][:, None], inv_t[E][None, :]], mul_t[E[:, None], E[None, :]]]
-    return subgroup_closure(group, _distinct(group, comms))
+    terms, H = [], np.ones(group.order, dtype=bool)
+    while not terms or H.sum() < len(terms[-1]):
+        x = np.flatnonzero(H)[:, None]
+        terms.append(frozenset(x.ravel().tolist()))
+        s = np.array(_closure(group, H)[0], dtype=np.intp)      # H's greedy generators
+        commutators = np.zeros(group.order, dtype=bool)
+        commutators[mul_t[mul_t[inv_t[x], inv_t[s]], mul_t[x, s]]] = True
+        H = _closure(group, commutators)[1]
+    return tuple(terms)
 
 
-@dataclass
-class DerivedSeries:
-    """Successive commutator subgroups, ending at the perfect core."""
-
-    terms: list[frozenset[int]]
-    solvable: bool
-
-    @property
-    def core(self) -> frozenset[int]:
-        return self.terms[-1]
-
-
-def derived_series(group: FiniteGroup) -> DerivedSeries:
-    terms = [frozenset(group.elements())]
-    while True:
-        nxt = commutator_subgroup(group, terms[-1])
-        if nxt == terms[-1]:
-            break
-        terms.append(nxt)
-    return DerivedSeries(terms, solvable=(len(terms[-1]) == 1))
-
-
-def perfect_core_group(group: FiniteGroup, series: DerivedSeries | None = None) -> CayleyTableGroup:
-    """The perfect core as a standalone group (elements reindexed 0..k-1)."""
-    core = sorted((series or derived_series(group)).core)
-    return _restricted(group, core, f"core({group.name})")
+def perfect_core_group(group: FiniteGroup) -> tuple[CayleyTableGroup, np.ndarray]:
+    """The perfect core as a standalone group (elements reindexed 0..k-1), and
+    its elements' handles in `group`, increasing."""
+    core = sorted(derived_series(group)[-1])
+    return _restricted(group, core, f"core({group.name})"), np.array(core)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import braidrep
 from braidrep.errors import ResourceLimitError, UsageError, VerificationError
+from braidrep.extension import element_orders
 from braidrep.groups import (
     SL2,
     AbelianProduct,
@@ -32,7 +34,8 @@ from braidrep.groups import (
     subgroup_closure,
 )
 import braidrep.groups as groups
-from braidrep.groups import _field_tables, _lex_tables
+from braidrep.groups import FiniteGroup, _field_tables, _lex_tables
+from conftest import relabelled, s3_x_z6
 
 BACKENDS = [
     SymmetricGroup(3),
@@ -132,6 +135,24 @@ def test_lex_tables_refuses_a_product_that_is_no_element():
     rows = P[:-1]                        # S3 without (3 2 1): not closed
     with pytest.raises(VerificationError):
         _lex_tables(rows, 3, lambda X: [X[:, col] for col in rows.T], np.argsort(rows, axis=1))
+
+
+def test_lex_tables_refuses_rows_with_one_key():
+    P = np.array(SymmetricGroup(3).perms) - 1
+    rows = np.concatenate([P, P[:1]])        # the identity row twice
+    with pytest.raises(VerificationError, match="same key"):
+        _lex_tables(rows, 3, lambda X: [X[:, col] for col in rows.T], np.argsort(rows, axis=1))
+
+
+def test_element_orders_stop_at_the_group_order():
+    # element 1 squares to itself, so no power of it is the identity
+    broken = FiniteGroup()
+    broken.name, broken.order, broken.identity = "broken", 2, 0
+    broken._set_tables(np.array([[0, 1], [1, 1]], dtype=np.int32), np.array([0, 1], dtype=np.int32))
+    with pytest.raises(VerificationError, match="no power up to 2"):
+        element_order(broken, 1)
+    with pytest.raises(VerificationError, match="no power up to 2"):
+        element_orders(broken)
 
 
 def _reference_lex_tables(digits, radix, row_product, inverse_digits):
@@ -549,34 +570,84 @@ def test_subgroup_closure_examples():
 
 
 def test_derived_series_sizes():
-    ds = derived_series(SymmetricGroup(4))
-    assert [len(t) for t in ds.terms] == [24, 12, 4, 1]
-    assert ds.solvable
+    terms = derived_series(SymmetricGroup(4))
+    assert [len(t) for t in terms] == [24, 12, 4, 1]
 
-    ds5 = derived_series(SymmetricGroup(5))
-    assert [len(t) for t in ds5.terms] == [120, 60]
-    assert not ds5.solvable
+    terms5 = derived_series(SymmetricGroup(5))
+    assert [len(t) for t in terms5] == [120, 60]
+    assert len(terms5[-1]) > 1         # not solvable
 
-    assert [len(t) for t in derived_series(SL2(3)).terms] == [24, 8, 2, 1]
-    assert derived_series(AbelianProduct((6,))).terms[-1] == frozenset({0})
+    assert [len(t) for t in derived_series(SL2(3))] == [24, 8, 2, 1]
+    assert derived_series(AbelianProduct((6,)))[-1] == frozenset({0})
 
 
 def test_derived_series_perfect_group():
     A5 = alternating_group(5)
-    ds = derived_series(A5)
-    assert len(ds.terms) == 1 and not ds.solvable
-    core = perfect_core_group(A5, ds)
+    terms = derived_series(A5)
+    assert terms == (frozenset(A5.elements()),)
+    core, embed = perfect_core_group(A5)
     assert core.order == 60
-
+    assert embed.tolist() == list(A5.elements())
 
 
 def test_perfect_core_of_s5_is_a5():
-    core = perfect_core_group(SymmetricGroup(5))
+    S5 = SymmetricGroup(5)
+    core, embed = perfect_core_group(S5)
     assert core.order == 60
+    assert embed.tolist() == [g for g in S5.elements() if S5.parity(g) == 0]
     A5 = alternating_group(5)
     mul_core, _ = core.tables()
     mul_a5, _ = A5.tables()
     assert np.array_equal(mul_core, mul_a5)
+
+
+def _reference_derived_series(group):
+    """The former derived series: every |H|^2 commutator, then products of the
+    whole current set with itself until it stops growing."""
+    mul_t, inv_t = group.tables()
+
+    def closure(handles):
+        current = np.unique(np.append(handles, group.identity))
+        while True:
+            products = np.unique(mul_t[np.ix_(current, current)])
+            if products.size == current.size:
+                return frozenset(current.tolist())
+            current = products
+
+    terms = [frozenset(group.elements())]
+    while True:
+        E = np.array(sorted(terms[-1]))
+        nxt = closure(mul_t[mul_t[inv_t[E][:, None], inv_t[E][None, :]], mul_t[E[:, None], E[None, :]]])
+        if nxt == terms[-1]:
+            return tuple(terms)
+        terms.append(nxt)
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda r=r: SymmetricGroup(r) for r in range(1, 7)],
+    lambda: alternating_group(5),
+    *[lambda q=q: SL2(q) for q in (3, 5, 7, 11)],
+    lambda: AbelianProduct((6,)),
+    lambda: AbelianProduct((2, 4, 5)),
+    lambda: relabelled(s3_x_z6(), 1),
+], ids=["S1", "S2", "S3", "S4", "S5", "S6", "A5", "SL2(3)", "SL2(5)", "SL2(7)", "SL2(11)", "Z6", "Z2xZ4xZ5",
+        "S3xZ6-relabelled-1"])
+def test_derived_series_matches_the_all_pairs_closure(make):
+    group = make()
+    assert derived_series(group) == _reference_derived_series(group)
+
+
+def test_derived_series_allocates_no_square_array():
+    # one int32 m x m array of SL2(13) is 4 * 2184^2 bytes = 18.2 MB; all
+    # commutators of the group would take three of them
+    group = SL2(13)
+    tracemalloc.start()
+    try:
+        derived_series(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * group.order ** 2
 
 
 # ---------------------------------------------------------------------------
