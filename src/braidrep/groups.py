@@ -63,8 +63,8 @@ TABLE_BYTES_PER_ENTRY = 16
 _TABLE_CHUNK_BYTES = 1 << 16
 _SPACE = re.compile(rb"\s")
 
-# (row, element) cells of a multiplication table `_lex_tables` fills at once;
-# bounds its working memory.
+# (row, element) cells of a multiplication table that `_lex_tables` fills, or
+# `CayleyTableGroup` checks, at once; bounds their working memory.
 _TABLE_BLOCK_CELLS = 1 << 16
 
 
@@ -147,11 +147,19 @@ class FiniteGroup:
         return f"<{type(self).__name__} {self.name} order={self.order}>"
 
 
+def _row_blocks(arr: np.ndarray):
+    """(first row, rows) of `arr` in blocks of _TABLE_BLOCK_CELLS // len(arr)
+    rows (one at least), so a block of an m x m table has at most that many cells."""
+    step = max(1, _TABLE_BLOCK_CELLS // len(arr))
+    for lo in range(0, len(arr), step):
+        yield lo, arr[lo:lo + step]
+
+
 def _lex_tables(digits: np.ndarray, radix: int, row_product, inverse_digits: np.ndarray):
     """(mul_table, inv_table) of the group on the rows of `digits` (m x k, digits
     below `radix`; handle a is row a).  One array maps each row's base-`radix` key
-    to its handle.  The table is filled a block of _TABLE_BLOCK_CELLS / m rows at
-    a time: row_product(block) yields the k digit arrays (rows x m) of the
+    to its handle.  The table is filled a block of rows (`_row_blocks`) at a
+    time: row_product(block) yields the k digit arrays (rows x m) of the
     products in turn, digit j of a*b at [j][a - first row of the block, b].  Two
     rows with one key, or a product or inverse that is no row, is an error."""
     m, k = digits.shape
@@ -170,9 +178,8 @@ def _lex_tables(digits: np.ndarray, radix: int, row_product, inverse_digits: np.
     if np.count_nonzero(handle >= 0) != m:
         raise VerificationError("two enumerated elements have the same key")
     table = np.empty((m, m), dtype=np.int32)
-    step = max(1, _TABLE_BLOCK_CELLS // m)
-    for lo in range(0, m, step):
-        table[lo:lo + step] = handle[keys(row_product(digits[lo:lo + step]))]
+    for lo, rows in _row_blocks(digits):
+        table[lo:lo + len(rows)] = handle[keys(row_product(rows))]
     inv = handle[keys(inverse_digits.T)]
     if table.min() < 0 or inv.min() < 0:
         raise VerificationError("a product or inverse of enumerated elements is no element")
@@ -433,6 +440,24 @@ def _check_associativity(arr: np.ndarray, identity: int) -> None:
             raise UsageError(f"table is not associative at ({x}, {g}, {y})")
 
 
+def _latin_identity(arr: np.ndarray) -> int:
+    """The two-sided identity of a table with entries in 0..m-1, after checking
+    it is a Latin square; a bad row or column names the least such index.  Runs
+    over blocks of rows and of columns, so no m x m array is made."""
+    full = np.arange(len(arr), dtype=np.int32)
+    left = np.zeros(len(arr), dtype=bool)      # the e with e x = x for every x
+    for (lo, rows), (_, cols) in zip(_row_blocks(arr), _row_blocks(arr.T)):
+        bad = ~((np.sort(rows, axis=1) == full).all(axis=1) & (np.sort(cols, axis=1) == full).all(axis=1))
+        if bad.any():
+            raise UsageError(f"Cayley table row/column {lo + int(np.argmax(bad))} is not a permutation")
+        left[lo:lo + len(rows)] = (rows == full).all(axis=1)
+    # two equal rows would repeat an entry in every column, so there is at most one
+    ident = np.flatnonzero(left)
+    if len(ident) != 1 or not np.array_equal(arr[:, ident[0]], full):
+        raise UsageError("Cayley table has no two-sided identity")
+    return int(ident[0])
+
+
 class CayleyTableGroup(FiniteGroup):
     """Group given by an explicit multiplication table (validated on construction)."""
 
@@ -451,14 +476,7 @@ class CayleyTableGroup(FiniteGroup):
         if arr.min() < 0 or arr.max() >= m:
             raise UsageError("Cayley table entries must be element indices 0..m-1")
         arr = arr.astype(np.int32)
-        full = np.arange(m, dtype=np.int32)
-        for a in range(m):
-            if not np.array_equal(np.sort(arr[a]), full) or not np.array_equal(np.sort(arr[:, a]), full):
-                raise UsageError(f"Cayley table row/column {a} is not a permutation")
-        ident = [e for e in range(m) if np.array_equal(arr[e], full) and np.array_equal(arr[:, e], full)]
-        if len(ident) != 1:
-            raise UsageError("Cayley table has no two-sided identity")
-        self.identity = ident[0]
+        self.identity = _latin_identity(arr)
         _check_associativity(arr, self.identity)
         self.name = name
         self.order = m
@@ -471,13 +489,16 @@ class CayleyTableGroup(FiniteGroup):
         return super().label(a) if self._labels is None else self._labels[self.check_element(a)]
 
     def _build_tables(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The validated table itself, with the inverses read off it."""
-        inv = np.empty(self.order, dtype=np.int32)
-        for a in range(self.order):
-            right = int(np.nonzero(arr[a] == self.identity)[0][0])
-            if arr[right, a] != self.identity:
-                raise UsageError(f"element {a} has no two-sided inverse")
-            inv[a] = right
+        """The validated table itself, with the inverses read off it a block of
+        rows at a time."""
+        m, e = self.order, self.identity
+        inv = np.empty(m, dtype=np.int32)
+        for lo, block in _row_blocks(arr):
+            right = np.argmax(block == e, axis=1)       # the one e in each row of a Latin square
+            bad = arr[right, np.arange(lo, lo + len(block))] != e
+            if bad.any():
+                raise UsageError(f"element {lo + int(np.argmax(bad))} has no two-sided inverse")
+            inv[lo:lo + len(block)] = right
         return arr, inv
 
 

@@ -447,6 +447,34 @@ def test_cayley_table_refuses_entries_an_int32_cast_would_wrap(entry):
         CayleyTableGroup([[0, 1], [1, entry]])
 
 
+@pytest.mark.parametrize("cells", [None, 1, 3], ids=["default-block", "one-row", "three-rows"])
+@pytest.mark.parametrize("k", [0, 1, 4, 10, 11])
+def test_cayley_table_names_the_first_bad_row_or_column(monkeypatch, cells, k):
+    m = 12
+    if cells is not None:
+        monkeypatch.setattr(groups, "_TABLE_BLOCK_CELLS", cells * m)
+    x = np.arange(m)
+    z12 = (x[:, None] + x[None, :]) % m
+    # a changed entry (i, j) breaks row i and column j: the first bad index is min(i, j)
+    for i, j in [(k, m - 1), (m - 1, k), (k, k)]:
+        table = z12.copy()
+        table[i, j] = table[i, (j + 1) % m]
+        with pytest.raises(UsageError, match=f"^Cayley table row/column {k} is not a permutation$"):
+            CayleyTableGroup(table)
+
+
+@pytest.mark.parametrize("cells", [None, 1, 3], ids=["default-block", "one-row", "three-rows"])
+def test_cayley_table_reads_identity_and_inverses_in_blocks(monkeypatch, cells):
+    group = relabelled(s3_x_z6(), 2)
+    mul_t, inv_t = group.tables()
+    if cells is not None:
+        monkeypatch.setattr(groups, "_TABLE_BLOCK_CELLS", cells * group.order)
+    again = CayleyTableGroup(mul_t)
+    assert again.identity == group.identity
+    assert np.array_equal(again.tables()[1], inv_t)
+    assert all(mul_t[a, inv_t[a]] == mul_t[inv_t[a], a] == group.identity for a in range(group.order))
+
+
 def test_cayley_table_rejects_missing_identity():
     # subtraction mod 5 is a latin square with only a one-sided identity
     table = [[(a - b) % 5 for b in range(5)] for a in range(5)]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import braidrep.extension as extension
+import braidrep.oracle as oracle
 import braidrep.shift as shift
 from braidrep.errors import ResourceLimitError, UsageError
 from braidrep.groups import SL2, AbelianProduct, SymmetricGroup, parse_group_spec
@@ -205,6 +206,34 @@ def test_oracle_works_in_bounded_memory(make, n):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_bn_keys_only_the_tuples_it_accepted():
+    # keying through the orbits of all m^2 pairs of SL2(7) peaks at about 40 MB
+    group = SL2(7)
+    group.tables()
+    tracemalloc.start()
+    try:
+        res = brute_hom_Bn(group, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.rep_count == 2688
+    assert peak < 4 << 20
+
+
+BLOCK_EDGE_CASES = ([("Kn", "S3", n) for n in range(3, 7)] + [("Kn", "Z6", n) for n in range(3, 6)]
+                    + [("Bn", "S3", 4)])
+
+
+@pytest.mark.parametrize("rows", [1, 3], ids=["one-row", "three-rows"])
+@pytest.mark.parametrize("family,spec,n", BLOCK_EDGE_CASES, ids=[f"{f}-{g}-{n}" for f, g, n in BLOCK_EDGE_CASES])
+def test_block_edges_match_the_scalar_scan(monkeypatch, rows, family, spec, n):
+    # at the default block size every scalar-reference case fits in one block
+    group = parse_group_spec(spec)
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 1 if rows == 1 else rows * group.order)
+    scan, reference = (brute_hom_Kn, reference_Kn) if family == "Kn" else (brute_hom_Bn, reference_Bn)
+    assert _fields(scan(group, n)) == reference(group, n)
 
 
 @pytest.mark.parametrize("group", [SymmetricGroup(2), SymmetricGroup(3), AbelianProduct((6,)), SL2(2)],
