@@ -144,8 +144,16 @@ _COMMANDS = {
 }
 
 
+# main's parser, built on its first call rather than at import; argparse
+# translates every help string as it builds, so each build costs about a ms
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         # `braid` has no --format: its counts are paper lines
         if getattr(args, "count_only", False) and getattr(args, "format", "paper") != "paper":

@@ -9,13 +9,15 @@ The scans `extend_to_K4(decomp, ids)`, `extend_step(decomp, ids, b)` and
 cycle ids and a (k, n - 3) array of image rows, one class per row.  They test
 every element against the relations of every class and return (rows, images),
 two int arrays sorted by (row, image), one entry per admissible image.  Rows
-are sorted by period and scanned in blocks of at most _BLOCK_CELLS
-(row, candidate) cells: the first relation runs on the block's full grid, and
-only the surviving cells go on to the next.  The scans validate their input
-and check nothing else.  The structural facts are array tests over all rows
-of a stage.  `compute_tower` runs `stage4_failure`,
-`stage_failure` and its own c-set checks once per stage on the classes it
-scanned, raising VerificationError, and `verify` runs the first two on every row.
+are sorted by period and cut, whatever their periods, into blocks of at most
+_BLOCK_CELLS (row, candidate) cells: the first relation runs on the block's
+full grid, and only the surviving cells go on to the next.  The scans validate
+their input and check nothing else.  The structural facts are array tests over
+all rows of a stage.  `compute_tower` runs `stage4_failure` and `stage_failure`
+once per stage on the classes it scanned, and the c scan with its c-set checks
+once per tower, on the classes of every stage with b padded by the identity
+to n_max - 3 columns, raising VerificationError; `verify` runs the first two
+on every row.
 
 Every relation is a word equation, so simultaneous conjugation by g maps
 admissible (a-sequence, b, c) data to admissible data and commutes with the
@@ -89,20 +91,19 @@ def _scan_input(decomp: ShiftDecomposition, ids, b=None) -> tuple[np.ndarray, np
 
 
 def _blocks(decomp: ShiftDecomposition, ids: np.ndarray):
-    """The rows of `ids` in blocks of one period p and at most _BLOCK_CELLS / |G|
+    """The rows of `ids`, sorted by period, in blocks of at most _BLOCK_CELLS / |G|
     rows (one at least), each with its rows' a-sequences read cyclically from
-    their least vertex as a (p + 2, rows) matrix, a_k of row j at [k, j]."""
+    their least vertex as a (P + 2, rows) matrix, a_k of row j at [k, j], P the
+    block's longest period.  A row of period p < P repeats at k >= p the tests
+    it ran at k mod p, so the cells that survive do not change."""
     period = decomp.lengths[ids]
     order = np.argsort(period, kind="stable")
-    period = period[order]
-    starts = [*np.flatnonzero(np.diff(period, prepend=-1)).tolist(), ids.size]
     step = max(1, _BLOCK_CELLS // decomp.group.order)
-    for lo, hi in zip(starts, starts[1:]):
-        p = int(period[lo])
-        cols = np.arange(p + 2) % p
-        for s in range(lo, hi, step):
-            rows = order[s:min(s + step, hi)]
-            yield rows, decomp.a_flat[cols[:, None] + decomp.offsets[ids[rows]]]
+    for s in range(0, ids.size, step):
+        rows = order[s:s + step]
+        p = period[rows]
+        k = np.arange(int(p[-1]) + 2)[:, None]
+        yield rows, decomp.a_flat[decomp.offsets[ids[rows]] + k % p]
 
 
 def _cells(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -512,15 +513,27 @@ def compute_tower(
         if failure:
             raise VerificationError(failure)
         stages.append((ks, b))
-    levels = [_transported_level(decomp, orbits, n, ks, b, orders) for n, (ks, b) in enumerate(stages, start=3)]
+    # one braid c scan over the classes of every stage, b padded to n_max - 3
+    # columns with the identity, which commutes with every c
+    ks_all = np.concatenate([ks for ks, _ in stages])
+    b_all = np.vstack([np.pad(b, ((0, 0), (0, n_max - 3 - b.shape[1])), constant_values=e) for _, b in stages])
+    rows, c = extend_to_braid(decomp, first[ks_all], b_all)
+    c_count = np.bincount(rows, minlength=ks_all.size)
+    failure = _c_set_failure(decomp, first[ks_all], b_all, c, c_count, orders)
+    if failure:
+        raise VerificationError(failure)
+    counts = np.split(c_count, np.cumsum([ks.size for ks, _ in stages])[:-1])
+    c_sets = np.split(c, np.cumsum([count.sum() for count in counts])[:-1])
+    levels = [_transported_level(decomp, orbits, n, ks, b, count, c_set)
+              for n, (ks, b), count, c_set in zip(range(3, n_max + 1), stages, counts, c_sets)]
     return TowerResult(group, decomp, levels)
 
 
-def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, n: int,
-                       ks: np.ndarray, base_b: np.ndarray, orders: np.ndarray) -> TowerLevel:
+def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, n: int, ks: np.ndarray,
+                       base_b: np.ndarray, base_count: np.ndarray, base_c: np.ndarray) -> TowerLevel:
     """Stage n over every cycle: each class (ks[j], base_b[j]) over orbit ks[j]'s
-    first cycle, with its checked braid c set, conjugated onto the orbit;
-    `orders` is the group's element-order table."""
+    first cycle, with its checked braid c set, the j-th run of `base_c`,
+    `base_count[j]` handles long, conjugated onto the orbit."""
     group = decomp.group
     size = orbits.start[ks + 1] - orbits.start[ks]
     row_class = np.repeat(np.arange(ks.size), size)
@@ -535,14 +548,8 @@ def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, n: int,
     # the scanned classes unchanged
     orbit_rows = np.flatnonzero(pos == orbits.start[ks[row_class]])
     orbit_size = size[row_class[orbit_rows]]
-    ids = orbits.ids[orbits.start[ks]]
-    rows, flat = extend_to_braid(decomp, ids, base_b)
-    base_count = np.bincount(rows, minlength=ids.size)
-    failure = _c_set_failure(decomp, ids, base_b, flat, base_count, orders)
-    if failure:
-        raise VerificationError(failure)
     c_count = base_count[row_class]
     row = np.repeat(np.arange(row_class.size), c_count)
-    c = _conjugate(group, t[row], flat[_ranges((np.cumsum(base_count) - base_count)[row_class], c_count)])
+    c = _conjugate(group, t[row], base_c[_ranges((np.cumsum(base_count) - base_count)[row_class], c_count)])
     return TowerLevel(n, decomp, orbits.ids[pos], b[order], c[np.lexsort((c, row))], c_count,
                       orbit_rows, orbit_size)

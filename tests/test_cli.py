@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import pathlib
@@ -18,6 +19,7 @@ from braidrep.shift import Cycle
 from braidrep.verify import SUITE_NAMES, SuiteResult
 
 from conftest import golden_text
+from test_outputs import PINNED
 
 
 def run_cli(capsys, *argv):
@@ -236,6 +238,25 @@ def test_verify_budget_below_one_is_a_usage_error(capsys, monkeypatch, budget):
     assert code == 2
     assert out == ""
     assert f"error: relation-check budget must be at least 1, got {budget}" in err
+
+
+def test_a_reused_parser_carries_nothing_between_runs(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda fn=cli.build_parser: built.append(1) or fn())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert run_cli(capsys, "verify", "S4", "6", "--budget", "0")[0] == 2
+    code, out, _ = run_cli(capsys, "verify", "S4", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[("verify", "S4", "6")]
+    together = [run_cli(capsys, "tower", "S3", "4", "--count-only"),
+                run_cli(capsys, "tower", "S3", "4", "--format", "json")]
+    assert built == [1]
+    alone = []
+    for argv in (["--count-only"], ["--format", "json"]):
+        monkeypatch.setattr(cli, "_parser", None)
+        alone.append(run_cli(capsys, "tower", "S3", "4", *argv))
+    assert together == alone
+    assert all(code == 0 and out and not err for code, out, err in together)
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -138,7 +138,11 @@ def test_stage_scans_equal_the_per_class_scans(reference_tower, monkeypatch, cel
         assert b.shape[1] > 1 or np.unique(d.lengths[ids]).size > 1
         classes = list(zip(ids.tolist(), map(tuple, b.tolist())))
         assert _per_row(extend_step(d, ids, b), ids.size) == [_reference_step(d, i, row) for i, row in classes]
-        assert _per_row(extend_to_braid(d, ids, b), ids.size) == [_reference_c(d, i, row) for i, row in classes]
+        c_sets = _per_row(extend_to_braid(d, ids, b), ids.size)
+        assert c_sets == [_reference_c(d, i, row) for i, row in classes]
+        # identity columns, as a tower pads every stage to its last, change no c set
+        padded = np.pad(b, ((0, 0), (0, 2)), constant_values=d.group.identity)
+        assert _per_row(extend_to_braid(d, ids, padded), ids.size) == c_sets
 
 
 def test_stage_scans_of_no_rows_are_empty(s4):
@@ -477,7 +481,7 @@ def test_tower_refuses_a_doctored_scan(monkeypatch, capsys, spec, n, scan, cls, 
 # The benchmark's tracer wraps the three scans by module-level name, counts
 # their calls, and reads len() and bool() of what extend_to_K4 and
 # extend_to_braid return.
-def test_tower_scans_each_stage_once(monkeypatch, s4):
+def test_tower_scans_each_stage_once_and_c_once_per_tower(monkeypatch, s4):
     calls = Counter()
     for scan in ("extend_to_K4", "extend_step", "extend_to_braid"):
         def counted(*args, scan=scan, fn=getattr(extension, scan)):
@@ -486,7 +490,7 @@ def test_tower_scans_each_stage_once(monkeypatch, s4):
             return found
         monkeypatch.setattr(extension, scan, counted)
     compute_tower(s4, 6)
-    assert calls == {("extend_to_K4", tuple): 1, ("extend_step", tuple): 2, ("extend_to_braid", tuple): 4}
+    assert calls == {("extend_to_K4", tuple): 1, ("extend_step", tuple): 2, ("extend_to_braid", tuple): 1}
 
 
 # S4's stages 5 and 6 hold only the trivial class, S5's also others; the
