@@ -9,10 +9,13 @@ follows the convention that the RIGHT factor acts first, i.e. for
 permutations mul(g, h) is the composite "apply h, then g".
 
 S_r and SL(2, q) list their elements as digit rows in lex order and share one
-builder, `_lex_tables`: a key -> handle array, the table filled a block of
-rows at a time, and two rows with one key or a product that is no element a
-VerificationError.  A_r and the perfect core restrict a parent's table
-(`_restricted`) and are validated as Cayley tables.
+builder, `_lex_tables`: a key -> handle array, the first block of rows and
+the rows of a few generators computed from digits, every other row one
+gather of a generator's row by a known row (row_{g y} = row_g[row_y]), and
+two rows with one key or a product that is no element a VerificationError.
+A_r and the perfect core restrict a parent's table (`_restricted`) and are
+validated as Cayley tables; Light's test, like the other checks of a table,
+runs a block of rows at a time.
 
 Subgroups are closed one way only, by `_greedy_generators`: it walks out of the
 identity along the rows of the table at each new generator, the least
@@ -158,10 +161,19 @@ def _row_blocks(arr: np.ndarray):
 def _lex_tables(digits: np.ndarray, radix: int, row_product, inverse_digits: np.ndarray):
     """(mul_table, inv_table) of the group on the rows of `digits` (m x k, digits
     below `radix`; handle a is row a).  One array maps each row's base-`radix` key
-    to its handle.  The table is filled a block of rows (`_row_blocks`) at a
-    time: row_product(block) yields the k digit arrays (rows x m) of the
-    products in turn, digit j of a*b at [j][a - first row of the block, b].  Two
-    rows with one key, or a product or inverse that is no row, is an error."""
+    to its handle.  row_product(rows) yields the k digit arrays (len(rows) x m)
+    of the products in turn, digit j of a*b at [j][a's place in rows, b].
+
+    Only the first _TABLE_BLOCK_CELLS // m rows (one at least; all of them when
+    m <= 256) and the rows of some generators are computed from digits.  A generator is the
+    least element whose row is not yet known; every other row is found by
+    walking out of the known rows along the generators: x = g y has the row
+    row_g.take(row_y), as the concrete multiplication is associative.  A walk
+    stops when no generator reaches an unknown row, and the next generator is
+    drawn.  Every computed row is checked to hold elements only, so every
+    generator maps the enumerated set into itself, and every element is a
+    product of generators and computed rows: the set is closed.  Two rows with
+    one key, or a product or inverse that is no row, is an error."""
     m, k = digits.shape
     handle = np.full(radix ** k, -1, dtype=np.int32)
     key_type = np.int32 if radix ** k <= 1 << 31 else np.int64     # keys are below radix**k
@@ -174,15 +186,47 @@ def _lex_tables(digits: np.ndarray, radix: int, row_product, inverse_digits: np.
             key += d
         return key
 
+    def handles(columns):
+        found = handle[keys(columns)]
+        if found.min() < 0:
+            raise VerificationError("a product or inverse of enumerated elements is no element")
+        return found
+
     handle[keys(digits.T)] = np.arange(m, dtype=np.int32)
     if np.count_nonzero(handle >= 0) != m:
         raise VerificationError("two enumerated elements have the same key")
+    inv = handles(inverse_digits.T)
     table = np.empty((m, m), dtype=np.int32)
-    for lo, rows in _row_blocks(digits):
-        table[lo:lo + len(rows)] = handle[keys(row_product(rows))]
-    inv = handle[keys(inverse_digits.T)]
-    if table.min() < 0 or inv.min() < 0:
-        raise VerificationError("a product or inverse of enumerated elements is no element")
+    step = max(1, _TABLE_BLOCK_CELLS // m)
+    table[:step] = handles(row_product(digits[:step]))
+    known = np.zeros(m, dtype=bool)
+    known[:step] = True
+    gens: list[int] = []
+    # Reused for every block: fresh block-sized temporaries would each be
+    # page-faulted in anew.  Every index is a handle, so "clip" clips
+    # nothing; the default "raise" would copy `out` once more.
+    rows_y = np.empty((min(step, m), m), dtype=np.int32)
+    rows_x = np.empty_like(rows_y)
+    while not known.all():
+        g = int(np.argmax(~known))
+        table[g] = handles(row_product(digits[g:g + 1]))
+        known[g] = True
+        gens.append(g)
+        frontier = np.flatnonzero(known)
+        while frontier.size:
+            reached = []
+            for h in gens:
+                x = table[h].take(frontier)
+                fresh = ~known[x]
+                x, y = x[fresh], frontier[fresh]
+                known[x] = True
+                for lo in range(0, x.size, step):      # a block of rows at a time
+                    n = min(step, x.size - lo)
+                    np.take(table, y[lo:lo + n], axis=0, out=rows_y[:n], mode="clip")
+                    np.take(table[h], rows_y[:n], out=rows_x[:n], mode="clip")
+                    table[x[lo:lo + n]] = rows_x[:n]
+                reached.append(x)
+            frontier = np.concatenate(reached)
     return table, inv
 
 
@@ -431,13 +475,17 @@ def _greedy_generators(arr: np.ndarray, identity: int, candidates: np.ndarray, r
 def _check_associativity(arr: np.ndarray, identity: int) -> None:
     """Light's exact test of a Latin square with a two-sided identity: it is
     associative iff (xg)y = x(gy) for all x, y and every g of a generating set
-    (the greedy one of `_greedy_generators`)."""
+    (the greedy one of `_greedy_generators`).  Compares a block of rows x
+    (`_row_blocks`) at a time, so no m x m array is made; the first bad
+    (x, g, y) in row-major order is named."""
     m = len(arr)
     for g in _greedy_generators(arr, identity, np.ones(m, dtype=bool), np.zeros(m, dtype=bool)):
-        bad = np.argwhere(arr[arr[:, g]] != arr[:, arr[g]])
-        if bad.size:
-            x, y = bad[0]
-            raise UsageError(f"table is not associative at ({x}, {g}, {y})")
+        right = arr[g]
+        for lo, rows in _row_blocks(arr):
+            bad = np.argwhere(arr[rows[:, g]] != rows[:, right])
+            if bad.size:
+                x, y = bad[0]
+                raise UsageError(f"table is not associative at ({lo + x}, {g}, {y})")
 
 
 def _latin_identity(arr: np.ndarray) -> int:

@@ -7,9 +7,9 @@ sequence (a_0, ..., a_{p-1}) read cyclically; the p phases of that sequence
 are exactly the vertices on the cycle.
 
 `decompose` returns the decomposition as flat arrays: every cycle's sequence
-laid end to end (m^2 int32 handles), each cycle's offset, length and type, and
-the cycle through every vertex (m^2 int32 numbers).  It walks int32 vertex
-codes, which cannot wrap since m^2 <= MAX_TABLE_ENTRIES < 2^31.  `Cycle`
+laid end to end (m^2 int32 handles) and each cycle's offset, length and type.
+It walks int32 vertex codes, which cannot wrap since m^2 <= MAX_TABLE_ENTRIES
+< 2^31.  The cycle through every vertex (m^2 int32 numbers) and `Cycle`
 objects are built from the arrays on request.
 """
 from __future__ import annotations
@@ -80,9 +80,9 @@ class ShiftDecomposition:
     Cycle i's sequence is a_flat[offsets[i]:offsets[i] + lengths[i]], read from
     its lexicographically least vertex; is_type_I[i] says whether it touches
     the diagonal.  Cycles are numbered in lex order of their least vertex, and
-    _cycle_id holds the number of the cycle through every vertex code
-    a0 * m + a1.  `cycles` is the same data as Cycle objects, built on first
-    read; `cycle(i)` builds just one.
+    _cycle_id, built on its first read (by `cycle_index`), holds the number of
+    the cycle through every vertex code a0 * m + a1.  `cycles` is the same data
+    as Cycle objects, built on first read; `cycle(i)` builds just one.
     """
 
     group: FiniteGroup
@@ -91,11 +91,24 @@ class ShiftDecomposition:
     lengths: np.ndarray = field(repr=False)
     is_type_I: np.ndarray = field(repr=False)
     period_census: dict[int, int]
-    _cycle_id: np.ndarray = field(repr=False)
 
     @property
     def rep_count(self) -> int:
         return self.group.order ** 2
+
+    @cached_property
+    def _cycle_id(self) -> np.ndarray:
+        """The number of the cycle through every vertex code, int32: the codes
+        a_k * m + a_{k+1}, read cyclically within each cycle, rebuilt from
+        a_flat and scattered once."""
+        a, m = self.a_flat, self.group.order
+        last = self.offsets + self.lengths - 1
+        codes = a * m
+        codes[:-1] += a[1:]
+        codes[last] = a[last] * m + a[self.offsets]     # a cycle's last vertex wraps to its first a
+        cycle_id = np.empty(m * m, dtype=np.int32)
+        cycle_id[codes] = np.repeat(np.arange(self.lengths.size, dtype=np.int32), self.lengths)
+        return cycle_id
 
     def _cycles(self, mask: np.ndarray) -> list[Cycle]:
         """The cycles that `mask` selects, in order, as Cycle objects."""
@@ -167,13 +180,17 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
       through the flattened multiplication table; that is all it does.
 
     After the walk the flat array holds every cycle's vertex codes end to end.
-    The cycle through every vertex is read off it with one scatter, and it is
-    then divided by m in place, which leaves each code's a0: the a-sequences,
-    `a_flat`.  Each cycle's stored sequence starts at its lexicographically
-    least vertex.  Four facts are verified and raise VerificationError if
-    broken: the successor map is a bijection, the cycle lengths partition
-    |G|^2, there is exactly one fixed point, and the ordered product
-    a_0 a_1 ... a_{p-1} around every cycle is the identity.
+    It is divided by m in place, which leaves each code's a0: the
+    a-sequences, `a_flat`.  Each cycle's stored sequence starts at its
+    lexicographically least vertex.  A cycle is of type I when two
+    neighbours of its sequence, read cyclically, are equal; the positions of
+    such pairs are mapped to their cycles with one `searchsorted` over the
+    offsets.  The cycle through every vertex is not built here but on first
+    use (`ShiftDecomposition._cycle_id`), so `shift` never pays for it.
+    Four facts are verified and raise VerificationError if broken: the
+    successor map is a bijection, the cycle lengths partition |G|^2, there
+    is exactly one fixed point, and the ordered product a_0 a_1 ... a_{p-1}
+    around every cycle is the identity.
     """
     m = group.order
     mul_t, inv_t = group.tables()
@@ -230,16 +247,18 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
         raise VerificationError(
             f"cycle product is not the identity on the cycle through {divmod(int(bad.min()), m)}")
 
-    # the codes are laid out cycle by cycle, so cycle i owns vflat[offsets[i]:][:lengths[i]]
-    cycle_id = np.empty(m * m, dtype=np.int32)
-    cycle_id[vflat] = np.repeat(np.arange(n, dtype=np.int32), lengths)
+    # the codes are laid out cycle by cycle, so cycle i owns a_flat[offsets[i]:][:lengths[i]]
     a_flat = np.floor_divide(vflat, m, out=vflat)
 
-    # type I cycles are those through a diagonal vertex (a, a), code a * (m + 1)
+    # type I cycles are those through a diagonal vertex (a_k, a_{k+1}) with a_k = a_{k+1}
+    diagonal = np.empty(m * m, dtype=bool)
+    np.equal(a_flat[:-1], a_flat[1:], out=diagonal[:-1])
+    last = offsets + lengths - 1
+    diagonal[last] = a_flat[last] == a_flat[offsets]      # a cycle's last vertex wraps to its first a
     is_type_I = np.zeros(n, dtype=bool)
-    is_type_I[cycle_id[np.arange(m) * (m + 1)]] = True
+    is_type_I[np.searchsorted(offsets, np.flatnonzero(diagonal), side="right") - 1] = True
     period_census = {p: c for p, c in enumerate(census.tolist()) if c}
-    return ShiftDecomposition(group, a_flat, offsets, lengths, is_type_I, period_census, cycle_id)
+    return ShiftDecomposition(group, a_flat, offsets, lengths, is_type_I, period_census)
 
 
 def order2_cycle_shape(group: FiniteGroup, a: int) -> int:

@@ -5,6 +5,7 @@ import hashlib
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -137,6 +138,16 @@ def test_lex_tables_refuses_a_product_that_is_no_element():
         _lex_tables(rows, 3, lambda X: [X[:, col] for col in rows.T], np.argsort(rows, axis=1))
 
 
+@pytest.mark.parametrize("block_rows", [1, 2])
+def test_lex_tables_walk_refuses_a_generator_row_that_is_no_element(monkeypatch, block_rows):
+    # only the first block_rows rows are computed as a block; the rest come from generators
+    monkeypatch.setattr(groups, "_TABLE_BLOCK_CELLS", block_rows * 5)
+    P = np.array(SymmetricGroup(3).perms) - 1
+    rows = P[:-1]                        # S3 without (3 2 1): not closed
+    with pytest.raises(VerificationError, match="no element"):
+        _lex_tables(rows, 3, lambda X: [X[:, col] for col in rows.T], np.argsort(rows, axis=1))
+
+
 def test_lex_tables_refuses_rows_with_one_key():
     P = np.array(SymmetricGroup(3).perms) - 1
     rows = np.concatenate([P, P[:1]])        # the identity row twice
@@ -186,8 +197,8 @@ def _reference_tables(group):
 
 
 @pytest.mark.parametrize("rows", [None, 1, 3], ids=["default-block", "one-row", "three-rows"])
-@pytest.mark.parametrize("spec", ["S1", "S2", "S3", "S4", "S5",
-                                  "SL2(2)", "SL2(3)", "SL2(4)", "SL2(5)", "SL2(8)", "SL2(9)"])
+@pytest.mark.parametrize("spec", ["S1", "S2", "S3", "S4", "S5", "S6",
+                                  "SL2(2)", "SL2(3)", "SL2(4)", "SL2(5)", "SL2(8)", "SL2(9)", "SL2(11)"])
 def test_block_table_build_matches_the_row_by_row_builder(monkeypatch, spec, rows):
     group = parse_group_spec(spec)
     if rows is not None:
@@ -503,6 +514,33 @@ def test_cayley_table_rejects_large_nonassociative_latin_square():
     table = (x[:, None] + x[None, :]) % 1000
     table[np.ix_([1, 501], [2, 502])] = table[np.ix_([1, 501], [502, 2])]
     with pytest.raises(UsageError, match="associative"):
+        CayleyTableGroup(table)
+
+
+def _first_nonassociative(arr, identity):
+    """The message of Light's test as whole m x m arrays gave it."""
+    m = len(arr)
+    for g in groups._greedy_generators(arr, identity, np.ones(m, dtype=bool), np.zeros(m, dtype=bool)):
+        bad = np.argwhere(arr[arr[:, g]] != arr[:, arr[g]])
+        if bad.size:
+            return f"table is not associative at ({bad[0][0]}, {g}, {bad[0][1]})"
+    return None
+
+
+@pytest.mark.parametrize("cells", [None, 1, 7], ids=["default-block", "one-row", "seven-rows"])
+@pytest.mark.parametrize("i, k", [(1, 2), (3, 7), (149, 151), (299, 1), (10, 299), (280, 290)])
+def test_light_test_in_row_blocks_names_the_first_bad_triple(monkeypatch, cells, i, k):
+    # Z300 with the intercalate of rows i, i + 150 and columns k, k + 150 (mod
+    # 300) swapped: a Latin square with a two-sided identity, not associative
+    x = np.arange(300)
+    table = (x[:, None] + x[None, :]) % 300
+    rows, cols = [i, (i + 150) % 300], [k, (k + 150) % 300]
+    table[np.ix_(rows, cols)] = table[np.ix_(rows, cols[::-1])]
+    expected = _first_nonassociative(table, 0)
+    assert expected is not None
+    if cells is not None:
+        monkeypatch.setattr(groups, "_TABLE_BLOCK_CELLS", cells * 300)
+    with pytest.raises(UsageError, match=f"^{re.escape(expected)}$"):
         CayleyTableGroup(table)
 
 

@@ -1,6 +1,7 @@
 """Successor dynamics on G x G: cycles, censuses, phases."""
 from __future__ import annotations
 
+import io
 import signal
 import tracemalloc
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidrep import groups
+from braidrep import groups, report
 from braidrep.errors import VerificationError
 from braidrep.groups import SL2, AbelianProduct, CayleyTableGroup, SymmetricGroup, parse_group_spec
 from braidrep.shift import (
@@ -19,7 +20,8 @@ from braidrep.shift import (
     successor,
 )
 
-from conftest import per_vertex_walk, relabelled
+from conftest import per_vertex_walk, relabelled, s3_x_z6
+from test_groups import BACKENDS
 
 
 def test_successor_examples(s3):
@@ -124,6 +126,26 @@ def test_decompose_equals_per_vertex_walk(name):
     assert list(d.period_census.items()) == list(census.items())
     codes = np.arange(group.order ** 2)
     assert d.cycle_index(codes // group.order, codes % group.order).tolist() == cycle_index
+
+
+@pytest.mark.parametrize("group", [*BACKENDS, parse_group_spec("Z300"), relabelled(s3_x_z6(), 2)],
+                         ids=lambda g: g.name)
+def test_types_and_lazy_cycle_map_equal_per_vertex_walk(group):
+    cycles, _, cycle_index = per_vertex_walk(group)
+    d = decompose(group)
+    assert "_cycle_id" not in vars(d)
+    assert d.is_type_I.tolist() == [c.cycle_type == "I" for c in cycles]
+    assert d._cycle_id.dtype == np.int32
+    assert d._cycle_id.tolist() == cycle_index
+
+
+@pytest.mark.parametrize("write", [lambda d: report.shift_to_json(d, io.StringIO()),
+                                   report.shift_to_csv, report.decomposition_to_dot],
+                         ids=["json", "csv", "dot"])
+def test_shift_documents_build_no_cycle_map(write):
+    d = decompose(SymmetricGroup(4))
+    write(d)
+    assert "_cycle_id" not in vars(d)
 
 
 def test_decompose_rejects_a_successor_map_that_is_not_a_bijection(monkeypatch):
