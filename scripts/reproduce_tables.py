@@ -42,11 +42,10 @@ def main() -> None:
     s4 = SymmetricGroup(4)
     d4 = decompose(s4)
     print("\n".join(paper_shift_lines(d4, type2_only=True)))
-    type1 = d4.type_I()
-    type2 = d4.type_II()
+    type1, type2 = d4.is_type_I, ~d4.is_type_I
     print()
-    print(f"type-I:  {len(type1)} cycles, {sum(c.length for c in type1)} representations")
-    print(f"type-II: {len(type2)} cycles, {sum(c.length for c in type2)} representations")
+    print(f"type-I:  {type1.sum()} cycles, {d4.lengths[type1].sum()} representations")
+    print(f"type-II: {type2.sum()} cycles, {d4.lengths[type2].sum()} representations")
     print(f"total:   {d4.lengths.sum()} representations")
 
     banner("Nontrivial b3 extensions over S4 (n = 4, r = 4)")

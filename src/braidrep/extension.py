@@ -156,9 +156,11 @@ def extend_to_K4(decomp: ShiftDecomposition, ids) -> tuple[np.ndarray, np.ndarra
 
 
 def extend_step(decomp: ShiftDecomposition, ids, b) -> tuple[np.ndarray, np.ndarray]:
-    """Every admissible nontrivial image of the next generator above each class
-    (cycle ids[k], b[k]), b a (len(ids), n - 3) array of images with n >= 4, as
-    (rows, images) sorted by (row, image)."""
+    """Every admissible image of the next generator above each class (cycle
+    ids[k], b[k]), b a (len(ids), n - 3) array of images with n >= 4, as
+    (rows, images) sorted by (row, image).  The identity passes a_k e = e
+    a_{k+1} only on the one constant cycle, (e, e), and the braid with the
+    previous image only when that is e: on a tower, only the trivial class."""
     ids, b = _scan_input(decomp, ids, b)
     if not b.shape[1]:
         raise UsageError("extend_step starts from stage 4; use extend_to_K4 below that")
@@ -178,8 +180,7 @@ def extend_step(decomp: ShiftDecomposition, ids, b) -> tuple[np.ndarray, np.ndar
             keep = flat[a[k][r] * m + c] == flat[c * m + a[k + 1][r]]
             r, c = r[keep], c[keep]
         r, c = _commuting(flat, m, b[rows, :-1], r, c)
-        keep = c != decomp.group.identity
-        found.append((rows[r[keep]], c[keep]))
+        found.append((rows[r], c))
     return _by_row(found)
 
 
@@ -501,10 +502,6 @@ def compute_tower(
             rows, found = extend_to_K4(decomp, ids)
         else:
             rows, found = extend_step(decomp, ids, b)
-            # the trivial class extends only by the identity, which the scan leaves out
-            trivial = np.flatnonzero(is_trivial_class(decomp, ids, b))
-            at = np.searchsorted(rows, trivial)
-            rows, found = np.insert(rows, at, trivial), np.insert(found, at, e)
         ks, b = ks[rows], np.column_stack([b[rows], found])
         if n == 4 and not np.bincount(ks[b[:, 0] == e], minlength=first.size).all():
             raise VerificationError("identity is always an admissible b3 but was not found")

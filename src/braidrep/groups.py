@@ -1,12 +1,12 @@
 """Finite group backends with a uniform integer-element interface.
 
-Elements of a group of order m are the integers 0..m-1.  Every backend fixes
-the meaning of an index (for symmetric groups: 1-based position in the
-lexicographic enumeration minus one) and builds the m x m multiplication
-table and the inverse table once, at construction, in its `_build_tables`;
-mul/inv and everything else are lookups into those tables.  Multiplication
-follows the convention that the RIGHT factor acts first, i.e. for
-permutations mul(g, h) is the composite "apply h, then g".
+Elements of a group of order m are the integers 0..m-1 and have no other
+name.  Every backend fixes the meaning of an index (for symmetric groups:
+1-based position in the lexicographic enumeration minus one) and builds the
+m x m multiplication table and the inverse table once, at construction, in
+its `_build_tables`; mul/inv and everything else are lookups into those
+tables.  Multiplication follows the convention that the RIGHT factor acts
+first, i.e. for permutations mul(g, h) is the composite "apply h, then g".
 
 S_r and SL(2, q) list their elements as digit rows in lex order and share one
 builder, `_lex_tables`: a key -> handle array, the first block of rows and
@@ -111,10 +111,6 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def label(self, a: int) -> str:
-        """Human-readable name for one element (backends may override)."""
-        return str(self.check_element(a))
 
     def check_element(self, a: int) -> int:
         if not (isinstance(a, (int, np.integer)) and 0 <= a < self.order):
@@ -260,25 +256,6 @@ def lex_unrank(rank: int, r: int) -> tuple[int, ...]:
     return tuple(pool.pop(d) for d in digits)
 
 
-def _cycle_notation(images: tuple[int, ...]) -> str:
-    r = len(images)
-    seen = [False] * r
-    parts = []
-    for start in range(1, r + 1):
-        if seen[start - 1]:
-            continue
-        cyc = [start]
-        seen[start - 1] = True
-        nxt = images[start - 1]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt - 1] = True
-            nxt = images[nxt - 1]
-        if len(cyc) > 1:
-            parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) if parts else "()"
-
-
 class SymmetricGroup(FiniteGroup):
     """S_r on handles 0..r!-1 in lexicographic order of image tuples."""
 
@@ -318,9 +295,6 @@ class SymmetricGroup(FiniteGroup):
                 length += 1
             par ^= (length - 1) & 1
         return par
-
-    def label(self, a: int) -> str:
-        return _cycle_notation(self.perms[self.check_element(a)])
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
         # 0-based image rows; for x = P[a], x[P[b]] is "apply b, then a"
@@ -385,10 +359,6 @@ class SL2(FiniteGroup):
         self.identity = int(np.flatnonzero((self.mats == (1, 0, 0, 1)).all(axis=1))[0])
         self._set_tables(*self._build_tables())
 
-    def label(self, x: int) -> str:
-        a, b, c, d = self.mats[self.check_element(x)].tolist()
-        return f"[[{a},{b}],[{c},{d}]]"
-
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
         add, mul, neg = self._field
         q, plus = self.q, add.ravel()                                   # plus[x * q + y] = x + y
@@ -427,10 +397,6 @@ class AbelianProduct(FiniteGroup):
             out.append(a % k)
             a //= k
         return tuple(reversed(out))
-
-    def label(self, a: int) -> str:
-        a = self.check_element(a)
-        return "(" + ",".join(map(str, self.digits(a))) + ")" if len(self.moduli) > 1 else str(a)
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
         # digit-wise sums, re-encoded in the same mixed radix; a loop, as numpy's
@@ -509,7 +475,7 @@ def _latin_identity(arr: np.ndarray) -> int:
 class CayleyTableGroup(FiniteGroup):
     """Group given by an explicit multiplication table (validated on construction)."""
 
-    def __init__(self, table, name: str = "table", labels: list[str] | None = None):
+    def __init__(self, table, name: str = "table"):
         m = len(table)
         _bounded_order(name, (m,))
         try:
@@ -529,12 +495,6 @@ class CayleyTableGroup(FiniteGroup):
         self.name = name
         self.order = m
         self._set_tables(*self._build_tables(arr))
-        self._labels = list(labels) if labels is not None else None
-        if self._labels is not None and len(self._labels) != m:
-            raise UsageError("labels length must match group order")
-
-    def label(self, a: int) -> str:
-        return super().label(a) if self._labels is None else self._labels[self.check_element(a)]
 
     def _build_tables(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The validated table itself, with the inverses read off it a block of
@@ -593,16 +553,15 @@ def load_cayley_table(path: str) -> CayleyTableGroup:
 
 def _restricted(group: FiniteGroup, elems: list[int], name: str) -> CayleyTableGroup:
     """The subgroup on the sorted handles `elems`, reindexed 0..k-1 in that
-    order, as a validated table group that keeps the parent's labels."""
+    order, as a validated table group."""
     mul_t, _ = group.tables()
     handle = np.full(group.order, -1, dtype=np.int32)     # a product outside `elems` fails validation
     handle[elems] = np.arange(len(elems), dtype=np.int32)
-    return CayleyTableGroup(handle[mul_t[np.ix_(elems, elems)]], name=name,
-                            labels=[group.label(g) for g in elems])
+    return CayleyTableGroup(handle[mul_t[np.ix_(elems, elems)]], name=name)
 
 
 def alternating_group(r: int) -> CayleyTableGroup:
-    """A_r as an explicit-table group (element labels keep the cycle notation)."""
+    """A_r as an explicit-table group on the even permutations, in S_r's order."""
     S = SymmetricGroup(r)
     return _restricted(S, [g for g in S.elements() if S.parity(g) == 0], f"A{r}")
 

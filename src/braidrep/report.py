@@ -2,7 +2,8 @@
 
 Bracket notation and CSV display element handles 1-based (for symmetric groups
 that is the lexicographic rank of the permutation); JSON carries the internal
-0-based handles and says so in its "indexing" field.
+0-based handles and says so in its "indexing" field.  Every shift listing
+reads the decomposition's arrays, a block of `_BLOCK` cycles at a time.
 
 The shift and tower JSON documents are written straight from the
 decomposition's and the tower's arrays, as exactly the text
@@ -31,11 +32,9 @@ import numpy as np
 from .errors import UsageError
 from .extension import TowerLevel, TowerResult, _ranges, compute_tower
 from .groups import FiniteGroup, parse_group_spec
-from .shift import Cycle, ShiftDecomposition, decompose
+from .shift import ShiftDecomposition, decompose
 
 __all__ = [
-    "bracket_word",
-    "cycle_stanza",
     "paper_shift_lines",
     "stage4_b3_block",
     "paper_tower_lines",
@@ -57,28 +56,31 @@ TOWER_SCHEMA = "braidrep.tower.v1"
 # bracket notation
 # ---------------------------------------------------------------------------
 
-def bracket_word(cycle: Cycle) -> list[int]:
-    """The cycle's sequence rotated to end on its representative, 1-based."""
-    p = cycle.length
-    k = 2 % p
-    rotated = cycle.a_seq[k:] + cycle.a_seq[:k]
-    return [x + 1 for x in rotated]
-
-
-def cycle_stanza(cycle: Cycle) -> list[str]:
-    i, j = cycle.rep_vertex
-    word = ", ".join(str(x) for x in bracket_word(cycle))
-    return [f"B[{i + 1}, {j + 1}] = [{word}]", "", str(cycle.length)]
+def _bracket_rows(decomp: ShiftDecomposition, ids: np.ndarray, sep: str) -> Iterator[tuple[str, str, int, bool, str]]:
+    """Each cycle of `ids` as (a0, a1, length, type I, word), read a block of
+    `_BLOCK` cycles at a time: (a0, a1) is its rep vertex, 1-based, and the
+    word its a-sequence rotated left by 2 mod p, so that it ends on the rep
+    vertex, 1-based and joined by `sep`."""
+    names = np.array([str(h + 1) for h in range(decomp.group.order)], dtype=object)
+    for i in range(0, ids.size, _BLOCK):
+        block = ids[i:i + _BLOCK]
+        p = decomp.lengths[block]
+        a0, a1 = decomp.rep_vertices(block)
+        k = _ranges(np.zeros_like(p), p)            # each position's place in its cycle
+        word = names[decomp.a_flat[np.repeat(decomp.offsets[block], p) + (k + 2) % np.repeat(p, p)]].tolist()
+        ends = np.cumsum(p).tolist()
+        yield from zip(names[a0].tolist(), names[a1].tolist(), p.tolist(), decomp.is_type_I[block].tolist(),
+                       (sep.join(word[s:e]) for s, e in zip([0, *ends], ends)))
 
 
 def paper_shift_lines(decomp: ShiftDecomposition, *, type2_only: bool = False) -> list[str]:
-    cycles = decomp.type_II() if type2_only else decomp.cycles
+    """A stanza per cycle, or per type II cycle: `B[a0, a1] = [word]`, a blank
+    line and the length, stanzas separated by a blank line."""
+    ids = np.flatnonzero(~decomp.is_type_I) if type2_only else np.arange(decomp.lengths.size)
     lines: list[str] = []
-    for cycle in cycles:
-        if lines:
-            lines.append("")
-        lines.extend(cycle_stanza(cycle))
-    return lines
+    for i, j, p, _, word in _bracket_rows(decomp, ids, ", "):
+        lines += ["", f"B[{i}, {j}] = [{word}]", "", str(p)]
+    return lines[1:]
 
 
 def stage4_b3_block(tower: TowerResult) -> list[str]:
@@ -304,10 +306,8 @@ def shift_to_csv(decomp: ShiftDecomposition) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["cycle", "a0", "a1", "length", "type", "word"])
-    for k, cycle in enumerate(decomp.cycles):
-        i, j = cycle.rep_vertex
-        w.writerow([k, i + 1, j + 1, cycle.length, cycle.cycle_type,
-                    " ".join(str(x) for x in bracket_word(cycle))])
+    w.writerows([k, i, j, p, "I" if type_I else "II", word] for k, (i, j, p, type_I, word)
+                in enumerate(_bracket_rows(decomp, np.arange(decomp.lengths.size), " ")))
     return buf.getvalue()
 
 
@@ -333,20 +333,25 @@ def tower_to_csv(tower: TowerResult) -> str:
 # DOT
 # ---------------------------------------------------------------------------
 
-_TYPE_COLOR = {"I": "lightblue", "II": "khaki"}
-
-
 def decomposition_to_dot(decomp: ShiftDecomposition) -> str:
-    """The successor graph with one node per vertex, cycles colored by type."""
+    """The successor graph, cycles colored by type: each cycle's nodes, its
+    vertex codes a_k * m + a_{k+1} from its rep vertex, then its edges."""
     m = decomp.group.order
     out = ["digraph shift {", "  rankdir=LR;"]
-    for cycle in decomp.cycles:
-        color = _TYPE_COLOR[cycle.cycle_type]
-        verts = cycle.vertices()
-        for x, y in verts:
-            out.append(f'  v{x * m + y} [label="({x + 1},{y + 1})" style=filled fillcolor={color}];')
-        for k, (x, y) in enumerate(verts):
-            nx, ny = verts[(k + 1) % len(verts)]
-            out.append(f"  v{x * m + y} -> v{nx * m + ny};")
+    for i in range(0, decomp.lengths.size, _BLOCK):
+        p = decomp.lengths[i:i + _BLOCK]
+        codes = decomp._vertex_codes(i, i + _BLOCK)
+        ends = np.cumsum(p)
+        succ = np.roll(codes, -1)
+        succ[ends - 1] = codes[ends - p]            # a cycle's last vertex goes to its first
+        x, y = np.divmod(codes, m)
+        color = np.repeat(np.where(decomp.is_type_I[i:i + _BLOCK], "lightblue", "khaki"), p)
+        codes = codes.tolist()
+        nodes = [f'  v{v} [label="({a},{b})" style=filled fillcolor={c}];'
+                 for v, a, b, c in zip(codes, (x + 1).tolist(), (y + 1).tolist(), color.tolist())]
+        edges = [f"  v{v} -> v{w};" for v, w in zip(codes, succ.tolist())]
+        for s, e in zip((ends - p).tolist(), ends.tolist()):
+            out += nodes[s:e]
+            out += edges[s:e]
     out.append("}")
     return "\n".join(out)

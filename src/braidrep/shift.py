@@ -9,8 +9,9 @@ are exactly the vertices on the cycle.
 `decompose` returns the decomposition as flat arrays: every cycle's sequence
 laid end to end (m^2 int32 handles) and each cycle's offset, length and type.
 It walks int32 vertex codes, which cannot wrap since m^2 <= MAX_TABLE_ENTRIES
-< 2^31.  The cycle through every vertex (m^2 int32 numbers) and `Cycle`
-objects are built from the arrays on request.
+< 2^31.  Every writer reads those arrays.  The cycle through every vertex (m^2
+int32 numbers) and `Cycle` objects are built from them on request, and no
+command builds a `Cycle`.
 """
 from __future__ import annotations
 
@@ -65,13 +66,6 @@ class Cycle:
     def rep_vertex(self) -> Vertex:
         return (self.a_seq[0], self.a_seq[1 % self.length])
 
-    def vertex(self, k: int) -> Vertex:
-        p = self.length
-        return (self.a_seq[k % p], self.a_seq[(k + 1) % p])
-
-    def vertices(self) -> list[Vertex]:
-        return [self.vertex(k) for k in range(self.length)]
-
 
 @dataclass(eq=False)
 class ShiftDecomposition:
@@ -82,7 +76,8 @@ class ShiftDecomposition:
     the diagonal.  Cycles are numbered in lex order of their least vertex, and
     _cycle_id, built on its first read (by `cycle_index`), holds the number of
     the cycle through every vertex code a0 * m + a1.  `cycles` is the same data
-    as Cycle objects, built on first read; `cycle(i)` builds just one.
+    as Cycle objects, built on first read; `cycle(i)`, `cycle_at`,
+    `trivial_cycle` and `phase_of` build just one.
     """
 
     group: FiniteGroup
@@ -96,33 +91,35 @@ class ShiftDecomposition:
     def rep_count(self) -> int:
         return self.group.order ** 2
 
+    def _vertex_codes(self, lo: int, hi: int) -> np.ndarray:
+        """The vertex codes a_k * m + a_{k+1} of cycles lo..hi-1, each read
+        cyclically, laid end to end as int32."""
+        offsets, lengths = self.offsets[lo:hi], self.lengths[lo:hi]
+        start = int(offsets[0])
+        a = self.a_flat[start:int(offsets[-1] + lengths[-1])]
+        first = offsets - start
+        last = first + lengths - 1
+        codes = a * self.group.order
+        codes[:-1] += a[1:]
+        codes[last] = a[last] * self.group.order + a[first]     # a cycle's last vertex wraps to its first a
+        return codes
+
     @cached_property
     def _cycle_id(self) -> np.ndarray:
-        """The number of the cycle through every vertex code, int32: the codes
-        a_k * m + a_{k+1}, read cyclically within each cycle, rebuilt from
-        a_flat and scattered once."""
-        a, m = self.a_flat, self.group.order
-        last = self.offsets + self.lengths - 1
-        codes = a * m
-        codes[:-1] += a[1:]
-        codes[last] = a[last] * m + a[self.offsets]     # a cycle's last vertex wraps to its first a
+        """The number of the cycle through every vertex code, int32, scattered
+        once over the codes of every cycle."""
+        m, n = self.group.order, self.lengths.size
         cycle_id = np.empty(m * m, dtype=np.int32)
-        cycle_id[codes] = np.repeat(np.arange(self.lengths.size, dtype=np.int32), self.lengths)
+        cycle_id[self._vertex_codes(0, n)] = np.repeat(np.arange(n, dtype=np.int32), self.lengths)
         return cycle_id
-
-    def _cycles(self, mask: np.ndarray) -> list[Cycle]:
-        """The cycles that `mask` selects, in order, as Cycle objects."""
-        lengths = self.lengths[mask]
-        ends = np.cumsum(lengths)
-        # one shared int object per element, so the sequences hold m ints, not m^2
-        handles = np.array(range(self.group.order), dtype=object)
-        seq = tuple(handles[self.a_flat[np.repeat(mask, self.lengths)]].tolist())
-        return [Cycle(seq[i:j], "I" if t else "II")
-                for i, j, t in zip((ends - lengths).tolist(), ends.tolist(), self.is_type_I[mask].tolist())]
 
     @cached_property
     def cycles(self) -> list[Cycle]:
-        return self._cycles(np.ones(self.lengths.size, dtype=bool))
+        # one shared int object per element, so the sequences hold m ints, not m^2
+        handles = np.array(range(self.group.order), dtype=object)
+        seq = tuple(handles[self.a_flat].tolist())
+        return [Cycle(seq[i:i + p], "I" if t else "II")
+                for i, p, t in zip(self.offsets.tolist(), self.lengths.tolist(), self.is_type_I.tolist())]
 
     def rep_vertices(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The least vertex (a0, a1) of each cycle in `ids`, as two arrays."""
@@ -140,12 +137,6 @@ class ShiftDecomposition:
         e = self.group.identity
         return self.cycle_at((e, e))
 
-    def type_II(self) -> list[Cycle]:
-        return self._cycles(~self.is_type_I)
-
-    def type_I(self) -> list[Cycle]:
-        return self._cycles(self.is_type_I)
-
     def cycle_at(self, v: Vertex) -> Cycle:
         a0 = self.group.check_element(v[0])
         a1 = self.group.check_element(v[1])
@@ -156,8 +147,12 @@ class ShiftDecomposition:
         return self._cycle_id[a0 * self.group.order + a1]
 
     def phase_of(self, v: Vertex) -> tuple[Cycle, int]:
+        """The cycle through v and the k at which its vertex (a_k, a_{k+1}),
+        read cyclically, is v."""
         cycle = self.cycle_at(v)
-        return cycle, cycle.vertices().index((int(v[0]), int(v[1])))
+        i = int(self.cycle_index(v[0], v[1]))
+        codes = self._vertex_codes(i, i + 1)
+        return cycle, int(np.flatnonzero(codes == v[0] * self.group.order + v[1])[0])
 
 
 def decompose(group: FiniteGroup) -> ShiftDecomposition:

@@ -48,7 +48,7 @@ def _reference_b3(d, i):
 
 
 def _reference_step(d, i, b):
-    """All admissible nontrivial images of the next generator above (cycle i, b), sorted."""
+    """All admissible images of the next generator above (cycle i, b), sorted."""
     mul_t, a = d.group.tables()[0], _a_seq(d, i)
     p, last, cand = len(a), b[-1], np.arange(d.group.order)
     cand = cand[mul_t[mul_t[cand, last], cand] == mul_t[mul_t[last, cand], last]]
@@ -58,7 +58,7 @@ def _reference_step(d, i, b):
         cand = cand[mul_t[a[m], cand] == mul_t[cand, a[(m + 1) % p]]]
     for bj in b[:-1]:
         cand = cand[mul_t[bj, cand] == mul_t[cand, bj]]
-    return cand[cand != d.group.identity].tolist()
+    return cand.tolist()
 
 
 def _reference_c(d, i, b):

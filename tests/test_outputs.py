@@ -47,6 +47,17 @@ PINNED = {
         "74f5b2a901a6d2d199e81c45622116e502956c624526b7fa654681b6c0370755",
     ("verify", "S5", "6"):
         "df1166f50adb147e667aafd0a1e736355d614a22e4aabe1712bd2f7a9ba90d11",
+    # paper stanzas byte for byte; SL2(3)'s identity handle is not 0; S1 is one cycle of period 1
+    ("shift", "S4"):
+        "69139fed6d0b261b5bb25a3a377f9b089d94cd642d3587c225b3b380a0601398",
+    ("shift", "S4", "--type2"):
+        "2a66de11292afd336232ccae6ea4e66d60005baf62ec1c44f9604507adcc5ac8",
+    ("shift", "SL2(3)", "--format", "csv"):
+        "2b51f2b69d96d9f2741ab38ad88652f95b2166a8aa496b10c645fcc4ba7fc6e8",
+    ("shift", "SL2(3)", "--format", "dot"):
+        "e9d432e03aefde6e523b1094f92ca94b19203005c2e6c3470262ac7d95467d3f",
+    ("shift", "S1", "--format", "dot"):
+        "d7317d77e95ff4e38dfd12b52f01d26d57f68b0c0f3301206b2110f24a6c3b2d",
 }
 
 

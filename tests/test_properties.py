@@ -1,12 +1,15 @@
 """Randomised invariants across backends."""
 from __future__ import annotations
 
+import csv
+import io
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidrep.analysis import abelian_cycle_length
 from braidrep.groups import SL2, AbelianProduct, SymmetricGroup, alternating_group, element_order
-from braidrep.report import bracket_word
+from braidrep.report import paper_shift_lines, shift_to_csv
 from braidrep.shift import decompose, predecessor, successor
 
 GROUPS = [
@@ -81,9 +84,15 @@ def test_element_order_divides_group_order(data):
 @given(st.sampled_from([g for g in GROUPS if g.order <= 24]), st.data())
 def test_bracket_word_is_a_rotation(group, data):
     d = decompose(group)
-    c = data.draw(st.sampled_from(d.cycles))
-    word = bracket_word(c)
+    i = data.draw(st.integers(min_value=0, max_value=d.lengths.size - 1))
+    c = d.cycle(i)
+    row = list(csv.reader(io.StringIO(shift_to_csv(d))))[1 + i]
+    word = [int(x) for x in row[5].split()]
     assert sorted(word) == sorted(x + 1 for x in c.a_seq)
     p = c.length
     k = 2 % p
     assert word == [x + 1 for x in c.a_seq[k:] + c.a_seq[:k]]
+    # the paper stanza carries the same word and ends on its rep vertex
+    i0, i1 = c.rep_vertex
+    assert word[-2:] == [i0 + 1, i1 + 1][:p]
+    assert paper_shift_lines(d)[4 * i] == f"B[{i0 + 1}, {i1 + 1}] = [{', '.join(map(str, word))}]"

@@ -16,8 +16,6 @@ from braidrep.report import (
     _CHUNK,
     SHIFT_SCHEMA,
     TOWER_SCHEMA,
-    bracket_word,
-    cycle_stanza,
     decomposition_to_dot,
     normalize_tokens,
     paper_shift_lines,
@@ -42,9 +40,11 @@ from conftest import golden_text, level_rows, per_vertex_walk, relabelled
 
 def test_bracket_word_examples(s3):
     d = decompose(s3)
-    assert bracket_word(d.trivial_cycle) == [1]
-    assert bracket_word(d.cycle_at((3, 4))) == [4, 5]
-    word = bracket_word(d.cycle_at((1, 2)))
+    rows = list(csv.reader(io.StringIO(shift_to_csv(d))))[1:]
+    words = [[int(x) for x in row[5].split()] for row in rows]
+    assert words[int(d.cycle_index(s3.identity, s3.identity))] == [1]
+    assert words[int(d.cycle_index(3, 4))] == [4, 5]
+    word = words[int(d.cycle_index(1, 2))]
     assert len(word) == 9
     # display indices are 1-based: the word ends on the representative pair
     assert word[-2:] == [2, 3]
@@ -52,8 +52,12 @@ def test_bracket_word_examples(s3):
 
 def test_cycle_stanza_shape(s3):
     d = decompose(s3)
-    stanza = cycle_stanza(d.cycle_at((3, 4)))
-    assert stanza == ["B[4, 5] = [4, 5]", "", "2"]
+    lines = paper_shift_lines(d)
+    # one three-line stanza per cycle, in cycle order, a blank line between two
+    assert len(lines) == 4 * d.lengths.size - 1
+    assert set(lines[3::4]) == {""}
+    stanzas = [lines[k:k + 3] for k in range(0, len(lines), 4)]
+    assert stanzas[int(d.cycle_index(3, 4))] == ["B[4, 5] = [4, 5]", "", "2"]
 
 
 def test_type_ii_block_matches_golden_s3(s3):
@@ -184,8 +188,7 @@ def test_cycle_views_equal_the_per_vertex_walk(document_tower):
     cycles, _, _ = per_vertex_walk(d.group)
     assert d.cycles == cycles
     assert [d.cycle(i) for i in range(d.lengths.size)] == cycles
-    assert d.type_I() == [c for c in cycles if c.cycle_type == "I"]
-    assert d.type_II() == [c for c in cycles if c.cycle_type == "II"]
+    assert d.is_type_I.tolist() == [c.cycle_type == "I" for c in cycles]
     assert d.a_flat.dtype == np.int32 and d.a_flat.size == m * m
     assert (d.offsets == np.cumsum(d.lengths) - d.lengths).all()
     assert d.lengths.sum() == m * m

@@ -24,6 +24,12 @@ from conftest import per_vertex_walk, relabelled, s3_x_z6
 from test_groups import BACKENDS
 
 
+def _vertices(c):
+    """The vertices (a_k, a_{k+1}) of a Cycle, k = 0..p-1, read cyclically."""
+    p = c.length
+    return [(c.a_seq[k], c.a_seq[(k + 1) % p]) for k in range(p)]
+
+
 def test_successor_examples(s3):
     e = s3.identity
     a = s3.index_of((2, 3, 1))  # the 3-cycle (1 2 3)
@@ -61,9 +67,9 @@ def test_decompose_s3(s3):
     d = decompose(s3)
     assert d.rep_count == 36
     assert d.period_census == {1: 1, 2: 1, 3: 3, 6: 1, 9: 2}
-    assert len(d.type_I()) == 5
-    assert sum(c.length for c in d.type_I()) == 16
-    assert {c.rep_vertex: c.length for c in d.type_II()} == {(1, 2): 9, (1, 3): 9, (3, 4): 2}
+    assert int(d.is_type_I.sum()) == 5
+    assert int(d.lengths[d.is_type_I].sum()) == 16
+    assert {c.rep_vertex: c.length for c in d.cycles if c.cycle_type == "II"} == {(1, 2): 9, (1, 3): 9, (3, 4): 2}
     assert d.trivial_cycle.length == 1
 
 
@@ -99,7 +105,7 @@ def test_cycles_partition_the_vertex_set(group):
     d = decompose(group)
     seen = set()
     for c in d.cycles:
-        for v in c.vertices():
+        for v in _vertices(c):
             assert v not in seen
             seen.add(v)
     assert len(seen) == group.order ** 2
@@ -216,7 +222,8 @@ def test_decompose_memory_is_int32_sized(spec):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the two int32 results take 8 bytes a vertex; the walks' working arrays stay under 16
+    # the one int32 result, a_flat, takes 4 bytes a vertex; with the walks' working
+    # arrays the peak is 19.0 bytes a vertex on both
     assert peak <= 24 * group.order ** 2
     assert d.a_flat.dtype == d._cycle_id.dtype == np.int32
     # int32 vertex codes and the fold index prod * m + a stay below m^2
@@ -226,12 +233,12 @@ def test_decompose_memory_is_int32_sized(spec):
 def test_rep_vertex_is_lex_min(s4):
     d = decompose(s4)
     for c in d.cycles:
-        assert c.rep_vertex == min(c.vertices())
+        assert c.rep_vertex == min(_vertices(c))
 
 
 def test_type_I_iff_cycle_touches_diagonal(s4):
     for c in decompose(s4).cycles:
-        touches = any(v0 == v1 for v0, v1 in c.vertices())
+        touches = any(v0 == v1 for v0, v1 in _vertices(c))
         assert (c.cycle_type == "I") == touches
 
 
@@ -275,7 +282,7 @@ def test_phase_of_roundtrip(s3):
     for v0 in s3.elements():
         for v1 in s3.elements():
             c, k = d.phase_of((v0, v1))
-            assert c.vertex(k) == (v0, v1)
+            assert _vertices(c)[k] == (v0, v1)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +294,7 @@ def test_representation_accessors(s3):
     c = d.cycle_at((1, 2))
     a, p = c.a_seq, c.length
     assert p == 9
-    assert c.vertex(0) == c.rep_vertex == (1, 2)
+    assert _vertices(c)[0] == c.rep_vertex == (1, 2)
     for m in range(2 * p):
         assert a[(m + 2) % p] == s3.mul(s3.inv(a[m % p]), a[(m + 1) % p])
 
@@ -297,5 +304,5 @@ def test_lookups_and_type_filters_build_no_cycle_list(s4):
     assert d.cycle_at((3, 4)).length == 2
     assert d.trivial_cycle.length == 1
     assert d.phase_of((4, 3))[1] == 1
-    assert (len(d.type_I()), len(d.type_II())) == (17, 71)
+    assert (int(d.is_type_I.sum()), int((~d.is_type_I).sum())) == (17, 71)
     assert "cycles" not in vars(d)
