@@ -8,11 +8,12 @@ Prints, in order:
   * subgroup counts from transitive classes,
   * braid-group representation counts.
 
-Run from the repository root:  python3 scripts/reproduce_tables.py [--skip-s6]
+Run from the repository root:  python3 scripts/reproduce_tables.py
 """
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 from braidrep.analysis import count_subgroups, transitivity_report
@@ -30,18 +31,15 @@ def banner(title: str) -> None:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--skip-s6", action="store_true",
-                    help="skip the S6 tower (the longest single computation)")
-    args = ap.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     banner("Type-II cycles over S3 (n = 3, r = 3)")
-    print("\n".join(paper_shift_lines(decompose(SymmetricGroup(3)), type2_only=True)))
+    paper_shift_lines(decompose(SymmetricGroup(3)), sys.stdout, type2_only=True)
 
     banner("Type-II cycles over S4 (n = 3, r = 4)")
     s4 = SymmetricGroup(4)
     d4 = decompose(s4)
-    print("\n".join(paper_shift_lines(d4, type2_only=True)))
+    paper_shift_lines(d4, sys.stdout, type2_only=True)
     type1, type2 = d4.is_type_I, ~d4.is_type_I
     print()
     print(f"type-I:  {type1.sum()} cycles, {d4.lengths[type1].sum()} representations")
@@ -54,11 +52,9 @@ def main() -> None:
 
     banner("Towers (headline counts per stage)")
     stage_span = {2: 5, 3: 5, 4: 6, 5: 6, 6: 7}
-    degrees = [2, 3, 4, 5] + ([] if args.skip_s6 else [6])
     towers = {}
-    for r in degrees:
+    for r, n_max in stage_span.items():
         S = SymmetricGroup(r)
-        n_max = stage_span[r]
         t0 = time.monotonic()
         if r == 4:
             tower = tower_s4
@@ -67,7 +63,7 @@ def main() -> None:
         dt = time.monotonic() - t0
         towers[r] = tower
         print(f"--- S{r} (stages 3..{n_max}, {dt:.2f}s) ---")
-        print("\n".join(l for l in paper_tower_lines(tower) if not l.startswith("[")))
+        paper_tower_lines(tower, sys.stdout, count_only=True)
 
     banner("Index-r subgroup counts from transitive classes")
     for r in (2, 3):

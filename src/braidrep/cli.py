@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from . import report
 from .analysis import transitivity_report
@@ -73,27 +74,18 @@ def _cmd_shift(args: argparse.Namespace, group: FiniteGroup) -> None:
     decomp = decompose(group)
     if args.count_only:
         print(int((~decomp.is_type_I).sum()) if args.type2 else decomp.lengths.size)
-    elif args.format == "paper":
-        print("\n".join(report.paper_shift_lines(decomp, type2_only=args.type2)))
-    elif args.format == "json":
-        report.shift_to_json(decomp, sys.stdout)
-    elif args.format == "csv":
-        sys.stdout.write(report.shift_to_csv(decomp))
-    else:
-        print(report.decomposition_to_dot(decomp))
+        return
+    # looked up per call, so that writers patched after import are the ones called
+    write = {"paper": partial(report.paper_shift_lines, type2_only=args.type2), "json": report.shift_to_json,
+             "csv": report.shift_to_csv, "dot": report.decomposition_to_dot}[args.format]
+    write(decomp, sys.stdout)
 
 
 def _cmd_tower(args: argparse.Namespace, group: FiniteGroup) -> None:
     tower = compute_tower(group, args.nmax)
-    if args.format == "paper":
-        lines = report.paper_tower_lines(tower)
-        if args.count_only:
-            lines = [l for l in lines if not l.startswith("[")]
-        print("\n".join(lines))
-    elif args.format == "json":
-        report.tower_to_json(tower, sys.stdout)
-    else:
-        sys.stdout.write(report.tower_to_csv(tower))
+    write = {"paper": partial(report.paper_tower_lines, count_only=args.count_only),
+             "json": report.tower_to_json, "csv": report.tower_to_csv}[args.format]
+    write(tower, sys.stdout)
 
 
 def _cmd_subgroups(args: argparse.Namespace, group: FiniteGroup) -> None:

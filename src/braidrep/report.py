@@ -2,11 +2,13 @@
 
 Bracket notation and CSV display element handles 1-based (for symmetric groups
 that is the lexicographic rank of the permutation); JSON carries the internal
-0-based handles and says so in its "indexing" field.  Every shift listing
-reads the decomposition's arrays, a block of `_BLOCK` cycles at a time.
+0-based handles and says so in its "indexing" field.
 
-The shift and tower JSON documents are written straight from the
-decomposition's and the tower's arrays, as exactly the text
+Every writer is `writer(obj, out, **options)`: it reads the arrays a block of
+`_BLOCK` cycles or classes at a time and hands its text to `out` through
+`_write`, so no listing is held whole; `_text` gives it as one string.
+
+The shift and tower JSON documents are exactly the text
 `print(json.dumps(doc, indent=2))` prints for the equivalent dict.  Each
 document has one table of lines: every handle as the first item of a list and
 as a later, comma-led item, pre-indented, plus the document's framing
@@ -18,7 +20,6 @@ compare, so each document has one definition.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -45,7 +46,6 @@ __all__ = [
     "shift_to_csv",
     "tower_to_csv",
     "decomposition_to_dot",
-    "normalize_tokens",
 ]
 
 SHIFT_SCHEMA = "braidrep.shift.v1"
@@ -73,14 +73,18 @@ def _bracket_rows(decomp: ShiftDecomposition, ids: np.ndarray, sep: str) -> Iter
                        (sep.join(word[s:e]) for s, e in zip([0, *ends], ends)))
 
 
-def paper_shift_lines(decomp: ShiftDecomposition, *, type2_only: bool = False) -> list[str]:
-    """A stanza per cycle, or per type II cycle: `B[a0, a1] = [word]`, a blank
-    line and the length, stanzas separated by a blank line."""
+def paper_shift_lines(decomp: ShiftDecomposition, out: TextIO, *, type2_only: bool = False) -> None:
+    """Write a stanza per cycle, or per type II cycle: `B[a0, a1] = [word]`, a
+    blank line and the length, stanzas separated by a blank line."""
     ids = np.flatnonzero(~decomp.is_type_I) if type2_only else np.arange(decomp.lengths.size)
-    lines: list[str] = []
-    for i, j, p, _, word in _bracket_rows(decomp, ids, ", "):
-        lines += ["", f"B[{i}, {j}] = [{word}]", "", str(p)]
-    return lines[1:]
+
+    def pieces() -> Iterator[str]:
+        sep = ""
+        for i, j, p, _, word in _bracket_rows(decomp, ids, ", "):
+            yield f"{sep}B[{i}, {j}] = [{word}]\n\n{p}"
+            sep = "\n\n"
+        yield "\n"
+    _write(out, pieces())
 
 
 def stage4_b3_block(tower: TowerResult) -> list[str]:
@@ -96,19 +100,16 @@ def stage4_b3_block(tower: TowerResult) -> list[str]:
             for value, cells in groupby(rows, key=itemgetter(0))]
 
 
-def paper_tower_lines(tower: TowerResult) -> list[str]:
-    lines = []
-    for lvl in tower.levels:
-        lines.append(f"K{lvl.n}: classes={lvl.class_count} reps={lvl.rep_count}")
-        if lvl.n == 4:
-            lines.extend(stage4_b3_block(tower))
-        lines.append(f"B{lvl.n}: classes={lvl.braid_class_count} reps={lvl.braid_rep_count}")
-    return lines
-
-
-def normalize_tokens(text: str) -> list[str]:
-    """Whitespace-normalized token stream for golden-file comparison."""
-    return text.split()
+def paper_tower_lines(tower: TowerResult, out: TextIO, *, count_only: bool = False) -> None:
+    """Write each stage's class and rep counts, then, at stage 4 and unless
+    `count_only`, the b3 block, then its braid class and rep counts."""
+    def pieces() -> Iterator[str]:
+        for lvl in tower.levels:
+            yield f"K{lvl.n}: classes={lvl.class_count} reps={lvl.rep_count}\n"
+            if lvl.n == 4 and not count_only:
+                yield from (line + "\n" for line in stage4_b3_block(tower))
+            yield f"B{lvl.n}: classes={lvl.braid_class_count} reps={lvl.braid_rep_count}\n"
+    _write(out, pieces())
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +207,9 @@ def shift_to_json(decomp: ShiftDecomposition, out: TextIO) -> None:
     _write(out, pieces())
 
 
-def _text(write: Callable[[object, TextIO], None], obj: object) -> str:
+def _text(write: Callable[..., None], obj: object, **options: bool) -> str:
     buf = io.StringIO()
-    write(obj, buf)
+    write(obj, buf, **options)
     return buf.getvalue()
 
 
@@ -302,56 +303,63 @@ def tower_from_json(doc: dict) -> TowerResult:
 # CSV (1-based display indices, like the bracket notation)
 # ---------------------------------------------------------------------------
 
-def shift_to_csv(decomp: ShiftDecomposition) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["cycle", "a0", "a1", "length", "type", "word"])
-    w.writerows([k, i, j, p, "I" if type_I else "II", word] for k, (i, j, p, type_I, word)
-                in enumerate(_bracket_rows(decomp, np.arange(decomp.lengths.size), " ")))
-    return buf.getvalue()
+def shift_to_csv(decomp: ShiftDecomposition, out: TextIO) -> None:
+    """Write a row per cycle: number, rep vertex, length, type and word.  No
+    field holds a comma or a quote, so none is quoted; rows end in CRLF."""
+    def pieces() -> Iterator[str]:
+        yield "cycle,a0,a1,length,type,word\r\n"
+        for k, (i, j, p, type_I, word) in enumerate(_bracket_rows(decomp, np.arange(decomp.lengths.size), " ")):
+            yield f"{k},{i},{j},{p},{'I' if type_I else 'II'},{word}\r\n"
+    _write(out, pieces())
 
 
-def tower_to_csv(tower: TowerResult) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["n", "a0", "a1", "length", "type", "b", "c_count", "c_set"])
+def tower_to_csv(tower: TowerResult, out: TextIO) -> None:
+    """Write a row per class of every stage: n, rep vertex, length, type, b,
+    and the size and items of its c set; unquoted, rows end in CRLF."""
     decomp = tower.decomposition
-    for lvl in tower.levels:
-        ids = lvl.cycle_ids
-        a0, a1 = decomp.rep_vertices(ids)
-        c = [str(x) for x in (lvl.c + 1).tolist()]
-        ends = np.cumsum(lvl.c_count).tolist()
-        for i, j, p, type_I, b, start, end in zip(
-                (a0 + 1).tolist(), (a1 + 1).tolist(), decomp.lengths[ids].tolist(),
-                decomp.is_type_I[ids].tolist(), (lvl.b + 1).tolist(), [0, *ends], ends):
-            w.writerow([lvl.n, i, j, p, "I" if type_I else "II", " ".join(map(str, b)),
-                        end - start, " ".join(c[start:end])])
-    return buf.getvalue()
+
+    def pieces() -> Iterator[str]:
+        yield "n,a0,a1,length,type,b,c_count,c_set\r\n"
+        for lvl in tower.levels:
+            c_start = np.concatenate([[0], np.cumsum(lvl.c_count)])
+            for i in range(0, lvl.class_count, _BLOCK):
+                j = min(i + _BLOCK, lvl.class_count)
+                ids = lvl.cycle_ids[i:j]
+                a0, a1 = decomp.rep_vertices(ids)
+                c = [str(x) for x in (lvl.c[c_start[i]:c_start[j]] + 1).tolist()]
+                ends = (c_start[i + 1:j + 1] - c_start[i]).tolist()
+                for x, y, p, type_I, b, start, end in zip(
+                        (a0 + 1).tolist(), (a1 + 1).tolist(), decomp.lengths[ids].tolist(),
+                        decomp.is_type_I[ids].tolist(), (lvl.b[i:j] + 1).tolist(), [0, *ends], ends):
+                    yield (f"{lvl.n},{x},{y},{p},{'I' if type_I else 'II'},{' '.join(map(str, b))},"
+                           f"{end - start},{' '.join(c[start:end])}\r\n")
+    _write(out, pieces())
 
 
 # ---------------------------------------------------------------------------
 # DOT
 # ---------------------------------------------------------------------------
 
-def decomposition_to_dot(decomp: ShiftDecomposition) -> str:
-    """The successor graph, cycles colored by type: each cycle's nodes, its
-    vertex codes a_k * m + a_{k+1} from its rep vertex, then its edges."""
+def decomposition_to_dot(decomp: ShiftDecomposition, out: TextIO) -> None:
+    """Write the successor graph, cycles colored by type: each cycle's nodes,
+    its vertex codes a_k * m + a_{k+1} from its rep vertex, then its edges."""
     m = decomp.group.order
-    out = ["digraph shift {", "  rankdir=LR;"]
-    for i in range(0, decomp.lengths.size, _BLOCK):
-        p = decomp.lengths[i:i + _BLOCK]
-        codes = decomp._vertex_codes(i, i + _BLOCK)
-        ends = np.cumsum(p)
-        succ = np.roll(codes, -1)
-        succ[ends - 1] = codes[ends - p]            # a cycle's last vertex goes to its first
-        x, y = np.divmod(codes, m)
-        color = np.repeat(np.where(decomp.is_type_I[i:i + _BLOCK], "lightblue", "khaki"), p)
-        codes = codes.tolist()
-        nodes = [f'  v{v} [label="({a},{b})" style=filled fillcolor={c}];'
-                 for v, a, b, c in zip(codes, (x + 1).tolist(), (y + 1).tolist(), color.tolist())]
-        edges = [f"  v{v} -> v{w};" for v, w in zip(codes, succ.tolist())]
-        for s, e in zip((ends - p).tolist(), ends.tolist()):
-            out += nodes[s:e]
-            out += edges[s:e]
-    out.append("}")
-    return "\n".join(out)
+
+    def pieces() -> Iterator[str]:
+        yield "digraph shift {\n  rankdir=LR;\n"
+        for i in range(0, decomp.lengths.size, _BLOCK):
+            p = decomp.lengths[i:i + _BLOCK]
+            codes = decomp._vertex_codes(i, i + _BLOCK)
+            ends = np.cumsum(p)
+            succ = np.roll(codes, -1)
+            succ[ends - 1] = codes[ends - p]            # a cycle's last vertex goes to its first
+            x, y = np.divmod(codes, m)
+            color = np.repeat(np.where(decomp.is_type_I[i:i + _BLOCK], "lightblue", "khaki"), p)
+            codes = codes.tolist()
+            nodes = [f'  v{v} [label="({a},{b})" style=filled fillcolor={c}];\n'
+                     for v, a, b, c in zip(codes, (x + 1).tolist(), (y + 1).tolist(), color.tolist())]
+            edges = [f"  v{v} -> v{w};\n" for v, w in zip(codes, succ.tolist())]
+            for s, e in zip((ends - p).tolist(), ends.tolist()):
+                yield "".join(nodes[s:e]) + "".join(edges[s:e])
+        yield "}\n"
+    _write(out, pieces())

@@ -19,6 +19,11 @@ def golden_text(name: str) -> str:
     return (GOLDEN_DIR / name).read_text()
 
 
+def normalize_tokens(text: str) -> list[str]:
+    """Whitespace-normalized token stream for golden-file comparison."""
+    return text.split()
+
+
 def relabelled(group, seed):
     """The group's Cayley table with its handles permuted at random."""
     perm = np.random.default_rng(seed).permutation(group.order)

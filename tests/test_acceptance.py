@@ -17,11 +17,11 @@ from braidrep.analysis import (
 from braidrep.extension import compute_tower, extend_to_braid
 from braidrep.groups import SL2, AbelianProduct, SymmetricGroup, alternating_group
 from braidrep.oracle import brute_hom_Bn, brute_hom_Kn, engine_census_Bn, engine_census_Kn
-from braidrep.report import normalize_tokens, paper_shift_lines, stage4_b3_block
+from braidrep.report import _text, paper_shift_lines, stage4_b3_block
 from braidrep.shift import decompose, successor
 from braidrep.verify import run_suites
 
-from conftest import golden_text, level_rows
+from conftest import golden_text, level_rows, normalize_tokens
 
 Check = tuple[bool, str]
 
@@ -67,7 +67,7 @@ def test_criterion_03_s4_stage3(tower_s4):
     type1_reps = int(d.lengths[d.is_type_I].sum())
     type2_reps = int(d.lengths[~d.is_type_I].sum())
     type2_count = int((~d.is_type_I).sum())
-    ours = "\n".join(paper_shift_lines(d, type2_only=True))
+    ours = _text(paper_shift_lines, d, type2_only=True)
     golden = golden_text("n3_r4.txt")
     checks = [
         (type1_reps == 70, f"type-I representations {type1_reps} != 70"),

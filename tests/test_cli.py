@@ -14,11 +14,10 @@ import pytest
 
 import braidrep
 import braidrep.cli as cli
-from braidrep.report import normalize_tokens
 from braidrep.shift import Cycle
 from braidrep.verify import SUITE_NAMES, SuiteResult
 
-from conftest import golden_text
+from conftest import golden_text, normalize_tokens
 from test_outputs import PINNED
 
 
@@ -448,9 +447,20 @@ def test_document_naming_an_endless_table_file_is_a_usage_error():
     assert proc.stdout.startswith("UsageError Cayley table file /dev/zero ")
 
 
-def test_closed_stdout_exits_1_without_traceback():
-    # the document is far larger than a pipe buffer, so writes continue after the close
-    proc = subprocess.Popen([sys.executable, "-m", "braidrep.cli", "tower", "S5", "6", "--format", "json"],
+# listings far larger than a pipe buffer, each with how it starts
+STREAMED = [
+    (("tower", "S5", "6", "--format", "json"), b'{\n  "schema": "braidrep.tower.v1"'),
+    (("shift", "S6"), b"B[1, 1] = [1]\n\n1\n\nB[1, 2] = [2, 1, 2]"),
+    (("shift", "S6", "--format", "csv"), b"cycle,a0,a1,length,type,word\r\n0,1,1,1,I,1\r\n"),
+    (("shift", "S6", "--format", "dot"), b"digraph shift {\n  rankdir=LR;\n  v0 "),
+    (("tower", "S6", "7", "--format", "csv"), b"n,a0,a1,length,type,b,c_count,c_set\r\n3,1,1,1,I,,"),
+]
+
+
+@pytest.mark.parametrize("argv, start", STREAMED, ids=[" ".join(argv) for argv, _ in STREAMED])
+def test_closed_stdout_exits_1_without_traceback(argv, start):
+    # writes continue after the close
+    proc = subprocess.Popen([sys.executable, "-m", "braidrep.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
     try:
         head = proc.stdout.read(100)
@@ -461,7 +471,7 @@ def test_closed_stdout_exits_1_without_traceback():
         proc.kill()
         proc.wait(timeout=10)
         proc.stderr.close()
-    assert head.startswith(b'{\n  "schema": "braidrep.tower.v1"')
+    assert head.startswith(start)
     assert code == 1
     assert "Traceback" not in err, err
 

@@ -15,7 +15,7 @@ from braidrep.analysis import (classes_all_even, count_braid_subgroups, nontrivi
                                transitivity_report)
 from braidrep.extension import compute_tower
 from braidrep.groups import SL2
-from braidrep.report import paper_tower_lines, shift_to_json, tower_to_csv, tower_to_json
+from braidrep.report import _text, paper_tower_lines, shift_to_json, tower_to_csv, tower_to_json
 from braidrep.shift import Cycle, decompose
 from braidrep.verify import run_suites
 
@@ -58,6 +58,13 @@ PINNED = {
         "e9d432e03aefde6e523b1094f92ca94b19203005c2e6c3470262ac7d95467d3f",
     ("shift", "S1", "--format", "dot"):
         "d7317d77e95ff4e38dfd12b52f01d26d57f68b0c0f3301206b2110f24a6c3b2d",
+    # no type II cycle: the listing is a lone newline
+    ("shift", "S1", "--type2"):
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    ("shift", "Z2", "--type2"):
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    ("tower", "S1", "3", "--format", "csv"):
+        "1d97b646f585cb6054b6f9e6ac49cd75f750145e18aa3d984c47860ca7cd6fa0",
 }
 
 
@@ -87,8 +94,8 @@ def test_headline_path_builds_no_class_objects(tower_s6, tower_s5, monkeypatch):
     tower_to_json(tower_s6, out)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == S6_TOWER_SHA256
     assert tower_s6.is_trivial_at(7) and not tower_s6.is_trivial_at(6)
-    assert len(paper_tower_lines(tower_s6)) == 2 * 5 + 45
-    csv_sha = hashlib.sha256(tower_to_csv(tower_s5).encode()).hexdigest()
+    assert _text(paper_tower_lines, tower_s6).count("\n") == 2 * 5 + 45
+    csv_sha = hashlib.sha256(_text(tower_to_csv, tower_s5).encode()).hexdigest()
     assert csv_sha == PINNED[("tower", "S5", "6", "--format", "csv")]
     # the engine, the suites and the orbit-weighted analysis read the arrays
     # too; S5 has 60 nontrivial classes at stage 5, which prop3 checks
@@ -110,27 +117,28 @@ def test_headline_path_builds_no_cycle_objects(s6):
     out = io.StringIO()
     tower_to_json(tower, out)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == S6_TOWER_SHA256
-    assert len(paper_tower_lines(tower)) == 2 * 5 + 45
+    assert _text(paper_tower_lines, tower).count("\n") == 2 * 5 + 45
     assert "cycles" not in vars(tower.decomposition)
 
 
-# headline counts per stage of S2..S5, as the script prints them
+# headline counts per stage of S2..S6, as the script prints them
 REPRODUCED_LINES = [
     "K3: classes=2 reps=4", "K4: classes=2 reps=4", "K5: classes=1 reps=1",
     "K3: classes=8 reps=36", "K4: classes=8 reps=36",
     "K3: classes=88 reps=576", "K4: classes=118 reps=672", "K6: classes=1 reps=1",
     "K3: classes=1268 reps=14400", "K4: classes=1418 reps=14880", "K5: classes=61 reps=121",
+    "K3: classes=33150 reps=518400", "K4: classes=34950 reps=529920", "K5: classes=721 reps=1441",
+    "K7: classes=1 reps=1",
 ]
 
 
 def test_reproduce_tables_script_runs():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_tables.py"), "--skip-s6"],
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_tables.py")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    for r in (2, 3, 4, 5):
+    for r in (2, 3, 4, 5, 6):
         assert any(line.startswith(f"--- S{r} (stages 3..") for line in lines)
     for line in REPRODUCED_LINES:
         assert line in lines
-    assert not any(line.startswith("--- S6") for line in lines)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from braidrep.analysis import abelian_cycle_length
 from braidrep.groups import SL2, AbelianProduct, SymmetricGroup, alternating_group, element_order
-from braidrep.report import paper_shift_lines, shift_to_csv
+from braidrep.report import _text, paper_shift_lines, shift_to_csv
 from braidrep.shift import decompose, predecessor, successor
 
 GROUPS = [
@@ -86,7 +86,7 @@ def test_bracket_word_is_a_rotation(group, data):
     d = decompose(group)
     i = data.draw(st.integers(min_value=0, max_value=d.lengths.size - 1))
     c = d.cycle(i)
-    row = list(csv.reader(io.StringIO(shift_to_csv(d))))[1 + i]
+    row = list(csv.reader(io.StringIO(_text(shift_to_csv, d))))[1 + i]
     word = [int(x) for x in row[5].split()]
     assert sorted(word) == sorted(x + 1 for x in c.a_seq)
     p = c.length
@@ -95,4 +95,4 @@ def test_bracket_word_is_a_rotation(group, data):
     # the paper stanza carries the same word and ends on its rep vertex
     i0, i1 = c.rep_vertex
     assert word[-2:] == [i0 + 1, i1 + 1][:p]
-    assert paper_shift_lines(d)[4 * i] == f"B[{i0 + 1}, {i1 + 1}] = [{', '.join(map(str, word))}]"
+    assert _text(paper_shift_lines, d).split("\n")[4 * i] == f"B[{i0 + 1}, {i1 + 1}] = [{', '.join(map(str, word))}]"

@@ -16,8 +16,8 @@ from braidrep.report import (
     _CHUNK,
     SHIFT_SCHEMA,
     TOWER_SCHEMA,
+    _text,
     decomposition_to_dot,
-    normalize_tokens,
     paper_shift_lines,
     paper_tower_lines,
     shift_from_json,
@@ -31,7 +31,7 @@ from braidrep.report import (
 from braidrep.shift import decompose
 from braidrep.verify import SUITE_NAMES, run_suites
 
-from conftest import golden_text, level_rows, per_vertex_walk, relabelled
+from conftest import golden_text, level_rows, normalize_tokens, per_vertex_walk, relabelled
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,7 @@ from conftest import golden_text, level_rows, per_vertex_walk, relabelled
 
 def test_bracket_word_examples(s3):
     d = decompose(s3)
-    rows = list(csv.reader(io.StringIO(shift_to_csv(d))))[1:]
+    rows = list(csv.reader(io.StringIO(_text(shift_to_csv, d))))[1:]
     words = [[int(x) for x in row[5].split()] for row in rows]
     assert words[int(d.cycle_index(s3.identity, s3.identity))] == [1]
     assert words[int(d.cycle_index(3, 4))] == [4, 5]
@@ -52,7 +52,7 @@ def test_bracket_word_examples(s3):
 
 def test_cycle_stanza_shape(s3):
     d = decompose(s3)
-    lines = paper_shift_lines(d)
+    lines = _text(paper_shift_lines, d).splitlines()
     # one three-line stanza per cycle, in cycle order, a blank line between two
     assert len(lines) == 4 * d.lengths.size - 1
     assert set(lines[3::4]) == {""}
@@ -61,12 +61,12 @@ def test_cycle_stanza_shape(s3):
 
 
 def test_type_ii_block_matches_golden_s3(s3):
-    ours = "\n".join(paper_shift_lines(decompose(s3), type2_only=True))
+    ours = _text(paper_shift_lines, decompose(s3), type2_only=True)
     assert normalize_tokens(ours) == normalize_tokens(golden_text("n3_r3.txt"))
 
 
 def test_type_ii_block_matches_golden_s4(s4):
-    ours = "\n".join(paper_shift_lines(decompose(s4), type2_only=True))
+    ours = _text(paper_shift_lines, decompose(s4), type2_only=True)
     assert normalize_tokens(ours) == normalize_tokens(golden_text("n3_r4.txt"))
 
 
@@ -86,7 +86,7 @@ def test_stage4_block_equals_the_class_listing(document_tower):
 
 
 def test_tower_lines_contain_counts(tower_s4):
-    lines = paper_tower_lines(tower_s4)
+    lines = _text(paper_tower_lines, tower_s4).splitlines()
     assert "K3: classes=88 reps=576" in lines
     assert "K4: classes=118 reps=672" in lines
     assert "K5: classes=1 reps=1" in lines
@@ -236,6 +236,22 @@ def test_documents_stream_in_chunks(tower_s5):
         assert "".join(out.writes) == expected
 
 
+LISTINGS = [(paper_shift_lines, {}), (paper_shift_lines, {"type2_only": True}), (shift_to_csv, {}),
+            (decomposition_to_dot, {}), (paper_tower_lines, {}), (paper_tower_lines, {"count_only": True}),
+            (tower_to_csv, {})]
+
+
+@pytest.mark.parametrize("write, options", LISTINGS, ids=[" ".join([w.__name__, *o]) for w, o in LISTINGS])
+def test_listings_stream_in_chunks(tower_s5, write, options):
+    obj = tower_s5 if write in (paper_tower_lines, tower_to_csv) else tower_s5.decomposition
+    out = _Recorder()
+    write(obj, out, **options)
+    # writes of one to two chunks, then the remainder
+    assert max(map(len, out.writes)) <= 2 * _CHUNK
+    assert len(out.writes[-1]) < _CHUNK
+    assert "".join(out.writes) == _text(write, obj, **options)
+
+
 # ---------------------------------------------------------------------------
 # loading documents back
 # ---------------------------------------------------------------------------
@@ -345,7 +361,7 @@ def test_loaded_tower_runs_the_verify_suites(s3, tower_s3):
 
 def test_shift_csv_shape(s3):
     d = decompose(s3)
-    rows = list(csv.reader(io.StringIO(shift_to_csv(d))))
+    rows = list(csv.reader(io.StringIO(_text(shift_to_csv, d))))
     assert rows[0] == ["cycle", "a0", "a1", "length", "type", "word"]
     assert len(rows) == 1 + len(d.cycles)
     lengths = sorted(int(r[3]) for r in rows[1:])
@@ -353,7 +369,7 @@ def test_shift_csv_shape(s3):
 
 
 def test_tower_csv_shape(tower_s2):
-    rows = list(csv.reader(io.StringIO(tower_to_csv(tower_s2))))
+    rows = list(csv.reader(io.StringIO(_text(tower_to_csv, tower_s2))))
     assert rows[0][0] == "n"
     assert len(rows) == 1 + sum(lvl.class_count for lvl in tower_s2.levels)
     # braid data present: c_count column is an integer
@@ -362,7 +378,7 @@ def test_tower_csv_shape(tower_s2):
 
 def test_dot_output(s3):
     d = decompose(s3)
-    dot = decomposition_to_dot(d)
+    dot = _text(decomposition_to_dot, d)
     assert dot.startswith("digraph shift {")
     assert dot.rstrip().endswith("}")
     assert dot.count("->") == 36

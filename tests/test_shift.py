@@ -145,12 +145,11 @@ def test_types_and_lazy_cycle_map_equal_per_vertex_walk(group):
     assert d._cycle_id.tolist() == cycle_index
 
 
-@pytest.mark.parametrize("write", [lambda d: report.shift_to_json(d, io.StringIO()),
-                                   report.shift_to_csv, report.decomposition_to_dot],
-                         ids=["json", "csv", "dot"])
+@pytest.mark.parametrize("write", [report.shift_to_json, report.shift_to_csv, report.decomposition_to_dot,
+                                   report.paper_shift_lines], ids=["json", "csv", "dot", "paper"])
 def test_shift_documents_build_no_cycle_map(write):
     d = decompose(SymmetricGroup(4))
-    write(d)
+    write(d, io.StringIO())
     assert "_cycle_id" not in vars(d)
 
 
