@@ -38,7 +38,7 @@ from .extension import (TowerLevel, TowerResult, compute_tower, extend_step,
 from .analysis import (abelian_cycle_length, count_braid_subgroups,
                        count_subgroups, pi_representation,
                        transitivity_report, type_I_census)
-from .oracle import (OracleResult, brute_hom_Bn, brute_hom_K3, brute_hom_Kn,
-                     engine_census_Bn, engine_census_Kn)
+from .oracle import (OracleResult, brute_hom_Bn, brute_hom_Kn, engine_census_Bn,
+                     engine_census_Kn)
 
 __version__ = "0.1.0"

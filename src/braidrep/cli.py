@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 stdout closed by the reader, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import partial
@@ -91,20 +90,10 @@ def _cmd_tower(args: argparse.Namespace, group: FiniteGroup) -> None:
 def _cmd_subgroups(args: argparse.Namespace, group: FiniteGroup) -> None:
     if not isinstance(group, SymmetricGroup):
         raise UsageError("subgroup counting runs over a symmetric group S<r>")
-    tower = compute_tower(group, args.nmax)
-    rep = transitivity_report(tower)
-    rows = [(lvl.n, group.r, lvl.transitive_rep_count, lvl.subgroup_count) for lvl in rep.levels]
-    if args.format == "paper":
-        for n, r, treps, subs in rows:
-            print(f"K{n}: transitive reps = {treps}, subgroups of index {r} = {subs}")
-    elif args.format == "json":
-        print(json.dumps({"schema": "braidrep.subgroups.v1", "group": group.name,
-                          "levels": [{"n": n, "r": r, "transitive_reps": t, "subgroups": s}
-                                     for n, r, t, s in rows]}, indent=2))
-    else:
-        print("n,r,transitive_reps,subgroups")
-        for row in rows:
-            print(",".join(map(str, row)))
+    rep = transitivity_report(compute_tower(group, args.nmax))
+    write = {"paper": report.paper_subgroup_lines, "json": report.subgroups_to_json,
+             "csv": report.subgroups_to_csv}[args.format]
+    write(rep, sys.stdout)
 
 
 def _cmd_braid(args: argparse.Namespace, group: FiniteGroup) -> None:
@@ -112,8 +101,7 @@ def _cmd_braid(args: argparse.Namespace, group: FiniteGroup) -> None:
     if args.count_only:
         print(tower.level(args.nmax).braid_rep_count)
     else:
-        for lvl in tower.levels:
-            print(f"B{lvl.n}: classes={lvl.braid_class_count} reps={lvl.braid_rep_count}")
+        report.paper_braid_lines(tower, sys.stdout)
 
 
 def _cmd_verify(args: argparse.Namespace, group: FiniteGroup) -> None:

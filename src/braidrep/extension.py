@@ -8,16 +8,20 @@ The scans `extend_to_K4(decomp, ids)`, `extend_step(decomp, ids, b)` and
 `extend_to_braid(decomp, ids, b)` take a whole stage at once: an int array of
 cycle ids and a (k, n - 3) array of image rows, one class per row.  They test
 every element against the relations of every class and return (rows, images),
-two int arrays sorted by (row, image), one entry per admissible image.  Rows
-are sorted by period and cut, whatever their periods, into blocks of at most
+two int arrays sorted by (row, image), one entry per admissible image.  Each
+scan is an ordered list of relations, every one of the form x g = g y or
+x g z = g y g in the candidate g, run by one kernel, `_scan`.  It sorts the
+rows by period and cuts them, whatever their periods, into blocks of at most
 _BLOCK_CELLS (row, candidate) cells: the first relation runs on the block's
-full grid, and only the surviving cells go on to the next.  The scans validate
-their input and check nothing else.  The structural facts are array tests over
-all rows of a stage.  `compute_tower` runs `stage4_failure` and `stage_failure`
-once per stage on the classes it scanned, and the c scan with its c-set checks
-once per tower, on the classes of every stage with b padded by the identity
-to n_max - 3 columns, raising VerificationError; `verify` runs the first two
-on every row.
+full grid by table rows, each later one only on the cells still alive, and a
+block stops when none is left.  The scans validate their input and check
+nothing else.
+
+The structural facts are array tests over all rows of a stage.
+`compute_tower` runs `stage4_failure` and `stage_failure` once per stage on
+the classes it scanned, and the c scan with its c-set checks once per tower,
+on the classes of every stage with b padded by the identity to n_max - 3
+columns, raising VerificationError; `verify` runs the first two on every row.
 
 Every relation is a word equation, so simultaneous conjugation by g maps
 admissible (a-sequence, b, c) data to admissible data and commutes with the
@@ -36,6 +40,7 @@ The relations used, with mul(g, h) meaning "h first, then g":
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -106,23 +111,6 @@ def _blocks(decomp: ShiftDecomposition, ids: np.ndarray):
         yield rows, decomp.a_flat[decomp.offsets[ids[rows]] + k % p]
 
 
-def _cells(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (row, candidate) cells where the (rows, |G|) grid `keep` holds, row by
-    row, candidates ascending."""
-    return np.divmod(np.flatnonzero(keep), keep.shape[1])
-
-
-def _commuting(flat: np.ndarray, m: int, images: np.ndarray, r: np.ndarray,
-               c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cells (r, c) whose candidate commutes with every image of its row r
-    of `images`."""
-    for col in images.T:
-        x = col[r]
-        keep = flat[x * m + c] == flat[c * m + x]
-        r, c = r[keep], c[keep]
-    return r, c
-
-
 def _by_row(found: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """The (rows, images) of every block, as two arrays in row order; images
     stay ascending within a row."""
@@ -133,26 +121,42 @@ def _by_row(found: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.
     return rows[order], images[order]
 
 
+def _scan(decomp: ShiftDecomposition, ids, b, relations) -> tuple[np.ndarray, np.ndarray]:
+    """Every candidate g that passes all relations over each class (cycle
+    ids[k], b[k]), as (rows, images) sorted by (row, image).
+
+    `relations(a, b)` gives a block's relations in order, from its a-sequence
+    matrix (see `_blocks`) and its rows of images, as tuples of row arrays:
+    (x, y) for x g = g y, (x, y, z) for x g z = g y g.  The first runs on the
+    block's full grid of cells by table rows, each later one only on the cells
+    still alive, and the block is done when none is left."""
+    ids, b = _scan_input(decomp, ids, b)
+    mul_t, _ = decomp.group.tables()
+    m, flat = decomp.group.order, mul_t.ravel()
+    g = np.arange(m)
+    found = []
+    for rows, a in _blocks(decomp, ids):
+        tests = iter(relations(a, b[rows]))
+        x, y, *z = next(tests)
+        xg, gy = mul_t[x], mul_t[:, y].T
+        keep = xg == gy if not z else flat[xg * m + z[0][:, None]] == flat[gy * m + g]
+        r, c = np.divmod(np.flatnonzero(keep), m)
+        for x, y, *z in tests:
+            if not r.size:
+                break
+            xg, gy = flat[x[r] * m + c], flat[c * m + y[r]]
+            keep = xg == gy if not z else flat[xg * m + z[0][r]] == flat[gy * m + c]
+            r, c = r[keep], c[keep]
+        found.append((rows[r], c))
+    return _by_row(found)
+
+
 def extend_to_K4(decomp: ShiftDecomposition, ids) -> tuple[np.ndarray, np.ndarray]:
     """Every admissible b3 over each cycle ids[k] of `decomp`, the identity
     included, as (rows, images): b3 = images[j] over cycle ids[rows[j]],
     sorted by (row, image)."""
-    ids, _ = _scan_input(decomp, ids)
-    m, flat = decomp.group.order, decomp.group.tables()[0].ravel()
-    g = np.arange(m)
-    found = []
-    for rows, a in _blocks(decomp, ids):
-        # a_k g a_{k+2} = g a_{k+1} g, at k = 0 on the full grid of cells
-        x, y, z = a[0][:, None], a[1][:, None], a[2][:, None]
-        r, c = _cells(flat[flat[x * m + g] * m + z] == flat[flat[g * m + y] * m + g])
-        for k in range(1, a.shape[0] - 2):
-            if r.size <= rows.size:     # only the identity, which always passes, is left in each row
-                break
-            x, y, z = a[k][r], a[k + 1][r], a[k + 2][r]
-            keep = flat[flat[x * m + c] * m + z] == flat[flat[c * m + y] * m + c]
-            r, c = r[keep], c[keep]
-        found.append((rows[r], c))
-    return _by_row(found)
+    # a_k g a_{k+2} = g a_{k+1} g
+    return _scan(decomp, ids, None, lambda a, _: zip(a[:-2], a[1:-1], a[2:]))
 
 
 def extend_step(decomp: ShiftDecomposition, ids, b) -> tuple[np.ndarray, np.ndarray]:
@@ -161,47 +165,26 @@ def extend_step(decomp: ShiftDecomposition, ids, b) -> tuple[np.ndarray, np.ndar
     (rows, images) sorted by (row, image).  The identity passes a_k e = e
     a_{k+1} only on the one constant cycle, (e, e), and the braid with the
     previous image only when that is e: on a tower, only the trivial class."""
+    # the width is checked on validated input, so a malformed b gets its own message
     ids, b = _scan_input(decomp, ids, b)
     if not b.shape[1]:
         raise UsageError("extend_step starts from stage 4; use extend_to_K4 below that")
-    mul_t, _ = decomp.group.tables()
-    m, flat = decomp.group.order, mul_t.ravel()
-    found = []
-    for rows, a in _blocks(decomp, ids):
-        # a_k g = g a_{k+1}, at k = 0 on the full grid of cells, by table rows
-        r, c = _cells(mul_t[a[0]] == mul_t[:, a[1]].T)
-        # then the braid with the previous image: it alone kills everything when that is e
-        last = b[rows, -1][r]
-        keep = flat[flat[c * m + last] * m + c] == flat[flat[last * m + c] * m + last]
-        r, c = r[keep], c[keep]
-        for k in range(1, a.shape[0] - 2):
-            if not r.size:
-                break
-            keep = flat[a[k][r] * m + c] == flat[c * m + a[k + 1][r]]
-            r, c = r[keep], c[keep]
-        r, c = _commuting(flat, m, b[rows, :-1], r, c)
-        found.append((rows[r], c))
-    return _by_row(found)
+
+    def relations(a, images):
+        # a_0 g = g a_1; then the braid with the previous image, which alone
+        # kills everything when that is e; a_k g = g a_{k+1}; commuting with
+        # every earlier image
+        last = images[:, -1]
+        return chain([(a[0], a[1]), (last, last, last)], zip(a[1:-2], a[2:-1]),
+                     ((x, x) for x in images[:, :-1].T))
+    return _scan(decomp, ids, b, relations)
 
 
 def extend_to_braid(decomp: ShiftDecomposition, ids, b) -> tuple[np.ndarray, np.ndarray]:
     """Every admissible image c of sigma_1 extending each class (cycle ids[k],
     b[k]), as (rows, images) sorted by (row, image)."""
-    ids, b = _scan_input(decomp, ids, b)
-    mul_t, _ = decomp.group.tables()
-    m, flat = decomp.group.order, mul_t.ravel()
-    found = []
-    for rows, a in _blocks(decomp, ids):
-        # c a_k = a_{k+1} c, at k = 0 on the full grid of cells, by table rows
-        r, c = _cells(mul_t[:, a[0]].T == mul_t[a[1]])
-        for k in range(1, a.shape[0] - 2):
-            if not r.size:
-                break
-            keep = flat[c * m + a[k][r]] == flat[a[k + 1][r] * m + c]
-            r, c = r[keep], c[keep]
-        r, c = _commuting(flat, m, b[rows], r, c)
-        found.append((rows[r], c))
-    return _by_row(found)
+    # c a_k = a_{k+1} c, then c commutes with every image
+    return _scan(decomp, ids, b, lambda a, images: chain(zip(a[1:-1], a[:-2]), ((x, x) for x in images.T)))
 
 
 # ---------------------------------------------------------------------------

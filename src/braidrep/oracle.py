@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError, VerificationError
+from .errors import ResourceLimitError, UsageError
 from .extension import TowerLevel, TowerResult
 from .groups import FiniteGroup
 
@@ -27,7 +27,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "OracleResult",
     "check_budget",
-    "brute_hom_K3",
     "brute_hom_Kn",
     "brute_hom_Bn",
     "engine_census_Kn",
@@ -175,15 +174,6 @@ def brute_hom_Kn(group: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> Or
     sink = Counter(zip(canon[pairs].tolist(), map(tuple, imgs.tolist())))
     census = tuple(sorted((divmod(key, m), b, cnt) for (key, b), cnt in sink.items()))
     return OracleResult(len(pairs), census, bud.used)
-
-
-def brute_hom_K3(group: FiniteGroup, budget: int = DEFAULT_BUDGET) -> OracleResult:
-    """The n = 3 scan; every pair is a representation, so the count must be |G|^2."""
-    res = brute_hom_Kn(group, 3, budget)
-    if res.rep_count != group.order ** 2:
-        raise VerificationError(
-            f"K3 scan found {res.rep_count} representations over {group.name}, expected {group.order ** 2}")
-    return res
 
 
 def brute_hom_Bn(group: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> OracleResult:

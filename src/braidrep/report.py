@@ -6,7 +6,8 @@ that is the lexicographic rank of the permutation); JSON carries the internal
 
 Every writer is `writer(obj, out, **options)`: it reads the arrays a block of
 `_BLOCK` cycles or classes at a time and hands its text to `out` through
-`_write`, so no listing is held whole; `_text` gives it as one string.
+`_write`, so no listing is held whole; `_text` gives it as one string.  The
+braid and subgroups documents, a line per stage, go through `_write` too.
 
 The shift and tower JSON documents are exactly the text
 `print(json.dumps(doc, indent=2))` prints for the equivalent dict.  Each
@@ -30,6 +31,7 @@ from typing import TextIO
 
 import numpy as np
 
+from .analysis import TransitivityReport
 from .errors import UsageError
 from .extension import TowerLevel, TowerResult, _ranges, compute_tower
 from .groups import FiniteGroup, parse_group_spec
@@ -39,12 +41,16 @@ __all__ = [
     "paper_shift_lines",
     "stage4_b3_block",
     "paper_tower_lines",
+    "paper_braid_lines",
+    "paper_subgroup_lines",
     "shift_to_json",
     "shift_from_json",
     "tower_to_json",
     "tower_from_json",
+    "subgroups_to_json",
     "shift_to_csv",
     "tower_to_csv",
+    "subgroups_to_csv",
     "decomposition_to_dot",
 ]
 
@@ -100,6 +106,10 @@ def stage4_b3_block(tower: TowerResult) -> list[str]:
             for value, cells in groupby(rows, key=itemgetter(0))]
 
 
+def _braid_line(lvl: TowerLevel) -> str:
+    return f"B{lvl.n}: classes={lvl.braid_class_count} reps={lvl.braid_rep_count}\n"
+
+
 def paper_tower_lines(tower: TowerResult, out: TextIO, *, count_only: bool = False) -> None:
     """Write each stage's class and rep counts, then, at stage 4 and unless
     `count_only`, the b3 block, then its braid class and rep counts."""
@@ -108,8 +118,19 @@ def paper_tower_lines(tower: TowerResult, out: TextIO, *, count_only: bool = Fal
             yield f"K{lvl.n}: classes={lvl.class_count} reps={lvl.rep_count}\n"
             if lvl.n == 4 and not count_only:
                 yield from (line + "\n" for line in stage4_b3_block(tower))
-            yield f"B{lvl.n}: classes={lvl.braid_class_count} reps={lvl.braid_rep_count}\n"
+            yield _braid_line(lvl)
     _write(out, pieces())
+
+
+def paper_braid_lines(tower: TowerResult, out: TextIO) -> None:
+    """Write each stage's braid class and rep counts, as `paper_tower_lines` does."""
+    _write(out, map(_braid_line, tower.levels))
+
+
+def paper_subgroup_lines(rep: TransitivityReport, out: TextIO) -> None:
+    """Write each stage's transitive rep count and index-r subgroup count."""
+    _write(out, (f"K{lvl.n}: transitive reps = {lvl.transitive_rep_count}, "
+                 f"subgroups of index {rep.group.r} = {lvl.subgroup_count}\n" for lvl in rep.levels))
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +308,15 @@ def tower_to_json(tower: TowerResult, out: TextIO) -> None:
     _write(out, pieces())
 
 
+def subgroups_to_json(rep: TransitivityReport, out: TextIO) -> None:
+    """Write the subgroups document of `rep` to `out`: schema, group and, per
+    stage, n, r and the transitive rep and index-r subgroup counts."""
+    doc = {"schema": "braidrep.subgroups.v1", "group": rep.group.name,
+           "levels": [{"n": lvl.n, "r": rep.group.r, "transitive_reps": lvl.transitive_rep_count,
+                       "subgroups": lvl.subgroup_count} for lvl in rep.levels]}
+    _write(out, [json.dumps(doc, indent=2), "\n"])
+
+
 def tower_from_json(doc: dict) -> TowerResult:
     """The tower a tower document records, recomputed and compared in full."""
     group = _document_group(doc, TOWER_SCHEMA)
@@ -334,6 +364,14 @@ def tower_to_csv(tower: TowerResult, out: TextIO) -> None:
                     yield (f"{lvl.n},{x},{y},{p},{'I' if type_I else 'II'},{' '.join(map(str, b))},"
                            f"{end - start},{' '.join(c[start:end])}\r\n")
     _write(out, pieces())
+
+
+def subgroups_to_csv(rep: TransitivityReport, out: TextIO) -> None:
+    """Write a row per stage: n, r, transitive rep count and index-r subgroup
+    count; rows end in CRLF."""
+    _write(out, ["n,r,transitive_reps,subgroups\r\n",
+                 *(f"{lvl.n},{rep.group.r},{lvl.transitive_rep_count},{lvl.subgroup_count}\r\n"
+                   for lvl in rep.levels)])
 
 
 # ---------------------------------------------------------------------------

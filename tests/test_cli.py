@@ -183,6 +183,13 @@ def test_subgroups_csv(capsys):
     assert lines[-1] == "5,2,0,0"
 
 
+def test_subgroups_csv_rows_end_in_crlf(capsys):
+    # as in the shift and tower CSV listings
+    code, out, _ = run_cli(capsys, "subgroups", "S2", "4", "--format", "csv")
+    assert code == 0
+    assert out == "n,r,transitive_reps,subgroups\r\n3,2,3,3\r\n4,2,3,3\r\n"
+
+
 def test_subgroups_requires_symmetric_group(capsys):
     code, _, err = run_cli(capsys, "subgroups", "Z6", "4")
     assert code == 2

@@ -16,7 +16,6 @@ from braidrep.errors import ResourceLimitError, UsageError
 from braidrep.groups import SL2, AbelianProduct, SymmetricGroup, parse_group_spec
 from braidrep.oracle import (
     brute_hom_Bn,
-    brute_hom_K3,
     brute_hom_Kn,
     engine_census_Bn,
     engine_census_Kn,
@@ -239,13 +238,14 @@ def test_block_edges_match_the_scalar_scan(monkeypatch, rows, family, spec, n):
 @pytest.mark.parametrize("group", [SymmetricGroup(2), SymmetricGroup(3), AbelianProduct((6,)), SL2(2)],
                          ids=lambda g: g.name)
 def test_k3_count_is_order_squared(group):
-    res = brute_hom_K3(group)
+    res = brute_hom_Kn(group, 3)
     assert res.rep_count == group.order ** 2
     assert res.relation_checks == 0  # no generator images to test at stage 3
 
 
 def test_k3_census_matches_engine(tower_s3):
-    res = brute_hom_K3(tower_s3.group)
+    res = brute_hom_Kn(tower_s3.group, 3)
+    assert res.rep_count == tower_s3.group.order ** 2
     assert res.census == engine_census_Kn(tower_s3, 3)
 
 
@@ -297,7 +297,7 @@ def test_budget_below_one_is_a_usage_error(s3, budget):
     with pytest.raises(UsageError, match="at least 1"):
         brute_hom_Bn(s3, 3, budget=budget)
     with pytest.raises(UsageError, match="at least 1"):
-        brute_hom_K3(s3, budget=budget)
+        brute_hom_Kn(s3, 3, budget=budget)
 
 
 def test_stage_bounds(s3):

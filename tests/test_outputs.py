@@ -65,6 +65,8 @@ PINNED = {
         "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
     ("tower", "S1", "3", "--format", "csv"):
         "1d97b646f585cb6054b6f9e6ac49cd75f750145e18aa3d984c47860ca7cd6fa0",
+    ("braid", "S5", "6"):
+        "024a0b7fb1ef221a51fb7ff124104f43345be30c1a6daec75892c5130e8e0128",
 }
 
 
