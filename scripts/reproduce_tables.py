@@ -37,8 +37,8 @@ def main() -> None:
     paper_shift_lines(decompose(SymmetricGroup(3)), sys.stdout, type2_only=True)
 
     banner("Type-II cycles over S4 (n = 3, r = 4)")
-    s4 = SymmetricGroup(4)
-    d4 = decompose(s4)
+    tower_s4 = compute_tower(SymmetricGroup(4), 6)
+    d4 = tower_s4.decomposition
     paper_shift_lines(d4, sys.stdout, type2_only=True)
     type1, type2 = d4.is_type_I, ~d4.is_type_I
     print()
@@ -47,7 +47,6 @@ def main() -> None:
     print(f"total:   {d4.lengths.sum()} representations")
 
     banner("Nontrivial b3 extensions over S4 (n = 4, r = 4)")
-    tower_s4 = compute_tower(s4, 6, decomposition=d4)
     print("\n".join(stage4_b3_block(tower_s4)))
 
     banner("Towers (headline counts per stage)")

@@ -27,18 +27,20 @@ _import_numpy_on_one_thread()
 
 
 from .errors import ResourceLimitError, UsageError, VerificationError
-from .groups import (AbelianProduct, CayleyTableGroup, FiniteGroup, SL2,
-                     SymmetricGroup, alternating_group, derived_series,
-                     element_order, involution_count, lex_rank, lex_unrank,
-                     parse_group_spec)
-from .shift import (Cycle, ShiftDecomposition, decompose, order2_cycle_shape,
-                    predecessor, successor)
-from .extension import (TowerLevel, TowerResult, compute_tower, extend_step,
-                        extend_to_K4, extend_to_braid)
-from .analysis import (abelian_cycle_length, count_braid_subgroups,
-                       count_subgroups, pi_representation,
-                       transitivity_report, type_I_census)
-from .oracle import (OracleResult, brute_hom_Bn, brute_hom_Kn, engine_census_Bn,
-                     engine_census_Kn)
+from .groups import AbelianProduct, CayleyTableGroup, FiniteGroup, SL2, SymmetricGroup, parse_group_spec
+from .shift import ShiftDecomposition, decompose
+from .extension import TowerLevel, TowerResult, compute_tower, extend_step, extend_to_K4, extend_to_braid
+from .analysis import count_braid_subgroups, count_subgroups, pi_representation, transitivity_report
+from .oracle import brute_hom_Bn, brute_hom_Kn
+
+# the public surface, as the README's Library section lists it
+__all__ = [
+    "FiniteGroup", "SymmetricGroup", "SL2", "AbelianProduct", "CayleyTableGroup", "parse_group_spec",
+    "decompose", "ShiftDecomposition", "compute_tower", "TowerResult", "TowerLevel",
+    "extend_to_K4", "extend_step", "extend_to_braid",
+    "pi_representation", "transitivity_report", "count_subgroups", "count_braid_subgroups",
+    "brute_hom_Kn", "brute_hom_Bn",
+    "UsageError", "ResourceLimitError", "VerificationError",
+]
 
 __version__ = "0.1.0"

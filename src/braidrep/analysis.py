@@ -10,12 +10,11 @@ from functools import partial, reduce
 import numpy as np
 
 from .errors import UsageError, VerificationError
-from .extension import TowerLevel, TowerResult, compute_tower
-from .groups import FiniteGroup, SymmetricGroup, involution_count, perfect_core_group
+from .extension import TowerLevel, TowerResult, compute_tower, element_orders, extend_step, extend_to_K4
+from .groups import FiniteGroup, SymmetricGroup, perfect_core_group
 from .shift import Cycle, ShiftDecomposition, decompose
 
 __all__ = [
-    "generator_orbits",
     "LevelTransitivity",
     "TransitivityReport",
     "transitivity_report",
@@ -69,19 +68,6 @@ def _orbit_labels(S: SymmetricGroup, gens) -> tuple[int, ...]:
 
 def _transitive(S: SymmetricGroup, gens) -> bool:
     return not any(_orbit_labels(S, gens))
-
-
-def _blocks(labels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    buckets: dict[int, list[int]] = {}
-    for k, root in enumerate(labels):
-        buckets.setdefault(root, []).append(k + 1)
-    return tuple(map(tuple, buckets.values()))
-
-
-def generator_orbits(group: SymmetricGroup, gens) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition of {1..r} under the subgroup generated by `gens`."""
-    S = _require_symmetric(group)
-    return _blocks(_orbit_labels(S, [S.check_element(g) for g in gens]))
 
 
 def _orbit_classes(lvl: TowerLevel):
@@ -189,7 +175,7 @@ def type_I_census(r: int) -> tuple[int, int, int]:
     type-I cycles over S_r: ((1 + n_r + r!)/2, 3 r! - 2, 3 (r-1)!)."""
     if r < 2:
         raise UsageError("type-I census formulas need r >= 2")
-    n_r = involution_count(SymmetricGroup(r))
+    n_r = int((element_orders(SymmetricGroup(r)) == 2).sum())
     fact = math.factorial(r)
     if (1 + n_r + fact) % 2:
         raise VerificationError("type-I cycle count formula did not come out integral")
@@ -238,28 +224,13 @@ def pi_representation(n: int, r: int, decomposition: ShiftDecomposition | None =
     a0 = perm({1: 3, 3: 2, 2: 1})          # (1 3 2)
     a1 = perm({1: 2, 2: 3, 3: 1})          # (1 2 3)
     b = tuple(perm({1: 2, 2: 1, i: i + 1, i + 1: i}) for i in range(3, n))
-    a = (a0, a1)
-    for m in range(2):
-        am, am1, am2 = a[m], a[(m + 1) % 2], a[m]
-        if b:
-            lhs = S.mul(S.mul(am, b[0]), am2)
-            rhs = S.mul(S.mul(b[0], am1), b[0])
-            if lhs != rhs:
-                raise VerificationError("standard representation breaks the stage-4 relation")
-        for bi in b[1:]:
-            if S.mul(am, bi) != S.mul(bi, am1):
-                raise VerificationError("standard representation breaks an intertwining relation")
-    for i in range(len(b) - 1):
-        lhs = S.mul(S.mul(b[i], b[i + 1]), b[i])
-        rhs = S.mul(S.mul(b[i + 1], b[i]), b[i + 1])
-        if lhs != rhs:
-            raise VerificationError("standard representation breaks a braid relation")
-    for i in range(len(b)):
-        for j in range(i + 2, len(b)):
-            if S.mul(b[i], b[j]) != S.mul(b[j], b[i]):
-                raise VerificationError("standard representation breaks far commutation")
-
+    # the relations, checked by the engine's scans on the one cycle
     decomp = decomposition if decomposition is not None else decompose(S)
+    cid = [int(decomp.cycle_index(a0, a1))]
+    for k, bk in enumerate(b):
+        _, images = extend_to_K4(decomp, cid) if not k else extend_step(decomp, cid, [b[:k]])
+        if bk not in images:
+            raise VerificationError(f"standard representation breaks a stage-{k + 4} relation")
     cycle, phase = decomp.phase_of((a0, a1))
     return cycle, phase, b
 

@@ -456,20 +456,13 @@ class TowerResult:
         return bool(lvl.class_count == 1 and is_trivial_class(self.decomposition, lvl.cycle_ids, lvl.b).all())
 
 
-def compute_tower(
-    group: FiniteGroup,
-    n_max: int,
-    *,
-    decomposition: ShiftDecomposition | None = None,
-) -> TowerResult:
+def compute_tower(group: FiniteGroup, n_max: int) -> TowerResult:
     """Compute all classes at stages 3..n_max and their braid extensions."""
     if n_max < 3:
         raise UsageError("the tower starts at stage 3")
     if n_max > MAX_STAGE:
         raise ResourceLimitError(f"stage {n_max} is over the cap MAX_STAGE = {MAX_STAGE}")
-    decomp = decomposition if decomposition is not None else decompose(group)
-    if decomp.group is not group:
-        raise UsageError("decomposition was computed for a different group object")
+    decomp = decompose(group)
 
     e = group.identity
     orbits = _conjugation_orbits(decomp)

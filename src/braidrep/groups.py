@@ -19,9 +19,9 @@ runs a block of rows at a time.
 
 Subgroups are closed one way only, by `_greedy_generators`: it walks out of the
 identity along the rows of the table at each new generator, the least
-candidate not yet reached.  `generators()`, `subgroup_closure`, the derived
-series and Light's associativity test all use it, so no step of them builds an
-array of |H|^2 products.
+candidate not yet reached.  `generators()`, the derived series and Light's
+associativity test all use it, so no step of them builds an array of
+|H|^2 products.
 """
 from __future__ import annotations
 
@@ -43,9 +43,6 @@ __all__ = [
     "alternating_group",
     "lex_rank",
     "lex_unrank",
-    "element_order",
-    "involution_count",
-    "subgroup_closure",
     "derived_series",
     "perfect_core_group",
     "parse_group_spec",
@@ -567,25 +564,8 @@ def alternating_group(r: int) -> CayleyTableGroup:
 
 
 # ---------------------------------------------------------------------------
-# element statistics and the derived series
+# the derived series
 # ---------------------------------------------------------------------------
-
-def element_order(group: FiniteGroup, a: int) -> int:
-    """The order of `a`; VerificationError if no power up to |G| is the identity."""
-    group.check_element(a)
-    x = a
-    for k in range(1, group.order + 1):
-        if x == group.identity:
-            return k
-        x = group.mul(x, a)
-    raise VerificationError(f"element {a} of {group.name} has no power up to {group.order} that is the identity")
-
-
-def involution_count(group: FiniteGroup) -> int:
-    """Number of elements of order exactly 2."""
-    e = group.identity
-    return sum(1 for a in group.elements() if a != e and group.mul(a, a) == e)
-
 
 def _closure(group: FiniteGroup, candidates: np.ndarray) -> tuple[list[int], np.ndarray]:
     """The greedy generators drawn from the boolean mask `candidates` and the
@@ -593,13 +573,6 @@ def _closure(group: FiniteGroup, candidates: np.ndarray) -> tuple[list[int], np.
     reached = np.zeros(group.order, dtype=bool)
     gens = list(_greedy_generators(group.tables()[0], group.identity, candidates, reached))
     return gens, reached
-
-
-def subgroup_closure(group: FiniteGroup, gens) -> frozenset[int]:
-    """Subgroup generated by `gens`."""
-    candidates = np.zeros(group.order, dtype=bool)
-    candidates[list(gens)] = True
-    return frozenset(np.flatnonzero(_closure(group, candidates)[1]).tolist())
 
 
 def derived_series(group: FiniteGroup) -> tuple[frozenset[int], ...]:

@@ -26,7 +26,6 @@ from .groups import FiniteGroup
 __all__ = [
     "Vertex",
     "successor",
-    "predecessor",
     "Cycle",
     "ShiftDecomposition",
     "decompose",
@@ -39,11 +38,6 @@ Vertex = tuple[int, int]
 def successor(group: FiniteGroup, v: Vertex) -> Vertex:
     a0, a1 = v
     return (a1, group.mul(group.inv(a0), a1))
-
-
-def predecessor(group: FiniteGroup, v: Vertex) -> Vertex:
-    a0, a1 = v
-    return (group.mul(a0, group.inv(a1)), a0)
 
 
 @dataclass(frozen=True)
@@ -86,10 +80,6 @@ class ShiftDecomposition:
     lengths: np.ndarray = field(repr=False)
     is_type_I: np.ndarray = field(repr=False)
     period_census: dict[int, int]
-
-    @property
-    def rep_count(self) -> int:
-        return self.group.order ** 2
 
     def _vertex_codes(self, lo: int, hi: int) -> np.ndarray:
         """The vertex codes a_k * m + a_{k+1} of cycles lo..hi-1, each read

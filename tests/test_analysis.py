@@ -2,21 +2,23 @@
 and the alternating-3-cycle sanity representation."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+import braidrep.analysis as analysis
 from braidrep.analysis import (
+    _transitive,
     abelian_cycle_length,
     classes_all_even,
     count_braid_subgroups,
     count_subgroups,
-    generator_orbits,
     nontrivial_implies_transitive,
     perfect_core_census_match,
     pi_representation,
     transitivity_report,
     type_I_census,
 )
-from braidrep.errors import UsageError
+from braidrep.errors import UsageError, VerificationError
 from braidrep.extension import compute_tower
 from braidrep.groups import AbelianProduct, SymmetricGroup
 from braidrep.shift import decompose
@@ -28,24 +30,16 @@ from conftest import level_rows
 # orbits and transitivity
 # ---------------------------------------------------------------------------
 
-def test_generator_orbits_examples(s4):
-    t = s4.index_of((2, 1, 3, 4))
-    assert generator_orbits(s4, [t]) == ((1, 2), (3,), (4,))
-    c = s4.index_of((2, 3, 4, 1))
-    assert generator_orbits(s4, [c]) == ((1, 2, 3, 4),)
-    assert generator_orbits(s4, []) == ((1,), (2,), (3,), (4,))
-
-
-def test_orbits_need_symmetric_backend(z6):
+def test_orbits_need_symmetric_backend(tower_z6):
     with pytest.raises(UsageError):
-        generator_orbits(z6, [1])
+        transitivity_report(tower_z6)
 
 
 def test_is_transitive(s3):
     d = decompose(s3)
 
     def transitive(cycle):
-        return len(generator_orbits(s3, set(cycle.a_seq))) == 1
+        return _transitive(s3, set(cycle.a_seq))
 
     assert transitive(d.cycle_at((3, 4)))
     assert not transitive(d.cycle_at((0, 1)))
@@ -186,7 +180,7 @@ def test_type_I_census_formulas_match_enumeration(r):
     reps = sum(c.length for c in cycles)
     transitive_reps = sum(
         c.length for c in cycles
-        if len(generator_orbits(S, set(c.a_seq))) == 1)
+        if _transitive(S, set(c.a_seq)))
     assert type_I_census(r) == (len(cycles), reps, transitive_reps)
 
 
@@ -237,7 +231,7 @@ def test_pi_representation_exists(n, r):
     assert 3 + len(b) == n
     assert cycle.length == 2
     assert 0 <= phase < 2
-    assert (len(generator_orbits(SymmetricGroup(r), _generators(cycle, b))) == 1) == (r == n)
+    assert _transitive(SymmetricGroup(r), _generators(cycle, b)) == (r == n)
 
 
 def test_pi_representation_location(s3):
@@ -259,6 +253,14 @@ def test_pi_representation_images(s5):
 def test_pi_representation_class_is_found_by_tower(tower_s5):
     cycle, _, b = pi_representation(5, 5, tower_s5.decomposition)
     assert (cycle, b) in [(c, bb) for c, bb, _ in level_rows(tower_s5.level(5))]
+
+
+@pytest.mark.parametrize("scan,n", [("extend_to_K4", 4), ("extend_step", 5)])
+def test_pi_representation_raises_when_the_scan_finds_no_image(monkeypatch, scan, n):
+    empty = np.empty(0, dtype=np.intp)
+    monkeypatch.setattr(analysis, scan, lambda *args: (empty, empty))
+    with pytest.raises(VerificationError, match=f"breaks a stage-{n} relation"):
+        pi_representation(n, n)
 
 
 def test_pi_representation_argument_errors():

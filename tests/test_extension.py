@@ -622,9 +622,6 @@ def test_s6_conjugation_orbits(tower_s6):
 def test_tower_argument_errors(s3):
     with pytest.raises(UsageError):
         compute_tower(s3, 2)
-    foreign = decompose(SymmetricGroup(3))
-    with pytest.raises(UsageError):
-        compute_tower(s3, 4, decomposition=foreign)
 
 
 def test_tower_level_lookup_bounds(tower_s3):
