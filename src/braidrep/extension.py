@@ -13,9 +13,9 @@ scan is an ordered list of relations, every one of the form x g = g y or
 x g z = g y g in the candidate g, run by one kernel, `_scan`.  It sorts the
 rows by period and cuts them, whatever their periods, into blocks of at most
 _BLOCK_CELLS (row, candidate) cells: the first relation runs on the block's
-full grid by table rows, each later one only on the cells still alive, and a
-block stops when none is left.  The scans validate their input and check
-nothing else.
+full grid by rows and columns of products, each later one only on the cells
+still alive, and a block stops when none is left.  The scans validate their
+input and check nothing else.
 
 The structural facts are array tests over all rows of a stage.
 `compute_tower` runs `stage4_failure` and `stage_failure` once per stage on
@@ -128,24 +128,23 @@ def _scan(decomp: ShiftDecomposition, ids, b, relations) -> tuple[np.ndarray, np
     `relations(a, b)` gives a block's relations in order, from its a-sequence
     matrix (see `_blocks`) and its rows of images, as tuples of row arrays:
     (x, y) for x g = g y, (x, y, z) for x g z = g y g.  The first runs on the
-    block's full grid of cells by table rows, each later one only on the cells
-    still alive, and the block is done when none is left."""
+    block's full grid by rows and columns of products, each later one only on
+    the cells still alive, and the block is done when none is left."""
     ids, b = _scan_input(decomp, ids, b)
-    mul_t, _ = decomp.group.tables()
-    m, flat = decomp.group.order, mul_t.ravel()
-    g = np.arange(m)
+    group = decomp.group
+    g = np.arange(group.order)
     found = []
     for rows, a in _blocks(decomp, ids):
         tests = iter(relations(a, b[rows]))
         x, y, *z = next(tests)
-        xg, gy = mul_t[x], mul_t[:, y].T
-        keep = xg == gy if not z else flat[xg * m + z[0][:, None]] == flat[gy * m + g]
-        r, c = np.divmod(np.flatnonzero(keep), m)
+        xg, gy = group.row_products(x), group.column_products(y)
+        keep = xg == gy if not z else group.products(xg, z[0][:, None]) == group.products(gy, g)
+        r, c = np.divmod(np.flatnonzero(keep), group.order)
         for x, y, *z in tests:
             if not r.size:
                 break
-            xg, gy = flat[x[r] * m + c], flat[c * m + y[r]]
-            keep = xg == gy if not z else flat[xg * m + z[0][r]] == flat[gy * m + c]
+            xg, gy = group.products(x[r], c), group.products(c, y[r])
+            keep = xg == gy if not z else group.products(xg, z[0][r]) == group.products(gy, c)
             r, c = r[keep], c[keep]
         found.append((rows[r], c))
     return _by_row(found)
@@ -193,44 +192,41 @@ def extend_to_braid(decomp: ShiftDecomposition, ids, b) -> tuple[np.ndarray, np.
 
 def is_trivial_class(decomp: ShiftDecomposition, ids: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Whether each class (cycle ids[k], b[k]) is the fixed point (e, e) with every image e."""
-    e = decomp.group.identity
-    return (ids == decomp.cycle_index(e, e)) & (b == e).all(axis=1)
+    # decompose checks that (e, e) is the one fixed point, so the one cycle of length 1
+    return (decomp.lengths[ids] == 1) & (b == decomp.group.identity).all(axis=1)
 
 
 def element_orders(group: FiniteGroup) -> np.ndarray:
     """The order of every element, by powering all elements in step.  A tower
     and a verify run each build it once and hand it to the stage checks.
     VerificationError if an element has no power up to |G| that is the identity."""
-    mul_t, _ = group.tables()
     x = np.arange(group.order)
     order, power = np.zeros_like(x), x
     for k in range(1, group.order + 1):
         order[(power == group.identity) & (order == 0)] = k
         if order.all():
             return order
-        power = mul_t[power, x]
+        power = group.products(power, x)
     raise VerificationError(f"an element of {group.name} has no power up to {group.order} that is the identity")
 
 
 def _powers(group: FiniteGroup, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x[k]^p[k] for every k, by repeated squaring over the table."""
-    mul_t, _ = group.tables()
-    acc = np.full(x.size, group.identity, dtype=mul_t.dtype)
+    """x[k]^p[k] for every k, by repeated squaring."""
+    acc = np.full_like(x, group.identity)
     for bit in range(int(p.max(initial=0)).bit_length()):
-        acc = np.where((p >> bit) & 1 == 1, mul_t[acc, x], acc)
-        x = mul_t[x, x]
+        acc = np.where((p >> bit) & 1 == 1, group.products(acc, x), acc)
+        x = group.products(x, x)
     return acc
 
 
 def _power_centralises(decomp: ShiftDecomposition, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
     """For each k, whether x[k]^p commutes with every entry of the a-sequence of
     cycle ids[k], p its period."""
-    mul_t, _ = decomp.group.tables()
-    length = decomp.lengths[ids]
-    xp = np.repeat(_powers(decomp.group, x, length), length)
+    group, length = decomp.group, decomp.lengths[ids]
+    xp = np.repeat(_powers(group, x, length), length)
     a = decomp.a_flat[_ranges(decomp.offsets[ids], length)]
-    return np.bincount(np.repeat(np.arange(ids.size), length), weights=mul_t[xp, a] != mul_t[a, xp],
-                       minlength=ids.size) == 0
+    fails = group.products(xp, a) != group.products(a, xp)
+    return np.bincount(np.repeat(np.arange(ids.size), length), weights=fails, minlength=ids.size) == 0
 
 
 def _first_broken(fails: list[np.ndarray]) -> tuple[int, int] | None:
@@ -270,7 +266,6 @@ def stage_failure(decomp: ShiftDecomposition, ids: np.ndarray, b: np.ndarray,
     a-sequence, p the period.  `orders` is the group's element-order table,
     built here when not given and some class is nontrivial."""
     group = decomp.group
-    mul_t, _ = group.tables()
     keep = ~is_trivial_class(decomp, ids, b)
     if not keep.any():
         return None
@@ -279,13 +274,14 @@ def stage_failure(decomp: ShiftDecomposition, ids: np.ndarray, b: np.ndarray,
     p = decomp.lengths[ids]
     order = element_orders(group) if orders is None else orders
     facts: list[tuple[np.ndarray, str]] = []
+    prod = group.products
     for j in range(width - 1):
-        xy, yx = mul_t[b[:, j], b[:, j + 1]], mul_t[b[:, j + 1], b[:, j]]
-        facts.append((mul_t[xy, b[:, j]] != mul_t[yx, b[:, j + 1]], "adjacent braid relation fails"))
+        xy, yx = prod(b[:, j], b[:, j + 1]), prod(b[:, j + 1], b[:, j])
+        facts.append((prod(xy, b[:, j]) != prod(yx, b[:, j + 1]), "adjacent braid relation fails"))
         facts.append((xy == yx, "adjacent images commute"))
     for j in range(width):
         for k in range(j + 2, width):
-            facts.append((mul_t[b[:, j], b[:, k]] != mul_t[b[:, k], b[:, j]], "far commutation fails"))
+            facts.append((prod(b[:, j], b[:, k]) != prod(b[:, k], b[:, j]), "far commutation fails"))
     for j in range(width):
         if j:
             facts.append((order[b[:, j]] % p != 0, f"p does not divide ord(b_{j + 3})"))
@@ -344,8 +340,7 @@ class _Orbits:
 
 def _conjugate(group: FiniteGroup, t, x) -> np.ndarray:
     """t x t^-1, elementwise over broadcast arrays of handles."""
-    mul_t, inv_t = group.tables()
-    return mul_t[mul_t[t, x], inv_t[t]]
+    return group.products(group.products(t, x), group.inverses(t))
 
 
 def _ranges(first: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -374,7 +369,6 @@ def _conjugation_orbits(decomp: ShiftDecomposition) -> _Orbits:
         """Cycle ids of t v t^-1 for v the rep vertex of cycle cid[k]."""
         return decomp.cycle_index(_conjugate(group, t, a0[cid]), _conjugate(group, t, a1[cid]))
 
-    mul_t, _ = group.tables()
     everything = np.arange(n)
     steps = [(g, cycle_of(g, everything)) for g in group.generators()]
     root, t = everything.copy(), np.full(n, group.identity, dtype=np.int64)
@@ -385,7 +379,7 @@ def _conjugation_orbits(decomp: ShiftDecomposition) -> _Orbits:
             # a permutation: no two sources write the same cycle
             src = np.flatnonzero(root < root[step])
             dst = step[src]
-            root[dst], t[dst] = root[src], mul_t[g, t[src]]
+            root[dst], t[dst] = root[src], group.products(g, t[src])
             fell |= src.size > 0
     if (cycle_of(t, root) != everything).any():
         raise VerificationError("a transporter does not conjugate its orbit's first cycle onto its member")

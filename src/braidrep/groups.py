@@ -4,9 +4,11 @@ Elements of a group of order m are the integers 0..m-1 and have no other
 name.  Every backend fixes the meaning of an index (for symmetric groups:
 1-based position in the lexicographic enumeration minus one) and builds the
 m x m multiplication table and the inverse table once, at construction, in
-its `_build_tables`; mul/inv and everything else are lookups into those
-tables.  Multiplication follows the convention that the RIGHT factor acts
-first, i.e. for permutations mul(g, h) is the composite "apply h, then g".
+its `_build_tables`.  Products are lookups into those tables: `mul`/`inv`
+one at a time, `products`/`inverses` and the row and column forms on arrays,
+the only products other modules take.  Multiplication follows the convention
+that the RIGHT factor acts first, i.e. for permutations mul(g, h) is the
+composite "apply h, then g".
 
 S_r and SL(2, q) list their elements as digit rows in lex order and share one
 builder, `_lex_tables`: a key -> handle array, the first block of rows and
@@ -105,6 +107,23 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return self._inv_table.item(a)
+
+    # the array forms read the tables at each call, as a patched instance expects
+    def products(self, x, y) -> np.ndarray:
+        """x[k] y[k] for every k, over broadcast arrays of handles: one flat gather."""
+        return self._mul_table.ravel().take(x * self.order + y)
+
+    def inverses(self, x) -> np.ndarray:
+        """x[k]^-1 for every k."""
+        return self._inv_table.take(x)
+
+    def row_products(self, x) -> np.ndarray:
+        """x[k] g for every element g, at [k, g]: whole table rows."""
+        return self._mul_table[x]
+
+    def column_products(self, y) -> np.ndarray:
+        """g y[k] for every element g, at [k, g]: whole table columns."""
+        return np.moveaxis(self._mul_table[:, y], 0, -1)
 
     def elements(self) -> range:
         return range(self.order)
@@ -584,14 +603,13 @@ def derived_series(group: FiniteGroup) -> tuple[frozenset[int], ...]:
     in H, since [xh, s] = [x, s]^h [h, s] (a^h = h^-1 a h) puts every [x, s]^h
     in N, and in H / N every s is central, so H / N is abelian and N holds all
     of [H, H]."""
-    mul_t, inv_t = group.tables()
     terms, H = [], np.ones(group.order, dtype=bool)
     while not terms or H.sum() < len(terms[-1]):
         x = np.flatnonzero(H)[:, None]
         terms.append(frozenset(x.ravel().tolist()))
         s = np.array(_closure(group, H)[0], dtype=np.intp)      # H's greedy generators
         commutators = np.zeros(group.order, dtype=bool)
-        commutators[mul_t[mul_t[inv_t[x], inv_t[s]], mul_t[x, s]]] = True
+        commutators[group.products(group.products(group.inverses(x), group.inverses(s)), group.products(x, s))] = True
         H = _closure(group, commutators)[1]
     return tuple(terms)
 

@@ -4,7 +4,8 @@ The oracle walks every pair's recurrence orbit itself and tests every candidate
 image of every generator against every defining relation, over one full period
 where the relation runs along the orbit.  It shares no code with the engine's
 cycle decomposition, class representatives, conjugation orbits or scans, only
-the group backend: the multiplication and inverse tables.  The search runs
+the group backend's array products (`products`, `inverses`, `row_products`,
+`column_products`).  The search runs
 breadth first as array steps over blocks of (prefix, candidate) cells.  A
 block's first test runs on its whole grid and each later test only on the
 cells still alive, in (prefix, candidate) order, so a cell is charged one
@@ -71,20 +72,19 @@ class _Budget:
             raise ResourceLimitError(f"relation-check budget {self.limit} exhausted")
 
 
-def _orbits(mul_t: np.ndarray, inv_t: np.ndarray, start=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _orbits(group: FiniteGroup, start=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk the orbits of the pairs with codes `start` (a0 * m + a1; default all
     m^2 pairs, code order) all in step: each row's a-sequence from the pair
     itself, run two places past the longest period, its period, and the code
     a_k * m + a_{k+1} of its least vertex."""
-    m = len(mul_t)
-    flat = mul_t.ravel()
+    m = group.order
     if start is None:
         start = np.arange(m * m, dtype=np.int32)
     x, y = np.divmod(start, m)
     seqs = [x]
     period, canon = np.zeros(len(start), dtype=np.int32), start.copy()
     while not period.all():
-        x, y = y, flat.take(inv_t.take(x) * m + y)
+        x, y = y, group.products(group.inverses(x), y)
         seqs.append(x)
         cur = x * m + y
         period[(period == 0) & (cur == start)] = len(seqs) - 1
@@ -93,7 +93,7 @@ def _orbits(mul_t: np.ndarray, inv_t: np.ndarray, start=None) -> tuple[np.ndarra
     return np.stack(seqs, axis=1), period, canon
 
 
-def _grow(mul_t: np.ndarray, imgs: np.ndarray, bud: _Budget, orbits=None) -> tuple[np.ndarray, np.ndarray]:
+def _grow(group: FiniteGroup, imgs: np.ndarray, bud: _Budget, orbits=None) -> tuple[np.ndarray, np.ndarray]:
     """Extend every prefix (a row of images) by every candidate g; return the
     surviving (prefix row, g) cells in prefix order.  With `orbits` (a-sequences,
     periods, pair rows sorted longest period first) the period family runs
@@ -102,28 +102,20 @@ def _grow(mul_t: np.ndarray, imgs: np.ndarray, bud: _Budget, orbits=None) -> tup
     commute with every earlier one, so every call has at least one test.  A
     block's first test runs on its whole (rows x m) grid; every later test
     only on the cells still alive."""
-    m = len(mul_t)
+    m = group.order
     g = np.arange(m, dtype=np.int32)
-    right = np.ascontiguousarray(mul_t.T)       # mul_t[x, g] is x g, right[y, g] is g y
-    flat, rflat = mul_t.ravel(), right.ravel()
 
     def holds(x, y, z, r=None, c=None):
         """Whether cells pass x g = g y or, given z, x g z = g y g: the block's
-        whole grid, by whole table rows, when r is None, else the cells
-        (row r, candidate c)."""
+        whole grid, by whole rows and columns of products, when r is None,
+        else the cells (row r, candidate c)."""
         if r is None:
-            xg, gy, c = mul_t[x], right[y], g
+            xg, gy, c = group.row_products(x), group.column_products(y), g
             z = z if z is None else z[:, None]
         else:
-            xg, gy = flat.take(x[r] * m + c), rflat.take(y[r] * m + c)
+            xg, gy = group.products(x[r], c), group.products(c, y[r])
             z = z if z is None else z[r]
-        if z is None:
-            return xg == gy
-        xg *= m
-        xg += z
-        gy *= m
-        gy += c
-        return flat.take(xg) == flat.take(gy)
+        return xg == gy if z is None else group.products(xg, z) == group.products(gy, c)
 
     step = max(1, _BLOCK_CELLS // m)
     rows, cands = [], []
@@ -163,13 +155,12 @@ def brute_hom_Kn(group: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> Or
     if n < 3:
         raise UsageError("the commutator-subgroup tower starts at n = 3")
     bud = _Budget(budget)
-    mul_t, inv_t = group.tables()
     m = group.order
-    seqs, period, canon = _orbits(mul_t, inv_t)
+    seqs, period, canon = _orbits(group)
     pairs = np.argsort(-period, kind="stable")
     imgs = np.empty((m * m, 0), dtype=np.int64)
     for _ in range(3, n):
-        r, g = _grow(mul_t, imgs, bud, (seqs, period, pairs))
+        r, g = _grow(group, imgs, bud, (seqs, period, pairs))
         pairs, imgs = pairs[r], np.column_stack([imgs[r], g])
     sink = Counter(zip(canon[pairs].tolist(), map(tuple, imgs.tolist())))
     census = tuple(sorted((divmod(key, m), b, cnt) for (key, b), cnt in sink.items()))
@@ -186,20 +177,19 @@ def brute_hom_Bn(group: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> Or
     if n < 2:
         raise UsageError("braid groups need at least two strands")
     bud = _Budget(budget)
-    mul_t, inv_t = group.tables()
     m = group.order
     s = np.arange(m)[:, None]   # s_1 meets no relation
     for _ in range(2, n):
-        r, g = _grow(mul_t, s, bud)
+        r, g = _grow(group, s, bud)
         s = np.column_stack([s[r], g])
-    c, c_inv = s[:, 0], inv_t[s[:, 0]]
+    c, c_inv = s[:, 0], group.inverses(s[:, 0])
     if n == 2:
         keys = [None] * len(s)
     else:
-        a0 = mul_t[s[:, 1], c_inv]
-        a1 = mul_t[mul_t[c, a0], c_inv]
-        keys = [divmod(key, m) for key in _orbits(mul_t, inv_t, a0 * m + a1)[2].tolist()]
-    b = mul_t[s[:, 2:], c_inv[:, None]]
+        a0 = group.products(s[:, 1], c_inv)
+        a1 = group.products(group.products(c, a0), c_inv)
+        keys = [divmod(key, m) for key in _orbits(group, a0 * m + a1)[2].tolist()]
+    b = group.products(s[:, 2:], c_inv[:, None])
     sink = Counter(zip(keys, map(tuple, b.tolist()), c.tolist()))
     census = tuple((key, imgs, c, cnt) for (key, imgs, c), cnt in sorted(sink.items()))
     return OracleResult(len(s), census, bud.used)

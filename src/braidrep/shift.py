@@ -149,10 +149,10 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
     """Split G x G into successor cycles, numbered in lex order of their least vertex.
 
     Vertex (a0, a1) has the int32 code a0 * m + a1, so code order is lex
-    order.  The successor map is one array of codes, built with one gather
-    and checked to be a bijection (every code is hit) before anything
-    walks it, so every walk below runs on cycles and ends.  Two walks over
-    arrays do the rest:
+    order.  The successor map is one array of codes, built from whole table
+    rows (`row_products`) and checked to be a bijection (every code is hit)
+    before anything walks it, so every walk below runs on cycles and ends.
+    Two walks over arrays do the rest:
 
     * A walk starts at every vertex and is dropped as soon as it meets a
       smaller code.  It closes, after one lap, exactly when its seed is the
@@ -162,7 +162,7 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
     * All cycles then advance together from their rep vertices, one array
       step per position up to the longest cycle.  A step writes the cycles'
       current vertex codes into one flat array and folds the cycle products
-      through the flattened multiplication table; that is all it does.
+      with one `products` call; that is all it does.
 
     After the walk the flat array holds every cycle's vertex codes end to end.
     It is divided by m in place, which leaves each code's a0: the
@@ -178,9 +178,8 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
     around every cycle is the identity.
     """
     m = group.order
-    mul_t, inv_t = group.tables()
-    # successor codes a1 * m + (a0^-1 a1): row a0 of mul_t[inv_t] is a0^-1 times every a1
-    succ = mul_t[inv_t]
+    # successor codes a1 * m + (a0^-1 a1): row a0 is a0^-1 times every a1
+    succ = group.row_products(group.inverses(np.arange(m)))
     succ += np.arange(0, m * m, m, dtype=np.int32)
     succ = succ.ravel()
     hit = np.zeros(m * m, dtype=bool)
@@ -219,12 +218,11 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
     walk = np.argsort(-lengths, kind="stable")
     cur, pos = reps[walk], offsets[walk]
     prod = np.full(n, group.identity, dtype=np.int32)
-    products = mul_t.ravel()                    # products[x * m + y] = x y
     vflat = np.empty(m * m, dtype=np.int32)
     for k, j in enumerate(walking.tolist()):
         v = cur[:j]
         vflat[pos[:j] + k] = v
-        prod[:j] = products.take(prod[:j] * m + v // m)
+        prod[:j] = group.products(prod[:j], v // m)
         cur[:j] = succ.take(v)
     del succ
     bad = reps[walk[prod != group.identity]]

@@ -48,14 +48,13 @@ def _census_suite(tower: TowerResult) -> SuiteResult:
 
 def _prop1_suite(tower: TowerResult) -> SuiteResult:
     """Fold every cycle's ordered product out of the flat a-sequences, all
-    cycles in step, one table look-up per position."""
+    cycles in step, one `products` call per position."""
     G = tower.group
     decomp = tower.decomposition
-    mul_t, _ = G.tables()
-    prod = np.full(decomp.lengths.size, G.identity, dtype=mul_t.dtype)
+    prod = np.full(decomp.lengths.size, G.identity, dtype=decomp.a_flat.dtype)
     for k in range(int(decomp.lengths.max())):
         live = np.flatnonzero(decomp.lengths > k)
-        prod[live] = mul_t[prod[live], decomp.a_flat[decomp.offsets[live] + k]]
+        prod[live] = G.products(prod[live], decomp.a_flat[decomp.offsets[live] + k])
     bad = int((prod != G.identity).sum())
     return SuiteResult("prop1", bad == 0,
                        f"{decomp.lengths.size} cycle products checked, {bad} non-identity")

@@ -17,6 +17,7 @@ from braidrep.extension import (
     extend_step,
     extend_to_K4,
     extend_to_braid,
+    is_trivial_class,
     stage_failure,
 )
 from braidrep.groups import SL2, SymmetricGroup, alternating_group, parse_group_spec
@@ -310,6 +311,22 @@ def test_next_b_post_check_refuses_an_image_outside_the_conjugacy_class(s4):
     assert stage_failure(d, ids, np.array([[last, other], [last, other]])) is None
     assert (stage_failure(d, ids, np.array([[last, other], [last, three_cycle]]))
             == "adjacent braid relation fails at stage 5")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_is_trivial_class_reads_no_cycle_map(seed):
+    group = relabelled(s3_x_z6(), seed)
+    e = group.identity
+    assert e != 0
+    d = decompose(group)
+    n = d.lengths.size
+    # every cycle twice: once with the identity chain, once with a nontrivial b_4
+    ids, b = np.tile(np.arange(n), 2), np.full((2 * n, 2), e)
+    b[n:, 1] = (e + 1) % group.order
+    got = is_trivial_class(d, ids, b)
+    assert "_cycle_id" not in vars(d)
+    assert np.array_equal(got, (ids == d.cycle_index(e, e)) & (b == e).all(axis=1))
+    assert got.sum() == 1
 
 
 # ---------------------------------------------------------------------------

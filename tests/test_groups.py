@@ -108,6 +108,32 @@ def test_tables_match_scalar_mul(group):
     assert all(mul_t[a, inv_t[a]] == group.identity for a in group.elements())
 
 
+@pytest.mark.parametrize("group", BACKENDS, ids=lambda g: g.name)
+def test_array_products_match_the_tables(group):
+    mul_t, inv_t = group.tables()
+    x, y = np.random.default_rng(group.order).integers(group.order, size=(2, 7))
+    # 0-d, 1-d and broadcast 2-d handle arrays
+    for a, b in [(np.asarray(x[0]), np.asarray(y[0])), (x, y), (x[:, None], y[None, :5])]:
+        product = group.products(a, b)
+        assert product.shape == np.broadcast_shapes(a.shape, b.shape)
+        assert np.array_equal(product, mul_t[a, b])
+        assert np.array_equal(group.inverses(a), inv_t[a])
+        rows, cols = group.row_products(a), group.column_products(b)
+        assert rows.shape == a.shape + (group.order,) and cols.shape == b.shape + (group.order,)
+        assert np.array_equal(rows, mul_t[a[..., None], np.arange(group.order)])
+        assert np.array_equal(cols, mul_t[np.arange(group.order), b[..., None]])
+    assert group.products(x[0], y[0]) == group.mul(int(x[0]), int(y[0]))
+
+
+def test_no_module_but_groups_reads_the_tables():
+    # every other module multiplies through the array product methods
+    src = pathlib.Path(braidrep.__file__).parent
+    table_access = re.compile(r"\.tables\(\)|_mul_table|_inv_table")
+    readers = [path.name for path in sorted(src.glob("*.py"))
+               if path.name != "groups.py" and table_access.search(path.read_text())]
+    assert readers == []
+
+
 # sha256 of mul_t.tobytes() and inv_t.tobytes(), and the identity, as the
 # whole-table searchsorted builders made them
 PINNED_TABLES = {
