@@ -9,9 +9,12 @@ are exactly the vertices on the cycle.
 `decompose` returns the decomposition as flat arrays: every cycle's sequence
 laid end to end (m^2 int32 handles) and each cycle's offset, length and type.
 It walks int32 vertex codes, which cannot wrap since m^2 <= MAX_TABLE_ENTRIES
-< 2^31.  Every writer reads those arrays.  The cycle through every vertex (m^2
-int32 numbers) and `Cycle` objects are built from them on request, and no
-command builds a `Cycle`.
+< 2^31, from a bounded batch of seeds at a time, so its peak is the successor
+map, one mask and the result plus little more: 10-17 bytes a vertex on S6,
+SL2(7) and SL2(11).  Every writer reads those arrays.  The cycle through
+every vertex (m^2 int32 numbers, scattered a block of cycles at a time) and
+`Cycle` objects are built from them on request, and no command builds a
+`Cycle`.
 """
 from __future__ import annotations
 
@@ -33,6 +36,11 @@ __all__ = [
 ]
 
 Vertex = tuple[int, int]
+
+# decompose walks from at most this many seeds at a time, and the cycle map is
+# scattered this many cycles at a time
+_DECOMPOSE_BATCH = 1 << 15
+_CYCLE_ID_BLOCK = 1 << 16
 
 
 def successor(group: FiniteGroup, v: Vertex) -> Vertex:
@@ -97,10 +105,13 @@ class ShiftDecomposition:
     @cached_property
     def _cycle_id(self) -> np.ndarray:
         """The number of the cycle through every vertex code, int32, scattered
-        once over the codes of every cycle."""
+        over the codes of _CYCLE_ID_BLOCK cycles at a time."""
         m, n = self.group.order, self.lengths.size
         cycle_id = np.empty(m * m, dtype=np.int32)
-        cycle_id[self._vertex_codes(0, n)] = np.repeat(np.arange(n, dtype=np.int32), self.lengths)
+        for lo in range(0, n, _CYCLE_ID_BLOCK):
+            hi = min(lo + _CYCLE_ID_BLOCK, n)
+            cycle_id[self._vertex_codes(lo, hi)] = np.repeat(np.arange(lo, hi, dtype=np.int32),
+                                                             self.lengths[lo:hi])
         return cycle_id
 
     @cached_property
@@ -152,30 +163,40 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
     order.  The successor map is one array of codes, built from whole table
     rows (`row_products`) and checked to be a bijection (every code is hit)
     before anything walks it, so every walk below runs on cycles and ends.
-    Two walks over arrays do the rest:
+    The walks run in batches.  A batch's seeds are the _DECOMPOSE_BATCH least
+    codes not yet on a found cycle; the bijection mask is reused to mark
+    those.  Two walks over arrays find the cycles through the seeds:
 
-    * A walk starts at every vertex and is dropped as soon as it meets a
-      smaller code.  It closes, after one lap, exactly when its seed is the
-      least vertex of its cycle, which gives each cycle's rep vertex and
-      length.  With the build of the map this is 2.2-3.8 m^2 successor
-      look-ups on the groups from S3 to SL2(11).
-    * All cycles then advance together from their rep vertices, one array
-      step per position up to the longest cycle.  A step writes the cycles'
-      current vertex codes into one flat array and folds the cycle products
-      with one `products` call; that is all it does.
+    * A walk starts at every seed and is dropped as soon as it meets a
+      smaller code (`_drop_walk`).  It closes, after one lap, exactly when its
+      seed is the least vertex of its cycle, which gives each cycle's rep
+      vertex and length.  A seed's cycle holds no found code, so its least
+      vertex is a seed of the same batch: every batch finds whole cycles, and
+      its least vertices lie above the previous batch's.
+    * The batch's cycles then advance together from their rep vertices, one
+      array step per position up to the longest cycle (`_lockstep_walk`).  A
+      step writes the cycles' current vertex codes into one flat array, after
+      those of the previous batches, and folds the cycle products with one
+      `products` call; that is all it does.  The codes laid out are then
+      marked found.
 
-    After the walk the flat array holds every cycle's vertex codes end to end.
-    It is divided by m in place, which leaves each code's a0: the
+    Only the seeds walk, so the drop walk makes 1.2-1.6 m^2 successor look-ups
+    on S6, SL2(11) and SL2(13), where one walk from every vertex makes
+    2.3-2.8 m^2; a group of order at most 181 has one batch.
+
+    After the batches the flat array holds every cycle's vertex codes end to
+    end.  It is divided by m in place, which leaves each code's a0: the
     a-sequences, `a_flat`.  Each cycle's stored sequence starts at its
     lexicographically least vertex.  A cycle is of type I when two
     neighbours of its sequence, read cyclically, are equal; the positions of
     such pairs are mapped to their cycles with one `searchsorted` over the
     offsets.  The cycle through every vertex is not built here but on first
     use (`ShiftDecomposition._cycle_id`), so `shift` never pays for it.
-    Four facts are verified and raise VerificationError if broken: the
-    successor map is a bijection, the cycle lengths partition |G|^2, there
-    is exactly one fixed point, and the ordered product a_0 a_1 ... a_{p-1}
-    around every cycle is the identity.
+    Four facts are verified and raise VerificationError if broken, the last
+    three after the walks and in this order: the successor map is a
+    bijection, the cycle lengths partition |G|^2, there is exactly one fixed
+    point, and the ordered product a_0 a_1 ... a_{p-1} around every cycle is
+    the identity.
     """
     m = group.order
     # successor codes a1 * m + (a0^-1 a1): row a0 is a0^-1 times every a1
@@ -186,49 +207,45 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
     hit[succ] = True
     if not hit.all():       # a map of a finite set to itself is one-to-one iff onto
         raise VerificationError("successor map is not a bijection of the vertex set")
-    del hit
 
-    # drop-when-smaller walk: at step k, cur is the k-th successor of each seed
-    seeds = np.arange(m * m, dtype=np.int32)
-    cur = succ
-    rep_parts, length_parts = [], []
-    k = 1
-    while seeds.size:
-        closed = seeds.compress(cur == seeds)
-        rep_parts.append(closed)
-        length_parts.append(np.full(closed.size, k, dtype=np.int64))
-        keep = cur > seeds
-        seeds, cur = seeds.compress(keep), succ.take(cur.compress(keep))
-        k += 1
-    reps = np.concatenate(rep_parts)
-    order = np.argsort(reps, kind="stable")
-    reps, lengths = reps[order], np.concatenate(length_parts)[order]
+    # from here on hit marks the codes not yet on a found cycle
+    vflat = np.empty(m * m, dtype=np.int32)
+    length_parts, bad = [], None
+    lo = done = 0
+    window = _DECOMPOSE_BATCH
+    while done < m * m:
+        # the batch's seeds: the least codes from lo on that are not on a found cycle
+        seeds = np.flatnonzero(hit[lo:lo + window])
+        while seeds.size < _DECOMPOSE_BATCH and lo + window < m * m:
+            window *= 2
+            seeds = np.flatnonzero(hit[lo:lo + window])
+        if not seeds.size:      # only a map that left a seed's cycle open gets here
+            break
+        seeds = seeds[:_DECOMPOSE_BATCH].astype(np.int32) + lo
+        lo = int(seeds[-1]) + 1
+        reps, lengths = _drop_walk(succ, seeds)
+        walk_bad = _lockstep_walk(group, succ, reps, lengths, vflat, done)
+        if bad is None and walk_bad.size:       # reps rise from batch to batch
+            bad = int(walk_bad.min())
+        length_parts.append(lengths)
+        count = int(lengths.sum())
+        hit[vflat[done:done + count]] = False
+        done += count
+    del succ, hit
+
+    lengths = np.concatenate(length_parts)
+    n = lengths.size
+    offsets = np.cumsum(lengths) - lengths
     census = np.bincount(lengths)
     # a true bijection partitions; this catches a code below 0, which the mask read from the end
     if int(census @ np.arange(census.size)) != m * m:
         raise VerificationError("cycle lengths do not partition the vertex set")
     if census[1] != 1:
         raise VerificationError("expected exactly one fixed point (the trivial cycle)")
-
-    # lockstep walk, longest cycles first so the cycles still walking are a prefix;
-    # a step stores the vertex codes and folds the cycle products, nothing more
-    n = reps.size
-    offsets = np.cumsum(lengths) - lengths
-    walking = n - np.cumsum(census)[:-1]
-    walk = np.argsort(-lengths, kind="stable")
-    cur, pos = reps[walk], offsets[walk]
-    prod = np.full(n, group.identity, dtype=np.int32)
-    vflat = np.empty(m * m, dtype=np.int32)
-    for k, j in enumerate(walking.tolist()):
-        v = cur[:j]
-        vflat[pos[:j] + k] = v
-        prod[:j] = group.products(prod[:j], v // m)
-        cur[:j] = succ.take(v)
-    del succ
-    bad = reps[walk[prod != group.identity]]
-    if bad.size:
+    # a broken census is named before a broken product, whichever batch saw it
+    if bad is not None:
         raise VerificationError(
-            f"cycle product is not the identity on the cycle through {divmod(int(bad.min()), m)}")
+            f"cycle product is not the identity on the cycle through {divmod(bad, m)}")
 
     # the codes are laid out cycle by cycle, so cycle i owns a_flat[offsets[i]:][:lengths[i]]
     a_flat = np.floor_divide(vflat, m, out=vflat)
@@ -242,6 +259,48 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
     is_type_I[np.searchsorted(offsets, np.flatnonzero(diagonal), side="right") - 1] = True
     period_census = {p: c for p, c in enumerate(census.tolist()) if c}
     return ShiftDecomposition(group, a_flat, offsets, lengths, is_type_I, period_census)
+
+
+def _drop_walk(succ: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The seeds that are the least vertex of their cycle, in code order, and
+    their cycle lengths.  A walk starts at every seed and is dropped as soon as
+    it meets a smaller code; it closes, after one lap, exactly when its seed is
+    its cycle's least vertex."""
+    # at step k, cur is the k-th successor of each seed still walking
+    cur = succ.take(seeds)
+    rep_parts, length_parts = [], []
+    k = 1
+    while seeds.size:
+        closed = seeds.compress(cur == seeds)
+        rep_parts.append(closed)
+        length_parts.append(np.full(closed.size, k, dtype=np.int64))
+        keep = cur > seeds
+        seeds, cur = seeds.compress(keep), succ.take(cur.compress(keep))
+        k += 1
+    reps = np.concatenate(rep_parts)
+    order = np.argsort(reps, kind="stable")
+    return reps[order], np.concatenate(length_parts)[order]
+
+
+def _lockstep_walk(group: FiniteGroup, succ: np.ndarray, reps: np.ndarray, lengths: np.ndarray,
+                   vflat: np.ndarray, start: int) -> np.ndarray:
+    """Lay the vertex codes of the cycles from `reps` out in vflat from `start`,
+    cycle after cycle, and return the reps whose cycle product is not the identity.
+
+    All cycles advance together, longest first so the cycles still walking are
+    a prefix; a step stores their vertex codes and folds the cycle products,
+    nothing more."""
+    m = group.order
+    walking = reps.size - np.cumsum(np.bincount(lengths))[:-1]
+    walk = np.argsort(-lengths, kind="stable")
+    cur, pos = reps[walk], (start + np.cumsum(lengths) - lengths)[walk]
+    prod = np.full(reps.size, group.identity, dtype=np.int32)
+    for k, j in enumerate(walking.tolist()):
+        v = cur[:j]
+        vflat[pos[:j] + k] = v
+        prod[:j] = group.products(prod[:j], v // m)
+        cur[:j] = succ.take(v)
+    return reps[walk[prod != group.identity]]
 
 
 def order2_cycle_shape(group: FiniteGroup, a: int) -> int:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidrep import groups, report
+from braidrep import groups, report, shift
 from braidrep.errors import VerificationError
 from braidrep.groups import SL2, AbelianProduct, CayleyTableGroup, SymmetricGroup, parse_group_spec
 from braidrep.shift import (
@@ -203,6 +203,59 @@ def test_decompose_rejects_a_cycle_product_that_is_not_the_identity(monkeypatch)
         decompose(group)
 
 
+@pytest.mark.parametrize("check", [test_decompose_rejects_a_successor_map_that_is_not_a_bijection,
+                                   test_decompose_rejects_a_successor_code_outside_the_vertex_set,
+                                   test_decompose_rejects_more_than_one_fixed_point,
+                                   test_decompose_rejects_a_cycle_product_that_is_not_the_identity],
+                         ids=lambda check: check.__name__.removeprefix("test_decompose_"))
+def test_decompose_rejects_broken_maps_one_seed_a_batch(check, monkeypatch):
+    # every batch walks from one seed, so a map that leaves a seed's cycle open
+    # ends the batches before the checks run
+    monkeypatch.setattr(shift, "_DECOMPOSE_BATCH", 1)
+    check(monkeypatch)
+
+
+BATCH_GROUPS = {
+    "S4": lambda: SymmetricGroup(4),
+    "S3xZ6-relabelled-2": lambda: relabelled(s3_x_z6(), 2),
+    "Z2xZ4xZ5": lambda: parse_group_spec("Z2xZ4xZ5"),
+    "SL2(5)": lambda: SL2(5),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64])
+@pytest.mark.parametrize("name", BATCH_GROUPS)
+def test_decompose_in_batches_equals_per_vertex_walk(name, batch, monkeypatch):
+    group = BATCH_GROUPS[name]()
+    cycles, census, cycle_index = per_vertex_walk(group)
+    # batches end inside cycles of every length, and so do the cycle map's blocks
+    monkeypatch.setattr(shift, "_DECOMPOSE_BATCH", batch)
+    monkeypatch.setattr(shift, "_CYCLE_ID_BLOCK", batch)
+    batches, drop_walk = [], shift._drop_walk
+
+    def recording_drop_walk(succ, seeds):
+        batches.append(seeds)
+        return drop_walk(succ, seeds)
+
+    monkeypatch.setattr(shift, "_drop_walk", recording_drop_walk)
+    d = decompose(group)
+    assert d.cycles == cycles
+    assert list(d.period_census.items()) == list(census.items())
+    assert d.offsets.tolist() == np.cumsum([0] + [c.length for c in cycles[:-1]]).tolist()
+    assert d._cycle_id.tolist() == cycle_index
+    # every batch but the last has `batch` seeds, none on a cycle found before,
+    # so each seed's least vertex is a seed of the same batch
+    m = group.order
+    assert {seeds.size for seeds in batches[:-1]} <= {batch}
+    for seeds in batches:
+        a0, a1 = d.rep_vertices(d.cycle_index(seeds // m, seeds % m))
+        assert np.isin(a0 * m + a1, seeds).all()
+
+
+# the peak bound in bytes a vertex: one batch holds 29 % of SL2(7)'s vertices
+MEMORY_BOUNDS = {"SL2(7)": 24, "S6": 16}
+
+
 @pytest.mark.parametrize("spec", ["SL2(7)", "S6"])
 def test_decompose_memory_is_int32_sized(spec):
     group = parse_group_spec(spec)
@@ -212,9 +265,10 @@ def test_decompose_memory_is_int32_sized(spec):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the one int32 result, a_flat, takes 4 bytes a vertex; with the walks' working
-    # arrays the peak is 19.0 bytes a vertex on both
-    assert peak <= 24 * group.order ** 2
+    # the successor map and the result, a_flat, take 4 bytes a vertex each and the
+    # mask of codes not yet found 1; with a batch's walks the peak is 11.4 bytes a
+    # vertex on S6 and 16.7 on SL2(7)
+    assert peak <= MEMORY_BOUNDS[spec] * group.order ** 2
     assert d.a_flat.dtype == d._cycle_id.dtype == np.int32
     # int32 vertex codes and the fold index prod * m + a stay below m^2
     assert groups.MAX_TABLE_ENTRIES < 2 ** 31
