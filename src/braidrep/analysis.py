@@ -12,7 +12,7 @@ import numpy as np
 from .errors import UsageError, VerificationError
 from .extension import TowerLevel, TowerResult, compute_tower, element_orders, extend_step, extend_to_K4
 from .groups import FiniteGroup, SymmetricGroup, perfect_core_group
-from .shift import Cycle, ShiftDecomposition, decompose
+from .shift import ShiftDecomposition, decompose
 
 __all__ = [
     "LevelTransitivity",
@@ -203,10 +203,11 @@ def abelian_cycle_length(group: FiniteGroup, v: tuple[int, int]) -> int:
 # ---------------------------------------------------------------------------
 
 def pi_representation(n: int, r: int, decomposition: ShiftDecomposition | None = None
-                      ) -> tuple[Cycle, int, tuple[int, ...]]:
+                      ) -> tuple[int, int, tuple[int, ...]]:
     """The standard representation into S_r (r >= n): z_m to (1 3 2) or (1 2 3)
     by parity of m, and the extra generators to (1 2)(i, i+1); returned as
-    (cycle, phase, b), vertex `phase` of the cycle with images b_3..b_{n-1}."""
+    (i, phase, b), vertex `phase` of cycle i of the decomposition with images
+    b_3..b_{n-1}."""
     if n < 3:
         raise UsageError("the tower starts at n = 3")
     if r < n:
@@ -226,13 +227,13 @@ def pi_representation(n: int, r: int, decomposition: ShiftDecomposition | None =
     b = tuple(perm({1: 2, 2: 1, i: i + 1, i + 1: i}) for i in range(3, n))
     # the relations, checked by the engine's scans on the one cycle
     decomp = decomposition if decomposition is not None else decompose(S)
-    cid = [int(decomp.cycle_index(a0, a1))]
+    code = a0 * S.order + a1
+    i = int(decomp.cycle_map()[code])
     for k, bk in enumerate(b):
-        _, images = extend_to_K4(decomp, cid) if not k else extend_step(decomp, cid, [b[:k]])
+        _, images = extend_to_K4(decomp, [i]) if not k else extend_step(decomp, [i], [b[:k]])
         if bk not in images:
             raise VerificationError(f"standard representation breaks a stage-{k + 4} relation")
-    cycle, phase = decomp.phase_of((a0, a1))
-    return cycle, phase, b
+    return i, int(np.flatnonzero(decomp.vertex_codes(i, i + 1) == code)[0]), b
 
 
 # ---------------------------------------------------------------------------

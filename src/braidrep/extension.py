@@ -258,13 +258,12 @@ def stage4_failure(decomp: ShiftDecomposition, ids: np.ndarray, b3: np.ndarray) 
 
 
 def stage_failure(decomp: ShiftDecomposition, ids: np.ndarray, b: np.ndarray,
-                  orders: np.ndarray | None = None) -> str | None:
+                  orders: np.ndarray) -> str | None:
     """The first fact broken by the first nontrivial class (cycle ids[k], b[k])
     at stage n = 3 + b.shape[1] >= 5 that breaks one, or None.  In order:
     adjacent images braid, so they are conjugate, and do not commute; images
     further apart commute; p | ord(b_i) for i > 3; b_i^p centralises the
-    a-sequence, p the period.  `orders` is the group's element-order table,
-    built here when not given and some class is nontrivial."""
+    a-sequence, p the period.  `orders` is the group's element-order table."""
     group = decomp.group
     keep = ~is_trivial_class(decomp, ids, b)
     if not keep.any():
@@ -272,7 +271,6 @@ def stage_failure(decomp: ShiftDecomposition, ids: np.ndarray, b: np.ndarray,
     ids, b = ids[keep], b[keep]
     n, width = b.shape[1] + 3, b.shape[1]
     p = decomp.lengths[ids]
-    order = element_orders(group) if orders is None else orders
     facts: list[tuple[np.ndarray, str]] = []
     prod = group.products
     for j in range(width - 1):
@@ -284,7 +282,7 @@ def stage_failure(decomp: ShiftDecomposition, ids: np.ndarray, b: np.ndarray,
             facts.append((prod(b[:, j], b[:, k]) != prod(b[:, k], b[:, j]), "far commutation fails"))
     for j in range(width):
         if j:
-            facts.append((order[b[:, j]] % p != 0, f"p does not divide ord(b_{j + 3})"))
+            facts.append((orders[b[:, j]] % p != 0, f"p does not divide ord(b_{j + 3})"))
         facts.append((~_power_centralises(decomp, ids, b[:, j]), "b^p fails to centralise the a-sequence"))
     broken = _first_broken([fails for fails, _ in facts])
     return None if broken is None else f"{facts[broken[1]][1]} at stage {n}"
@@ -360,14 +358,16 @@ def _conjugation_orbits(decomp: ShiftDecomposition) -> _Orbits:
     root falls; a permutation's inverse is a power of it, so each root ends as
     its orbit's first cycle in decomposition order.  Raises VerificationError
     unless each transporter maps its first cycle's rep vertex onto its member.
+    The cycle map the steps and that check read is freed on return.
     """
     group = decomp.group
     n = decomp.lengths.size
     a0, a1 = decomp.rep_vertices(np.arange(n))
+    cycle_map = decomp.cycle_map()
 
     def cycle_of(t, cid: np.ndarray) -> np.ndarray:
         """Cycle ids of t v t^-1 for v the rep vertex of cycle cid[k]."""
-        return decomp.cycle_index(_conjugate(group, t, a0[cid]), _conjugate(group, t, a1[cid]))
+        return cycle_map[_conjugate(group, t, a0[cid]) * group.order + _conjugate(group, t, a1[cid])]
 
     everything = np.arange(n)
     steps = [(g, cycle_of(g, everything)) for g in group.generators()]

@@ -72,10 +72,11 @@ class _Budget:
             raise ResourceLimitError(f"relation-check budget {self.limit} exhausted")
 
 
-def _orbits(group: FiniteGroup, start=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _orbits(group: FiniteGroup, start=None) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Walk the orbits of the pairs with codes `start` (a0 * m + a1; default all
-    m^2 pairs, code order) all in step: each row's a-sequence from the pair
-    itself, run two places past the longest period, its period, and the code
+    m^2 pairs, code order) all in step: the a-sequences from the pairs
+    themselves, run two places past the longest period, as a list of columns
+    (column k holds every row's a_k), each row's period, and the code
     a_k * m + a_{k+1} of its least vertex."""
     m = group.order
     if start is None:
@@ -90,12 +91,12 @@ def _orbits(group: FiniteGroup, start=None) -> tuple[np.ndarray, np.ndarray, np.
         period[(period == 0) & (cur == start)] = len(seqs) - 1
         np.minimum(canon, cur, out=canon)
     seqs.append(y)
-    return np.stack(seqs, axis=1), period, canon
+    return seqs, period, canon
 
 
 def _grow(group: FiniteGroup, imgs: np.ndarray, bud: _Budget, orbits=None) -> tuple[np.ndarray, np.ndarray]:
     """Extend every prefix (a row of images) by every candidate g; return the
-    surviving (prefix row, g) cells in prefix order.  With `orbits` (a-sequences,
+    surviving (prefix row, g) cells in prefix order.  With `orbits` (a-sequence columns,
     periods, pair rows sorted longest period first) the period family runs
     first, a_k g = g a_{k+1} for each k below the row's own period (the stage-4
     word while imgs is empty).  Then g must braid with the last image and
@@ -124,10 +125,12 @@ def _grow(group: FiniteGroup, imgs: np.ndarray, bud: _Budget, orbits=None) -> tu
         tests = []      # (j, x, y, z): the test applies to the block's first j rows
         if orbits is not None:
             seqs, period, pairs = orbits
-            a, p = seqs[pairs[lo:lo + step]], period[pairs[lo:lo + step]]
+            sel = pairs[lo:lo + step]
+            p = period[sel]
+            a = [col[sel] for col in seqs[:p[0] + 2]]
             inside = np.searchsorted(-p, -np.arange(p[0]))     # rows with p > k, a prefix as periods fall
             word = not b.shape[1]   # a_k b3 a_{k+2} = b3 a_{k+1} b3
-            tests += [(inside[k], a[:, k], a[:, k + 1], a[:, k + 2] if word else None) for k in range(p[0])]
+            tests += [(inside[k], a[k], a[k + 1], a[k + 2] if word else None) for k in range(p[0])]
         if b.shape[1]:
             prev = b[:, -1]
             tests.append((len(b), prev, prev, prev))

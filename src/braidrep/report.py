@@ -387,7 +387,7 @@ def decomposition_to_dot(decomp: ShiftDecomposition, out: TextIO) -> None:
         yield "digraph shift {\n  rankdir=LR;\n"
         for i in range(0, decomp.lengths.size, _BLOCK):
             p = decomp.lengths[i:i + _BLOCK]
-            codes = decomp._vertex_codes(i, i + _BLOCK)
+            codes = decomp.vertex_codes(i, i + _BLOCK)
             ends = np.cumsum(p)
             succ = np.roll(codes, -1)
             succ[ends - 1] = codes[ends - p]            # a cycle's last vertex goes to its first

@@ -12,9 +12,9 @@ It walks int32 vertex codes, which cannot wrap since m^2 <= MAX_TABLE_ENTRIES
 < 2^31, from a bounded batch of seeds at a time, so its peak is the successor
 map, one mask and the result plus little more: 10-17 bytes a vertex on S6,
 SL2(7) and SL2(11).  Every writer reads those arrays.  The cycle through
-every vertex (m^2 int32 numbers, scattered a block of cycles at a time) and
-`Cycle` objects are built from them on request, and no command builds a
-`Cycle`.
+every vertex (m^2 int32 numbers, scattered a block of cycles at a time) is
+built from them anew on each request and kept by no object, and no command
+builds a `Cycle`.
 """
 from __future__ import annotations
 
@@ -75,11 +75,12 @@ class ShiftDecomposition:
 
     Cycle i's sequence is a_flat[offsets[i]:offsets[i] + lengths[i]], read from
     its lexicographically least vertex; is_type_I[i] says whether it touches
-    the diagonal.  Cycles are numbered in lex order of their least vertex, and
-    _cycle_id, built on its first read (by `cycle_index`), holds the number of
-    the cycle through every vertex code a0 * m + a1.  `cycles` is the same data
-    as Cycle objects, built on first read; `cycle(i)`, `cycle_at`,
-    `trivial_cycle` and `phase_of` build just one.
+    the diagonal.  Cycles are numbered in lex order of their least vertex.
+    `vertex_codes` reads the codes a0 * m + a1 of a range of cycles, and
+    `cycle_map` builds the number of the cycle through every code afresh on
+    each call.  `cycles`, the same data as Cycle objects built on first read,
+    stays only for the benchmark harness, which counts the cycles with it;
+    it goes when the harness reads `lengths` instead.
     """
 
     group: FiniteGroup
@@ -89,7 +90,7 @@ class ShiftDecomposition:
     is_type_I: np.ndarray = field(repr=False)
     period_census: dict[int, int]
 
-    def _vertex_codes(self, lo: int, hi: int) -> np.ndarray:
+    def vertex_codes(self, lo: int, hi: int) -> np.ndarray:
         """The vertex codes a_k * m + a_{k+1} of cycles lo..hi-1, each read
         cyclically, laid end to end as int32."""
         offsets, lengths = self.offsets[lo:hi], self.lengths[lo:hi]
@@ -102,16 +103,15 @@ class ShiftDecomposition:
         codes[last] = a[last] * self.group.order + a[first]     # a cycle's last vertex wraps to its first a
         return codes
 
-    @cached_property
-    def _cycle_id(self) -> np.ndarray:
-        """The number of the cycle through every vertex code, int32, scattered
-        over the codes of _CYCLE_ID_BLOCK cycles at a time."""
+    def cycle_map(self) -> np.ndarray:
+        """A new int32 array of the number of the cycle through every vertex
+        code, scattered over the codes of _CYCLE_ID_BLOCK cycles at a time."""
         m, n = self.group.order, self.lengths.size
         cycle_id = np.empty(m * m, dtype=np.int32)
         for lo in range(0, n, _CYCLE_ID_BLOCK):
             hi = min(lo + _CYCLE_ID_BLOCK, n)
-            cycle_id[self._vertex_codes(lo, hi)] = np.repeat(np.arange(lo, hi, dtype=np.int32),
-                                                             self.lengths[lo:hi])
+            cycle_id[self.vertex_codes(lo, hi)] = np.repeat(np.arange(lo, hi, dtype=np.int32),
+                                                            self.lengths[lo:hi])
         return cycle_id
 
     @cached_property
@@ -126,34 +126,6 @@ class ShiftDecomposition:
         """The least vertex (a0, a1) of each cycle in `ids`, as two arrays."""
         first = self.offsets[ids]
         return self.a_flat[first], self.a_flat[first + 1 % self.lengths[ids]]
-
-    def cycle(self, i: int) -> Cycle:
-        """Cycle i, built from the arrays."""
-        start = int(self.offsets[i])
-        a_seq = tuple(self.a_flat[start:start + int(self.lengths[i])].tolist())
-        return Cycle(a_seq, "I" if self.is_type_I[i] else "II")
-
-    @property
-    def trivial_cycle(self) -> Cycle:
-        e = self.group.identity
-        return self.cycle_at((e, e))
-
-    def cycle_at(self, v: Vertex) -> Cycle:
-        a0 = self.group.check_element(v[0])
-        a1 = self.group.check_element(v[1])
-        return self.cycle(int(self.cycle_index(a0, a1)))
-
-    def cycle_index(self, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-        """Index into `cycles` of the cycle through each vertex (a0[k], a1[k])."""
-        return self._cycle_id[a0 * self.group.order + a1]
-
-    def phase_of(self, v: Vertex) -> tuple[Cycle, int]:
-        """The cycle through v and the k at which its vertex (a_k, a_{k+1}),
-        read cyclically, is v."""
-        cycle = self.cycle_at(v)
-        i = int(self.cycle_index(v[0], v[1]))
-        codes = self._vertex_codes(i, i + 1)
-        return cycle, int(np.flatnonzero(codes == v[0] * self.group.order + v[1])[0])
 
 
 def decompose(group: FiniteGroup) -> ShiftDecomposition:
@@ -181,8 +153,7 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
       marked found.
 
     Only the seeds walk, so the drop walk makes 1.2-1.6 m^2 successor look-ups
-    on S6, SL2(11) and SL2(13), where one walk from every vertex makes
-    2.3-2.8 m^2; a group of order at most 181 has one batch.
+    on S6, SL2(11) and SL2(13); a group of order at most 181 has one batch.
 
     After the batches the flat array holds every cycle's vertex codes end to
     end.  It is divided by m in place, which leaves each code's a0: the
@@ -190,8 +161,8 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
     lexicographically least vertex.  A cycle is of type I when two
     neighbours of its sequence, read cyclically, are equal; the positions of
     such pairs are mapped to their cycles with one `searchsorted` over the
-    offsets.  The cycle through every vertex is not built here but on first
-    use (`ShiftDecomposition._cycle_id`), so `shift` never pays for it.
+    offsets.  The cycle through every vertex is not built here but on request
+    (`ShiftDecomposition.cycle_map`), so `shift` never pays for it.
     Four facts are verified and raise VerificationError if broken, the last
     three after the walks and in this order: the successor map is a
     bijection, the cycle lengths partition |G|^2, there is exactly one fixed

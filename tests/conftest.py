@@ -60,12 +60,24 @@ def per_vertex_walk(group):
     return cycles, census, [cycle_of[a0, a1] for a0 in range(m) for a1 in range(m)]
 
 
+def make_cycle(decomp, i):
+    """Cycle i of a decomposition as a Cycle, built from its arrays."""
+    start = int(decomp.offsets[i])
+    return Cycle(tuple(decomp.a_flat[start:start + int(decomp.lengths[i])].tolist()),
+                 "I" if decomp.is_type_I[i] else "II")
+
+
+def cycle_index(decomp, a0, a1):
+    """The index of the cycle through each vertex (a0, a1), read from a new cycle map."""
+    return decomp.cycle_map()[np.asarray(a0) * decomp.group.order + a1]
+
+
 def level_rows(lvl):
     """Each class of a tower level as (Cycle, b tuple, c tuple), read from its arrays."""
     decomp = lvl.decomposition
     c = lvl.c.tolist()
     ends = np.cumsum(lvl.c_count).tolist()
-    return [(decomp.cycle(i), tuple(b), tuple(c[start:end]))
+    return [(make_cycle(decomp, i), tuple(b), tuple(c[start:end]))
             for i, b, start, end in zip(lvl.cycle_ids.tolist(), lvl.b.tolist(), [0, *ends], ends)]
 
 

@@ -23,7 +23,7 @@ from braidrep.extension import compute_tower
 from braidrep.groups import AbelianProduct, SymmetricGroup
 from braidrep.shift import decompose
 
-from conftest import level_rows
+from conftest import cycle_index, level_rows, make_cycle
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +41,9 @@ def test_is_transitive(s3):
     def transitive(cycle):
         return _transitive(s3, set(cycle.a_seq))
 
-    assert transitive(d.cycle_at((3, 4)))
-    assert not transitive(d.cycle_at((0, 1)))
-    assert not transitive(d.trivial_cycle)
+    assert transitive(make_cycle(d, cycle_index(d, 3, 4)))
+    assert not transitive(make_cycle(d, cycle_index(d, 0, 1)))
+    assert not transitive(make_cycle(d, cycle_index(d, s3.identity, s3.identity)))
 
 
 def test_transitivity_report_structure(tower_s4):
@@ -207,9 +207,10 @@ def test_type_I_census_r6_against_tower(tower_s6):
 def test_abelian_cycle_length_matches_walk(moduli):
     G = AbelianProduct(moduli)
     d = decompose(G)
+    cycle_map = d.cycle_map()
     for v0 in G.elements():
         for v1 in G.elements():
-            assert abelian_cycle_length(G, (v0, v1)) == d.cycle_at((v0, v1)).length
+            assert abelian_cycle_length(G, (v0, v1)) == make_cycle(d, cycle_map[v0 * G.order + v1]).length
 
 
 def test_abelian_census_z5():
@@ -227,7 +228,8 @@ def test_abelian_cycle_length_rejects_nonabelian(s3):
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(3, 7) for r in range(n, 7)])
 def test_pi_representation_exists(n, r):
-    cycle, phase, b = pi_representation(n, r)
+    i, phase, b = pi_representation(n, r)
+    cycle = make_cycle(decompose(SymmetricGroup(r)), i)
     assert 3 + len(b) == n
     assert cycle.length == 2
     assert 0 <= phase < 2
@@ -235,7 +237,9 @@ def test_pi_representation_exists(n, r):
 
 
 def test_pi_representation_location(s3):
-    cycle, phase, b = pi_representation(3, 3, decompose(s3))
+    d = decompose(s3)
+    i, phase, b = pi_representation(3, 3, d)
+    cycle = make_cycle(d, i)
     assert cycle.rep_vertex == (3, 4)
     assert phase == 1
     assert (cycle.a_seq[phase], cycle.a_seq[(phase + 1) % 2]) == (4, 3)
@@ -243,7 +247,8 @@ def test_pi_representation_location(s3):
 
 
 def test_pi_representation_images(s5):
-    cycle, phase, b = pi_representation(5, 5)
+    i, phase, b = pi_representation(5, 5)
+    cycle = make_cycle(decompose(s5), i)
     assert (cycle.a_seq[phase], cycle.a_seq[(phase + 1) % 2]) == (48, 30)
     assert b == (26, 25)
     assert s5.image(b[0]) == (2, 1, 4, 3, 5)
@@ -251,8 +256,8 @@ def test_pi_representation_images(s5):
 
 
 def test_pi_representation_class_is_found_by_tower(tower_s5):
-    cycle, _, b = pi_representation(5, 5, tower_s5.decomposition)
-    assert (cycle, b) in [(c, bb) for c, bb, _ in level_rows(tower_s5.level(5))]
+    i, _, b = pi_representation(5, 5, tower_s5.decomposition)
+    assert (make_cycle(tower_s5.decomposition, i), b) in [(c, bb) for c, bb, _ in level_rows(tower_s5.level(5))]
 
 
 @pytest.mark.parametrize("scan,n", [("extend_to_K4", 4), ("extend_step", 5)])

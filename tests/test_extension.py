@@ -1,6 +1,8 @@
 """Stagewise extension: b3 scans, higher generators, braid extensions, towers."""
 from __future__ import annotations
 
+import dataclasses
+import io
 import re
 from collections import Counter
 
@@ -10,10 +12,13 @@ import pytest
 import braidrep.cli as cli
 import braidrep.extension as extension
 import braidrep.verify as verify
+from braidrep import report
+from braidrep.analysis import pi_representation, transitivity_report
 from braidrep.errors import UsageError, VerificationError
 from braidrep.extension import (
     _conjugation_orbits,
     compute_tower,
+    element_orders,
     extend_step,
     extend_to_K4,
     extend_to_braid,
@@ -21,10 +26,10 @@ from braidrep.extension import (
     stage_failure,
 )
 from braidrep.groups import SL2, SymmetricGroup, alternating_group, parse_group_spec
-from braidrep.shift import decompose
+from braidrep.shift import ShiftDecomposition, decompose
 from braidrep.verify import run_suites
 
-from conftest import level_rows, relabelled, s3_x_z6
+from conftest import cycle_index, level_rows, make_cycle, relabelled, s3_x_z6
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +165,7 @@ def test_stage_scans_of_no_rows_are_empty(s4):
 
 def _index(d, v):
     """The index of the cycle through the vertex v."""
-    return int(d.cycle_index(*v))
+    return int(cycle_index(d, *v))
 
 
 def test_b3_trivial_for_s3(s3):
@@ -200,7 +205,7 @@ def _brute_b3(group, a):
 def test_b3_scan_agrees_with_direct_relation_check(s4):
     d = decompose(s4)
     ids = [_index(d, v) for v in [(3, 4), (1, 2), (0, 0)]]
-    assert _per_row(extend_to_K4(d, ids), 3) == [_brute_b3(s4, d.cycle(i).a_seq) for i in ids]
+    assert _per_row(extend_to_K4(d, ids), 3) == [_brute_b3(s4, make_cycle(d, i).a_seq) for i in ids]
 
 
 def test_b3_set_is_phase_independent(s4):
@@ -208,7 +213,7 @@ def test_b3_set_is_phase_independent(s4):
     # it from the next one
     d = decompose(s4)
     i = _index(d, (3, 4))
-    a = d.cycle(i).a_seq
+    a = make_cycle(d, i).a_seq
     assert _one("extend_to_K4", d, i) == _brute_b3(s4, a[1:] + a[:1]) == [0, 7, 16, 23]
 
 
@@ -279,7 +284,8 @@ def test_extend_step_agrees_with_direct_relation_check(s5):
     d = decompose(s5)
     v = (s5.index_of((3, 1, 2, 4, 5)), s5.index_of((2, 3, 1, 4, 5)))
     assert v == (48, 30)
-    cyc, phase = d.phase_of(v)
+    i = _index(d, v)
+    cyc, phase = make_cycle(d, i), d.vertex_codes(i, i + 1).tolist().index(v[0] * s5.order + v[1])
     b3 = s5.index_of((2, 1, 4, 3, 5))
     assert b3 == 26
 
@@ -295,7 +301,7 @@ def test_extend_step_agrees_with_direct_relation_check(s5):
         braid = s5.mul(s5.mul(g, b3), g) == s5.mul(s5.mul(b3, g), b3)
         if inter and braid:
             brute.append(g)
-    found = _one("extend_step", d, _index(d, v), (b3,))
+    found = _one("extend_step", d, i, (b3,))
     assert found == brute
     assert s5.index_of((2, 1, 3, 5, 4)) in found  # (1 2)(4 5) at handle 25
 
@@ -307,14 +313,14 @@ def test_next_b_post_check_refuses_an_image_outside_the_conjugacy_class(s4):
     # (xy) x (xy)^-1 = y, so the braid family refuses it
     last, other, three_cycle = (s4.index_of(p) for p in ((2, 1, 3, 4), (1, 3, 2, 4), (2, 3, 1, 4)))
     d = decompose(s4)
-    ids = np.full(2, _index(d, (0, 0)))
-    assert stage_failure(d, ids, np.array([[last, other], [last, other]])) is None
-    assert (stage_failure(d, ids, np.array([[last, other], [last, three_cycle]]))
+    ids, orders = np.full(2, _index(d, (0, 0))), element_orders(s4)
+    assert stage_failure(d, ids, np.array([[last, other], [last, other]]), orders) is None
+    assert (stage_failure(d, ids, np.array([[last, other], [last, three_cycle]]), orders)
             == "adjacent braid relation fails at stage 5")
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_is_trivial_class_reads_no_cycle_map(seed):
+def test_is_trivial_class_reads_no_cycle_map(seed, monkeypatch):
     group = relabelled(s3_x_z6(), seed)
     e = group.identity
     assert e != 0
@@ -323,10 +329,38 @@ def test_is_trivial_class_reads_no_cycle_map(seed):
     # every cycle twice: once with the identity chain, once with a nontrivial b_4
     ids, b = np.tile(np.arange(n), 2), np.full((2 * n, 2), e)
     b[n:, 1] = (e + 1) % group.order
-    got = is_trivial_class(d, ids, b)
-    assert "_cycle_id" not in vars(d)
-    assert np.array_equal(got, (ids == d.cycle_index(e, e)) & (b == e).all(axis=1))
+    with monkeypatch.context() as patch:
+        patch.setattr(ShiftDecomposition, "cycle_map", _refuse_cycle_map)
+        got = is_trivial_class(d, ids, b)
+    assert np.array_equal(got, (ids == cycle_index(d, e, e)) & (b == e).all(axis=1))
     assert got.sum() == 1
+
+
+def _refuse_cycle_map(self):
+    raise AssertionError("the cycle map was built")
+
+
+def test_no_command_leaves_state_on_the_decomposition(s4):
+    # the decomposition holds its dataclass fields and nothing else, whatever
+    # reads it: a cycle map is built by the step that needs it and freed there
+    tower = compute_tower(s4, 6)
+    d = tower.decomposition
+    fields = {f.name for f in dataclasses.fields(ShiftDecomposition)}
+    assert vars(d).keys() == fields
+    for write in (report.paper_shift_lines, report.shift_to_json, report.shift_to_csv, report.decomposition_to_dot):
+        write(d, io.StringIO())
+        assert vars(d).keys() == fields, write.__name__
+    for write in (report.paper_tower_lines, report.paper_braid_lines, report.tower_to_json, report.tower_to_csv):
+        write(tower, io.StringIO())
+        assert vars(d).keys() == fields, write.__name__
+    subgroups = transitivity_report(tower)
+    for write in (report.paper_subgroup_lines, report.subgroups_to_json, report.subgroups_to_csv):
+        write(subgroups, io.StringIO())
+        assert vars(d).keys() == fields, write.__name__
+    run_suites(tower)
+    assert vars(d).keys() == fields
+    pi_representation(4, 4, d)
+    assert vars(d).keys() == fields
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +389,7 @@ def test_braid_extension_empty_when_period_does_not_divide_order(s3):
 def test_braid_extension_c_satisfies_defining_relation(s3):
     d = decompose(s3)
     i = _index(d, (3, 4))
-    a = d.cycle(i).a_seq
+    a = make_cycle(d, i).a_seq
     p = len(a)
     for c in _one("extend_to_braid", d, i, ()):
         for m in range(p):
@@ -539,7 +573,7 @@ def _exhaustive_levels(group, n_max):
     scans on every cycle and class, with no orbit reduction."""
     decomp = decompose(group)
     e = group.identity
-    trivial = decomp.trivial_cycle
+    trivial = make_cycle(decomp, cycle_index(decomp, e, e))
     index = {cycle: i for i, cycle in enumerate(decomp.cycles)}
     current = [(cycle, ()) for cycle in decomp.cycles]
     levels = [current]
@@ -582,7 +616,7 @@ def _cycle_orbits(decomp):
     mul_t, inv_t = group.tables()
     a0, a1 = decomp.rep_vertices(np.arange(decomp.lengths.size))
     g = np.arange(group.order)[:, None]
-    ids = np.sort(decomp.cycle_index(mul_t[mul_t[g, a0], inv_t[g]], mul_t[mul_t[g, a1], inv_t[g]]), axis=0)
+    ids = np.sort(cycle_index(decomp, mul_t[mul_t[g, a0], inv_t[g]], mul_t[mul_t[g, a1], inv_t[g]]), axis=0)
     return ids[0], 1 + (np.diff(ids, axis=0) != 0).sum(axis=0)
 
 

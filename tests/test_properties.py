@@ -13,6 +13,8 @@ from braidrep.groups import SL2, AbelianProduct, SymmetricGroup, alternating_gro
 from braidrep.report import _text, paper_shift_lines, shift_to_csv
 from braidrep.shift import decompose, successor
 
+from conftest import make_cycle
+
 GROUPS = [
     SymmetricGroup(3),
     SymmetricGroup(4),
@@ -77,7 +79,7 @@ def test_element_order_divides_group_order(data):
 def test_bracket_word_is_a_rotation(group, data):
     d = decompose(group)
     i = data.draw(st.integers(min_value=0, max_value=d.lengths.size - 1))
-    c = d.cycle(i)
+    c = make_cycle(d, i)
     row = list(csv.reader(io.StringIO(_text(shift_to_csv, d))))[1 + i]
     word = [int(x) for x in row[5].split()]
     assert sorted(word) == sorted(x + 1 for x in c.a_seq)

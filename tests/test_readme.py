@@ -39,7 +39,9 @@ def test_readme_library_examples_give_their_commented_values():
         ([0, 0, 0, 0], [0, 7, 16, 23]), ([], []), ([0], [0]), ([0], [1])]
     with pytest.raises(UsageError):
         ns["extend_step"](d, [i], np.empty((1, 0), dtype=np.intp))
-    assert (ns["cycle"].rep_vertex, ns["phase"], ns["b"]) == ((30, 48), 1, (26, 25))
+    k = ns["k"]
+    a0, a1 = braidrep.decompose(braidrep.SymmetricGroup(5)).rep_vertices(np.array([k]))
+    assert (k, (int(a0[0]), int(a1[0])), ns["phase"], ns["b"]) == (1151, (30, 48), 1, (26, 25))
 
 
 def test_readme_lists_the_public_surface():

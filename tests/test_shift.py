@@ -1,7 +1,6 @@
 """Successor dynamics on G x G: cycles, censuses, phases."""
 from __future__ import annotations
 
-import io
 import signal
 import tracemalloc
 
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidrep import groups, report, shift
+from braidrep import groups, shift
 from braidrep.errors import VerificationError
 from braidrep.groups import SL2, AbelianProduct, CayleyTableGroup, SymmetricGroup, parse_group_spec
 from braidrep.shift import (
@@ -19,7 +18,7 @@ from braidrep.shift import (
     successor,
 )
 
-from conftest import per_vertex_walk, relabelled, s3_x_z6
+from conftest import cycle_index, make_cycle, per_vertex_walk, relabelled, s3_x_z6
 from test_groups import BACKENDS
 
 
@@ -61,21 +60,23 @@ def test_decompose_s3(s3):
     assert int(d.is_type_I.sum()) == 5
     assert int(d.lengths[d.is_type_I].sum()) == 16
     assert {c.rep_vertex: c.length for c in d.cycles if c.cycle_type == "II"} == {(1, 2): 9, (1, 3): 9, (3, 4): 2}
-    assert d.trivial_cycle.length == 1
+    assert make_cycle(d, cycle_index(d, s3.identity, s3.identity)).length == 1
 
 
 def test_order_three_element_walks_a_six_cycle(s3):
     # the cycle through (e, a) for a of order 3 visits
     # (e,a),(a,a),(a,e),(e,a^-1),(a^-1,a^-1),(a^-1,e)
     a = s3.index_of((2, 3, 1))
-    c = decompose(s3).cycle_at((0, a))
+    d = decompose(s3)
+    c = make_cycle(d, cycle_index(d, 0, a))
     assert c.a_seq == (0, a, a, 0, s3.inv(a), s3.inv(a))
     assert c.cycle_type == "I"
 
 
 def test_involution_walks_a_three_cycle(s3):
     t = s3.index_of((2, 1, 3))
-    c = decompose(s3).cycle_at((0, t))
+    d = decompose(s3)
+    c = make_cycle(d, cycle_index(d, 0, t))
     assert c.a_seq == (0, t, t)
 
 
@@ -117,31 +118,25 @@ def test_decompose_equals_per_vertex_walk(name):
     group = REFERENCE_GROUPS[name]()
     if "relabelled" in name:
         assert group.identity != 0
-    cycles, census, cycle_index = per_vertex_walk(group)
+    cycles, census, cycle_of = per_vertex_walk(group)
     d = decompose(group)
     assert d.cycles == cycles
     assert list(d.period_census.items()) == list(census.items())
     codes = np.arange(group.order ** 2)
-    assert d.cycle_index(codes // group.order, codes % group.order).tolist() == cycle_index
+    assert cycle_index(d, codes // group.order, codes % group.order).tolist() == cycle_of
 
 
 @pytest.mark.parametrize("group", [*BACKENDS, parse_group_spec("Z300"), relabelled(s3_x_z6(), 2)],
                          ids=lambda g: g.name)
 def test_types_and_lazy_cycle_map_equal_per_vertex_walk(group):
-    cycles, _, cycle_index = per_vertex_walk(group)
+    cycles, _, cycle_of = per_vertex_walk(group)
     d = decompose(group)
-    assert "_cycle_id" not in vars(d)
     assert d.is_type_I.tolist() == [c.cycle_type == "I" for c in cycles]
-    assert d._cycle_id.dtype == np.int32
-    assert d._cycle_id.tolist() == cycle_index
-
-
-@pytest.mark.parametrize("write", [report.shift_to_json, report.shift_to_csv, report.decomposition_to_dot,
-                                   report.paper_shift_lines], ids=["json", "csv", "dot", "paper"])
-def test_shift_documents_build_no_cycle_map(write):
-    d = decompose(SymmetricGroup(4))
-    write(d, io.StringIO())
-    assert "_cycle_id" not in vars(d)
+    cycle_map = d.cycle_map()
+    assert cycle_map.dtype == np.int32
+    assert cycle_map.tolist() == cycle_of
+    # each call builds a new map
+    assert d.cycle_map() is not cycle_map
 
 
 def test_decompose_rejects_a_successor_map_that_is_not_a_bijection(monkeypatch):
@@ -227,7 +222,7 @@ BATCH_GROUPS = {
 @pytest.mark.parametrize("name", BATCH_GROUPS)
 def test_decompose_in_batches_equals_per_vertex_walk(name, batch, monkeypatch):
     group = BATCH_GROUPS[name]()
-    cycles, census, cycle_index = per_vertex_walk(group)
+    cycles, census, cycle_of = per_vertex_walk(group)
     # batches end inside cycles of every length, and so do the cycle map's blocks
     monkeypatch.setattr(shift, "_DECOMPOSE_BATCH", batch)
     monkeypatch.setattr(shift, "_CYCLE_ID_BLOCK", batch)
@@ -242,13 +237,14 @@ def test_decompose_in_batches_equals_per_vertex_walk(name, batch, monkeypatch):
     assert d.cycles == cycles
     assert list(d.period_census.items()) == list(census.items())
     assert d.offsets.tolist() == np.cumsum([0] + [c.length for c in cycles[:-1]]).tolist()
-    assert d._cycle_id.tolist() == cycle_index
+    cycle_map = d.cycle_map()
+    assert cycle_map.tolist() == cycle_of
     # every batch but the last has `batch` seeds, none on a cycle found before,
     # so each seed's least vertex is a seed of the same batch
     m = group.order
     assert {seeds.size for seeds in batches[:-1]} <= {batch}
     for seeds in batches:
-        a0, a1 = d.rep_vertices(d.cycle_index(seeds // m, seeds % m))
+        a0, a1 = d.rep_vertices(cycle_map[seeds])
         assert np.isin(a0 * m + a1, seeds).all()
 
 
@@ -269,7 +265,7 @@ def test_decompose_memory_is_int32_sized(spec):
     # mask of codes not yet found 1; with a batch's walks the peak is 11.4 bytes a
     # vertex on S6 and 16.7 on SL2(7)
     assert peak <= MEMORY_BOUNDS[spec] * group.order ** 2
-    assert d.a_flat.dtype == d._cycle_id.dtype == np.int32
+    assert d.a_flat.dtype == d.cycle_map().dtype == np.int32
     # int32 vertex codes and the fold index prod * m + a stay below m^2
     assert groups.MAX_TABLE_ENTRIES < 2 ** 31
 
@@ -292,7 +288,7 @@ def test_order2_cycle_shape_matches_walk(group):
     for a in group.elements():
         predicted = order2_cycle_shape(group, a)
         assert predicted in (1, 3, 6)
-        actual = d.cycle_at((group.identity, a)).length
+        actual = make_cycle(d, cycle_index(d, group.identity, a)).length
         if predicted == 1:
             assert actual == 1
         elif predicted == 3:
@@ -317,16 +313,9 @@ def test_trivial_cycle_with_nonzero_identity_handle():
     G = CayleyTableGroup(table)
     d = decompose(G)
     assert G.identity == 2
-    assert d.trivial_cycle.length == 1
-    assert d.trivial_cycle.a_seq == (2,)
-
-
-def test_phase_of_roundtrip(s3):
-    d = decompose(s3)
-    for v0 in s3.elements():
-        for v1 in s3.elements():
-            c, k = d.phase_of((v0, v1))
-            assert _vertices(c)[k] == (v0, v1)
+    trivial = make_cycle(d, cycle_index(d, G.identity, G.identity))
+    assert trivial.length == 1
+    assert trivial.a_seq == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +324,7 @@ def test_phase_of_roundtrip(s3):
 
 def test_representation_accessors(s3):
     d = decompose(s3)
-    c = d.cycle_at((1, 2))
+    c = make_cycle(d, cycle_index(d, 1, 2))
     a, p = c.a_seq, c.length
     assert p == 9
     assert _vertices(c)[0] == c.rep_vertex == (1, 2)
@@ -345,8 +334,9 @@ def test_representation_accessors(s3):
 
 def test_lookups_and_type_filters_build_no_cycle_list(s4):
     d = decompose(s4)
-    assert d.cycle_at((3, 4)).length == 2
-    assert d.trivial_cycle.length == 1
-    assert d.phase_of((4, 3))[1] == 1
+    i = cycle_index(d, 3, 4)
+    assert make_cycle(d, i).length == 2
+    assert make_cycle(d, cycle_index(d, s4.identity, s4.identity)).length == 1
+    assert d.vertex_codes(i, i + 1).tolist().index(4 * s4.order + 3) == 1
     assert (int(d.is_type_I.sum()), int((~d.is_type_I).sum())) == (17, 71)
     assert "cycles" not in vars(d)

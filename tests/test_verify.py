@@ -13,6 +13,8 @@ from braidrep.extension import TowerResult, compute_tower
 from braidrep.groups import SymmetricGroup
 from braidrep.verify import SUITE_NAMES, run_suites
 
+from conftest import make_cycle
+
 
 def test_all_suites_pass_s3(s3):
     results = run_suites(compute_tower(s3, 5))
@@ -117,7 +119,7 @@ def _reference_prop2(tower):
     G, e = tower.group, tower.group.identity
     lvl = tower.level(4)
     for i, b3 in zip(lvl.cycle_ids.tolist(), lvl.b[:, 0].tolist()):
-        cycle = tower.decomposition.cycle(i)
+        cycle = make_cycle(tower.decomposition, i)
         p = cycle.length
         if G.power(b3, p) != e:
             return f"b3^p != e at {cycle.rep_vertex}"
@@ -148,7 +150,7 @@ def _reference_prop3(tower):
     for n in range(5, tower.n_max + 1):
         lvl = tower.level(n)
         for i, b in zip(lvl.cycle_ids.tolist(), lvl.b.tolist()):
-            a_seq = tower.decomposition.cycle(i).a_seq
+            a_seq = make_cycle(tower.decomposition, i).a_seq
             if set(a_seq).union(b) == {e}:     # the trivial class
                 continue
             p = len(a_seq)
@@ -198,7 +200,7 @@ def test_prop3_equals_the_per_class_check(request, fixture):
             corrupted = _on_cycles(tower, n, rows, rng.integers(decomp.lengths.size, size=rows.size))
         got = verify._prop3_suite(corrupted)
         want = _reference_prop3(corrupted)
-        nontrivial = sum(set(decomp.cycle(i).a_seq).union(b) != {tower.group.identity}
+        nontrivial = sum(set(make_cycle(decomp, i).a_seq).union(b) != {tower.group.identity}
                          for lvl in corrupted.levels[2:]
                          for i, b in zip(lvl.cycle_ids.tolist(), lvl.b.tolist()))
         assert (got.ok, got.detail) == (want is None, want or f"{nontrivial} nontrivial classes at stages >= 5 checked")
