@@ -1,6 +1,8 @@
 """Successor dynamics on G x G: cycles, censuses, phases."""
 from __future__ import annotations
 
+import dataclasses
+import io
 import signal
 import tracemalloc
 
@@ -9,10 +11,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidrep import groups, shift
+from braidrep import groups, report, shift
 from braidrep.errors import VerificationError
 from braidrep.groups import SL2, AbelianProduct, CayleyTableGroup, SymmetricGroup, parse_group_spec
 from braidrep.shift import (
+    ShiftDecomposition,
     decompose,
     order2_cycle_shape,
     successor,
@@ -137,6 +140,17 @@ def test_types_and_lazy_cycle_map_equal_per_vertex_walk(group):
     assert cycle_map.tolist() == cycle_of
     # each call builds a new map
     assert d.cycle_map() is not cycle_map
+
+
+@pytest.mark.parametrize("write", [report.shift_to_json, report.shift_to_csv, report.decomposition_to_dot,
+                                   report.paper_shift_lines], ids=["json", "csv", "dot", "paper"])
+def test_shift_documents_build_no_cycle_map(write):
+    # a shift writer reads the arrays and caches nothing on the decomposition
+    d = decompose(SymmetricGroup(4))
+    fields = {f.name for f in dataclasses.fields(ShiftDecomposition)}
+    assert vars(d).keys() == fields
+    write(d, io.StringIO())
+    assert vars(d).keys() == fields
 
 
 def test_decompose_rejects_a_successor_map_that_is_not_a_bijection(monkeypatch):
