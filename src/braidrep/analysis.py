@@ -12,7 +12,7 @@ import numpy as np
 from .errors import UsageError, VerificationError
 from .extension import TowerLevel, TowerResult, compute_tower, element_orders, extend_step, extend_to_K4
 from .groups import FiniteGroup, SymmetricGroup, perfect_core_group
-from .shift import ShiftDecomposition, decompose
+from .shift import ShiftDecomposition, decompose, successor
 
 __all__ = [
     "LevelTransitivity",
@@ -71,23 +71,22 @@ def _transitive(S: SymmetricGroup, gens) -> bool:
 
 
 def _orbit_classes(lvl: TowerLevel):
-    """(weight, generator set, trivial flag, c set) for each orbit row of a level.
+    """(weight, generator set, trivial flag, c set) for each row of a level.
 
     The generators are the a-sequence and b; only the trivial class has {e}.
     Conjugating a class by g relabels the points by g, so orbit counts,
     transitivity and parity are the same on every class of one conjugation
     orbit; weight = period x orbit size is the number of representations the
-    orbit holds.
+    row stands for.
     """
     decomp = lvl.decomposition
     e = decomp.group.identity
-    c_start = (np.cumsum(lvl.c_count) - lvl.c_count).tolist()
-    ids = lvl.cycle_ids[lvl.orbit_rows]
-    for i, start, length, size in zip(lvl.orbit_rows.tolist(), decomp.offsets[ids].tolist(),
-                                      decomp.lengths[ids].tolist(), lvl.orbit_size.tolist()):
-        gens = set(decomp.a_flat[start:start + length].tolist()).union(lvl.b[i].tolist())
-        cs = lvl.c[c_start[i]:c_start[i] + int(lvl.c_count[i])].tolist()
-        yield length * size, gens, gens == {e}, cs
+    ids = lvl.orbits.first[lvl.orbit]
+    c_sets = np.split(lvl.c, np.cumsum(lvl.c_count)[:-1])
+    for start, length, size, b, cs in zip(decomp.offsets[ids].tolist(), decomp.lengths[ids].tolist(),
+                                          lvl.orbits.size[lvl.orbit].tolist(), lvl.b.tolist(), c_sets):
+        gens = set(decomp.a_flat[start:start + length].tolist()).union(b)
+        yield length * size, gens, gens == {e}, cs.tolist()
 
 
 def _transitive_multiple(count: int, r: int, what: str) -> int:
@@ -228,7 +227,12 @@ def pi_representation(n: int, r: int, decomposition: ShiftDecomposition | None =
     # the relations, checked by the engine's scans on the one cycle
     decomp = decomposition if decomposition is not None else decompose(S)
     code = a0 * S.order + a1
-    i = int(decomp.cycle_map()[code])
+    # the least code on the cycle, as cycles are numbered in order of their least codes
+    v, least = successor(S, (a0, a1)), code
+    while v != (a0, a1):
+        v, least = successor(S, v), min(least, v[0] * S.order + v[1])
+    r0, r1 = decomp.rep_vertices(np.arange(decomp.lengths.size))
+    i = int(np.searchsorted(r0 * S.order + r1, least))
     for k, bk in enumerate(b):
         _, images = extend_to_K4(decomp, [i]) if not k else extend_step(decomp, [i], [b[:k]])
         if bk not in images:
@@ -256,8 +260,8 @@ def classes_all_even(tower: TowerResult, n: int) -> bool:
 
 def _class_rows(lvl: TowerLevel) -> np.ndarray:
     """Each class of a level as the row (rep vertex a0, a1, then b)."""
-    a0, a1 = lvl.decomposition.rep_vertices(lvl.cycle_ids)
-    return np.column_stack([a0, a1, lvl.b])
+    ids, b, _, _ = lvl.expand()
+    return np.column_stack([*lvl.decomposition.rep_vertices(ids), b])
 
 
 def perfect_core_census_match(tower: TowerResult) -> bool:

@@ -2,7 +2,7 @@
 
 A class at stage n is a cycle with images b = (b_3, ..., b_{n-1}) of the extra
 generators; it stands for the cycle-length many representations obtained by
-choosing a phase.  A TowerLevel holds a stage's classes as arrays.
+choosing a phase.  A TowerLevel holds the classes the scans found at a stage.
 
 The scans `extend_to_K4(decomp, ids)`, `extend_step(decomp, ids, b)` and
 `extend_to_braid(decomp, ids, b)` take a whole stage at once: an int array of
@@ -21,12 +21,13 @@ The structural facts are array tests over all rows of a stage.
 `compute_tower` runs `stage4_failure` and `stage_failure` once per stage on
 the classes it scanned, and the c scan with its c-set checks once per tower,
 on the classes of every stage with b padded by the identity to n_max - 3
-columns, raising VerificationError; `verify` runs the first two on every row.
+columns, raising VerificationError; `verify` runs the first two on every class.
 
 Every relation is a word equation, so simultaneous conjugation by g maps
 admissible (a-sequence, b, c) data to admissible data and commutes with the
-successor map.  A tower therefore scans only the first cycle of each
-conjugation orbit of cycles and carries its classes to every other cycle C of
+successor map.  A tower therefore scans only the first cycle C_0 of each
+conjugation orbit of cycles and keeps the classes found there, each weighted by
+its orbit's size; `TowerLevel.expand` carries them to every other cycle C of
 the orbit as (C, g b g^-1, sorted g c-set g^-1), where C = g C_0 g^-1.
 
 The relations used, with mul(g, h) meaning "h first, then g":
@@ -326,14 +327,16 @@ def _c_set_failure(decomp: ShiftDecomposition, ids: np.ndarray, b: np.ndarray,
 class _Orbits:
     """The cycles grouped by conjugation orbit.
 
-    Orbit k is ids[start[k]:start[k + 1]] (decomposition indices); its first
-    entry is the orbit's first cycle C in decomposition order, and cycle ids[j]
-    is t C t^-1 for t = transporters[j].
+    Orbit k is ids[start[k]:start[k + 1]] (decomposition indices), size[k]
+    cycles; its first entry, first[k], is the orbit's first cycle C in
+    decomposition order, and cycle ids[j] is t C t^-1 for t = transporters[j].
     """
 
     ids: np.ndarray
     transporters: np.ndarray
     start: np.ndarray
+    first: np.ndarray
+    size: np.ndarray
 
 
 def _conjugate(group: FiniteGroup, t, x) -> np.ndarray:
@@ -385,7 +388,7 @@ def _conjugation_orbits(decomp: ShiftDecomposition) -> _Orbits:
         raise VerificationError("a transporter does not conjugate its orbit's first cycle onto its member")
     ids = np.argsort(root, kind="stable")
     start = np.flatnonzero(np.diff(root[ids], prepend=-1, append=n))
-    return _Orbits(ids, t[ids], start)
+    return _Orbits(ids, t[ids], start, ids[start[:-1]], np.diff(start))
 
 
 # ---------------------------------------------------------------------------
@@ -394,38 +397,55 @@ def _conjugation_orbits(decomp: ShiftDecomposition) -> _Orbits:
 
 @dataclass(eq=False)
 class TowerLevel:
-    """All classes at one stage n, as arrays, each class with its sorted set of
-    braid extensions c.
+    """The classes at one stage n that the scans found, one row per class over
+    the first cycle of a conjugation orbit, each with its sorted set of braid
+    extensions c.
 
-    Class i is cycle `cycle_ids[i]` (an index into the decomposition's
-    cycles) with images `b[i]` (a row of n - 3 handles); its c set is the i-th
-    run of `c`, `c_count[i]` handles long, sorted.  Classes are ordered by
-    (rep vertex, b).  The four counts are computed once, at build.
-
-    `orbit_rows` are the rows over each conjugation orbit's first cycle, the
-    classes the scans found, in row order; row `orbit_rows[k]` stands for the
-    `orbit_size[k]` classes of its orbit, one per cycle.
+    Row j is the class on orbit `orbit[j]`'s first cycle with images `b[j]` (a
+    row of n - 3 handles); its c set is the j-th run of `c`, `c_count[j]`
+    handles long, sorted.  Rows are ordered by (orbit, b).  Each row stands for
+    one class on every cycle of its orbit, so the four counts, computed once at
+    build, are sums weighted by orbit size; `expand` lists every class.
     """
 
     n: int
     decomposition: ShiftDecomposition = field(repr=False)
-    cycle_ids: np.ndarray = field(repr=False)
+    orbits: _Orbits = field(repr=False)
+    orbit: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
     c_count: np.ndarray = field(repr=False)
-    orbit_rows: np.ndarray = field(repr=False)
-    orbit_size: np.ndarray = field(repr=False)
     class_count: int = field(init=False)
     rep_count: int = field(init=False)
     braid_class_count: int = field(init=False)
     braid_rep_count: int = field(init=False)
 
     def __post_init__(self) -> None:
-        period = self.decomposition.lengths[self.cycle_ids]
-        self.class_count = len(self.cycle_ids)
-        self.rep_count = int(period.sum())
-        self.braid_class_count = int(self.c_count.sum())
-        self.braid_rep_count = int(period @ self.c_count)
+        size = self.orbits.size[self.orbit]
+        period = self.decomposition.lengths[self.orbits.first[self.orbit]]
+        self.class_count = int(size.sum())
+        self.rep_count = int(size @ period)
+        self.braid_class_count = int(size @ self.c_count)
+        self.braid_rep_count = int(size @ (period * self.c_count))
+
+    def expand(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(cycle_ids, b, c, c_count) of every class, each row carried onto every
+        cycle of its orbit, anew on each call.  Class i is cycle cycle_ids[i]
+        with images b[i]; its c set is the i-th run of c, c_count[i] handles
+        long, sorted.  Classes are ordered by (rep vertex, b)."""
+        orbits, group = self.orbits, self.decomposition.group
+        size = orbits.size[self.orbit]
+        row_class = np.repeat(np.arange(self.orbit.size), size)
+        pos = _ranges(orbits.start[self.orbit], size)
+        t = orbits.transporters[pos]
+        b = _conjugate(group, t[:, None], self.b[row_class])
+        # cycles are numbered in lex order of their rep vertices: this orders by (rep vertex, b)
+        order = np.lexsort((*b.T[::-1], orbits.ids[pos]))
+        row_class, t, pos = row_class[order], t[order], pos[order]
+        c_count = self.c_count[row_class]
+        row = np.repeat(np.arange(row_class.size), c_count)
+        c = _conjugate(group, t[row], self.c[_ranges((np.cumsum(self.c_count) - self.c_count)[row_class], c_count)])
+        return orbits.ids[pos], b[order], c[np.lexsort((c, row))], c_count
 
 
 @dataclass(eq=False)
@@ -447,7 +467,8 @@ class TowerResult:
 
     def is_trivial_at(self, n: int) -> bool:
         lvl = self.level(n)
-        return bool(lvl.class_count == 1 and is_trivial_class(self.decomposition, lvl.cycle_ids, lvl.b).all())
+        return bool(lvl.class_count == 1
+                    and is_trivial_class(self.decomposition, lvl.orbits.first[lvl.orbit], lvl.b).all())
 
 
 def compute_tower(group: FiniteGroup, n_max: int) -> TowerResult:
@@ -461,7 +482,7 @@ def compute_tower(group: FiniteGroup, n_max: int) -> TowerResult:
     e = group.identity
     orbits = _conjugation_orbits(decomp)
     orders = element_orders(group)
-    first = orbits.ids[orbits.start[:-1]]
+    first = orbits.first
     # the classes (orbit ks[j], b[j]) over each orbit's first cycle, checked
     # stage by stage; the trivial class extends only to the trivial chain
     ks, b = np.arange(first.size), np.empty((first.size, 0), dtype=np.int64)
@@ -491,32 +512,7 @@ def compute_tower(group: FiniteGroup, n_max: int) -> TowerResult:
         raise VerificationError(failure)
     counts = np.split(c_count, np.cumsum([ks.size for ks, _ in stages])[:-1])
     c_sets = np.split(c, np.cumsum([count.sum() for count in counts])[:-1])
-    levels = [_transported_level(decomp, orbits, n, ks, b, count, c_set)
+    levels = [TowerLevel(n, decomp, orbits, ks, b, c_set, count)
               for n, (ks, b), count, c_set in zip(range(3, n_max + 1), stages, counts, c_sets)]
     return TowerResult(group, decomp, levels)
 
-
-def _transported_level(decomp: ShiftDecomposition, orbits: _Orbits, n: int, ks: np.ndarray,
-                       base_b: np.ndarray, base_count: np.ndarray, base_c: np.ndarray) -> TowerLevel:
-    """Stage n over every cycle: each class (ks[j], base_b[j]) over orbit ks[j]'s
-    first cycle, with its checked braid c set, the j-th run of `base_c`,
-    `base_count[j]` handles long, conjugated onto the orbit."""
-    group = decomp.group
-    size = orbits.start[ks + 1] - orbits.start[ks]
-    row_class = np.repeat(np.arange(ks.size), size)
-    pos = _ranges(orbits.start[ks], size)
-    t = orbits.transporters[pos]
-    b = _conjugate(group, t[:, None], base_b[row_class])
-    # decompose numbers the cycles in lex order of their rep vertices, so this
-    # is the order by (rep vertex, b)
-    order = np.lexsort((*b.T[::-1], orbits.ids[pos]))
-    row_class, t, pos = row_class[order], t[order], pos[order]
-    # an orbit's first cycle is its own transporter image, so these rows are
-    # the scanned classes unchanged
-    orbit_rows = np.flatnonzero(pos == orbits.start[ks[row_class]])
-    orbit_size = size[row_class[orbit_rows]]
-    c_count = base_count[row_class]
-    row = np.repeat(np.arange(row_class.size), c_count)
-    c = _conjugate(group, t[row], base_c[_ranges((np.cumsum(base_count) - base_count)[row_class], c_count)])
-    return TowerLevel(n, decomp, orbits.ids[pos], b[order], c[np.lexsort((c, row))], c_count,
-                      orbit_rows, orbit_size)

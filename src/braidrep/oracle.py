@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .extension import TowerLevel, TowerResult
+from .extension import TowerResult
 from .groups import FiniteGroup
 
 __all__ = [
@@ -202,23 +202,21 @@ def brute_hom_Bn(group: FiniteGroup, n: int, budget: int = DEFAULT_BUDGET) -> Or
 # engine-side censuses in the same key format
 # ---------------------------------------------------------------------------
 
-def _engine_keys(lvl: TowerLevel, rows: np.ndarray):
-    """(rep vertex, b, period) of the level's classes at `rows`."""
-    ids = lvl.cycle_ids[rows]
-    a0, a1 = lvl.decomposition.rep_vertices(ids)
-    return zip(zip(a0.tolist(), a1.tolist()), map(tuple, lvl.b[rows].tolist()),
-               lvl.decomposition.lengths[ids].tolist())
+def _engine_keys(tower: TowerResult, ids: np.ndarray, b: np.ndarray):
+    """(rep vertex, b, period) of the classes on cycles `ids` with images `b`."""
+    a0, a1 = tower.decomposition.rep_vertices(ids)
+    return zip(zip(a0.tolist(), a1.tolist()), map(tuple, b.tolist()), tower.decomposition.lengths[ids].tolist())
 
 
 def engine_census_Kn(tower: TowerResult, n: int) -> tuple:
-    lvl = tower.level(n)
-    return tuple(sorted(_engine_keys(lvl, np.arange(lvl.class_count))))
+    ids, b, _, _ = tower.level(n).expand()
+    return tuple(sorted(_engine_keys(tower, ids, b)))
 
 
 def engine_census_Bn(tower: TowerResult, n: int) -> tuple:
     if n == 2:
         return tuple((None, (), c, 1) for c in tower.group.elements())
-    lvl = tower.level(n)
-    rows = np.repeat(np.arange(lvl.class_count), lvl.c_count)
-    return tuple(sorted((vertex, b, c, p)
-                        for (vertex, b, p), c in zip(_engine_keys(lvl, rows), lvl.c.tolist())))
+    ids, b, c, c_count = tower.level(n).expand()
+    rows = np.repeat(np.arange(ids.size), c_count)
+    return tuple(sorted((vertex, b, c, p) for (vertex, b, p), c in
+                        zip(_engine_keys(tower, ids[rows], b[rows]), c.tolist())))

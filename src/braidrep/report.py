@@ -95,10 +95,10 @@ def paper_shift_lines(decomp: ShiftDecomposition, out: TextIO, *, type2_only: bo
 
 def stage4_b3_block(tower: TowerResult) -> list[str]:
     """Nontrivial b3 values at stage 4, each with the cycles that admit it."""
-    lvl = tower.level(4)
-    nontrivial = lvl.b[:, 0] != tower.group.identity
-    b3 = lvl.b[nontrivial, 0]
-    a0, a1 = tower.decomposition.rep_vertices(lvl.cycle_ids[nontrivial])
+    ids, b, _, _ = tower.level(4).expand()
+    nontrivial = b[:, 0] != tower.group.identity
+    b3 = b[nontrivial, 0]
+    a0, a1 = tower.decomposition.rep_vertices(ids[nontrivial])
     # classes are ordered by rep vertex, so a stable sort by b3 keeps each b3's cells in order
     order = np.argsort(b3, kind="stable")
     rows = zip(b3[order].tolist(), (a0[order] + 1).tolist(), (a1[order] + 1).tolist())
@@ -273,14 +273,15 @@ def tower_to_json(tower: TowerResult, out: TextIO) -> None:
 
     def level_pieces(lvl: TowerLevel) -> Iterator[str]:
         width = lvl.n - 3
-        c_start = np.concatenate([[0], np.cumsum(lvl.c_count)])
-        for i in range(0, lvl.class_count, _BLOCK):
-            j = min(i + _BLOCK, lvl.class_count)
-            ids = lvl.cycle_ids[i:j]
+        cycle_ids, b, c, c_counts = lvl.expand()
+        c_start = np.concatenate([[0], np.cumsum(c_counts)])
+        for i in range(0, cycle_ids.size, _BLOCK):
+            j = min(i + _BLOCK, cycle_ids.size)
+            ids = cycle_ids[i:j]
             lengths = decomp.lengths[ids]
             one = np.ones_like(lengths)
             b_count = np.full_like(lengths, width)
-            c_count = lvl.c_count[i:j]
+            c_count = c_counts[i:j]
             has_b, has_c = int(width > 0), (c_count > 0).astype(np.int64)
             opens = one.copy()
             opens[0] = i > 0
@@ -288,9 +289,9 @@ def tower_to_json(tower: TowerResult, out: TextIO) -> None:
                 (table.literal(opens), one),
                 (table.items(decomp.a_flat[_ranges(decomp.offsets[ids], lengths)], lengths), lengths),
                 (table.literal(2 + 2 * ~decomp.is_type_I[ids] + has_b), one),
-                (table.items(lvl.b[i:j].ravel(), b_count), b_count),
+                (table.items(b[i:j].ravel(), b_count), b_count),
                 (table.literal(6 + 2 * has_b + has_c), one),
-                (table.items(lvl.c[c_start[i]:c_start[j]], c_count), c_count),
+                (table.items(c[c_start[i]:c_start[j]], c_count), c_count),
                 (table.literal(10 + has_c), one),
             ])
 
@@ -351,16 +352,17 @@ def tower_to_csv(tower: TowerResult, out: TextIO) -> None:
     def pieces() -> Iterator[str]:
         yield "n,a0,a1,length,type,b,c_count,c_set\r\n"
         for lvl in tower.levels:
-            c_start = np.concatenate([[0], np.cumsum(lvl.c_count)])
-            for i in range(0, lvl.class_count, _BLOCK):
-                j = min(i + _BLOCK, lvl.class_count)
-                ids = lvl.cycle_ids[i:j]
+            cycle_ids, images, c_set, c_count = lvl.expand()
+            c_start = np.concatenate([[0], np.cumsum(c_count)])
+            for i in range(0, cycle_ids.size, _BLOCK):
+                j = min(i + _BLOCK, cycle_ids.size)
+                ids = cycle_ids[i:j]
                 a0, a1 = decomp.rep_vertices(ids)
-                c = [str(x) for x in (lvl.c[c_start[i]:c_start[j]] + 1).tolist()]
+                c = [str(x) for x in (c_set[c_start[i]:c_start[j]] + 1).tolist()]
                 ends = (c_start[i + 1:j + 1] - c_start[i]).tolist()
                 for x, y, p, type_I, b, start, end in zip(
                         (a0 + 1).tolist(), (a1 + 1).tolist(), decomp.lengths[ids].tolist(),
-                        decomp.is_type_I[ids].tolist(), (lvl.b[i:j] + 1).tolist(), [0, *ends], ends):
+                        decomp.is_type_I[ids].tolist(), (images[i:j] + 1).tolist(), [0, *ends], ends):
                     yield (f"{lvl.n},{x},{y},{p},{'I' if type_I else 'II'},{' '.join(map(str, b))},"
                            f"{end - start},{' '.join(c[start:end])}\r\n")
     _write(out, pieces())

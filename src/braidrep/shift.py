@@ -13,8 +13,8 @@ It walks int32 vertex codes, which cannot wrap since m^2 <= MAX_TABLE_ENTRIES
 map, one mask and the result plus little more: 10-17 bytes a vertex on S6,
 SL2(7) and SL2(11).  Every writer reads those arrays.  The cycle through
 every vertex (m^2 int32 numbers, scattered a block of cycles at a time) is
-built from them anew on each request and kept by no object, and no command
-builds a `Cycle`.
+built from them anew by the tower's orbit step alone and kept by no object,
+and no command builds a `Cycle`.
 """
 from __future__ import annotations
 

@@ -6,8 +6,8 @@ PASS/FAIL line per suite.
 
 prop2 and prop3 have no checks of their own: they run `extension`'s
 stage-level routines, `stage4_failure` and `stage_failure`, which
-`compute_tower` runs on the classes it scans, on every row of the tower, and
-print the first broken fact they return.
+`compute_tower` runs on the rows it scans, on every class of the tower, as
+`TowerLevel.expand` lists them, and print the first broken fact they return.
 """
 from __future__ import annotations
 
@@ -64,9 +64,9 @@ def _prop2_suite(tower: TowerResult) -> SuiteResult:
     """The stage-4 facts on every stage-4 row, by the check the engine runs."""
     if tower.n_max < 4:
         return SuiteResult("prop2", True, "skipped (tower stops before stage 4)")
-    lvl = tower.level(4)
-    failure = stage4_failure(tower.decomposition, lvl.cycle_ids, lvl.b[:, 0])
-    return SuiteResult("prop2", failure is None, failure or f"{lvl.class_count} stage-4 classes checked")
+    ids, b, _, _ = tower.level(4).expand()
+    failure = stage4_failure(tower.decomposition, ids, b[:, 0])
+    return SuiteResult("prop2", failure is None, failure or f"{ids.size} stage-4 classes checked")
 
 
 def _prop3_suite(tower: TowerResult) -> SuiteResult:
@@ -76,11 +76,11 @@ def _prop3_suite(tower: TowerResult) -> SuiteResult:
     decomp = tower.decomposition
     orders = element_orders(tower.group)
     checked = 0
-    for lvl in tower.levels[2:]:
-        failure = stage_failure(decomp, lvl.cycle_ids, lvl.b, orders)
+    for ids, b, _, _ in (lvl.expand() for lvl in tower.levels[2:]):
+        failure = stage_failure(decomp, ids, b, orders)
         if failure:
             return SuiteResult("prop3", False, failure)
-        checked += lvl.class_count - int(is_trivial_class(decomp, lvl.cycle_ids, lvl.b).sum())
+        checked += ids.size - int(is_trivial_class(decomp, ids, b).sum())
     return SuiteResult("prop3", True, f"{checked} nontrivial classes at stages >= 5 checked")
 
 

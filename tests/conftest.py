@@ -1,6 +1,7 @@
 """Shared fixtures: groups and towers computed once per session."""
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 import time
 from collections import Counter
@@ -8,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from braidrep.extension import compute_tower
+from braidrep.extension import TowerResult, compute_tower
 from braidrep.groups import SL2, AbelianProduct, CayleyTableGroup, SymmetricGroup, alternating_group, parse_group_spec
 from braidrep.shift import Cycle, successor
 
@@ -73,12 +74,22 @@ def cycle_index(decomp, a0, a1):
 
 
 def level_rows(lvl):
-    """Each class of a tower level as (Cycle, b tuple, c tuple), read from its arrays."""
-    decomp = lvl.decomposition
-    c = lvl.c.tolist()
-    ends = np.cumsum(lvl.c_count).tolist()
-    return [(make_cycle(decomp, i), tuple(b), tuple(c[start:end]))
-            for i, b, start, end in zip(lvl.cycle_ids.tolist(), lvl.b.tolist(), [0, *ends], ends)]
+    """Each class of a tower level as (Cycle, b tuple, c tuple), read from the
+    arrays its `expand` lists."""
+    ids, b, c, c_count = lvl.expand()
+    c, ends = c.tolist(), np.cumsum(c_count).tolist()
+    return [(make_cycle(lvl.decomposition, i), tuple(row), tuple(c[start:end]))
+            for i, row, start, end in zip(ids.tolist(), b.tolist(), [0, *ends], ends)]
+
+
+def expanding_to(tower, n, arrays):
+    """The tower with a copy of its stage-n level whose `expand` returns new
+    copies of `arrays`, (cycle_ids, b, c, c_count); its stored rows and counts
+    stay."""
+    lvl = dataclasses.replace(tower.level(n))
+    lvl.expand = lambda: tuple(x.copy() for x in arrays)
+    return TowerResult(tower.group, tower.decomposition,
+                       [lvl if other.n == n else other for other in tower.levels])
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,8 @@ import pytest
 
 import braidrep
 import braidrep.cli as cli
+from braidrep import groups
+from braidrep.extension import TowerLevel
 from braidrep.shift import Cycle
 from braidrep.verify import SUITE_NAMES, SuiteResult
 
@@ -347,7 +349,23 @@ def test_nmax_below_tower_start_exits_2(capsys):
 def test_group_over_table_cap_exits_3(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 3
-    assert "MAX_TABLE_ENTRIES = 10000000" in err
+    assert f"MAX_TABLE_ENTRIES = {groups.MAX_TABLE_ENTRIES}" in err
+
+
+def _refuse_expand(self):
+    raise AssertionError("a level was expanded")
+
+
+# counts and subgroups read the rows the scans found, never the listing
+@pytest.mark.parametrize("argv", [("tower", "S6", "7", "--count-only"), ("braid", "S6", "7"),
+                                  ("braid", "S6", "7", "--count-only"),
+                                  *(("subgroups", "S6", "7", "--format", f) for f in ("paper", "json", "csv"))],
+                         ids=" ".join)
+def test_counts_and_subgroups_expand_no_level(capsys, monkeypatch, argv):
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0 and expected[1]
+    monkeypatch.setattr(TowerLevel, "expand", _refuse_expand)
+    assert run_cli(capsys, *argv) == expected
 
 
 def _cli_env() -> dict:

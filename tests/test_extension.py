@@ -16,6 +16,7 @@ from braidrep import report
 from braidrep.analysis import pi_representation, transitivity_report
 from braidrep.errors import UsageError, VerificationError
 from braidrep.extension import (
+    TowerLevel,
     _conjugation_orbits,
     compute_tower,
     element_orders,
@@ -120,9 +121,9 @@ def _random_classes(tower, rng, count):
     their last image replaced by a random element, so that many are no class
     of the tower."""
     for n in (4, 5):
-        lvl = tower.level(n)
-        pick = rng.integers(0, lvl.class_count, count)
-        ids, b = lvl.cycle_ids[pick], lvl.b[pick].copy()
+        ids, b, _, _ = tower.level(n).expand()
+        pick = rng.integers(0, ids.size, count)
+        ids, b = ids[pick], b[pick]
         noisy = rng.random(count) < 0.5
         b[noisy, -1] = rng.integers(0, tower.group.order, int(noisy.sum()))
         yield ids, b
@@ -271,9 +272,9 @@ def test_scans_refuse_a_bad_class(s4, scan, ids, b, message):
 
 def test_extend_step_empty_over_s4(tower_s4, s4):
     d = tower_s4.decomposition
-    lvl = tower_s4.level(4)
-    keep = lvl.cycle_ids != _index(d, (0, 0))
-    rows, images = extend_step(d, lvl.cycle_ids[keep], lvl.b[keep])
+    ids, b, _, _ = tower_s4.level(4).expand()
+    keep = ids != _index(d, (0, 0))
+    rows, images = extend_step(d, ids[keep], b[keep])
     assert rows.size == images.size == 0
 
 
@@ -341,26 +342,33 @@ def _refuse_cycle_map(self):
 
 
 def test_no_command_leaves_state_on_the_decomposition(s4):
-    # the decomposition holds its dataclass fields and nothing else, whatever
-    # reads it: a cycle map is built by the step that needs it and freed there
+    # the decomposition and every level hold their dataclass fields and
+    # nothing else, whatever reads them: a cycle map is built by the step that
+    # needs it and freed there, and a level's classes are expanded anew by
+    # each reader and kept by none
     tower = compute_tower(s4, 6)
     d = tower.decomposition
     fields = {f.name for f in dataclasses.fields(ShiftDecomposition)}
-    assert vars(d).keys() == fields
+    level_fields = {f.name for f in dataclasses.fields(TowerLevel)}
+
+    def untouched():
+        return vars(d).keys() == fields and all(vars(lvl).keys() == level_fields for lvl in tower.levels)
+    assert untouched()
     for write in (report.paper_shift_lines, report.shift_to_json, report.shift_to_csv, report.decomposition_to_dot):
         write(d, io.StringIO())
-        assert vars(d).keys() == fields, write.__name__
+        assert untouched(), write.__name__
     for write in (report.paper_tower_lines, report.paper_braid_lines, report.tower_to_json, report.tower_to_csv):
         write(tower, io.StringIO())
-        assert vars(d).keys() == fields, write.__name__
+        assert untouched(), write.__name__
     subgroups = transitivity_report(tower)
+    assert untouched()
     for write in (report.paper_subgroup_lines, report.subgroups_to_json, report.subgroups_to_csv):
         write(subgroups, io.StringIO())
-        assert vars(d).keys() == fields, write.__name__
+        assert untouched(), write.__name__
     run_suites(tower)
-    assert vars(d).keys() == fields
+    assert untouched()
     pi_representation(4, 4, d)
-    assert vars(d).keys() == fields
+    assert untouched()
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +450,9 @@ def test_tower_z6_counts(tower_z6):
 
 def test_every_class_has_a_parent_below(tower_s4, s4):
     for n in (4, 5, 6):
-        below, lvl = tower_s4.level(n - 1), tower_s4.level(n)
-        parents = set(zip(below.cycle_ids.tolist(), map(tuple, below.b.tolist())))
-        assert set(zip(lvl.cycle_ids.tolist(), map(tuple, lvl.b[:, :-1].tolist()))) <= parents
+        (below_ids, below_b, _, _), (ids, b, _, _) = tower_s4.level(n - 1).expand(), tower_s4.level(n).expand()
+        parents = set(zip(below_ids.tolist(), map(tuple, below_b.tolist())))
+        assert set(zip(ids.tolist(), map(tuple, b[:, :-1].tolist()))) <= parents
 
 
 def test_trivial_chain_present_at_every_level(tower_s4, s4):
@@ -622,19 +630,26 @@ def _cycle_orbits(decomp):
 
 @pytest.mark.parametrize("name", ORBIT_GROUPS)
 def test_orbit_rows_stand_for_every_class(name):
+    # the stored rows are the listed classes on the first cycle of each orbit,
+    # in listing order, and weighted by their orbit's size they give the counts
     tower = compute_tower(ORBIT_GROUPS[name](), 6)
     first, size = _cycle_orbits(tower.decomposition)
     for lvl in tower.levels:
-        ids = lvl.cycle_ids
-        assert lvl.orbit_rows.tolist() == np.flatnonzero(first[ids] == ids).tolist()
-        assert lvl.orbit_size.tolist() == size[ids[lvl.orbit_rows]].tolist()
-        weight = lvl.orbit_size
-        period = tower.decomposition.lengths[ids[lvl.orbit_rows]]
-        c_count = lvl.c_count[lvl.orbit_rows]
+        ids = lvl.orbits.first[lvl.orbit]
+        assert (first[ids] == ids).all()
+        assert lvl.orbits.size[lvl.orbit].tolist() == size[ids].tolist()
+        c_ends = np.cumsum(lvl.c_count).tolist()
+        c = lvl.c.tolist()
+        stored = [(make_cycle(tower.decomposition, i), tuple(b), tuple(c[start:end]))
+                  for i, b, start, end in zip(ids.tolist(), lvl.b.tolist(), [0, *c_ends], c_ends)]
+        expanded = lvl.expand()[0]
+        assert stored == [row for row, i in zip(level_rows(lvl), expanded.tolist()) if first[i] == i]
+        weight = size[ids]
+        period = tower.decomposition.lengths[ids]
         assert weight.sum() == lvl.class_count
         assert weight @ period == lvl.rep_count
-        assert weight @ c_count == lvl.braid_class_count
-        assert weight @ (period * c_count) == lvl.braid_rep_count
+        assert weight @ lvl.c_count == lvl.braid_class_count
+        assert weight @ (period * lvl.c_count) == lvl.braid_rep_count
 
 
 @pytest.mark.parametrize("make", [lambda: relabelled(SymmetricGroup(5), 4), lambda: SL2(5)],

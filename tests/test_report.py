@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from braidrep.errors import UsageError
-from braidrep.extension import TowerResult, compute_tower
+from braidrep.extension import compute_tower
 from braidrep.groups import SL2, CayleyTableGroup, SymmetricGroup, parse_group_spec
 from braidrep.report import (
     _CHUNK,
@@ -31,7 +31,8 @@ from braidrep.report import (
 from braidrep.shift import decompose
 from braidrep.verify import SUITE_NAMES, run_suites
 
-from conftest import cycle_index, golden_text, level_rows, make_cycle, normalize_tokens, per_vertex_walk, relabelled
+from conftest import (cycle_index, expanding_to, golden_text, level_rows, make_cycle, normalize_tokens,
+                      per_vertex_walk, relabelled)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +177,7 @@ def test_tower_document_is_json_dumps_of_the_reference(document_tower):
 def test_stored_counts_equal_the_sums_over_the_views(document_tower):
     for lvl in document_tower.levels:
         rows = level_rows(lvl)
-        assert lvl.class_count == len(rows) == lvl.c_count.size
+        assert lvl.class_count == len(rows) == lvl.expand()[3].size
         assert lvl.rep_count == sum(cycle.length for cycle, _, _ in rows)
         assert lvl.braid_class_count == sum(len(cs) for _, _, cs in rows)
         assert lvl.braid_rep_count == sum(cycle.length * len(cs) for cycle, _, cs in rows)
@@ -207,13 +208,11 @@ def test_a_handle_outside_the_group_raises(s3, handle):
 @pytest.mark.parametrize("field", ["b", "c"])
 @pytest.mark.parametrize("handle", [-1, 6])
 def test_a_tower_handle_outside_the_group_raises(tower_s3, field, handle):
-    lvl = tower_s3.level(4)
-    values = getattr(lvl, field).copy()
-    assert values.size
-    values.flat[-1] = handle
-    levels = [dataclasses.replace(lvl, **{field: values}) if lvl.n == 4 else lvl for lvl in tower_s3.levels]
+    arrays = dict(zip(["cycle_ids", "b", "c", "c_count"], tower_s3.level(4).expand()))
+    assert arrays[field].size
+    arrays[field].flat[-1] = handle
     with pytest.raises(KeyError):
-        tower_to_json(TowerResult(tower_s3.group, tower_s3.decomposition, levels), io.StringIO())
+        tower_to_json(expanding_to(tower_s3, 4, tuple(arrays.values())), io.StringIO())
 
 
 class _Recorder:

@@ -13,7 +13,7 @@ from braidrep.extension import TowerResult, compute_tower
 from braidrep.groups import SymmetricGroup
 from braidrep.verify import SUITE_NAMES, run_suites
 
-from conftest import make_cycle
+from conftest import expanding_to, make_cycle
 
 
 def test_all_suites_pass_s3(s3):
@@ -83,11 +83,10 @@ def test_prop1_fails_on_a_corrupted_a_sequence(s3, tower_s3):
 
 
 def _with_image(tower, n, row, col, value):
-    """The tower with b[row, col] of stage n set to value."""
-    b = tower.level(n).b.copy()
+    """The tower whose stage-n `expand` lists b with b[row, col] set to value."""
+    ids, b, c, c_count = tower.level(n).expand()
     b[row, col] = value
-    return TowerResult(tower.group, tower.decomposition,
-                       [dataclasses.replace(lvl, b=b) if lvl.n == n else lvl for lvl in tower.levels])
+    return expanding_to(tower, n, (ids, b, c, c_count))
 
 
 # (suite, tower fixture, stage, row, column, new handle, the detail line the suite prints)
@@ -117,8 +116,8 @@ def _reference_prop2(tower):
     """The per-row prop2: one Cycle and one scalar power per stage-4 class;
     the first failure's detail, or None."""
     G, e = tower.group, tower.group.identity
-    lvl = tower.level(4)
-    for i, b3 in zip(lvl.cycle_ids.tolist(), lvl.b[:, 0].tolist()):
+    ids, b, _, _ = tower.level(4).expand()
+    for i, b3 in zip(ids.tolist(), b[:, 0].tolist()):
         cycle = make_cycle(tower.decomposition, i)
         p = cycle.length
         if G.power(b3, p) != e:
@@ -148,8 +147,8 @@ def _reference_prop3(tower):
     orders per class at stages >= 5; the first failure's detail, or None."""
     G, e = tower.group, tower.group.identity
     for n in range(5, tower.n_max + 1):
-        lvl = tower.level(n)
-        for i, b in zip(lvl.cycle_ids.tolist(), lvl.b.tolist()):
+        ids, images, _, _ = tower.level(n).expand()
+        for i, b in zip(ids.tolist(), images.tolist()):
             a_seq = make_cycle(tower.decomposition, i).a_seq
             if set(a_seq).union(b) == {e}:     # the trivial class
                 continue
@@ -174,12 +173,10 @@ def _reference_prop3(tower):
 
 
 def _on_cycles(tower, n, rows, ids):
-    """The tower with the classes `rows` of stage n moved onto the cycles `ids`."""
-    cycle_ids = tower.level(n).cycle_ids.copy()
+    """The tower whose stage-n `expand` lists the classes `rows` on the cycles `ids`."""
+    cycle_ids, b, c, c_count = tower.level(n).expand()
     cycle_ids[rows] = ids
-    return TowerResult(tower.group, tower.decomposition,
-                       [dataclasses.replace(lvl, cycle_ids=cycle_ids) if lvl.n == n else lvl
-                        for lvl in tower.levels])
+    return expanding_to(tower, n, (cycle_ids, b, c, c_count))
 
 
 @pytest.mark.parametrize("fixture", ["tower_s4", "tower_s5", "tower_sl23"])
@@ -202,7 +199,7 @@ def test_prop3_equals_the_per_class_check(request, fixture):
         want = _reference_prop3(corrupted)
         nontrivial = sum(set(make_cycle(decomp, i).a_seq).union(b) != {tower.group.identity}
                          for lvl in corrupted.levels[2:]
-                         for i, b in zip(lvl.cycle_ids.tolist(), lvl.b.tolist()))
+                         for i, b in zip(*(x.tolist() for x in lvl.expand()[:2])))
         assert (got.ok, got.detail) == (want is None, want or f"{nontrivial} nontrivial classes at stages >= 5 checked")
 
 
