@@ -28,7 +28,12 @@ admissible (a-sequence, b, c) data to admissible data and commutes with the
 successor map.  A tower therefore scans only the first cycle C_0 of each
 conjugation orbit of cycles and keeps the classes found there, each weighted by
 its orbit's size; `TowerLevel.expand` carries them to every other cycle C of
-the orbit as (C, g b g^-1, sorted g c-set g^-1), where C = g C_0 g^-1.
+the orbit as (C, g b g^-1, sorted g c-set g^-1), where C = g C_0 g^-1.  The
+orbits come from the pair classes, the orbits of conjugation on G x G, which
+the successor map permutes: a cycle's orbit is the successor cycle through the
+pair class of its rep vertex (`_conjugation_orbits`).  No array over all |G|^2
+vertices is built for it, and an abelian group skips it, as there every cycle
+is its own orbit.
 
 The relations used, with mul(g, h) meaning "h first, then g":
   stage 4:   a_m b3 a_{m+2} = b3 a_{m+1} b3          for all m
@@ -40,6 +45,7 @@ The relations used, with mul(g, h) meaning "h first, then g":
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -350,45 +356,124 @@ def _ranges(first: np.ndarray, length: np.ndarray) -> np.ndarray:
     return np.repeat(first - offset, length) + np.arange(int(length.sum()))
 
 
+def _pair_classes(group: FiniteGroup, central: np.ndarray) -> tuple[Callable, np.ndarray, np.ndarray]:
+    """The pair classes, the orbits of simultaneous conjugation on G x G,
+    numbered densely; `central` marks the elements of the centre.
+
+    Each element x gets a rep, its least conjugate, and tau[x] with
+    tau[x] x tau[x]^-1 = rep[x]: a central element is its own rep, and each
+    other class is found by conjugating its least element by every g.  The
+    canonical pair of a vertex (a0, a1) is (r, y): r = rep[a0], and y the least
+    conjugate of tau[a0] a1 tau[a0]^-1 under the centraliser C(r), its label.
+    So each non-central rep r has one row over the elements: the label of each
+    and the h in C(r) that gives it.  The central reps share the row (rep, tau),
+    as their centraliser is G.  Pair classes are numbered by a0's class, then
+    by the label's rank among its row's labels.
+
+    Returns (canonical, r, y): pair class j is that of the canonical pair
+    (r[j], y[j]), and canonical(a0, a1) gives the pair class of each vertex
+    (a0, a1) and sigma = h tau[a0], which conjugates the vertex onto its
+    canonical pair.
+    """
+    m = group.order
+    elements = np.arange(m)
+    inverses = group.inverses(elements)
+    rep, tau = elements.copy(), np.full(m, group.identity, dtype=np.int64)
+    rows = [(rep, tau)]
+    left = ~central
+    while left.any():
+        r = int(left.argmax())                  # the least element in no class yet
+        conj = group.products(group.column_products(r), inverses)      # g r g^-1 at [g]
+        rep[conj], tau[conj] = r, inverses
+        left[conj] = False
+        h = np.flatnonzero(conj == r)           # the centraliser C(r)
+        conj = group.products(group.row_products(h), inverses[h, None])     # h x h^-1 at [h, x]
+        least = conj.argmin(axis=0)
+        rows.append((conj[least, elements], h[least]))
+    label, h_of = (np.stack(x) for x in zip(*rows))
+    is_rep = rep == elements
+    cls = (np.cumsum(is_rep) - 1)[rep]          # every element's class, numbered by rep
+    reps = np.flatnonzero(is_rep)
+    row = np.cumsum(~central[reps]) * ~central[reps]    # each class's row, 0 if central
+    is_label = label == elements
+    # the rank of each element's label among its row's labels
+    rank = np.take_along_axis(np.cumsum(is_label, axis=1) - 1, label, axis=1).ravel()
+    h_of = h_of.ravel()
+    count = is_label.sum(axis=1)[row]
+    offset = np.cumsum(count) - count
+
+    def canonical(a0, a1) -> tuple[np.ndarray, np.ndarray]:
+        t, c = tau[a0], cls[a0]
+        at = row[c] * m + _conjugate(group, t, a1)
+        return offset[c] + rank[at], group.products(h_of[at], t)
+
+    labels = [np.flatnonzero(x) for x in is_label]
+    return canonical, np.repeat(reps, count), np.concatenate([labels[k] for k in row])
+
+
 def _conjugation_orbits(decomp: ShiftDecomposition) -> _Orbits:
     """The cycles split into orbits under simultaneous conjugation.
 
-    Conjugation commutes with the successor map, so each of the group's
-    generators g permutes the cycles.  Each cycle carries a root, the least
-    index known in its orbit, and a transporter t with cycle = t C_root t^-1.
-    Every (root, transporter) pair is pushed along every generator's
-    permutation, to (root, g t), onto each cycle whose root is larger, until no
-    root falls; a permutation's inverse is a power of it, so each root ends as
-    its orbit's first cycle in decomposition order.  Raises VerificationError
-    unless each transporter maps its first cycle's rep vertex onto its member.
-    The cycle map the steps and that check read is freed on return.
+    An abelian group conjugates trivially, so there every cycle is an orbit.
+    Otherwise conjugation commutes with the successor map, so the successor
+    permutes the pair classes (`_pair_classes`), and a cycle's orbit is the
+    cycle of that permutation through its rep vertex's pair class.  Pointer
+    doubling finds the least pair class on each cycle of the permutation; the
+    cycles whose rep vertices lead to one such least class form an orbit, and
+    its first cycle is the least of them.  For the transporters only the vertices of the
+    first cycles are canonicalised: for each pair class one such vertex u is
+    kept, and t = sigma_v^-1 sigma_u carries it onto the rep vertex v of each
+    cycle whose v is in that pair class.  Raises VerificationError unless
+    t u t^-1 = v with u on the first cycle of v's orbit.
     """
     group = decomp.group
     n = decomp.lengths.size
+    central = np.ones(group.order, dtype=bool)
+    for g in group.generators():
+        central &= group.row_products(g) == group.column_products(g)
+    if central.all():
+        ids = np.arange(n)
+        return _Orbits(ids, np.full(n, group.identity, dtype=np.int64), np.arange(n + 1), ids,
+                       np.ones(n, dtype=np.intp))
+
+    canonical, r, y = _pair_classes(group, central)
+    # the successor (r, y) -> (y, r^-1 y) of every pair class, and the least
+    # pair class on its cycle, over 1, 2, 4, ... steps until none falls
+    nxt = canonical(y, group.products(group.inverses(r), y))[0]
+    least = np.arange(nxt.size)
+    while not np.array_equal(fell := np.minimum(least, least[nxt]), least):
+        least, nxt = fell, nxt[nxt]
+
+    # each orbit's first cycle: the least cycle whose rep vertex's pair class
+    # leads to a given least class
     a0, a1 = decomp.rep_vertices(np.arange(n))
-    cycle_map = decomp.cycle_map()
+    pair, sigma = canonical(a0, a1)
+    first_cycle = np.full(nxt.size, n)
+    np.minimum.at(first_cycle, least[pair], np.arange(n))
+    first = np.sort(first_cycle[first_cycle < n])
 
-    def cycle_of(t, cid: np.ndarray) -> np.ndarray:
-        """Cycle ids of t v t^-1 for v the rep vertex of cycle cid[k]."""
-        return cycle_map[_conjugate(group, t, a0[cid]) * group.order + _conjugate(group, t, a1[cid])]
-
-    everything = np.arange(n)
-    steps = [(g, cycle_of(g, everything)) for g in group.generators()]
-    root, t = everything.copy(), np.full(n, group.identity, dtype=np.int64)
-    fell = True
-    while fell:
-        fell = False
-        for g, step in steps:
-            # a permutation: no two sources write the same cycle
-            src = np.flatnonzero(root < root[step])
-            dst = step[src]
-            root[dst], t[dst] = root[src], group.products(g, t[src])
-            fell |= src.size > 0
-    if (cycle_of(t, root) != everything).any():
+    # the vertices u of the first cycles, the cycle each lies on, and one u of
+    # each pair class they meet
+    length = decomp.lengths[first]
+    pos = _ranges(decomp.offsets[first], length)
+    succ = pos + 1
+    succ[np.cumsum(length) - 1] = decomp.offsets[first]       # a cycle's last vertex wraps to its first a
+    u0, u1, on = decomp.a_flat[pos], decomp.a_flat[succ], np.repeat(first, length)
+    u_pair, u_sigma = canonical(u0, u1)
+    kept = np.zeros(nxt.size, dtype=np.int32)
+    kept[u_pair] = np.arange(u_pair.size)
+    u, root = kept[pair], first_cycle[least[pair]]
+    del pair        # freed before the check and the sort, which set the peak
+    t = group.products(group.inverses(sigma), u_sigma[u])
+    del sigma
+    bad = on[u] != root
+    bad |= _conjugate(group, t, u0[u]) != a0
+    bad |= _conjugate(group, t, u1[u]) != a1
+    if bad.any():
         raise VerificationError("a transporter does not conjugate its orbit's first cycle onto its member")
-    ids = np.argsort(root, kind="stable")
-    start = np.flatnonzero(np.diff(root[ids], prepend=-1, append=n))
-    return _Orbits(ids, t[ids], start, ids[start[:-1]], np.diff(start))
+    ids = np.argsort(root * n + np.arange(n))       # by (root, id): the keys are distinct
+    size = np.bincount(root, minlength=n)[first]
+    return _Orbits(ids, t[ids], np.concatenate([[0], np.cumsum(size)]), first, size)
 
 
 # ---------------------------------------------------------------------------

@@ -182,24 +182,26 @@ class _CodeTable:
     def items(self, flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """The codes of handle lists laid end to end in `flat`, counts[i] items
         in list i.  A handle outside 0..m-1 raises KeyError."""
-        bad = (flat < 0) | (flat >= self.order)
-        if bad.any():
+        if flat.size and (flat.min() < 0 or flat.max() >= self.order):
+            bad = (flat < 0) | (flat >= self.order)
             raise KeyError(int(flat[bad][0]))
         codes = flat.astype(np.int64) + self.order
         codes[(np.cumsum(counts) - counts)[counts > 0]] -= self.order
         return codes
 
-    def text(self, parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
+    def text(self, parts: Sequence[tuple[np.ndarray, np.ndarray | None]]) -> Iterator[str]:
         """The text of a block of rows, in pieces of at most _CHUNK characters.
 
         Each part is (codes, counts), its runs laid end to end, one run per
-        row: row i is part 0's run i, then part 1's run i, and so on.
+        row: row i is part 0's run i, then part 1's run i, and so on.  Counts
+        of None stand for one code a row, as a literal part has.
         """
-        counts = np.stack([n for _, n in parts], axis=1)
+        rows = next(len(codes) for codes, n in parts if n is None)
+        counts = np.stack([np.ones(rows, dtype=np.int64) if n is None else n for _, n in parts], axis=1)
         start = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
         codes = np.empty(int(counts.sum()), dtype=np.int64)
         for j, (part, n) in enumerate(parts):
-            codes[_ranges(start[:, j], n)] = part
+            codes[start[:, j] if n is None else _ranges(start[:, j], n)] = part
         for i in range(0, codes.size, self.step):
             yield "".join(self.lines[codes[i:i + self.step]].tolist())
 
@@ -219,11 +221,10 @@ def shift_to_json(decomp: ShiftDecomposition, out: TextIO) -> None:
             lengths = decomp.lengths[i:i + _BLOCK]
             start = int(decomp.offsets[i])
             flat = decomp.a_flat[start:start + int(lengths.sum())]
-            one = np.ones_like(lengths)
-            opens = one.copy()
+            opens = np.ones_like(lengths)
             opens[0] = i > 0
-            yield from table.text([(table.literal(opens), one), (table.items(flat, lengths), lengths),
-                                   (table.literal(2 + ~decomp.is_type_I[i:i + _BLOCK]), one)])
+            yield from table.text([(table.literal(opens), None), (table.items(flat, lengths), lengths),
+                                   (table.literal(2 + ~decomp.is_type_I[i:i + _BLOCK]), None)])
         yield "\n  ]\n}\n"
     _write(out, pieces())
 
@@ -279,20 +280,19 @@ def tower_to_json(tower: TowerResult, out: TextIO) -> None:
             j = min(i + _BLOCK, cycle_ids.size)
             ids = cycle_ids[i:j]
             lengths = decomp.lengths[ids]
-            one = np.ones_like(lengths)
             b_count = np.full_like(lengths, width)
             c_count = c_counts[i:j]
             has_b, has_c = int(width > 0), (c_count > 0).astype(np.int64)
-            opens = one.copy()
+            opens = np.ones_like(lengths)
             opens[0] = i > 0
             yield from table.text([
-                (table.literal(opens), one),
+                (table.literal(opens), None),
                 (table.items(decomp.a_flat[_ranges(decomp.offsets[ids], lengths)], lengths), lengths),
-                (table.literal(2 + 2 * ~decomp.is_type_I[ids] + has_b), one),
+                (table.literal(2 + 2 * ~decomp.is_type_I[ids] + has_b), None),
                 (table.items(b[i:j].ravel(), b_count), b_count),
-                (table.literal(6 + 2 * has_b + has_c), one),
+                (table.literal(6 + 2 * has_b + has_c), None),
                 (table.items(c[c_start[i]:c_start[j]], c_count), c_count),
-                (table.literal(10 + has_c), one),
+                (table.literal(10 + has_c), None),
             ])
 
     def pieces() -> Iterator[str]:

@@ -11,10 +11,9 @@ laid end to end (m^2 int32 handles) and each cycle's offset, length and type.
 It walks int32 vertex codes, which cannot wrap since m^2 <= MAX_TABLE_ENTRIES
 < 2^31, from a bounded batch of seeds at a time, so its peak is the successor
 map, one mask and the result plus little more: 10-17 bytes a vertex on S6,
-SL2(7) and SL2(11).  Every writer reads those arrays.  The cycle through
-every vertex (m^2 int32 numbers, scattered a block of cycles at a time) is
-built from them anew by the tower's orbit step alone and kept by no object,
-and no command builds a `Cycle`.
+SL2(7) and SL2(11).  Every writer reads those arrays.  Nothing maps a vertex
+to its cycle: the tower's orbit step works on conjugacy classes of vertices
+instead (`extension._conjugation_orbits`), and no command builds a `Cycle`.
 """
 from __future__ import annotations
 
@@ -37,10 +36,8 @@ __all__ = [
 
 Vertex = tuple[int, int]
 
-# decompose walks from at most this many seeds at a time, and the cycle map is
-# scattered this many cycles at a time
+# decompose walks from at most this many seeds at a time
 _DECOMPOSE_BATCH = 1 << 15
-_CYCLE_ID_BLOCK = 1 << 16
 
 
 def successor(group: FiniteGroup, v: Vertex) -> Vertex:
@@ -76,9 +73,8 @@ class ShiftDecomposition:
     Cycle i's sequence is a_flat[offsets[i]:offsets[i] + lengths[i]], read from
     its lexicographically least vertex; is_type_I[i] says whether it touches
     the diagonal.  Cycles are numbered in lex order of their least vertex.
-    `vertex_codes` reads the codes a0 * m + a1 of a range of cycles, and
-    `cycle_map` builds the number of the cycle through every code afresh on
-    each call.  `cycles`, the same data as Cycle objects built on first read,
+    `vertex_codes` reads the codes a0 * m + a1 of a range of cycles.
+    `cycles`, the same data as Cycle objects built on first read,
     stays only for the benchmark harness, which counts the cycles with it;
     it goes when the harness reads `lengths` instead.
     """
@@ -102,17 +98,6 @@ class ShiftDecomposition:
         codes[:-1] += a[1:]
         codes[last] = a[last] * self.group.order + a[first]     # a cycle's last vertex wraps to its first a
         return codes
-
-    def cycle_map(self) -> np.ndarray:
-        """A new int32 array of the number of the cycle through every vertex
-        code, scattered over the codes of _CYCLE_ID_BLOCK cycles at a time."""
-        m, n = self.group.order, self.lengths.size
-        cycle_id = np.empty(m * m, dtype=np.int32)
-        for lo in range(0, n, _CYCLE_ID_BLOCK):
-            hi = min(lo + _CYCLE_ID_BLOCK, n)
-            cycle_id[self.vertex_codes(lo, hi)] = np.repeat(np.arange(lo, hi, dtype=np.int32),
-                                                            self.lengths[lo:hi])
-        return cycle_id
 
     @cached_property
     def cycles(self) -> list[Cycle]:
@@ -161,8 +146,7 @@ def decompose(group: FiniteGroup) -> ShiftDecomposition:
     lexicographically least vertex.  A cycle is of type I when two
     neighbours of its sequence, read cyclically, are equal; the positions of
     such pairs are mapped to their cycles with one `searchsorted` over the
-    offsets.  The cycle through every vertex is not built here but on request
-    (`ShiftDecomposition.cycle_map`), so `shift` never pays for it.
+    offsets.  No map from vertices to cycles is built.
     Four facts are verified and raise VerificationError if broken, the last
     three after the walks and in this order: the successor map is a
     bijection, the cycle lengths partition |G|^2, there is exactly one fixed

@@ -68,9 +68,18 @@ def make_cycle(decomp, i):
                  "I" if decomp.is_type_I[i] else "II")
 
 
+def cycle_map(decomp):
+    """The index of the cycle through every vertex code a0 * m + a1, scattered
+    from the codes `vertex_codes` reads."""
+    n = decomp.lengths.size
+    ids = np.empty(decomp.group.order ** 2, dtype=np.int64)
+    ids[decomp.vertex_codes(0, n)] = np.repeat(np.arange(n), decomp.lengths)
+    return ids
+
+
 def cycle_index(decomp, a0, a1):
     """The index of the cycle through each vertex (a0, a1), read from a new cycle map."""
-    return decomp.cycle_map()[np.asarray(a0) * decomp.group.order + a1]
+    return cycle_map(decomp)[np.asarray(a0) * decomp.group.order + a1]
 
 
 def level_rows(lvl):

@@ -21,10 +21,9 @@ from braidrep.analysis import (
 from braidrep.errors import UsageError, VerificationError
 from braidrep.extension import compute_tower
 from braidrep.groups import AbelianProduct, SymmetricGroup
-from braidrep.shift import ShiftDecomposition, decompose
+from braidrep.shift import decompose
 
-from conftest import cycle_index, level_rows, make_cycle
-from test_extension import _refuse_cycle_map
+from conftest import cycle_index, cycle_map, level_rows, make_cycle
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +207,10 @@ def test_type_I_census_r6_against_tower(tower_s6):
 def test_abelian_cycle_length_matches_walk(moduli):
     G = AbelianProduct(moduli)
     d = decompose(G)
-    cycle_map = d.cycle_map()
+    cycle_of_code = cycle_map(d)
     for v0 in G.elements():
         for v1 in G.elements():
-            assert abelian_cycle_length(G, (v0, v1)) == make_cycle(d, cycle_map[v0 * G.order + v1]).length
+            assert abelian_cycle_length(G, (v0, v1)) == make_cycle(d, cycle_of_code[v0 * G.order + v1]).length
 
 
 def test_abelian_census_z5():
@@ -259,22 +258,6 @@ def test_pi_representation_images(s5):
 def test_pi_representation_class_is_found_by_tower(tower_s5):
     i, _, b = pi_representation(5, 5, tower_s5.decomposition)
     assert (make_cycle(tower_s5.decomposition, i), b) in [(c, bb) for c, bb, _ in level_rows(tower_s5.level(5))]
-
-
-@pytest.mark.parametrize("r", [4, 5, 6])
-def test_pi_representation_builds_no_cycle_map(monkeypatch, r):
-    # the vertex ((1 3 2), (1 2 3)) and its cycle, read from a cycle map
-    S = SymmetricGroup(r)
-    d = decompose(S)
-    fixed = tuple(range(4, r + 1))
-    a0, a1 = S.index_of((3, 1, 2, *fixed)), S.index_of((2, 3, 1, *fixed))
-    i = int(cycle_index(d, a0, a1))
-    phase = int(np.flatnonzero(d.vertex_codes(i, i + 1) == a0 * S.order + a1)[0])
-    b = [S.index_of(tuple({1: 2, 2: 1, k: k + 1, k + 1: k}.get(x, x) for x in range(1, r + 1)))
-         for k in range(3, r)]
-    monkeypatch.setattr(ShiftDecomposition, "cycle_map", _refuse_cycle_map)
-    for n in range(3, r + 1):
-        assert pi_representation(n, r, d) == (i, phase, tuple(b[:n - 3]))
 
 
 @pytest.mark.parametrize("scan,n", [("extend_to_K4", 4), ("extend_step", 5)])

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from braidrep.analysis import pi_representation, transitivity_report
 from braidrep.errors import UsageError, VerificationError
 from braidrep.extension import (
     TowerLevel,
+    _conjugate,
     _conjugation_orbits,
     compute_tower,
     element_orders,
@@ -30,7 +32,7 @@ from braidrep.groups import SL2, SymmetricGroup, alternating_group, parse_group_
 from braidrep.shift import ShiftDecomposition, decompose
 from braidrep.verify import run_suites
 
-from conftest import cycle_index, level_rows, make_cycle, relabelled, s3_x_z6
+from conftest import cycle_index, cycle_map, level_rows, make_cycle, relabelled, s3_x_z6
 
 
 # ---------------------------------------------------------------------------
@@ -320,32 +322,10 @@ def test_next_b_post_check_refuses_an_image_outside_the_conjugacy_class(s4):
             == "adjacent braid relation fails at stage 5")
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_is_trivial_class_reads_no_cycle_map(seed, monkeypatch):
-    group = relabelled(s3_x_z6(), seed)
-    e = group.identity
-    assert e != 0
-    d = decompose(group)
-    n = d.lengths.size
-    # every cycle twice: once with the identity chain, once with a nontrivial b_4
-    ids, b = np.tile(np.arange(n), 2), np.full((2 * n, 2), e)
-    b[n:, 1] = (e + 1) % group.order
-    with monkeypatch.context() as patch:
-        patch.setattr(ShiftDecomposition, "cycle_map", _refuse_cycle_map)
-        got = is_trivial_class(d, ids, b)
-    assert np.array_equal(got, (ids == cycle_index(d, e, e)) & (b == e).all(axis=1))
-    assert got.sum() == 1
-
-
-def _refuse_cycle_map(self):
-    raise AssertionError("the cycle map was built")
-
-
 def test_no_command_leaves_state_on_the_decomposition(s4):
     # the decomposition and every level hold their dataclass fields and
-    # nothing else, whatever reads them: a cycle map is built by the step that
-    # needs it and freed there, and a level's classes are expanded anew by
-    # each reader and kept by none
+    # nothing else, whatever reads them: a level's classes are expanded anew
+    # by each reader and kept by none
     tower = compute_tower(s4, 6)
     d = tower.decomposition
     fields = {f.name for f in dataclasses.fields(ShiftDecomposition)}
@@ -683,6 +663,91 @@ def test_s6_conjugation_orbits(tower_s6):
     found = _conjugation_orbits(tower_s6.decomposition)
     assert len(found.start) - 1 == 261
     assert len(found.ids) == 33150
+
+
+def _conjugates_by_each_element(decomp):
+    """(least cycle id, number of cycles) of each cycle's conjugation orbit, as
+    `_cycle_orbits` gives them, from the rep vertex conjugated by one element
+    at a time: the orbit has |G| / |stabiliser| cycles."""
+    group, n = decomp.group, decomp.lengths.size
+    mul_t, inv_t = group.tables()
+    a0, a1 = decomp.rep_vertices(np.arange(n))
+    cycle_of = cycle_map(decomp)
+    least, fixed = np.arange(n), np.zeros(n, dtype=np.int64)
+    for g in range(group.order):
+        image = cycle_of[mul_t[mul_t[g, a0], inv_t[g]] * group.order + mul_t[mul_t[g, a1], inv_t[g]]]
+        least = np.minimum(least, image)
+        fixed += image == np.arange(n)
+    return least, group.order // fixed
+
+
+# `_cycle_orbits` holds |G| x cycles arrays, about 1 GB over SL2(9)
+ORBIT_REFERENCE_GROUPS = {
+    **ORBIT_GROUPS,
+    "SL2(9)": lambda: SL2(9),
+    "Z300": lambda: parse_group_spec("Z300"),
+    "S3xZ6-relabelled-2": lambda: relabelled(s3_x_z6(), 2),
+}
+
+
+@pytest.mark.parametrize("name", ORBIT_REFERENCE_GROUPS)
+def test_conjugation_orbits_equal_conjugates_by_each_element(name):
+    decomp = decompose(ORBIT_REFERENCE_GROUPS[name]())
+    found = _conjugation_orbits(decomp)
+    least, size = _conjugates_by_each_element(decomp)
+    if name in ORBIT_GROUPS:
+        assert [least.tolist(), size.tolist()] == [x.tolist() for x in _cycle_orbits(decomp)]
+    # orbits in order of their first cycles, each listed in ascending order
+    assert found.first.tolist() == np.flatnonzero(least == np.arange(least.size)).tolist()
+    assert found.size.tolist() == size[found.first].tolist()
+    assert found.start.tolist() == [0, *np.cumsum(found.size).tolist()]
+    root = np.repeat(found.first, found.size)
+    assert np.array_equal(np.lexsort((found.ids, root)), np.arange(found.ids.size))
+    assert least[found.ids].tolist() == root.tolist()
+    # each transporter carries the first cycle's rep vertex onto a vertex of its member
+    group = decomp.group
+    a0, a1 = decomp.rep_vertices(root)
+    t = found.transporters
+    assert cycle_index(decomp, _conjugate(group, t, a0), _conjugate(group, t, a1)).tolist() == found.ids.tolist()
+
+
+def test_orbit_step_refuses_a_wrong_transporter(monkeypatch):
+    # sigma of the last cycle's rep vertex v times an element g that moves v:
+    # the last cycle's transporter then carries a vertex of its orbit's first
+    # cycle onto g^-1 v g, not onto v
+    group = SymmetricGroup(4)
+    decomp = decompose(group)
+    last = decomp.lengths.size - 1
+    assert last not in _conjugation_orbits(decomp).first
+    mul_t = group.tables()[0]
+    v0, v1 = (int(x[0]) for x in decomp.rep_vertices(np.array([last])))
+    g = next(g for g in range(group.order) if mul_t[g, v0] != mul_t[v0, g] or mul_t[g, v1] != mul_t[v1, g])
+    pair_classes = extension._pair_classes
+
+    def doctored(group, central):
+        canonical, r, y = pair_classes(group, central)
+
+        def wrong(a0, a1):
+            pair, sigma = canonical(a0, a1)
+            return pair, np.where((a0 == v0) & (a1 == v1), mul_t[sigma, g], sigma)
+        return wrong, r, y
+    monkeypatch.setattr(extension, "_pair_classes", doctored)
+    with pytest.raises(VerificationError, match="^a transporter does not conjugate its orbit's first cycle "
+                                                "onto its member$"):
+        _conjugation_orbits(decomp)
+
+
+def test_orbit_step_allocates_no_array_over_every_vertex():
+    # a map from every vertex to its cycle, in int32, takes 4 m^2 bytes alone
+    group = SL2(11)
+    decomp = decompose(group)
+    tracemalloc.start()
+    try:
+        _conjugation_orbits(decomp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * group.order ** 2
 
 
 def test_tower_argument_errors(s3):

@@ -31,7 +31,7 @@ from braidrep.report import (
 from braidrep.shift import decompose
 from braidrep.verify import SUITE_NAMES, run_suites
 
-from conftest import (cycle_index, expanding_to, golden_text, level_rows, make_cycle, normalize_tokens,
+from conftest import (cycle_index, cycle_map, expanding_to, golden_text, level_rows, make_cycle, normalize_tokens,
                       per_vertex_walk, relabelled)
 
 
@@ -263,7 +263,7 @@ def test_shift_json_roundtrip(s3):
     restored = shift_from_json(doc)
     assert _rendered(shift_to_json, restored) == _rendered(shift_to_json, d)
     # every vertex lies on the same cycle, at the same phase
-    assert d.cycle_map().tolist() == restored.cycle_map().tolist()
+    assert cycle_map(d).tolist() == cycle_map(restored).tolist()
     n = d.lengths.size
     assert d.vertex_codes(0, n).tolist() == restored.vertex_codes(0, n).tolist()
 

@@ -1,8 +1,6 @@
 """Successor dynamics on G x G: cycles, censuses, phases."""
 from __future__ import annotations
 
-import dataclasses
-import io
 import signal
 import tracemalloc
 
@@ -11,17 +9,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidrep import groups, report, shift
+from braidrep import groups, shift
 from braidrep.errors import VerificationError
 from braidrep.groups import SL2, AbelianProduct, CayleyTableGroup, SymmetricGroup, parse_group_spec
 from braidrep.shift import (
-    ShiftDecomposition,
     decompose,
     order2_cycle_shape,
     successor,
 )
 
-from conftest import cycle_index, make_cycle, per_vertex_walk, relabelled, s3_x_z6
+from conftest import cycle_index, cycle_map, make_cycle, per_vertex_walk, relabelled, s3_x_z6
 from test_groups import BACKENDS
 
 
@@ -132,25 +129,9 @@ def test_decompose_equals_per_vertex_walk(name):
 @pytest.mark.parametrize("group", [*BACKENDS, parse_group_spec("Z300"), relabelled(s3_x_z6(), 2)],
                          ids=lambda g: g.name)
 def test_types_and_lazy_cycle_map_equal_per_vertex_walk(group):
-    cycles, _, cycle_of = per_vertex_walk(group)
+    cycles, _, _ = per_vertex_walk(group)
     d = decompose(group)
     assert d.is_type_I.tolist() == [c.cycle_type == "I" for c in cycles]
-    cycle_map = d.cycle_map()
-    assert cycle_map.dtype == np.int32
-    assert cycle_map.tolist() == cycle_of
-    # each call builds a new map
-    assert d.cycle_map() is not cycle_map
-
-
-@pytest.mark.parametrize("write", [report.shift_to_json, report.shift_to_csv, report.decomposition_to_dot,
-                                   report.paper_shift_lines], ids=["json", "csv", "dot", "paper"])
-def test_shift_documents_build_no_cycle_map(write):
-    # a shift writer reads the arrays and caches nothing on the decomposition
-    d = decompose(SymmetricGroup(4))
-    fields = {f.name for f in dataclasses.fields(ShiftDecomposition)}
-    assert vars(d).keys() == fields
-    write(d, io.StringIO())
-    assert vars(d).keys() == fields
 
 
 def test_decompose_rejects_a_successor_map_that_is_not_a_bijection(monkeypatch):
@@ -237,9 +218,8 @@ BATCH_GROUPS = {
 def test_decompose_in_batches_equals_per_vertex_walk(name, batch, monkeypatch):
     group = BATCH_GROUPS[name]()
     cycles, census, cycle_of = per_vertex_walk(group)
-    # batches end inside cycles of every length, and so do the cycle map's blocks
+    # batches end inside cycles of every length
     monkeypatch.setattr(shift, "_DECOMPOSE_BATCH", batch)
-    monkeypatch.setattr(shift, "_CYCLE_ID_BLOCK", batch)
     batches, drop_walk = [], shift._drop_walk
 
     def recording_drop_walk(succ, seeds):
@@ -251,14 +231,14 @@ def test_decompose_in_batches_equals_per_vertex_walk(name, batch, monkeypatch):
     assert d.cycles == cycles
     assert list(d.period_census.items()) == list(census.items())
     assert d.offsets.tolist() == np.cumsum([0] + [c.length for c in cycles[:-1]]).tolist()
-    cycle_map = d.cycle_map()
-    assert cycle_map.tolist() == cycle_of
+    cycle_of_code = cycle_map(d)
+    assert cycle_of_code.tolist() == cycle_of
     # every batch but the last has `batch` seeds, none on a cycle found before,
     # so each seed's least vertex is a seed of the same batch
     m = group.order
     assert {seeds.size for seeds in batches[:-1]} <= {batch}
     for seeds in batches:
-        a0, a1 = d.rep_vertices(cycle_map[seeds])
+        a0, a1 = d.rep_vertices(cycle_of_code[seeds])
         assert np.isin(a0 * m + a1, seeds).all()
 
 
@@ -279,7 +259,7 @@ def test_decompose_memory_is_int32_sized(spec):
     # mask of codes not yet found 1; with a batch's walks the peak is 11.4 bytes a
     # vertex on S6 and 16.7 on SL2(7)
     assert peak <= MEMORY_BOUNDS[spec] * group.order ** 2
-    assert d.a_flat.dtype == d.cycle_map().dtype == np.int32
+    assert d.a_flat.dtype == np.int32
     # int32 vertex codes and the fold index prod * m + a stay below m^2
     assert groups.MAX_TABLE_ENTRIES < 2 ** 31
 
