@@ -20,7 +20,7 @@ input and check nothing else.
 The structural facts are array tests over all rows of a stage.
 `compute_tower` runs `stage4_failure` and `stage_failure` once per stage on
 the classes it scanned, and the c scan with its c-set checks once per tower,
-on the classes of every stage with b padded by the identity to n_max - 3
+on the classes of every stage with b filled out by the identity to n_max - 3
 columns, raising VerificationError; `verify` runs the first two on every class.
 
 Every relation is a word equation, so simultaneous conjugation by g maps
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -578,7 +578,7 @@ def compute_tower(group: FiniteGroup, n_max: int) -> TowerResult:
             rows, found = extend_to_K4(decomp, ids)
         else:
             rows, found = extend_step(decomp, ids, b)
-        ks, b = ks[rows], np.column_stack([b[rows], found])
+        ks, b = ks[rows], np.concatenate([b[rows], found[:, None]], axis=1)
         if n == 4 and not np.bincount(ks[b[:, 0] == e], minlength=first.size).all():
             raise VerificationError("identity is always an admissible b3 but was not found")
         failure = (stage4_failure(decomp, first[ks], b[:, 0]) if n == 4
@@ -586,18 +586,21 @@ def compute_tower(group: FiniteGroup, n_max: int) -> TowerResult:
         if failure:
             raise VerificationError(failure)
         stages.append((ks, b))
-    # one braid c scan over the classes of every stage, b padded to n_max - 3
-    # columns with the identity, which commutes with every c
+    # one braid c scan over the classes of every stage, their b filled out to
+    # n_max - 3 columns with the identity, which commutes with every c; the
+    # classes of stage n are rows start[n - 3]:start[n - 2]
+    start = list(accumulate((ks.size for ks, _ in stages), initial=0))
     ks_all = np.concatenate([ks for ks, _ in stages])
-    b_all = np.vstack([np.pad(b, ((0, 0), (0, n_max - 3 - b.shape[1])), constant_values=e) for _, b in stages])
+    b_all = np.full((start[-1], n_max - 3), e, dtype=np.int64)
+    for (_, b), lo, hi in zip(stages, start, start[1:]):
+        b_all[lo:hi, :b.shape[1]] = b
     rows, c = extend_to_braid(decomp, first[ks_all], b_all)
-    c_count = np.bincount(rows, minlength=ks_all.size)
+    c_count = np.bincount(rows, minlength=start[-1])
     failure = _c_set_failure(decomp, first[ks_all], b_all, c, c_count, orders)
     if failure:
         raise VerificationError(failure)
-    counts = np.split(c_count, np.cumsum([ks.size for ks, _ in stages])[:-1])
-    c_sets = np.split(c, np.cumsum([count.sum() for count in counts])[:-1])
-    levels = [TowerLevel(n, decomp, orbits, ks, b, c_set, count)
-              for n, (ks, b), count, c_set in zip(range(3, n_max + 1), stages, counts, c_sets)]
+    c_start = rows.searchsorted(start).tolist()        # rows are sorted: each stage's first c
+    levels = [TowerLevel(j + 3, decomp, orbits, ks, b, c[c_start[j]:c_start[j + 1]], c_count[start[j]:start[j + 1]])
+              for j, (ks, b) in enumerate(stages)]
     return TowerResult(group, decomp, levels)
 

@@ -19,11 +19,14 @@ A_r and the perfect core restrict a parent's table (`_restricted`) and are
 validated as Cayley tables; Light's test, like the other checks of a table,
 runs a block of rows at a time.
 
-Subgroups are closed one way only, by `_greedy_generators`: it walks out of the
-identity along the rows of the table at each new generator, the least
-candidate not yet reached.  `generators()`, the derived series and Light's
-associativity test all use it, so no step of them builds an array of
-|H|^2 products.
+Subgroups are closed one way only, by `_greedy_generators`: after each new
+generator g, the least candidate not yet reached, it grows the reached set in
+rounds, each multiplying the elements the last round reached by the
+generators and by the powers g, g^2, g^4, ..., one more power each round, so
+a cyclic group of order d is closed in ceil(log2 d) + 1 rounds.  A round
+gathers only |frontier| x |steps| products.  `generators()`, the derived
+series and Light's associativity test all use it, so no step of them builds
+an array of |H|^2 products.
 """
 from __future__ import annotations
 
@@ -122,8 +125,10 @@ class FiniteGroup:
         return self._mul_table[x]
 
     def column_products(self, y) -> np.ndarray:
-        """g y[k] for every element g, at [k, g]: whole table columns."""
-        return np.moveaxis(self._mul_table[:, y], 0, -1)
+        """g y[k] for every element g, at [k, g]: whole table columns, as a
+        transposed view of their gather."""
+        cols = self._mul_table[:, y]
+        return cols.transpose(*range(1, cols.ndim), 0)
 
     def elements(self) -> range:
         return range(self.order)
@@ -436,22 +441,44 @@ def _greedy_generators(arr: np.ndarray, identity: int, candidates: np.ndarray, r
     doubles the reached set, so needing more than log2(m) means no group.  The
     next generator is chosen only after the caller has seen this one.
     `reached`, an all-False mask the caller passes in, is left as the
-    subgroup."""
+    subgroup.
+
+    After each generator g the reached set grows in rounds.  A round
+    multiplies the elements the last round reached (the first round: all
+    reached ones) on the right by every generator and by the powers g^2, g^4,
+    ..., one more each round, the identity and repeats left out: one gather of
+    |frontier| x |steps| cells.  The walk ends at a round that reaches nothing
+    new, so every element reached is multiplied by every generator; as the
+    powers lie in the subgroup, a group's walk ends at the subgroup whatever
+    the steps, and the generators are those of a walk along the generators
+    alone.  A cyclic group of order d takes ceil(log2 d) + 1 rounds, not d.
+
+    In a table not yet known to be associative each "power" is only the
+    square of the one before, taken in the table, so each element reached is
+    a product of generators under some bracketing.  That is all Light's test
+    needs: the g with (xg)y = x(gy) for all x, y are closed under products,
+    so once they include the generators they include every element reached.
+    """
     m = len(arr)
     reached[identity] = True
     gens: list[int] = []
     while (left := candidates & ~reached).any():
         if 2 ** (len(gens) + 1) > m:
             raise UsageError(f"table is not associative: it needs over log2({m}) generators")
-        g = int(np.argmax(left))
+        g = int(left.argmax())
         yield g
         gens.append(g)
-        frontier = np.flatnonzero(reached)
+        steps, power = gens[:], g
+        frontier = reached.nonzero()[0]
         while frontier.size:
-            new = np.zeros(m, dtype=bool)
-            new[arr[np.ix_(frontier, gens)]] = True
-            frontier = np.flatnonzero(new & ~reached)
-            reached[frontier] = True
+            fresh = np.zeros(m, dtype=bool)
+            fresh[arr[frontier[:, None], steps]] = True
+            fresh &= ~reached
+            reached |= fresh
+            frontier = fresh.nonzero()[0]
+            power = arr.item(power, power)
+            if power != identity and power not in steps:
+                steps.append(power)
 
 
 def _check_associativity(arr: np.ndarray, identity: int) -> None:

@@ -128,17 +128,19 @@ def _grow(group: FiniteGroup, imgs: np.ndarray, bud: _Budget, orbits=None) -> tu
             sel = pairs[lo:lo + step]
             p = period[sel]
             a = [col[sel] for col in seqs[:p[0] + 2]]
-            inside = np.searchsorted(-p, -np.arange(p[0]))     # rows with p > k, a prefix as periods fall
+            inside = (-p).searchsorted(-np.arange(p[0]))     # rows with p > k, a prefix as periods fall
             word = not b.shape[1]   # a_k b3 a_{k+2} = b3 a_{k+1} b3
             tests += [(inside[k], a[k], a[k + 1], a[k + 2] if word else None) for k in range(p[0])]
         if b.shape[1]:
             prev = b[:, -1]
             tests.append((len(b), prev, prev, prev))
             tests += [(len(b), far, far, None) for far in b[:, :-1].T]
-        r, c = np.nonzero(holds(*tests[0][1:]))     # every row is inside its period at k = 0
+        # every row is inside its period at k = 0; a flat nonzero and divmod
+        # take about a third of the time of a 2-d nonzero
+        r, c = np.divmod(holds(*tests[0][1:]).ravel().nonzero()[0], m)
         checks = len(b) * m
         for j, x, y, z in tests[1:]:
-            n = int(np.searchsorted(r, j))      # the live cells in rows below j
+            n = int(r.searchsorted(j))      # the live cells in rows below j
             if not n:
                 continue
             ok = holds(x, y, z, r[:n], c[:n])

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
+import math
 import os
 import pathlib
 import resource
@@ -344,8 +346,13 @@ def test_nmax_below_tower_start_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [("shift", "S7"), ("shift", "S12"),
-                                  ("tower", "SL2(101)", "4"), ("shift", "Z5000")])
+# the least S_r and Z_k whose tables are over the cap
+_OVER_CAP_R = next(r for r in itertools.count(1) if math.factorial(r) ** 2 > groups.MAX_TABLE_ENTRIES)
+_OVER_CAP_K = math.isqrt(groups.MAX_TABLE_ENTRIES) + 1
+
+
+@pytest.mark.parametrize("argv", [("shift", f"S{_OVER_CAP_R}"), ("shift", "S12"),
+                                  ("tower", "SL2(101)", "4"), ("shift", f"Z{_OVER_CAP_K}")])
 def test_group_over_table_cap_exits_3(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 3

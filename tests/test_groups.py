@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import math
 import os
 import pathlib
@@ -559,6 +560,76 @@ def test_light_test_in_row_blocks_names_the_first_bad_triple(monkeypatch, cells,
         CayleyTableGroup(table)
 
 
+def _benchmark_table():
+    """The seed-1 relabelled S3 x Z6 table that the verify-small benchmark loads."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)    # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return CayleyTableGroup(workloads.relabelled(workloads.s3_x_z6_table(), 1))
+
+
+# the generators a walk along the generators alone picks, one round per step
+@pytest.mark.parametrize("make, expected", [
+    (lambda: parse_group_spec("S4"), [1, 2, 6]),
+    (lambda: parse_group_spec("S6"), [1, 2, 6, 24, 120]),
+    (lambda: parse_group_spec("SL2(11)"), [0, 1]),
+    (lambda: parse_group_spec("Z2xZ4xZ5"), [1, 5, 20]),
+    (lambda: parse_group_spec("Z300"), [1]),
+    (_benchmark_table, [0, 1]),
+], ids=["S4", "S6", "SL2(11)", "Z2xZ4xZ5", "Z300", "S3xZ6-benchmark-seed-1"])
+def test_generators_are_pinned(make, expected):
+    assert make().generators() == expected
+
+
+def _set_closure(group, candidates):
+    """The identity's closure under right multiplication by `candidates`, as a set."""
+    reached, frontier = {group.identity}, [group.identity]
+    while frontier:
+        frontier = [y for y in {group.mul(x, s) for x in frontier for s in candidates} if y not in reached]
+        reached.update(frontier)
+    return reached
+
+
+@pytest.mark.parametrize("make", [lambda: SymmetricGroup(4), lambda: SL2(3), lambda: SL2(5)],
+                         ids=["S4", "SL2(3)", "SL2(5)"])
+def test_closure_matches_a_set_based_closure(make):
+    group = make()
+    for term in derived_series(group):
+        elems = sorted(term)
+        commutators = {group.mul(group.mul(group.inv(x), group.inv(y)), group.mul(x, y)) for x in elems for y in elems}
+        for candidates in (elems, sorted(commutators)):
+            mask = np.zeros(group.order, dtype=bool)
+            mask[candidates] = True
+            gens, reached = groups._closure(group, mask)
+            assert set(gens) <= set(candidates)
+            assert set(np.flatnonzero(reached).tolist()) == _set_closure(group, candidates)
+
+
+class _CountingTable(np.ndarray):
+    """A table that counts the gathers of rows named by an index array."""
+
+    gathers = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray) or (isinstance(key, tuple) and key and isinstance(key[0], np.ndarray)):
+            type(self).gathers += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("m", [300, 1000])
+def test_closure_of_a_cyclic_group_takes_logarithmic_rounds(monkeypatch, m):
+    # each round is one gather of the frontier's rows; a walk along the
+    # generator alone would take one round per element
+    group = AbelianProduct((m,))
+    monkeypatch.setattr(_CountingTable, "gathers", 0)
+    reached = np.zeros(m, dtype=bool)
+    gens = list(groups._greedy_generators(group.tables()[0].view(_CountingTable), group.identity,
+                                          np.ones(m, dtype=bool), reached))
+    assert gens == [1] and reached.all()
+    assert 0 < _CountingTable.gathers <= 2 * math.ceil(math.log2(m)) + 2
+
+
 def test_load_cayley_table_roundtrip(tmp_path):
     Z4 = AbelianProduct((4,))
     mul_t, _ = Z4.tables()
@@ -593,7 +664,7 @@ def test_load_cayley_table_errors(tmp_path):
         load_cayley_table(str(huge_entry))
     # the declared order is refused before the entries are counted or converted
     over_cap = tmp_path / "over_cap.txt"
-    over_cap.write_text("5000\n0 1\n")
+    over_cap.write_text(f"{math.isqrt(groups.MAX_TABLE_ENTRIES) + 1}\n0 1\n")
     with pytest.raises(ResourceLimitError):
         load_cayley_table(str(over_cap))
 
