@@ -1,16 +1,17 @@
 """Derived facts about computed representations: transitivity, subgroup counts,
 type-I structure, the abelian special case, and the standard permutation
-representation used as a sanity anchor."""
+representation used as a sanity anchor.  Transitivity and parity are read
+from a level's stored rows in one array pass over S_r's image array."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
 
 import numpy as np
 
 from .errors import UsageError, VerificationError
-from .extension import TowerLevel, TowerResult, compute_tower, element_orders, extend_step, extend_to_K4
+from .extension import (TowerLevel, TowerResult, _ranges, compute_tower, element_orders, extend_step, extend_to_K4,
+                        is_trivial_class)
 from .groups import FiniteGroup, SymmetricGroup, perfect_core_group
 from .shift import ShiftDecomposition, decompose, successor
 
@@ -39,54 +40,35 @@ def _require_symmetric(group: FiniteGroup) -> SymmetricGroup:
     return group
 
 
-def _join(S: SymmetricGroup, labels: tuple[int, ...], g: int) -> tuple[int, ...]:
-    """The partition `labels` joined with the cycles of g.
+def _transitive(S: SymmetricGroup, row: np.ndarray, gen: np.ndarray, rows: int) -> np.ndarray:
+    """Whether each of `rows` generator sets acts transitively on the points;
+    row k's generators are the handles gen[row == k].
 
-    A partition of the points 0..r-1 is held as the tuple of each point's
-    least block-mate, so equal partitions are equal tuples.
-    """
-    parent = list(labels)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k, image in enumerate(S.perms[g]):
-        ra, rb = find(k), find(image - 1)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return tuple(find(k) for k in range(S.r))
+    Point 0 starts reached in every row; each round sends every reached point
+    through every generator of its row, so r - 1 rounds reach the whole orbit."""
+    images = S.perms[gen] - 1
+    reached = np.zeros((rows, S.r), dtype=bool)
+    reached[:, 0] = True
+    for _ in range(S.r - 1):
+        pair, point = np.nonzero(reached[row])
+        reached[row[pair], images[pair, point]] = True
+    return reached.all(axis=1)
 
 
-def _orbit_labels(S: SymmetricGroup, gens) -> tuple[int, ...]:
-    """Orbit partition of the subgroup generated by `gens` (valid handles), as
-    least block-mates: the join of the generators' cycle partitions."""
-    return reduce(partial(_join, S), gens, tuple(range(S.r)))
+def _level_generators(lvl: TowerLevel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weight, row, gen): each stored row's generators, its a-sequence and b,
+    as flat (row, gen) pairs.
 
-
-def _transitive(S: SymmetricGroup, gens) -> bool:
-    return not any(_orbit_labels(S, gens))
-
-
-def _orbit_classes(lvl: TowerLevel):
-    """(weight, generator set, trivial flag, c set) for each row of a level.
-
-    The generators are the a-sequence and b; only the trivial class has {e}.
     Conjugating a class by g relabels the points by g, so orbit counts,
     transitivity and parity are the same on every class of one conjugation
     orbit; weight = period x orbit size is the number of representations the
     row stands for.
     """
-    decomp = lvl.decomposition
-    e = decomp.group.identity
-    ids = lvl.orbits.first[lvl.orbit]
-    c_sets = np.split(lvl.c, np.cumsum(lvl.c_count)[:-1])
-    for start, length, size, b, cs in zip(decomp.offsets[ids].tolist(), decomp.lengths[ids].tolist(),
-                                          lvl.orbits.size[lvl.orbit].tolist(), lvl.b.tolist(), c_sets):
-        gens = set(decomp.a_flat[start:start + length].tolist()).union(b)
-        yield length * size, gens, gens == {e}, cs.tolist()
+    decomp, ids = lvl.decomposition, lvl.orbits.first[lvl.orbit]
+    lengths, rows = decomp.lengths[ids], np.arange(ids.size)
+    row = np.concatenate([np.repeat(rows, lengths), np.repeat(rows, lvl.b.shape[1])])
+    gen = np.concatenate([decomp.a_flat[_ranges(decomp.offsets[ids], lengths)], lvl.b.ravel()])
+    return lengths * lvl.orbits.size[lvl.orbit], row, gen
 
 
 def _transitive_multiple(count: int, r: int, what: str) -> int:
@@ -124,8 +106,8 @@ def transitivity_report(tower: TowerResult) -> TransitivityReport:
     S = _require_symmetric(tower.group)
     out = []
     for lvl in tower.levels:
-        trans_reps = sum(weight for weight, gens, _, _ in _orbit_classes(lvl)
-                         if _transitive(S, gens))
+        weight, row, gen = _level_generators(lvl)
+        trans_reps = int(weight[_transitive(S, row, gen, weight.size)].sum())
         subgroups = _transitive_multiple(trans_reps, S.r, f"transitive count at stage {lvl.n}")
         out.append(LevelTransitivity(lvl.n, trans_reps, subgroups))
     return TransitivityReport(S, out)
@@ -160,8 +142,9 @@ def count_braid_subgroups(n: int, r: int, tower: TowerResult | None = None) -> i
     S = t.group
     if not t.is_trivial_at(n):
         raise UsageError(f"stage {n} over {S.name} is not trivial; braid subgroup count needs r <= n-1")
-    transitive = sum(weight for weight, _, _, cs in _orbit_classes(t.level(n))
-                     for c in cs if _transitive(S, [c]))
+    lvl = t.level(n)
+    weight = np.repeat(_level_generators(lvl)[0], lvl.c_count)      # each c is a one-generator row
+    transitive = int(weight[_transitive(S, np.arange(lvl.c.size), lvl.c, lvl.c.size)].sum())
     return _transitive_multiple(transitive, r, "transitive braid count")
 
 
@@ -246,16 +229,16 @@ def pi_representation(n: int, r: int, decomposition: ShiftDecomposition | None =
 
 def nontrivial_implies_transitive(tower: TowerResult, n: int) -> bool:
     """True when every nontrivial stage-n class over S_r acts transitively."""
-    S = _require_symmetric(tower.group)
-    return all(_transitive(S, gens)
-               for _, gens, trivial, _ in _orbit_classes(tower.level(n)) if not trivial)
+    S, lvl = _require_symmetric(tower.group), tower.level(n)
+    weight, row, gen = _level_generators(lvl)
+    trivial = is_trivial_class(lvl.decomposition, lvl.orbits.first[lvl.orbit], lvl.b)
+    return bool((_transitive(S, row, gen, weight.size) | trivial).all())
 
 
 def classes_all_even(tower: TowerResult, n: int) -> bool:
     """True when every stage-n class has all generator images in the alternating group."""
     S = _require_symmetric(tower.group)
-    return all(S.parity(g) == 0
-               for _, gens, _, _ in _orbit_classes(tower.level(n)) for g in gens)
+    return not S.parities[_level_generators(tower.level(n))[2]].any()
 
 
 def _class_rows(lvl: TowerLevel) -> np.ndarray:

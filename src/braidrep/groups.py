@@ -10,6 +10,8 @@ the only products other modules take.  Multiplication follows the convention
 that the RIGHT factor acts first, i.e. for permutations mul(g, h) is the
 composite "apply h, then g".
 
+S_r keeps its elements in one form, `perms`, an r! x r array of 1-based
+images; the table builder, `image` and the parities all read it.
 S_r and SL(2, q) list their elements as digit rows in lex order and share one
 builder, `_lex_tables`: a key -> handle array, the first block of rows and
 the rows of a few generators computed from digits, every other row one
@@ -278,7 +280,11 @@ def lex_unrank(rank: int, r: int) -> tuple[int, ...]:
 
 
 class SymmetricGroup(FiniteGroup):
-    """S_r on handles 0..r!-1 in lexicographic order of image tuples."""
+    """S_r on handles 0..r!-1 in lexicographic order of image tuples.
+
+    `perms` is the one form of the elements: row a holds the 1-based images
+    of handle a, and `parities` each element's parity (0 even, 1 odd), the
+    count of its inversions mod 2."""
 
     def __init__(self, r: int):
         if r < 1:
@@ -286,40 +292,28 @@ class SymmetricGroup(FiniteGroup):
         self.r = r
         self.name = f"S{r}"
         self.order = _bounded_order(self.name, range(1, r + 1))
-        self.perms: list[tuple[int, ...]] = list(itertools.permutations(range(1, r + 1)))
+        self.perms = P = np.array(list(itertools.permutations(range(1, r + 1))), dtype=np.int32)
+        i, j = np.triu_indices(r, 1)                        # the position pairs i < j
+        self.parities = np.count_nonzero(P[:, i] > P[:, j], axis=1) % 2
         self.identity = 0
-        self._index = {p: i for i, p in enumerate(self.perms)}
         self._set_tables(*self._build_tables())
 
     def image(self, a: int) -> tuple[int, ...]:
-        return self.perms[self.check_element(a)]
+        return tuple(self.perms[self.check_element(a)].tolist())
 
     def index_of(self, images: tuple[int, ...]) -> int:
-        try:
-            return self._index[tuple(images)]
-        except KeyError:
-            raise UsageError(f"not a permutation of 1..{self.r}: {images!r}") from None
+        images = tuple(images)
+        if len(images) != self.r:
+            raise UsageError(f"not a permutation of 1..{self.r}: {images!r}")
+        return lex_rank(images) - 1
 
     def parity(self, a: int) -> int:
         """0 for even permutations, 1 for odd."""
-        images = self.perms[self.check_element(a)]
-        seen = [False] * self.r
-        par = 0
-        for start in range(self.r):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = images[j] - 1
-                length += 1
-            par ^= (length - 1) & 1
-        return par
+        return int(self.parities[self.check_element(a)])
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
         # 0-based image rows; for x = P[a], x[P[b]] is "apply b, then a"
-        P = np.array(self.perms, dtype=np.int32) - 1
+        P = self.perms - 1
         return _lex_tables(P, self.r, lambda X: (X[:, col] for col in P.T), np.argsort(P, axis=1))
 
 
@@ -491,9 +485,9 @@ def _check_associativity(arr: np.ndarray, identity: int) -> None:
     for g in _greedy_generators(arr, identity, np.ones(m, dtype=bool), np.zeros(m, dtype=bool)):
         right = arr[g]
         for lo, rows in _row_blocks(arr):
-            bad = np.argwhere(arr[rows[:, g]] != rows[:, right])
+            bad = np.flatnonzero(arr[rows[:, g]] != rows[:, right])
             if bad.size:
-                x, y = bad[0]
+                x, y = divmod(int(bad[0]), m)
                 raise UsageError(f"table is not associative at ({lo + x}, {g}, {y})")
 
 
@@ -594,7 +588,7 @@ def load_cayley_table(path: str) -> CayleyTableGroup:
     return CayleyTableGroup(values[1:].reshape(m, m), name=name)
 
 
-def _restricted(group: FiniteGroup, elems: list[int], name: str) -> CayleyTableGroup:
+def _restricted(group: FiniteGroup, elems: np.ndarray, name: str) -> CayleyTableGroup:
     """The subgroup on the sorted handles `elems`, reindexed 0..k-1 in that
     order, as a validated table group."""
     mul_t, _ = group.tables()
@@ -606,7 +600,7 @@ def _restricted(group: FiniteGroup, elems: list[int], name: str) -> CayleyTableG
 def alternating_group(r: int) -> CayleyTableGroup:
     """A_r as an explicit-table group on the even permutations, in S_r's order."""
     S = SymmetricGroup(r)
-    return _restricted(S, [g for g in S.elements() if S.parity(g) == 0], f"A{r}")
+    return _restricted(S, np.flatnonzero(S.parities == 0), f"A{r}")
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +638,8 @@ def derived_series(group: FiniteGroup) -> tuple[frozenset[int], ...]:
 def perfect_core_group(group: FiniteGroup) -> tuple[CayleyTableGroup, np.ndarray]:
     """The perfect core as a standalone group (elements reindexed 0..k-1), and
     its elements' handles in `group`, increasing."""
-    core = sorted(derived_series(group)[-1])
-    return _restricted(group, core, f"core({group.name})"), np.array(core)
+    core = np.array(sorted(derived_series(group)[-1]))
+    return _restricted(group, core, f"core({group.name})"), core
 
 
 # ---------------------------------------------------------------------------

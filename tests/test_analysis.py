@@ -2,6 +2,8 @@
 and the alternating-3-cycle sanity representation."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from braidrep.analysis import (
 )
 from braidrep.errors import UsageError, VerificationError
 from braidrep.extension import compute_tower
-from braidrep.groups import AbelianProduct, SymmetricGroup
+from braidrep.groups import AbelianProduct, SymmetricGroup, alternating_group
 from braidrep.shift import decompose
 
 from conftest import cycle_index, cycle_map, level_rows, make_cycle
@@ -35,11 +37,17 @@ def test_orbits_need_symmetric_backend(tower_z6):
         transitivity_report(tower_z6)
 
 
+def _transitive_set(S, gens):
+    """Whether the one generator set `gens` acts transitively."""
+    gens = np.array(sorted(gens), dtype=np.intp)
+    return bool(_transitive(S, np.zeros(gens.size, dtype=np.intp), gens, 1)[0])
+
+
 def test_is_transitive(s3):
     d = decompose(s3)
 
     def transitive(cycle):
-        return _transitive(s3, set(cycle.a_seq))
+        return _transitive_set(s3, set(cycle.a_seq))
 
     assert transitive(make_cycle(d, cycle_index(d, 3, 4)))
     assert not transitive(make_cycle(d, cycle_index(d, 0, 1)))
@@ -158,6 +166,35 @@ def test_count_braid_subgroups_rejects_a_tower_over_another_group(tower_s2, towe
         count_braid_subgroups(4, 6, tower_z6)
 
 
+def _free_group_subgroup_counts(r_max):
+    """Index-r subgroup counts of the free group of rank 2 (M. Hall, 1949):
+    a_r = r * r! - sum over k < r of (r - k)! * a_k."""
+    a = {}
+    for r in range(1, r_max + 1):
+        a[r] = r * math.factorial(r) - sum(math.factorial(r - k) * a[k] for k in range(1, r))
+    return a
+
+
+def test_k3_subgroup_counts_are_the_free_group_counts(tower_s2, tower_s3, tower_s4, tower_s5, tower_s6):
+    # K_3 is free of rank 2, so its index-r subgroups are F_2's
+    a = _free_group_subgroup_counts(6)
+    assert [a[r] for r in range(2, 7)] == [3, 13, 71, 461, 3447]
+    for tower in (tower_s2, tower_s3, tower_s4, tower_s5, tower_s6):
+        assert transitivity_report(tower).level(3).subgroup_count == a[tower.group.r]
+
+
+@pytest.mark.parametrize("tower_name,n,count", [
+    ("tower_s4", 5, 24), ("tower_s5", 6, 120), ("tower_s6", 7, 720),    # r < n: r!
+    ("tower_s5", 5, 240), ("tower_s6", 6, 2160),                        # r = n: 2 * 5!, 3 * 6!
+])
+def test_braid_rep_counts_match_artins_closed_forms(request, tower_name, n, count):
+    # Artin: for r < n every representation B_n -> S_r is cyclic, one for each
+    # image of sigma_1; for r = n the conjugates of the standard representation
+    # add r!, and for r = 6 those of its composite with S6's outer automorphism
+    # add 6! more
+    assert request.getfixturevalue(tower_name).level(n).braid_rep_count == count
+
+
 def test_subgroups_path_builds_no_class_objects():
     tower = compute_tower(SymmetricGroup(5), 6)
     assert [lvl.transitive_rep_count for lvl in transitivity_report(tower).levels] == [
@@ -180,7 +217,7 @@ def test_type_I_census_formulas_match_enumeration(r):
     reps = sum(c.length for c in cycles)
     transitive_reps = sum(
         c.length for c in cycles
-        if _transitive(S, set(c.a_seq)))
+        if _transitive_set(S, set(c.a_seq)))
     assert type_I_census(r) == (len(cycles), reps, transitive_reps)
 
 
@@ -233,7 +270,7 @@ def test_pi_representation_exists(n, r):
     assert 3 + len(b) == n
     assert cycle.length == 2
     assert 0 <= phase < 2
-    assert _transitive(SymmetricGroup(r), _generators(cycle, b)) == (r == n)
+    assert _transitive_set(SymmetricGroup(r), _generators(cycle, b)) == (r == n)
 
 
 def test_pi_representation_location(s3):
@@ -294,6 +331,17 @@ def test_classes_all_even(tower_s4, tower_s5, tower_s6):
     assert not classes_all_even(tower_s4, 3)
     assert classes_all_even(tower_s5, 6)
     assert classes_all_even(tower_s6, 6)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_parities_and_alternating_group_match_inversion_counts(r):
+    S = SymmetricGroup(r)
+    evens = [g for g in S.elements() if _is_even(S, g)]
+    assert S.parities.tolist() == [0 if g in evens else 1 for g in S.elements()]
+    if r >= 2:
+        # A_r is the table of the even handles, renumbered in S_r's order
+        mul_a, _ = alternating_group(r).tables()
+        assert np.array_equal(np.array(evens)[mul_a], S.tables()[0][np.ix_(evens, evens)])
 
 
 def test_perfect_core_census_match(tower_s4, tower_s5, s6):

@@ -354,6 +354,8 @@ def test_index_of_rejects_non_permutation():
     S = SymmetricGroup(3)
     with pytest.raises(UsageError):
         S.index_of((1, 1, 2))
+    with pytest.raises(UsageError):
+        S.index_of((2, 1))              # a permutation of another degree
 
 
 def test_degree_must_be_positive():
