@@ -10,10 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError, VerificationError
-from .extension import (TowerLevel, TowerResult, _ranges, compute_tower, element_orders, extend_step, extend_to_K4,
+from .extension import (TowerLevel, TowerResult, compute_tower, element_orders, extend_step, extend_to_K4,
                         is_trivial_class)
 from .groups import FiniteGroup, SymmetricGroup, perfect_core_group
-from .shift import ShiftDecomposition, decompose, successor
+from .shift import ShiftDecomposition, _ranges, decompose, successor
 
 __all__ = [
     "LevelTransitivity",
@@ -136,8 +136,8 @@ def count_braid_subgroups(n: int, r: int, tower: TowerResult | None = None) -> i
     representation then has cyclic image generated by the sigma_1 image, and
     transitive ones are counted and divided by the point-stabiliser size.
     """
-    if r == 1:
-        return 1
+    if r < 2:
+        return 1 if r == 1 else 0
     t = _tower_over(r, n, tower)
     S = t.group
     if not t.is_trivial_at(n):
@@ -220,7 +220,7 @@ def pi_representation(n: int, r: int, decomposition: ShiftDecomposition | None =
         _, images = extend_to_K4(decomp, [i]) if not k else extend_step(decomp, [i], [b[:k]])
         if bk not in images:
             raise VerificationError(f"standard representation breaks a stage-{k + 4} relation")
-    return i, int(np.flatnonzero(decomp.vertex_codes(i, i + 1) == code)[0]), b
+    return i, int(np.flatnonzero(decomp.vertex_codes([i]) == code)[0]), b
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, UsageError, VerificationError
 from .groups import FiniteGroup
-from .shift import ShiftDecomposition, decompose
+from .shift import ShiftDecomposition, _ranges, decompose
 
 __all__ = [
     "MAX_STAGE",
@@ -350,12 +350,6 @@ def _conjugate(group: FiniteGroup, t, x) -> np.ndarray:
     return group.products(group.products(t, x), group.inverses(t))
 
 
-def _ranges(first: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The concatenation of arange(first[i], first[i] + length[i]) over i."""
-    offset = np.cumsum(length) - length
-    return np.repeat(first - offset, length) + np.arange(int(length.sum()))
-
-
 def _pair_classes(group: FiniteGroup, central: np.ndarray) -> tuple[Callable, np.ndarray, np.ndarray]:
     """The pair classes, the orbits of simultaneous conjugation on G x G,
     numbered densely; `central` marks the elements of the centre.
@@ -454,11 +448,8 @@ def _conjugation_orbits(decomp: ShiftDecomposition) -> _Orbits:
 
     # the vertices u of the first cycles, the cycle each lies on, and one u of
     # each pair class they meet
-    length = decomp.lengths[first]
-    pos = _ranges(decomp.offsets[first], length)
-    succ = pos + 1
-    succ[np.cumsum(length) - 1] = decomp.offsets[first]       # a cycle's last vertex wraps to its first a
-    u0, u1, on = decomp.a_flat[pos], decomp.a_flat[succ], np.repeat(first, length)
+    u0, u1 = np.divmod(decomp.vertex_codes(first), group.order)
+    on = np.repeat(first, decomp.lengths[first])
     u_pair, u_sigma = canonical(u0, u1)
     kept = np.zeros(nxt.size, dtype=np.int32)
     kept[u_pair] = np.arange(u_pair.size)

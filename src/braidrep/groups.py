@@ -523,8 +523,9 @@ class CayleyTableGroup(FiniteGroup):
             raise UsageError(f"malformed Cayley table: {exc}") from None
         if arr.shape != (m, m) or m == 0:
             raise UsageError(f"Cayley table must be square and nonempty, got shape {arr.shape}")
-        # range-checked before the int32 cast, which would wrap wider integers
-        if arr.min() < 0 or arr.max() >= m:
+        # checked before the int32 cast, which would wrap wider integers, cut
+        # fractions and garble NaN (which fails both comparisons)
+        if not (arr.min() >= 0 and arr.max() < m) or (arr.dtype.kind == "f" and (arr % 1).any()):
             raise UsageError("Cayley table entries must be element indices 0..m-1")
         arr = arr.astype(np.int32)
         self.identity = _latin_identity(arr)

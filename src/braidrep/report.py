@@ -33,9 +33,9 @@ import numpy as np
 
 from .analysis import TransitivityReport
 from .errors import UsageError
-from .extension import TowerLevel, TowerResult, _ranges, compute_tower
+from .extension import TowerLevel, TowerResult, compute_tower
 from .groups import FiniteGroup, parse_group_spec
-from .shift import ShiftDecomposition, decompose
+from .shift import ShiftDecomposition, _ranges, decompose
 
 __all__ = [
     "paper_shift_lines",
@@ -388,13 +388,12 @@ def decomposition_to_dot(decomp: ShiftDecomposition, out: TextIO) -> None:
     def pieces() -> Iterator[str]:
         yield "digraph shift {\n  rankdir=LR;\n"
         for i in range(0, decomp.lengths.size, _BLOCK):
-            p = decomp.lengths[i:i + _BLOCK]
-            codes = decomp.vertex_codes(i, i + _BLOCK)
+            block = slice(i, i + _BLOCK)
+            p = decomp.lengths[block]
+            codes, succ = decomp.vertex_codes(block), decomp.vertex_codes(block, 1)
             ends = np.cumsum(p)
-            succ = np.roll(codes, -1)
-            succ[ends - 1] = codes[ends - p]            # a cycle's last vertex goes to its first
             x, y = np.divmod(codes, m)
-            color = np.repeat(np.where(decomp.is_type_I[i:i + _BLOCK], "lightblue", "khaki"), p)
+            color = np.repeat(np.where(decomp.is_type_I[block], "lightblue", "khaki"), p)
             codes = codes.tolist()
             nodes = [f'  v{v} [label="({a},{b})" style=filled fillcolor={c}];\n'
                      for v, a, b, c in zip(codes, (x + 1).tolist(), (y + 1).tolist(), color.tolist())]

@@ -11,14 +11,14 @@ laid end to end (m^2 int32 handles) and each cycle's offset, length and type.
 It walks int32 vertex codes, which cannot wrap since m^2 <= MAX_TABLE_ENTRIES
 < 2^31, from a bounded batch of seeds at a time, so its peak is the successor
 map, one mask and the result plus little more: 10-17 bytes a vertex on S6,
-SL2(7) and SL2(11).  Every writer reads those arrays.  Nothing maps a vertex
-to its cycle: the tower's orbit step works on conjugacy classes of vertices
-instead (`extension._conjugation_orbits`), and no command builds a `Cycle`.
+SL2(7) and SL2(11).  Every writer reads those arrays, and every vertex is
+read through `ShiftDecomposition.vertex_codes`; a cycle is its index.  Nothing
+maps a vertex to its cycle: the tower's orbit step works on conjugacy classes
+of vertices instead (`extension._conjugation_orbits`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .groups import FiniteGroup
 __all__ = [
     "Vertex",
     "successor",
-    "Cycle",
     "ShiftDecomposition",
     "decompose",
     "order2_cycle_shape",
@@ -45,38 +44,15 @@ def successor(group: FiniteGroup, v: Vertex) -> Vertex:
     return (a1, group.mul(group.inv(a0), a1))
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """One successor cycle, stored as the first components along the orbit.
-
-    a_seq starts at the canonical representative (the lexicographically least
-    vertex on the cycle); vertex k of the cycle is (a_seq[k], a_seq[k+1 mod p]).
-    Type I cycles contain a vertex with equal components, type II do not.
-    """
-
-    a_seq: tuple[int, ...]
-    cycle_type: str
-
-    @property
-    def length(self) -> int:
-        return len(self.a_seq)
-
-    @property
-    def rep_vertex(self) -> Vertex:
-        return (self.a_seq[0], self.a_seq[1 % self.length])
-
-
 @dataclass(eq=False)
 class ShiftDecomposition:
     """The full cycle decomposition of G x G under the successor map, as arrays.
 
     Cycle i's sequence is a_flat[offsets[i]:offsets[i] + lengths[i]], read from
     its lexicographically least vertex; is_type_I[i] says whether it touches
-    the diagonal.  Cycles are numbered in lex order of their least vertex.
-    `vertex_codes` reads the codes a0 * m + a1 of a range of cycles.
-    `cycles`, the same data as Cycle objects built on first read,
-    stays only for the benchmark harness, which counts the cycles with it;
-    it goes when the harness reads `lengths` instead.
+    the diagonal.  Cycles are numbered in lex order of their least vertex, and
+    a cycle is its number: `cycles` is range(n).  `vertex_codes` is the one
+    reader of the vertices a0 * m + a1 of listed cycles.
     """
 
     group: FiniteGroup
@@ -86,31 +62,29 @@ class ShiftDecomposition:
     is_type_I: np.ndarray = field(repr=False)
     period_census: dict[int, int]
 
-    def vertex_codes(self, lo: int, hi: int) -> np.ndarray:
-        """The vertex codes a_k * m + a_{k+1} of cycles lo..hi-1, each read
-        cyclically, laid end to end as int32."""
-        offsets, lengths = self.offsets[lo:hi], self.lengths[lo:hi]
-        start = int(offsets[0])
-        a = self.a_flat[start:int(offsets[-1] + lengths[-1])]
-        first = offsets - start
-        last = first + lengths - 1
-        codes = a * self.group.order
-        codes[:-1] += a[1:]
-        codes[last] = a[last] * self.group.order + a[first]     # a cycle's last vertex wraps to its first a
-        return codes
+    @property
+    def cycles(self) -> range:
+        return range(self.lengths.size)
 
-    @cached_property
-    def cycles(self) -> list[Cycle]:
-        # one shared int object per element, so the sequences hold m ints, not m^2
-        handles = np.array(range(self.group.order), dtype=object)
-        seq = tuple(handles[self.a_flat].tolist())
-        return [Cycle(seq[i:i + p], "I" if t else "II")
-                for i, p, t in zip(self.offsets.tolist(), self.lengths.tolist(), self.is_type_I.tolist())]
+    def vertex_codes(self, ids, shift: int = 0) -> np.ndarray:
+        """The vertex codes a_k * m + a_{k+1} of the cycles `ids`, each read
+        cyclically from the vertex `shift` steps past its rep vertex, laid end
+        to end as int32."""
+        first, p = self.offsets[ids], self.lengths[ids]
+        k = _ranges(np.full_like(p, shift), p)
+        start, p = np.repeat(first, p), np.repeat(p, p)
+        return self.a_flat[start + k % p] * self.group.order + self.a_flat[start + (k + 1) % p]
 
     def rep_vertices(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The least vertex (a0, a1) of each cycle in `ids`, as two arrays."""
         first = self.offsets[ids]
         return self.a_flat[first], self.a_flat[first + 1 % self.lengths[ids]]
+
+
+def _ranges(first: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(first[i], first[i] + length[i]) over i."""
+    offset = np.cumsum(length) - length
+    return np.repeat(first - offset, length) + np.arange(int(length.sum()))
 
 
 def decompose(group: FiniteGroup) -> ShiftDecomposition:

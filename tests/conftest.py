@@ -11,7 +11,7 @@ import pytest
 
 from braidrep.extension import TowerResult, compute_tower
 from braidrep.groups import SL2, AbelianProduct, CayleyTableGroup, SymmetricGroup, alternating_group, parse_group_spec
-from braidrep.shift import Cycle, successor
+from braidrep.shift import successor
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -38,6 +38,28 @@ def s3_x_z6():
     """S3 x Z6 as a Cayley table; element (s, i) is s * 6 + i."""
     s3, z6 = SymmetricGroup(3).tables()[0], AbelianProduct((6,)).tables()[0]
     return CayleyTableGroup((s3[:, None, :, None] * 6 + z6[None, :, None, :]).reshape(36, 36), name="S3xZ6")
+
+
+@dataclasses.dataclass(frozen=True)
+class Cycle:
+    """The tests' reference form of one successor cycle: the first components
+    along the orbit.
+
+    a_seq starts at the canonical representative (the lexicographically least
+    vertex on the cycle); vertex k of the cycle is (a_seq[k], a_seq[k+1 mod p]).
+    Type I cycles contain a vertex with equal components, type II do not.
+    """
+
+    a_seq: tuple[int, ...]
+    cycle_type: str
+
+    @property
+    def length(self) -> int:
+        return len(self.a_seq)
+
+    @property
+    def rep_vertex(self):
+        return (self.a_seq[0], self.a_seq[1 % self.length])
 
 
 def per_vertex_walk(group):
@@ -68,12 +90,17 @@ def make_cycle(decomp, i):
                  "I" if decomp.is_type_I[i] else "II")
 
 
+def cycles_of(decomp):
+    """Every cycle of a decomposition as a Cycle, in cycle order."""
+    return [make_cycle(decomp, i) for i in decomp.cycles]
+
+
 def cycle_map(decomp):
     """The index of the cycle through every vertex code a0 * m + a1, scattered
     from the codes `vertex_codes` reads."""
     n = decomp.lengths.size
     ids = np.empty(decomp.group.order ** 2, dtype=np.int64)
-    ids[decomp.vertex_codes(0, n)] = np.repeat(np.arange(n), decomp.lengths)
+    ids[decomp.vertex_codes(np.arange(n))] = np.repeat(np.arange(n), decomp.lengths)
     return ids
 
 

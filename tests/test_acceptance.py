@@ -21,7 +21,7 @@ from braidrep.report import _text, paper_shift_lines, stage4_b3_block
 from braidrep.shift import decompose, successor
 from braidrep.verify import run_suites
 
-from conftest import cycle_index, golden_text, level_rows, make_cycle, normalize_tokens
+from conftest import cycle_index, cycles_of, golden_text, level_rows, make_cycle, normalize_tokens
 
 Check = tuple[bool, str]
 
@@ -47,8 +47,8 @@ def test_criterion_01_s2_tower(tower_s2):
 
 def test_criterion_02_s3_tower(tower_s3):
     d = tower_s3.decomposition
-    type2 = {c.rep_vertex: c.length for c in d.cycles if c.cycle_type == "II"}
-    type1 = [c for c in d.cycles if c.cycle_type == "I"]
+    type2 = {c.rep_vertex: c.length for c in cycles_of(d) if c.cycle_type == "II"}
+    type1 = [c for c in cycles_of(d) if c.cycle_type == "I"]
     counts = [tower_s3.level(n).rep_count for n in (3, 4, 5)]
     checks = [
         (counts[0] == 36, f"stage-3 count {counts[0]} != 36"),

@@ -25,7 +25,7 @@ from braidrep.extension import compute_tower
 from braidrep.groups import AbelianProduct, SymmetricGroup, alternating_group
 from braidrep.shift import decompose
 
-from conftest import cycle_index, cycle_map, level_rows, make_cycle
+from conftest import cycle_index, cycle_map, cycles_of, level_rows, make_cycle
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +137,10 @@ def test_count_subgroups_with_precomputed_towers(tower_s2, tower_s3, tower_s4, t
 def test_count_subgroups_degenerate_index():
     assert count_subgroups(3, 1) == 1
     assert count_subgroups(3, 0) == 0
+    assert count_subgroups(3, -1) == 0
+    assert count_braid_subgroups(3, 1) == 1
+    assert count_braid_subgroups(3, 0) == 0
+    assert count_braid_subgroups(3, -1) == 0
 
 
 def test_count_braid_subgroups(tower_s2, tower_s3, tower_s4, tower_s5):
@@ -213,7 +217,7 @@ def test_subgroups_path_builds_no_class_objects():
 def test_type_I_census_formulas_match_enumeration(r):
     S = SymmetricGroup(r)
     d = decompose(S)
-    cycles = [c for c in d.cycles if c.cycle_type == "I"]
+    cycles = [c for c in cycles_of(d) if c.cycle_type == "I"]
     reps = sum(c.length for c in cycles)
     transitive_reps = sum(
         c.length for c in cycles

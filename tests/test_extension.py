@@ -32,7 +32,7 @@ from braidrep.groups import SL2, SymmetricGroup, alternating_group, parse_group_
 from braidrep.shift import ShiftDecomposition, decompose
 from braidrep.verify import run_suites
 
-from conftest import cycle_index, cycle_map, level_rows, make_cycle, relabelled, s3_x_z6
+from conftest import cycle_index, cycle_map, cycles_of, level_rows, make_cycle, relabelled, s3_x_z6
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,7 @@ S4_SPECIAL_VERTICES = {
 def test_b3_sets_over_s4(s4):
     d = decompose(s4)
     special = {}
-    for c, bs in zip(d.cycles, _per_row(extend_to_K4(d, np.arange(len(d.cycles))), len(d.cycles))):
+    for c, bs in zip(cycles_of(d), _per_row(extend_to_K4(d, np.arange(len(d.cycles))), len(d.cycles))):
         assert bs[0] == s4.identity
         if len(bs) > 1:
             special[c.rep_vertex] = bs
@@ -288,7 +288,7 @@ def test_extend_step_agrees_with_direct_relation_check(s5):
     v = (s5.index_of((3, 1, 2, 4, 5)), s5.index_of((2, 3, 1, 4, 5)))
     assert v == (48, 30)
     i = _index(d, v)
-    cyc, phase = make_cycle(d, i), d.vertex_codes(i, i + 1).tolist().index(v[0] * s5.order + v[1])
+    cyc, phase = make_cycle(d, i), d.vertex_codes([i]).tolist().index(v[0] * s5.order + v[1])
     b3 = s5.index_of((2, 1, 4, 3, 5))
     assert b3 == 26
 
@@ -562,8 +562,8 @@ def _exhaustive_levels(group, n_max):
     decomp = decompose(group)
     e = group.identity
     trivial = make_cycle(decomp, cycle_index(decomp, e, e))
-    index = {cycle: i for i, cycle in enumerate(decomp.cycles)}
-    current = [(cycle, ()) for cycle in decomp.cycles]
+    index = {cycle: i for i, cycle in enumerate(cycles_of(decomp))}
+    current = [(cycle, ()) for cycle in cycles_of(decomp)]
     levels = [current]
     for n in range(4, n_max + 1):
         if n == 4:

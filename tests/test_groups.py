@@ -476,6 +476,18 @@ def test_cayley_table_refuses_entries_an_int32_cast_would_wrap(entry):
         CayleyTableGroup([[0, 1], [1, entry]])
 
 
+@pytest.mark.parametrize("entry", [1.5, np.nan])
+def test_cayley_table_refuses_fractional_and_nan_entries(entry):
+    # the int32 cast would read 1.5 as 1, which makes this the table of Z2
+    with pytest.raises(UsageError, match="element indices"):
+        CayleyTableGroup(np.array([[0.0, entry], [1.0, 0.0]]))
+
+
+def test_cayley_table_accepts_integral_floats():
+    g = CayleyTableGroup(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert (g.order, g.identity, g.mul(1, 1)) == (2, 0, 0)
+
+
 @pytest.mark.parametrize("cells", [None, 1, 3], ids=["default-block", "one-row", "three-rows"])
 @pytest.mark.parametrize("k", [0, 1, 4, 10, 11])
 def test_cayley_table_names_the_first_bad_row_or_column(monkeypatch, cells, k):

@@ -13,7 +13,7 @@ from braidrep.groups import SL2, AbelianProduct, SymmetricGroup, alternating_gro
 from braidrep.report import _text, paper_shift_lines, shift_to_csv
 from braidrep.shift import decompose, successor
 
-from conftest import make_cycle
+from conftest import cycles_of, make_cycle
 
 GROUPS = [
     SymmetricGroup(3),
@@ -60,7 +60,7 @@ def test_abelian_lengths_match_closed_form(moduli):
     group = AbelianProduct(moduli)
     d = decompose(group)
     assert set(d.period_census) <= {1, 2, 3, 6}
-    for c in d.cycles:
+    for c in cycles_of(d):
         assert abelian_cycle_length(group, c.rep_vertex) == c.length
 
 

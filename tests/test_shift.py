@@ -18,7 +18,7 @@ from braidrep.shift import (
     successor,
 )
 
-from conftest import cycle_index, cycle_map, make_cycle, per_vertex_walk, relabelled, s3_x_z6
+from conftest import cycle_index, cycle_map, cycles_of, make_cycle, per_vertex_walk, relabelled, s3_x_z6
 from test_groups import BACKENDS
 
 
@@ -48,9 +48,9 @@ def test_decompose_s2(s2):
     d = decompose(s2)
     assert d.lengths.sum() == 4
     assert d.period_census == {1: 1, 3: 1}
-    assert [c.length for c in d.cycles] == [1, 3]
-    assert d.cycles[1].a_seq == (0, 1, 1)
-    assert all(c.cycle_type == "I" for c in d.cycles)
+    assert [c.length for c in cycles_of(d)] == [1, 3]
+    assert cycles_of(d)[1].a_seq == (0, 1, 1)
+    assert all(c.cycle_type == "I" for c in cycles_of(d))
 
 
 def test_decompose_s3(s3):
@@ -59,7 +59,7 @@ def test_decompose_s3(s3):
     assert d.period_census == {1: 1, 2: 1, 3: 3, 6: 1, 9: 2}
     assert int(d.is_type_I.sum()) == 5
     assert int(d.lengths[d.is_type_I].sum()) == 16
-    assert {c.rep_vertex: c.length for c in d.cycles if c.cycle_type == "II"} == {(1, 2): 9, (1, 3): 9, (3, 4): 2}
+    assert {c.rep_vertex: c.length for c in cycles_of(d) if c.cycle_type == "II"} == {(1, 2): 9, (1, 3): 9, (3, 4): 2}
     assert make_cycle(d, cycle_index(d, s3.identity, s3.identity)).length == 1
 
 
@@ -84,7 +84,7 @@ def test_involution_walks_a_three_cycle(s3):
                          ids=lambda g: g.name)
 def test_cycle_products_are_identity(group):
     d = decompose(group)
-    for c in d.cycles:
+    for c in cycles_of(d):
         prod = group.identity
         for a in c.a_seq:
             prod = group.mul(prod, a)
@@ -96,7 +96,7 @@ def test_cycle_products_are_identity(group):
 def test_cycles_partition_the_vertex_set(group):
     d = decompose(group)
     seen = set()
-    for c in d.cycles:
+    for c in cycles_of(d):
         for v in _vertices(c):
             assert v not in seen
             seen.add(v)
@@ -120,10 +120,35 @@ def test_decompose_equals_per_vertex_walk(name):
         assert group.identity != 0
     cycles, census, cycle_of = per_vertex_walk(group)
     d = decompose(group)
-    assert d.cycles == cycles
+    assert cycles_of(d) == cycles
     assert list(d.period_census.items()) == list(census.items())
     codes = np.arange(group.order ** 2)
     assert cycle_index(d, codes // group.order, codes % group.order).tolist() == cycle_of
+
+
+@pytest.mark.parametrize("group", [SymmetricGroup(4), SL2(3), parse_group_spec("Z2xZ4xZ5"), relabelled(s3_x_z6(), 3)],
+                         ids=lambda g: g.name)
+def test_vertex_codes_equal_the_per_vertex_walk(group):
+    cycles, _, _ = per_vertex_walk(group)
+    d = decompose(group)
+    m = group.order
+    # every cycle in a shuffled order, then the shortest ones again: shifts
+    # 0-3 run past the length of the period-1 and period-2 cycles
+    short = np.flatnonzero(d.lengths <= 2)
+    ids = np.concatenate([np.random.default_rng(0).permutation(len(cycles)), short, short[::-1]])
+    for k in range(4):
+        expected = []
+        for i in ids.tolist():
+            vertices = _vertices(cycles[i])
+            r = k % len(vertices)
+            expected += [a0 * m + a1 for a0, a1 in vertices[r:] + vertices[:r]]
+        assert d.vertex_codes(ids, k).tolist() == expected
+    assert d.vertex_codes(ids).tolist() == d.vertex_codes(ids, 0).tolist()
+
+
+def test_cycles_are_their_indices(s4):
+    assert decompose(s4).cycles == range(88)
+    assert not hasattr(shift, "Cycle")
 
 
 @pytest.mark.parametrize("group", [*BACKENDS, parse_group_spec("Z300"), relabelled(s3_x_z6(), 2)],
@@ -228,7 +253,7 @@ def test_decompose_in_batches_equals_per_vertex_walk(name, batch, monkeypatch):
 
     monkeypatch.setattr(shift, "_drop_walk", recording_drop_walk)
     d = decompose(group)
-    assert d.cycles == cycles
+    assert cycles_of(d) == cycles
     assert list(d.period_census.items()) == list(census.items())
     assert d.offsets.tolist() == np.cumsum([0] + [c.length for c in cycles[:-1]]).tolist()
     cycle_of_code = cycle_map(d)
@@ -266,12 +291,12 @@ def test_decompose_memory_is_int32_sized(spec):
 
 def test_rep_vertex_is_lex_min(s4):
     d = decompose(s4)
-    for c in d.cycles:
+    for c in cycles_of(d):
         assert c.rep_vertex == min(_vertices(c))
 
 
 def test_type_I_iff_cycle_touches_diagonal(s4):
-    for c in decompose(s4).cycles:
+    for c in cycles_of(decompose(s4)):
         touches = any(v0 == v1 for v0, v1 in _vertices(c))
         assert (c.cycle_type == "I") == touches
 
@@ -331,6 +356,6 @@ def test_lookups_and_type_filters_build_no_cycle_list(s4):
     i = cycle_index(d, 3, 4)
     assert make_cycle(d, i).length == 2
     assert make_cycle(d, cycle_index(d, s4.identity, s4.identity)).length == 1
-    assert d.vertex_codes(i, i + 1).tolist().index(4 * s4.order + 3) == 1
+    assert d.vertex_codes([i]).tolist().index(4 * s4.order + 3) == 1
     assert (int(d.is_type_I.sum()), int((~d.is_type_I).sum())) == (17, 71)
     assert "cycles" not in vars(d)
