@@ -19,9 +19,13 @@ input and check nothing else.
 
 The structural facts are array tests over all rows of a stage.
 `compute_tower` runs `stage4_failure` and `stage_failure` once per stage on
-the classes it scanned, and the c scan with its c-set checks once per tower,
-on the classes of every stage with b filled out by the identity to n_max - 3
-columns, raising VerificationError; `verify` runs the first two on every class.
+the classes it scanned, and the c scan with its c-set checks once, on the
+stage-3 classes, raising VerificationError; `verify` runs the first two on
+every class.  A class at stage n >= 4 has its parent's c relations and one
+more, that c commutes with its new image, so its c set is the part of its
+parent's that does: a subset on the same cycle, where every c-set fact holds
+by inheritance.  The trivial class is the trivial class's only child and keeps
+all of G, as every c commutes with e.
 
 Every relation is a word equation, so simultaneous conjugation by g maps
 admissible (a-sequence, b, c) data to admissible data and commutes with the
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -66,8 +70,8 @@ __all__ = [
 ]
 
 
-# Highest stage a tower is computed to: each level holds an identity chain
-# n - 3 long that the braid scan walks, so the cost grows as n^2.
+# Highest stage a tower is computed to; it bounds the input, as every level
+# stores n - 3 images a class.
 MAX_STAGE = 100
 
 
@@ -560,9 +564,15 @@ def compute_tower(group: FiniteGroup, n_max: int) -> TowerResult:
     orders = element_orders(group)
     first = orbits.first
     # the classes (orbit ks[j], b[j]) over each orbit's first cycle, checked
-    # stage by stage; the trivial class extends only to the trivial chain
+    # stage by stage; the trivial class extends only to the trivial chain.
+    # Their c sets are scanned and checked at stage 3, then narrowed
     ks, b = np.arange(first.size), np.empty((first.size, 0), dtype=np.int64)
-    stages = [(ks, b)]
+    rows, c = extend_to_braid(decomp, first, b)
+    c_count = np.bincount(rows, minlength=first.size)
+    failure = _c_set_failure(decomp, first, b, c, c_count, orders)
+    if failure:
+        raise VerificationError(failure)
+    levels = [TowerLevel(3, decomp, orbits, ks, b, c, c_count)]
     for n in range(4, n_max + 1):
         ids = first[ks]
         if n == 4:
@@ -576,22 +586,11 @@ def compute_tower(group: FiniteGroup, n_max: int) -> TowerResult:
                    else stage_failure(decomp, first[ks], b, orders))
         if failure:
             raise VerificationError(failure)
-        stages.append((ks, b))
-    # one braid c scan over the classes of every stage, their b filled out to
-    # n_max - 3 columns with the identity, which commutes with every c; the
-    # classes of stage n are rows start[n - 3]:start[n - 2]
-    start = list(accumulate((ks.size for ks, _ in stages), initial=0))
-    ks_all = np.concatenate([ks for ks, _ in stages])
-    b_all = np.full((start[-1], n_max - 3), e, dtype=np.int64)
-    for (_, b), lo, hi in zip(stages, start, start[1:]):
-        b_all[lo:hi, :b.shape[1]] = b
-    rows, c = extend_to_braid(decomp, first[ks_all], b_all)
-    c_count = np.bincount(rows, minlength=start[-1])
-    failure = _c_set_failure(decomp, first[ks_all], b_all, c, c_count, orders)
-    if failure:
-        raise VerificationError(failure)
-    c_start = rows.searchsorted(start).tolist()        # rows are sorted: each stage's first c
-    levels = [TowerLevel(j + 3, decomp, orbits, ks, b, c[c_start[j]:c_start[j + 1]], c_count[start[j]:start[j + 1]])
-              for j, (ks, b) in enumerate(stages)]
+        # each class keeps the c's of its parent row that commute with its new
+        # image, in the parent's sorted order
+        child = np.repeat(np.arange(rows.size), c_count[rows])
+        c = c[_ranges((np.cumsum(c_count) - c_count)[rows], c_count[rows])]
+        keep = group.products(c, found[child]) == group.products(found[child], c)
+        c, c_count = c[keep], np.bincount(child[keep], minlength=rows.size)
+        levels.append(TowerLevel(n, decomp, orbits, ks, b, c, c_count))
     return TowerResult(group, decomp, levels)
-

@@ -136,7 +136,7 @@ class FiniteGroup:
         return range(self.order)
 
     def check_element(self, a: int) -> int:
-        if not (isinstance(a, (int, np.integer)) and 0 <= a < self.order):
+        if isinstance(a, bool) or not (isinstance(a, (int, np.integer)) and 0 <= a < self.order):
             raise UsageError(f"element index {a!r} out of range for {self.name} (order {self.order})")
         return int(a)
 

@@ -20,6 +20,7 @@ from braidrep.extension import (
     TowerLevel,
     _conjugate,
     _conjugation_orbits,
+    _pair_classes,
     compute_tower,
     element_orders,
     extend_step,
@@ -149,7 +150,7 @@ def test_stage_scans_equal_the_per_class_scans(reference_tower, monkeypatch, cel
         assert _per_row(extend_step(d, ids, b), ids.size) == [_reference_step(d, i, row) for i, row in classes]
         c_sets = _per_row(extend_to_braid(d, ids, b), ids.size)
         assert c_sets == [_reference_c(d, i, row) for i, row in classes]
-        # identity columns, as a tower pads every stage to its last, change no c set
+        # identity columns change no c set: every c commutes with e
         padded = np.pad(b, ((0, 0), (0, 2)), constant_values=d.group.identity)
         assert _per_row(extend_to_braid(d, ids, padded), ids.size) == c_sets
 
@@ -530,6 +531,49 @@ def test_tower_scans_each_stage_once_and_c_once_per_tower(monkeypatch, s4):
         monkeypatch.setattr(extension, scan, counted)
     compute_tower(s4, 6)
     assert calls == {("extend_to_K4", tuple): 1, ("extend_step", tuple): 2, ("extend_to_braid", tuple): 1}
+
+
+NARROWED = {
+    "S4": (lambda: SymmetricGroup(4), 6),
+    "S5": (lambda: SymmetricGroup(5), 6),
+    "SL2(5)": (lambda: SL2(5), 5),
+    "SL2(9)": (lambda: SL2(9), 5),
+    "Z2xZ4xZ5": (lambda: parse_group_spec("Z2xZ4xZ5"), 5),
+    "S3xZ6-relabelled": (lambda: relabelled(s3_x_z6(), 3), 6),
+}
+
+
+@pytest.mark.parametrize("name", NARROWED)
+def test_narrowed_c_sets_equal_a_direct_scan(name):
+    # the tower scans c at stage 3 only and narrows each class's c set from
+    # its parent's: each level's sets must equal a scan of its rows, and each
+    # a subset of its parent's on the same orbit
+    build, n = NARROWED[name]
+    tower = compute_tower(build(), n)
+    parents = {}
+    for lvl in tower.levels:
+        rows, c = extend_to_braid(tower.decomposition, lvl.orbits.first[lvl.orbit], lvl.b)
+        assert np.array_equal(lvl.c, c)
+        assert np.array_equal(lvl.c_count, np.bincount(rows, minlength=lvl.orbit.size))
+        keys = list(zip(lvl.orbit.tolist(), map(tuple, lvl.b.tolist())))
+        c_sets = [set(run) for run in np.split(lvl.c, np.cumsum(lvl.c_count)[:-1])]
+        if lvl.n > 3:
+            assert all(c_set <= parents[k, b[:-1]] for (k, b), c_set in zip(keys, c_sets))
+        parents = dict(zip(keys, c_sets))
+
+
+@pytest.mark.parametrize("spec", ["S4", "S5", "S6", "SL2(3)", "SL2(5)", "SL2(7)"])
+def test_successor_permutes_the_pair_classes_with_order_dividing_six(spec):
+    # six successor steps conjugate every vertex, so they fix every pair class
+    group = parse_group_spec(spec)
+    mul_t = group.tables()[0]
+    canonical, r, y = _pair_classes(group, (mul_t == mul_t.T).all(axis=0))
+    nxt = canonical(y, group.products(group.inverses(r), y))[0]
+    assert np.unique(nxt).size == nxt.size
+    power = np.arange(nxt.size)
+    for _ in range(6):
+        power = nxt[power]
+    assert np.array_equal(power, np.arange(nxt.size))
 
 
 # S4's stages 5 and 6 hold only the trivial class, S5's also others; the

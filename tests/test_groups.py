@@ -282,7 +282,7 @@ def test_power_and_conjugation_relabel_points():
 def test_label_checks_its_handle(group):
     # elements have no labels any more; every backend still checks a handle
     assert group.check_element(group.order - 1) == group.order - 1
-    for bad in (-1, group.order, 2.0):
+    for bad in (-1, group.order, 2.0, True):
         with pytest.raises(UsageError):
             group.check_element(bad)
 

@@ -146,6 +146,21 @@ def test_vertex_codes_equal_the_per_vertex_walk(group):
     assert d.vertex_codes(ids).tolist() == d.vertex_codes(ids, 0).tolist()
 
 
+@pytest.mark.parametrize("group", [SymmetricGroup(4), SL2(3), SymmetricGroup(5), SL2(5), parse_group_spec("Z2xZ4xZ5"),
+                                   relabelled(s3_x_z6(), 3)], ids=lambda g: g.name)
+def test_six_successor_steps_conjugate_every_vertex(group):
+    # s^6 (a0, a1) = mu (a0, a1) mu^-1 with mu = a1^-1 a0 a1 a0^-1
+    d = decompose(group)
+    m, ids = group.order, np.arange(d.lengths.size)
+    codes = d.vertex_codes(ids)
+    assert np.unique(codes).size == m * m
+    (a0, a1), (b0, b1) = np.divmod(codes, m), np.divmod(d.vertex_codes(ids, 6), m)
+    mul, inv = group.products, group.inverses
+    mu = mul(mul(mul(inv(a1), a0), a1), inv(a0))
+    assert np.array_equal(b0, mul(mul(mu, a0), inv(mu)))
+    assert np.array_equal(b1, mul(mul(mu, a1), inv(mu)))
+
+
 def test_cycles_are_their_indices(s4):
     assert decompose(s4).cycles == range(88)
     assert not hasattr(shift, "Cycle")
