@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError, VerificationError
-from .extension import (TowerLevel, TowerResult, compute_tower, element_orders, extend_step, extend_to_K4,
-                        is_trivial_class)
+from .extension import (TowerLevel, TowerResult, compute_tower, element_orders, extend_step, extend_to_braid,
+                        extend_to_K4, is_trivial_class)
 from .groups import FiniteGroup, SymmetricGroup, perfect_core_group
 from .shift import ShiftDecomposition, _ranges, decompose, successor
 
@@ -217,7 +217,8 @@ def pi_representation(n: int, r: int, decomposition: ShiftDecomposition | None =
     r0, r1 = decomp.rep_vertices(np.arange(decomp.lengths.size))
     i = int(np.searchsorted(r0 * S.order + r1, least))
     for k, bk in enumerate(b):
-        _, images = extend_to_K4(decomp, [i]) if not k else extend_step(decomp, [i], [b[:k]])
+        _, images = (extend_to_K4(decomp, [i]) if not k else
+                     extend_step(decomp, [i], [b[:k]], extend_to_braid(decomp, [i], [b[:k - 1]])))
         if bk not in images:
             raise VerificationError(f"standard representation breaks a stage-{k + 4} relation")
     return i, int(np.flatnonzero(decomp.vertex_codes([i]) == code)[0]), b

@@ -4,18 +4,15 @@ A class at stage n is a cycle with images b = (b_3, ..., b_{n-1}) of the extra
 generators; it stands for the cycle-length many representations obtained by
 choosing a phase.  A TowerLevel holds the classes the scans found at a stage.
 
-The scans `extend_to_K4(decomp, ids)`, `extend_step(decomp, ids, b)` and
-`extend_to_braid(decomp, ids, b)` take a whole stage at once: an int array of
-cycle ids and a (k, n - 3) array of image rows, one class per row.  They test
-every element against the relations of every class and return (rows, images),
-two int arrays sorted by (row, image), one entry per admissible image.  Each
-scan is an ordered list of relations, every one of the form x g = g y or
-x g z = g y g in the candidate g, run by one kernel, `_scan`.  It sorts the
-rows by period and cuts them, whatever their periods, into blocks of at most
-_BLOCK_CELLS (row, candidate) cells: the first relation runs on the block's
-full grid by rows and columns of products, each later one only on the cells
-still alive, and a block stops when none is left.  The scans validate their
-input and check nothing else.
+The scans `extend_to_K4(decomp, ids)`, `extend_step(decomp, ids, b, parents)`
+and `extend_to_braid(decomp, ids, b)` take a whole stage at once: an int array
+of cycle ids and a (k, n - 3) array of image rows, one class per row.  They
+return (rows, images), two int arrays sorted by (row, image), one entry per
+admissible image.  The b3 and c scans test every element against an ordered
+list of relations, run by one kernel, `_scan`, on blocks of (row, candidate)
+cells; `extend_step` tests only the braid with the last image, on the inverted
+c sets of the classes below, `parents`.  The scans validate their input and
+check nothing else.
 
 The structural facts are array tests over all rows of a stage.
 `compute_tower` runs `stage4_failure` and `stage_failure` once per stage on
@@ -41,8 +38,7 @@ is its own orbit.
 
 The relations used, with mul(g, h) meaning "h first, then g":
   stage 4:   a_m b3 a_{m+2} = b3 a_{m+1} b3          for all m
-  stage i>4: a_m b = b a_{m+1}                        for all m
-             b b_j = b_j b                            for j = 3..i-3
+  b_i, i>3:  b^-1 in the c set of (b_3 ... b_{i-2})   i.e. a_m b = b a_{m+1}, b b_j = b_j b
              b b_{i-1} b = b_{i-1} b b_{i-1}
   braid:     c a_m = a_{m+1} c                        for all m   (c = image of sigma_1)
              c b_j = b_j c                            for all j
@@ -83,6 +79,13 @@ MAX_STAGE = 100
 _BLOCK_CELLS = 1 << 16
 
 
+def _indices(x: np.ndarray, bound: int, message: str) -> np.ndarray:
+    """x as intp; UsageError, `message` formatted with its first entry outside 0..bound - 1, if any."""
+    if x.size and (x.min() < 0 or x.max() >= bound):
+        raise UsageError(message.format(int(x[(x < 0) | (x >= bound)][0])))
+    return x.astype(np.intp, copy=False)
+
+
 def _scan_input(decomp: ShiftDecomposition, ids, b=None) -> tuple[np.ndarray, np.ndarray]:
     """ids and b as arrays; UsageError unless ids is a 1-d integer array of
     cycle indices of `decomp` and b a (len(ids), w) integer array of elements.
@@ -94,16 +97,11 @@ def _scan_input(decomp: ShiftDecomposition, ids, b=None) -> tuple[np.ndarray, np
         raise UsageError("cycle ids and images must be rectangular integer arrays") from None
     if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
         raise UsageError(f"cycle ids must be a 1-d integer array, got {ids.dtype} of shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        bad = ids[(ids < 0) | (ids >= n)]
-        raise UsageError(f"cycle index {int(bad[0])} out of range ({n} cycles)")
+    ids = _indices(ids, n, f"cycle index {{}} out of range ({n} cycles)")
     b = np.empty((ids.size, 0), dtype=np.intp) if b is None else b
     if b.ndim != 2 or b.shape[0] != ids.size or (b.size and b.dtype.kind not in "iu"):
         raise UsageError(f"images must be a ({ids.size}, w) integer array, got {b.dtype} of shape {b.shape}")
-    if b.size and (b.min() < 0 or b.max() >= group.order):
-        bad = b[(b < 0) | (b >= group.order)]
-        raise UsageError(f"element index {int(bad[0])} out of range for {group.name} (order {group.order})")
-    return ids.astype(np.intp, copy=False), b.astype(np.intp, copy=False)
+    return ids, _indices(b, group.order, f"element index {{}} out of range for {group.name} (order {group.order})")
 
 
 def _blocks(decomp: ShiftDecomposition, ids: np.ndarray):
@@ -134,7 +132,7 @@ def _by_row(found: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.
 
 def _scan(decomp: ShiftDecomposition, ids, b, relations) -> tuple[np.ndarray, np.ndarray]:
     """Every candidate g that passes all relations over each class (cycle
-    ids[k], b[k]), as (rows, images) sorted by (row, image).
+    ids[k], b[k]), as (rows, images) sorted by (row, image): the b3 and c scans.
 
     `relations(a, b)` gives a block's relations in order, from its a-sequence
     matrix (see `_blocks`) and its rows of images, as tuples of row arrays:
@@ -169,25 +167,31 @@ def extend_to_K4(decomp: ShiftDecomposition, ids) -> tuple[np.ndarray, np.ndarra
     return _scan(decomp, ids, None, lambda a, _: zip(a[:-2], a[1:-1], a[2:]))
 
 
-def extend_step(decomp: ShiftDecomposition, ids, b) -> tuple[np.ndarray, np.ndarray]:
+def extend_step(decomp: ShiftDecomposition, ids, b, parents) -> tuple[np.ndarray, np.ndarray]:
     """Every admissible image of the next generator above each class (cycle
     ids[k], b[k]), b a (len(ids), n - 3) array of images with n >= 4, as
-    (rows, images) sorted by (row, image).  The identity passes a_k e = e
-    a_{k+1} only on the one constant cycle, (e, e), and the braid with the
-    previous image only when that is e: on a tower, only the trivial class."""
+    (rows, images) sorted by (row, image).  `parents` holds the c sets of the
+    classes (ids[k], b[k, :-1]) as `extend_to_braid` returns them: x satisfies
+    a_m x = x a_{m+1} and commutes with b[k, :-1] exactly when x^-1 is in that
+    c set, so only the braid of those inverses with b[k, -1] is tested."""
     # the width is checked on validated input, so a malformed b gets its own message
     ids, b = _scan_input(decomp, ids, b)
     if not b.shape[1]:
         raise UsageError("extend_step starts from stage 4; use extend_to_K4 below that")
-
-    def relations(a, images):
-        # a_0 g = g a_1; then the braid with the previous image, which alone
-        # kills everything when that is e; a_k g = g a_{k+1}; commuting with
-        # every earlier image
-        last = images[:, -1]
-        return chain([(a[0], a[1]), (last, last, last)], zip(a[1:-2], a[2:-1]),
-                     ((x, x) for x in images[:, :-1].T))
-    return _scan(decomp, ids, b, relations)
+    group, k = decomp.group, ids.size
+    try:
+        rows, x = (np.asarray(v) for v in parents)
+    except (TypeError, ValueError):     # no pair, or ragged
+        raise UsageError("parents must be a pair (rows, images) of integer arrays") from None
+    if rows.ndim != 1 or x.shape != rows.shape or (rows.size and {rows.dtype.kind, x.dtype.kind} - set("iu")):
+        raise UsageError(f"parents must be 1-d integer arrays of one length, got {rows.shape} and {x.shape}")
+    rows = _indices(rows, k, f"parent row {{}} out of range ({k} classes)")
+    x = _indices(x, group.order, f"element index {{}} out of range for {group.name} (order {group.order})")
+    x, last = group.inverses(x), b[rows, -1]
+    lx = group.products(last, x)
+    braids = group.products(x, lx) == group.products(lx, last)      # x b x = b x b
+    order = np.flatnonzero(braids)[np.lexsort((x[braids], rows[braids]))]
+    return rows[order], x[order].astype(np.intp, copy=False)
 
 
 def extend_to_braid(decomp: ShiftDecomposition, ids, b) -> tuple[np.ndarray, np.ndarray]:
@@ -559,7 +563,6 @@ def compute_tower(group: FiniteGroup, n_max: int) -> TowerResult:
         raise ResourceLimitError(f"stage {n_max} is over the cap MAX_STAGE = {MAX_STAGE}")
     decomp = decompose(group)
 
-    e = group.identity
     orbits = _conjugation_orbits(decomp)
     orders = element_orders(group)
     first = orbits.first
@@ -569,27 +572,22 @@ def compute_tower(group: FiniteGroup, n_max: int) -> TowerResult:
     ks, b = np.arange(first.size), np.empty((first.size, 0), dtype=np.int64)
     rows, c = extend_to_braid(decomp, first, b)
     c_count = np.bincount(rows, minlength=first.size)
-    failure = _c_set_failure(decomp, first, b, c, c_count, orders)
-    if failure:
+    if failure := _c_set_failure(decomp, first, b, c, c_count, orders):
         raise VerificationError(failure)
     levels = [TowerLevel(3, decomp, orbits, ks, b, c, c_count)]
     for n in range(4, n_max + 1):
-        ids = first[ks]
-        if n == 4:
-            rows, found = extend_to_K4(decomp, ids)
-        else:
-            rows, found = extend_step(decomp, ids, b)
+        rows, found = extend_to_K4(decomp, first[ks]) if n == 4 else extend_step(decomp, first[ks], b, parents)
         ks, b = ks[rows], np.concatenate([b[rows], found[:, None]], axis=1)
-        if n == 4 and not np.bincount(ks[b[:, 0] == e], minlength=first.size).all():
+        if n == 4 and not np.bincount(ks[b[:, 0] == group.identity], minlength=first.size).all():
             raise VerificationError("identity is always an admissible b3 but was not found")
-        failure = (stage4_failure(decomp, first[ks], b[:, 0]) if n == 4
-                   else stage_failure(decomp, first[ks], b, orders))
-        if failure:
+        if failure := (stage4_failure(decomp, first[ks], b[:, 0]) if n == 4
+                       else stage_failure(decomp, first[ks], b, orders)):
             raise VerificationError(failure)
         # each class keeps the c's of its parent row that commute with its new
-        # image, in the parent's sorted order
+        # image, in the parent's sorted order; the parent runs are the next stage's parents
         child = np.repeat(np.arange(rows.size), c_count[rows])
         c = c[_ranges((np.cumsum(c_count) - c_count)[rows], c_count[rows])]
+        parents = child, c
         keep = group.products(c, found[child]) == group.products(found[child], c)
         c, c_count = c[keep], np.bincount(child[keep], minlength=rows.size)
         levels.append(TowerLevel(n, decomp, orbits, ks, b, c, c_count))

@@ -99,9 +99,18 @@ def _per_row(found, k):
 
 
 def _one(scan, d, i, b=None):
-    """The stage scan run on the single class (cycle i, b), as a list of images."""
+    """The stage scan run on the single class (cycle i, b), as a list of images;
+    extend_step gets the c set of (cycle i, b[:-1]) as its parents."""
     args = (d, [i]) if b is None else (d, [i], np.array([b], dtype=np.int64).reshape(1, len(b)))
+    if scan == "extend_step":
+        args += (extend_to_braid(d, [i], args[2][:, :-1]),)
     return _per_row(getattr(extension, scan)(*args), 1)[0]
+
+
+def _step(d, ids, b):
+    """extend_step over the classes (ids[k], b[k]), given the c sets of the
+    classes (ids[k], b[k, :-1]) as its parents."""
+    return extend_step(d, ids, b, extend_to_braid(d, ids, b[:, :-1]))
 
 
 # the groups the stage scans are compared with their references on
@@ -147,7 +156,7 @@ def test_stage_scans_equal_the_per_class_scans(reference_tower, monkeypatch, cel
     for ids, b in _random_classes(reference_tower, rng, 30):
         assert b.shape[1] > 1 or np.unique(d.lengths[ids]).size > 1
         classes = list(zip(ids.tolist(), map(tuple, b.tolist())))
-        assert _per_row(extend_step(d, ids, b), ids.size) == [_reference_step(d, i, row) for i, row in classes]
+        assert _per_row(_step(d, ids, b), ids.size) == [_reference_step(d, i, row) for i, row in classes]
         c_sets = _per_row(extend_to_braid(d, ids, b), ids.size)
         assert c_sets == [_reference_c(d, i, row) for i, row in classes]
         # identity columns change no c set: every c commutes with e
@@ -158,7 +167,7 @@ def test_stage_scans_equal_the_per_class_scans(reference_tower, monkeypatch, cel
 def test_stage_scans_of_no_rows_are_empty(s4):
     d = decompose(s4)
     none = np.empty(0, dtype=np.int64)
-    for found in (extend_to_K4(d, none), extend_step(d, none, np.empty((0, 1), dtype=np.int64)),
+    for found in (extend_to_K4(d, none), _step(d, none, np.empty((0, 1), dtype=np.int64)),
                   extend_to_braid(d, [], np.empty((0, 2), dtype=np.int64))):
         assert _per_row(found, 0) == []
 
@@ -234,7 +243,7 @@ def test_type_I_cycles_admit_only_trivial_b3(s4):
 def test_extend_step_rejects_stage_3(s3):
     d = decompose(s3)
     with pytest.raises(UsageError, match="starts from stage 4"):
-        extend_step(d, [_index(d, (1, 2))], np.empty((1, 0), dtype=np.int64))
+        _step(d, [_index(d, (1, 2))], np.empty((1, 0), dtype=np.int64))
 
 
 # (id, scan, cycle ids, b, message): a cycle index out of range or not an
@@ -269,16 +278,49 @@ BAD_SCAN_INPUTS = [
 def test_scans_refuse_a_bad_class(s4, scan, ids, b, message):
     d = decompose(s4)
     args = (d, ids) if b is None else (d, ids, b)
+    if scan == "extend_step":      # parents that pass, so ids and b are what is refused
+        args += ((np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),)
     with pytest.raises(UsageError, match=re.escape(message)):
         getattr(extension, scan)(*args)
+
+
+# (id, parents, message): extend_step over the one S4 class (47, (7,)) with
+# parents that are no (rows, images) of elements over its one row
+BAD_PARENTS = [
+    ("lengths-differ", ([0, 0], [1]), "1-d integer arrays of one length"),
+    ("row-past-the-classes", ([1], [0]), "parent row 1 out of range (1 classes)"),
+    ("negative-row", ([0, -1], [1, 9]), "parent row -1 out of range"),
+    ("2d-rows", ([[0]], [[1]]), "1-d integer arrays of one length"),
+    ("float-rows", ([0.0], [1]), "1-d integer arrays of one length"),
+    ("image-outside-s4", ([0], [24]), "element index 24 out of range for S4 (order 24)"),
+    ("negative-image", ([0], [-1]), "element index -1 out of range"),
+    ("no-pair", ([0],), "a pair (rows, images)"),
+    ("ragged", ([0], [[1], [1, 2]]), "a pair (rows, images)"),
+]
+
+
+@pytest.mark.parametrize("parents,message", [case[1:] for case in BAD_PARENTS], ids=[case[0] for case in BAD_PARENTS])
+def test_extend_step_refuses_bad_parents(s4, parents, message):
+    with pytest.raises(UsageError, match=re.escape(message)):
+        extend_step(decompose(s4), [47], [[7]], parents)
 
 
 def test_extend_step_empty_over_s4(tower_s4, s4):
     d = tower_s4.decomposition
     ids, b, _, _ = tower_s4.level(4).expand()
     keep = ids != _index(d, (0, 0))
-    rows, images = extend_step(d, ids[keep], b[keep])
+    rows, images = _step(d, ids[keep], b[keep])
     assert rows.size == images.size == 0
+
+
+def test_extend_step_equals_the_reference_for_every_last_image(s4):
+    # on the towers every b_i with i >= 4 has order 1 or 2, so no class there
+    # tells a c set from its inverses; over every S4 cycle with every element
+    # as b3, some c braids with b3 while c^-1 does not
+    d = decompose(s4)
+    ids, b3 = np.repeat(np.arange(d.lengths.size), s4.order), np.tile(np.arange(s4.order), d.lengths.size)
+    assert _per_row(_step(d, ids, b3[:, None]), ids.size) == [
+        _reference_step(d, i, (g,)) for i, g in zip(ids.tolist(), b3.tolist())]
 
 
 def test_extend_step_agrees_with_direct_relation_check(s5):
@@ -574,6 +616,38 @@ def test_successor_permutes_the_pair_classes_with_order_dividing_six(spec):
     for _ in range(6):
         power = nxt[power]
     assert np.array_equal(power, np.arange(nxt.size))
+
+
+# Burnside's lemma: simultaneous conjugation fixes the pair (x, y) exactly when
+# g centralises both, so there are (1/|G|) sum_g |C(g)|^2 pair classes
+PAIR_CLASS_COUNTS = {
+    "S4": (lambda: SymmetricGroup(4), 43),
+    "S5": (lambda: SymmetricGroup(5), 161),
+    "S6": (lambda: SymmetricGroup(6), 901),
+    "SL2(3)": (lambda: SL2(3), 76),
+    "SL2(5)": (lambda: SL2(5), 296),
+    "SL2(7)": (lambda: SL2(7), 764),
+    "Z2xZ4xZ5": (lambda: parse_group_spec("Z2xZ4xZ5"), 1600),
+    "S3xZ6-relabelled-3": (lambda: relabelled(s3_x_z6(), 3), 396),
+}
+
+
+@pytest.mark.parametrize("name", PAIR_CLASS_COUNTS)
+def test_pair_classes_number_burnsides_count(name):
+    build, count = PAIR_CLASS_COUNTS[name]
+    group = build()
+    m, mul_t = group.order, group.tables()[0]
+    commute = mul_t == mul_t.T                  # g and x commute at [g, x]
+    assert (commute.sum(axis=1) ** 2).sum() == count * m
+    canonical, r, y = _pair_classes(group, commute.all(axis=0))
+    assert r.size == y.size == count
+    # every vertex lands on one of the classes, and every class is hit
+    a0, a1 = np.divmod(np.arange(m * m), m)
+    pair, sigma = canonical(a0, a1)
+    assert np.array_equal(np.unique(pair), np.arange(count))
+    # sigma conjugates each vertex onto its class's canonical pair
+    assert np.array_equal(_conjugate(group, sigma, a0), r[pair])
+    assert np.array_equal(_conjugate(group, sigma, a1), y[pair])
 
 
 # S4's stages 5 and 6 hold only the trivial class, S5's also others; the

@@ -33,12 +33,14 @@ def test_readme_library_examples_give_their_commented_values():
     assert tower.level(6).braid_rep_count == 24
 
     assert i == 47 and d.lengths[i] == 2
-    scans = [ns["extend_to_K4"](d, [i]), ns["extend_step"](d, [i], [[7]]),
-             ns["extend_step"](d, [0], [[0]]), ns["extend_to_braid"](d, [i], [[7]])]
+    below, trivial = ns["below"], ns["trivial"]
+    assert trivial[1].tolist() == list(range(24))
+    scans = [ns["extend_to_K4"](d, [i]), below, ns["extend_step"](d, [i], [[7]], below),
+             ns["extend_step"](d, [0], [[0]], trivial), ns["extend_to_braid"](d, [i], [[7]])]
     assert [(rows.tolist(), images.tolist()) for rows, images in scans] == [
-        ([0, 0, 0, 0], [0, 7, 16, 23]), ([], []), ([0], [0]), ([0], [1])]
+        ([0, 0, 0, 0], [0, 7, 16, 23]), ([0, 0, 0], [1, 2, 5]), ([], []), ([0], [0]), ([0], [1])]
     with pytest.raises(UsageError):
-        ns["extend_step"](d, [i], np.empty((1, 0), dtype=np.intp))
+        ns["extend_step"](d, [i], np.empty((1, 0), dtype=np.intp), below)
     k = ns["k"]
     a0, a1 = braidrep.decompose(braidrep.SymmetricGroup(5)).rep_vertices(np.array([k]))
     assert (k, (int(a0[0]), int(a1[0])), ns["phase"], ns["b"]) == (1151, (30, 48), 1, (26, 25))
